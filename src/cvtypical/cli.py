@@ -7,7 +7,7 @@ Subcommands:
     profile-sample    draw squeezing spectra from a profile (CSV or JSON)
     trial-dump        run one ensemble and emit its trials (CSV) and summary (JSON)
 
-A flat JSON config file can hold any field; explicit flags override it.
+A JSON config file holds option values keyed by dest; explicit flags override it.
 Outputs are deterministic given (seed, config): files are written atomically,
 floats serialize via repr, and every file carries a one-line provenance
 header with the version, seed, and a config digest.  Entropies are in nats.
@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import (
@@ -36,7 +37,6 @@ from .harness import (
     format_trials_csv,
     run_ensemble,
     summary_to_jsonable,
-    write_summary_json,
     write_trials_csv,
     _atomic_write_text,
 )
@@ -47,14 +47,6 @@ from .profiles import sample_profile
 from .weingarten import gram_weingarten_oracle, partitions, weingarten
 
 WORKERS_ENV_VAR = "CVTYPICAL_WORKERS"
-
-SUBCOMMANDS = (
-    "moments",
-    "concentration",
-    "weingarten-check",
-    "profile-sample",
-    "trial-dump",
-)
 
 
 @dataclass(frozen=True)
@@ -77,101 +69,169 @@ class RunConfig:
     base_profile: str = "constant"
 
 
-# Which config-file keys each subcommand accepts, beyond the shared ones.
-_SHARED_KEYS = {"subcommand", "seed", "workers"}
-_KEYS_BY_SUBCOMMAND = {
-    "moments": {"n", "k", "z_profile", "output_path"},
-    "concentration": {
-        "n_list",
-        "k",
-        "samples",
-        "scaling",
-        "output_dir",
-        "base_profile",
-    },
-    "weingarten-check": {"p", "n_range"},
-    "profile-sample": {"n", "samples", "z_profile", "output_path", "format"},
-    "trial-dump": {
-        "n",
-        "k",
-        "samples",
-        "z_profile",
-        "output_path",
-        "summary_output",
-    },
+def _integer(minimum: int):
+    def check(value, opt):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise UsageError(f"{opt.flag} must be an integer, got {value!r}")
+        if value < minimum:
+            raise UsageError(f"{opt.flag} must be >= {minimum}, got {value}")
+        return value
+
+    return check
+
+
+def _number(value, opt) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"{opt.flag} must be a number, got {value!r}")
+    return float(value)
+
+
+def _text(value, opt) -> str:
+    if not isinstance(value, str):
+        raise UsageError(f"{opt.flag} must be a string, got {value!r}")
+    return value
+
+
+def _choice(value, opt) -> str:
+    if value not in opt.choices:
+        raise UsageError(f"{opt.flag} must be one of {', '.join(opt.choices)}, got {value!r}")
+    return value
+
+
+def _parse_n_list(value, opt) -> tuple:
+    if isinstance(value, (list, tuple)):
+        items = list(value)
+    elif isinstance(value, str):
+        items = [part.strip() for part in value.split(",") if part.strip()]
+    else:
+        raise UsageError(f"{opt.flag} must be a comma list of integers, got {value!r}")
+    try:
+        ns = tuple(int(x) for x in items)
+    except (TypeError, ValueError):
+        raise UsageError(f"{opt.flag} must be a comma list of integers, got {value!r}") from None
+    if not ns:
+        raise UsageError(f"{opt.flag} is empty")
+    return ns
+
+
+def _parse_n_range(value, opt) -> tuple:
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        lo, hi = value
+    elif isinstance(value, str) and value.count(":") == 1:
+        lo, hi = value.split(":")
+    else:
+        raise UsageError(f"{opt.flag} must look like a:b, got {value!r}")
+    try:
+        lo, hi = int(lo), int(hi)
+    except (TypeError, ValueError):
+        raise UsageError(f"{opt.flag} must hold integers, got {value!r}") from None
+    if lo < 1 or hi < lo:
+        raise UsageError(f"{opt.flag} needs 1 <= a <= b, got {lo}:{hi}")
+    return lo, hi
+
+
+class _Option(NamedTuple):
+    flag: str
+    # check(value, option) -> checked value; raises UsageError.  It runs on the
+    # merged value, whether that came from the flag or from the config file.
+    check: Callable
+    help: str | None = None
+    # how argparse reads the flag's text (and a config-file string value)
+    type: Callable | None = None
+    choices: tuple | None = None
+
+
+# One entry per option; the key is the argparse dest, the config-file key,
+# and (except for the four scaling values) the RunConfig field.
+_OPTIONS = {
+    "seed": _Option("--seed", _integer(0), type=int),
+    "workers": _Option(
+        "--workers", _integer(1), f"worker processes (default ${WORKERS_ENV_VAR} or 1)", type=int
+    ),
+    "n": _Option("--n", _integer(1), "mode count", type=int),
+    "k": _Option("--k", _integer(1), "subsystem modes (concentration default: scaling rule)", type=int),
+    "samples": _Option("--samples", _integer(1), type=int),
+    "z_profile": _Option(
+        "--z-profile", _text, "fixed:<csv>, constant:<z>x<n>, micro:<E> or canonical:<E>[:<T>]"
+    ),
+    "output_path": _Option("--output", _text, "output file (default: stdout)"),
+    "summary_output": _Option(
+        "--summary-output", _text, "summary JSON file (default: stdout when --output is a file)"
+    ),
+    "format": _Option("--format", _choice, choices=("csv", "json")),
+    "n_list": _Option("--n-list", _parse_n_list, "comma-separated mode counts"),
+    "zeta": _Option("--zeta", _number, "squeezing growth exponent", type=float),
+    "kappa": _Option("--kappa", _number, "subsystem growth exponent", type=float),
+    "scale_z": _Option("--scale-z", _number, "squeezing prefactor", type=float),
+    "scale_k": _Option("--scale-k", _number, "subsystem prefactor", type=float),
+    "output_dir": _Option("--output-dir", _text),
+    "base_profile": _Option(
+        "--base-profile", _choice, "spectrum family used at each n", choices=("constant", "vacuum")
+    ),
+    "p": _Option("--p", _integer(1), "moment order", type=int),
+    "n_range": _Option("--n-range", _parse_n_range, "inclusive range a:b of dimensions"),
 }
 
 _SCALING_KEYS = ("zeta", "kappa", "scale_z", "scale_k")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Subcommand(NamedTuple):
+    help: str
+    options: tuple  # dests after the shared seed and workers, in flag order
+    required: tuple
+
+
+_SUBCOMMANDS = {
+    "moments": _Subcommand(
+        "exact moment formulas for one profile",
+        ("n", "k", "z_profile", "output_path"),
+        ("k", "z_profile"),
+    ),
+    "concentration": _Subcommand(
+        "ensemble sweep over a list of n",
+        ("n_list", "k", "samples", *_SCALING_KEYS, "output_dir", "base_profile"),
+        ("n_list", "samples"),
+    ),
+    "weingarten-check": _Subcommand(
+        "character sum vs Gram-matrix oracle", ("p", "n_range"), ("p", "n_range")
+    ),
+    "profile-sample": _Subcommand(
+        "draw squeezing spectra",
+        ("z_profile", "n", "samples", "output_path", "format"),
+        ("z_profile", "samples"),
+    ),
+    "trial-dump": _Subcommand(
+        "run an ensemble, dump trials + summary",
+        ("n", "k", "z_profile", "samples", "output_path", "summary_output"),
+        ("k", "z_profile", "samples"),
+    ),
+}
+
+
+def _dests(sub: str) -> tuple:
+    return ("seed", "workers") + _SUBCOMMANDS[sub].options
+
+
+def _build_parser():
+    """The argument parser, and its subparsers by name."""
     parser = argparse.ArgumentParser(
         prog="cvtypical",
         description="Typicality experiments for random pure Gaussian states.",
     )
     parser.add_argument("--version", action="version", version=f"cvtypical {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="flat JSON config file; flags override it")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help=f"worker processes (default ${WORKERS_ENV_VAR} or 1)",
-        )
-
-    sp = subs.add_parser("moments", help="exact moment formulas for one profile")
-    common(sp)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--z-profile", default=None, help="fixed:<csv> or constant:<z>x<n>")
-    sp.add_argument("--output", default=None, help="JSON file (default: stdout)")
-
-    sp = subs.add_parser("concentration", help="ensemble sweep over a list of n")
-    common(sp)
-    sp.add_argument("--n-list", default=None, help="comma-separated mode counts")
-    sp.add_argument("--k", type=int, default=None, help="fixed k (default: scaling rule)")
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--zeta", type=float, default=None, help="squeezing growth exponent")
-    sp.add_argument("--kappa", type=float, default=None, help="subsystem growth exponent")
-    sp.add_argument("--scale-z", type=float, default=None, help="squeezing prefactor")
-    sp.add_argument("--scale-k", type=float, default=None, help="subsystem prefactor")
-    sp.add_argument("--output-dir", default=None)
-    sp.add_argument(
-        "--base-profile",
-        default=None,
-        choices=("constant", "vacuum"),
-        help="spectrum family used at each n",
-    )
-
-    sp = subs.add_parser("weingarten-check", help="character sum vs Gram-matrix oracle")
-    common(sp)
-    sp.add_argument("--p", type=int, default=None, help="moment order")
-    sp.add_argument("--n-range", default=None, help="inclusive range a:b of dimensions")
-
-    sp = subs.add_parser("profile-sample", help="draw squeezing spectra")
-    common(sp)
-    sp.add_argument("--z-profile", default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--output", default=None, help="file (default: stdout)")
-    sp.add_argument("--format", default=None, choices=("csv", "json"))
-
-    sp = subs.add_parser("trial-dump", help="run an ensemble, dump trials + summary")
-    common(sp)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--z-profile", default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--output", default=None, help="trial CSV (default: stdout)")
-    sp.add_argument(
-        "--summary-output",
-        default=None,
-        help="summary JSON file (default: stdout when --output is a file)",
-    )
-    return parser
+    subparsers = {}
+    for sub, spec in _SUBCOMMANDS.items():
+        sp = subparsers[sub] = subs.add_parser(sub, help=spec.help)
+        sp.add_argument("--config", help="JSON config file keyed by option dest; flags override it")
+        for dest in _dests(sub):
+            opt = _OPTIONS[dest]
+            # name the value after the flag, not the dest (--output OUTPUT)
+            metavar = None if opt.choices else opt.flag[2:].replace("-", "_").upper()
+            sp.add_argument(
+                opt.flag, dest=dest, metavar=metavar, type=opt.type, choices=opt.choices, help=opt.help
+            )
+    return parser, subparsers
 
 
 def _load_config_file(path: str) -> dict:
@@ -187,44 +247,28 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _require_int(value, field: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"--{field.replace('_', '-')} must be an integer, got {value!r}")
-    if value < minimum:
-        raise UsageError(f"--{field.replace('_', '-')} must be >= {minimum}, got {value}")
-    return value
-
-
-def _parse_n_list(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-    elif isinstance(value, str):
-        items = [part.strip() for part in value.split(",") if part.strip()]
-    else:
-        raise UsageError(f"--n-list must be a comma list of integers, got {value!r}")
-    try:
-        ns = tuple(int(x) for x in items)
-    except (TypeError, ValueError):
-        raise UsageError(f"--n-list must be a comma list of integers, got {value!r}") from None
-    if not ns:
-        raise UsageError("--n-list is empty")
-    return ns
-
-
-def _parse_n_range(value) -> tuple:
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        lo, hi = value
-    elif isinstance(value, str) and value.count(":") == 1:
-        lo, hi = value.split(":")
-    else:
-        raise UsageError(f"--n-range must look like a:b, got {value!r}")
-    try:
-        lo, hi = int(lo), int(hi)
-    except (TypeError, ValueError):
-        raise UsageError(f"--n-range must hold integers, got {value!r}") from None
-    if lo < 1 or hi < lo:
-        raise UsageError(f"--n-range needs 1 <= a <= b, got {lo}:{hi}")
-    return lo, hi
+def _config_file_defaults(path: str, sub: str) -> dict:
+    """The config file's values by dest.  Null values count as absent, and a
+    "scaling" object may stand for the four scaling keys."""
+    data = _load_config_file(path)
+    allowed = ("subcommand",) + _dests(sub)
+    if set(_SCALING_KEYS) <= set(allowed):
+        allowed += ("scaling",)
+    for key in data:
+        if key not in allowed:
+            raise UsageError(f"config key {key!r} is not valid for subcommand {sub!r}")
+    named = data.pop("subcommand", sub)
+    if named != sub:
+        raise UsageError(f"config file names subcommand {named!r} but {sub!r} was invoked")
+    scaling = data.pop("scaling", None)
+    if scaling is not None:
+        if not isinstance(scaling, dict):
+            raise UsageError("config key 'scaling' must be an object")
+        for key in scaling:
+            if key not in _SCALING_KEYS:
+                raise UsageError(f"unknown scaling key {key!r}")
+        data = {**scaling, **data}
+    return {key: value for key, value in data.items() if value is not None}
 
 
 def _default_workers() -> int:
@@ -240,139 +284,48 @@ def _default_workers() -> int:
     return workers
 
 
-def parse_config(argv, config_file: str | None = None) -> RunConfig:
-    """Merge argv and an optional flat JSON config file into a RunConfig.
+def parse_config(argv) -> RunConfig:
+    """Merge argv and the optional --config JSON file into a RunConfig.
 
-    Precedence: explicit flag, then config-file key, then default.  Unknown
-    config keys and cross-field inconsistencies raise UsageError.
+    The file's values become the subparser's defaults, so argparse applies
+    the precedence: explicit flag, then config-file key, then default.  Each
+    value then passes its option's check, whichever source it came from.
+    Unknown config keys, missing required options and cross-field
+    inconsistencies raise UsageError.
     """
-    ns = _build_parser().parse_args(argv)
+    parser, subparsers = _build_parser()
+    ns = parser.parse_args(argv)
     sub = ns.subcommand
+    if ns.config:
+        subparsers[sub].set_defaults(**_config_file_defaults(ns.config, sub))
+        ns = parser.parse_args(argv)
 
-    path = config_file or ns.config
-    file_cfg = _load_config_file(path) if path else {}
-    allowed = _SHARED_KEYS | _KEYS_BY_SUBCOMMAND[sub]
-    for key in file_cfg:
-        if key not in allowed:
-            raise UsageError(f"config key {key!r} is not valid for subcommand {sub!r}")
-    if "subcommand" in file_cfg and file_cfg["subcommand"] != sub:
-        raise UsageError(
-            f"config file names subcommand {file_cfg['subcommand']!r} but {sub!r} was invoked"
-        )
-
-    def pick(flag_name: str, file_key: str | None = None, default=None):
-        value = getattr(ns, flag_name, None)
+    values = {}
+    for dest in _dests(sub):
+        opt = _OPTIONS[dest]
+        value = getattr(ns, dest)
         if value is not None:
-            return value
-        key = file_key or flag_name
-        if key in file_cfg and file_cfg[key] is not None:
-            return file_cfg[key]
-        return default
-
-    seed = pick("seed", default=0)
-    seed = _require_int(seed, "seed", 0)
-    workers = pick("workers")
-    workers = _default_workers() if workers is None else _require_int(workers, "workers", 1)
-
-    n = pick("n")
-    if n is not None:
-        n = _require_int(n, "n", 1)
-    k = pick("k")
-    if k is not None:
-        k = _require_int(k, "k", 1)
-    samples = pick("samples")
-    if samples is not None:
-        samples = _require_int(samples, "samples", 1)
-
-    profile = None
-    profile_text = pick("z_profile")
-    if profile_text is not None:
-        if not isinstance(profile_text, str):
-            raise UsageError(f"--z-profile must be a string, got {profile_text!r}")
-        profile = parse_profile(profile_text, n=n)
-
-    scaling = None
+            values[dest] = opt.check(value, opt)
+    if "workers" not in values:
+        values["workers"] = _default_workers()
+    if "z_profile" in values:
+        values["z_profile"] = parse_profile(values["z_profile"], n=values.get("n"))
     if sub == "concentration":
-        file_scaling = file_cfg.get("scaling", {})
-        if file_scaling is None:
-            file_scaling = {}
-        if not isinstance(file_scaling, dict):
-            raise UsageError("config key 'scaling' must be an object")
-        for key in file_scaling:
-            if key not in _SCALING_KEYS:
-                raise UsageError(f"unknown scaling key {key!r}")
-        merged = {
-            "zeta": 0.0,
-            "kappa": 0.0,
-            "scale_z": 2.0,
-            "scale_k": 1.0,
-        }
-        merged.update(file_scaling)
-        for key in _SCALING_KEYS:
-            flag_value = getattr(ns, key, None)
-            if flag_value is not None:
-                merged[key] = flag_value
+        scaling = {key: values.pop(key) for key in _SCALING_KEYS if key in values}
         try:
-            scaling = ScalingConfig(**{key: float(merged[key]) for key in _SCALING_KEYS})
-        except (TypeError, ValueError):
-            raise UsageError(f"scaling values must be numbers, got {merged!r}") from None
+            values["scaling"] = ScalingConfig(**scaling)
         except DomainError as exc:
             raise UsageError(f"bad scaling config: {exc}") from None
+    for dest in _SUBCOMMANDS[sub].required:
+        if dest not in values:
+            raise UsageError(f"subcommand {sub!r} needs {_OPTIONS[dest].flag}")
 
-    cfg = RunConfig(
-        subcommand=sub,
-        seed=seed,
-        workers=workers,
-        n=n,
-        k=k,
-        samples=samples,
-        z_profile=profile,
-        scaling=scaling,
-        output_path=pick("output", "output_path"),
-        format=pick("format", default="csv"),
-        n_list=_parse_n_list(pick("n_list")) if pick("n_list") is not None else None,
-        p=_require_int(pick("p"), "p", 1) if pick("p") is not None else None,
-        n_range=_parse_n_range(pick("n_range")) if pick("n_range") is not None else None,
-        output_dir=pick("output_dir", default="."),
-        summary_output=pick("summary_output"),
-        base_profile=pick("base_profile", default="constant"),
-    )
-    _validate_config(cfg)
+    cfg = RunConfig(subcommand=sub, **values)
+    if sub == "moments" and not cfg.z_profile.is_deterministic:
+        raise UsageError("moments needs a deterministic profile (fixed:... or constant:...)")
+    if cfg.k is not None and cfg.z_profile is not None and cfg.k > cfg.z_profile.n:
+        raise UsageError(f"--k {cfg.k} exceeds the profile's n={cfg.z_profile.n}")
     return cfg
-
-
-def _require(cfg_value, flag: str, sub: str):
-    if cfg_value is None:
-        raise UsageError(f"subcommand {sub!r} needs --{flag}")
-    return cfg_value
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    sub = cfg.subcommand
-    if sub == "moments":
-        _require(cfg.k, "k", sub)
-        _require(cfg.z_profile, "z-profile", sub)
-        if not cfg.z_profile.is_deterministic:
-            raise UsageError(
-                "moments needs a deterministic profile (fixed:... or constant:...)"
-            )
-        if cfg.k > cfg.z_profile.n:
-            raise UsageError(f"--k {cfg.k} exceeds the profile's n={cfg.z_profile.n}")
-    elif sub == "concentration":
-        _require(cfg.n_list, "n-list", sub)
-        _require(cfg.samples, "samples", sub)
-    elif sub == "weingarten-check":
-        _require(cfg.p, "p", sub)
-        _require(cfg.n_range, "n-range", sub)
-    elif sub == "profile-sample":
-        _require(cfg.z_profile, "z-profile", sub)
-        _require(cfg.samples, "samples", sub)
-    elif sub == "trial-dump":
-        _require(cfg.k, "k", sub)
-        _require(cfg.z_profile, "z-profile", sub)
-        _require(cfg.samples, "samples", sub)
-        if cfg.k > cfg.z_profile.n:
-            raise UsageError(f"--k {cfg.k} exceeds the profile's n={cfg.z_profile.n}")
 
 
 def config_digest(cfg: RunConfig) -> str:

@@ -16,7 +16,8 @@ import math
 import multiprocessing
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 from scipy.linalg import expm
@@ -50,16 +51,19 @@ FLAG_BUDGET = 1e-3
 F_IDENTITY_RTOL = 1e-8
 PURITY_TOL = 1e-8
 
-TRIAL_CSV_FIXED_COLUMNS = (
-    "trial_id",
-    "n",
-    "k",
-    "lambda_bar",
-    "entropy",
-    "f",
-    "delta",
-    "purity_residual",
+# The trial CSV's fixed columns as (column, TrialRecord field, cell parser).
+# A cell is written as repr(parser(value)), so reading it back is exact.
+_TRIAL_CSV_SCHEMA = (
+    ("trial_id", "trial_id", int),
+    ("n", "n", int),
+    ("k", "k", int),
+    ("lambda_bar", "lambda_bar", float),
+    ("entropy", "entropy", float),
+    ("f", "f_value", float),
+    ("delta", "delta", float),
+    ("purity_residual", "purity_residual", float),
 )
+TRIAL_CSV_FIXED_COLUMNS = tuple(column for column, _field, _parse in _TRIAL_CSV_SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -220,7 +224,11 @@ def _mean_se(values: np.ndarray) -> tuple:
 
 
 def summarize_records(records, seed: int, profile: ProfileSpec | None = None) -> RunSummary:
-    """Reduce a trial list to a RunSummary (order-insensitive aggregation)."""
+    """Reduce a trial list to a RunSummary (order-insensitive aggregation).
+
+    Raises PairingFailure when the tail fractions grow with the threshold or
+    beat the Markov bound set by mean_f, which consistent records cannot do.
+    """
     if not records:
         raise DomainError("cannot summarize an empty trial list")
     live = [r for r in records if not r.flagged]
@@ -253,18 +261,17 @@ def summarize_records(records, seed: int, profile: ProfileSpec | None = None) ->
 
     if live:
         fractions = [tail_counts[f * scale] for f in TAIL_LADDER_FACTORS]
-        assert all(a >= b for a, b in zip(fractions, fractions[1:])), (
-            "tail fractions must not increase with the threshold"
-        )
+        if not all(a >= b for a, b in zip(fractions, fractions[1:])):
+            raise PairingFailure("tail fractions must not increase with the threshold")
         if math.isfinite(mean_f):
             for eps, q in tail_counts.items():
                 if eps > 0.0:
                     # empirical Markov bound; cushion covers the two float
                     # routes to mean(delta^2), and the clamp covers vacuum
                     # runs where the trace route leaves mean_f at -1e-17
-                    assert q <= (max(mean_f, 0.0) / (2.0 * eps)) * (1.0 + 1e-9) + 1e-15, (
-                        f"tail fraction {q} at eps={eps} beats Markov"
-                    )
+                    bound = (max(mean_f, 0.0) / (2.0 * eps)) * (1.0 + 1e-9) + 1e-15
+                    if not q <= bound:
+                        raise PairingFailure(f"tail fraction {q} at eps={eps} beats Markov")
 
     return RunSummary(
         samples=len(records),
@@ -440,16 +447,7 @@ def format_trials_csv(records, provenance: str | None = None) -> str:
     for r in records:
         if r.k != k:
             raise DomainError("records in one CSV must share k")
-        cells = [
-            str(r.trial_id),
-            str(r.n),
-            str(r.k),
-            repr(r.lambda_bar),
-            repr(r.entropy),
-            repr(r.f_value),
-            repr(r.delta),
-            repr(r.purity_residual),
-        ]
+        cells = [repr(parse(getattr(r, field))) for _column, field, parse in _TRIAL_CSV_SCHEMA]
         cells.extend(repr(x) for x in r.symplectic_spectrum)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -487,70 +485,39 @@ def read_trials_csv(path):
         cells = row.split(",")
         if len(cells) != len(header):
             raise DomainError(f"{path}: row width {len(cells)} != {len(header)}")
-        f_value = float(cells[5])
+        values = {
+            field: parse(cell) for (_column, field, parse), cell in zip(_TRIAL_CSV_SCHEMA, cells)
+        }
         records.append(
             TrialRecord(
-                trial_id=int(cells[0]),
-                n=int(cells[1]),
-                k=int(cells[2]),
-                lambda_bar=float(cells[3]),
-                entropy=float(cells[4]),
-                f_value=f_value,
-                delta=float(cells[6]),
-                purity_residual=float(cells[7]),
-                symplectic_spectrum=tuple(float(c) for c in cells[8:]),
+                **values,
+                symplectic_spectrum=tuple(float(c) for c in cells[len(fixed):]),
                 tr_jm2=float("nan"),
                 tr_jm4=float("nan"),
-                flagged=math.isnan(f_value),
+                flagged=math.isnan(values["f_value"]),
             )
         )
     return records, provenance
 
 
 def summary_to_jsonable(summary: RunSummary, provenance: dict | None = None) -> dict:
-    payload = {
-        "samples": summary.samples,
-        "n": summary.n,
-        "k": summary.k,
-        "lambda_bar": summary.lambda_bar,
-        "seed": summary.seed,
-        "flagged": summary.flagged,
-        "mean_f": summary.mean_f,
-        "se_f": summary.se_f,
-        "mean_tr_jm2": summary.mean_tr_jm2,
-        "se_tr_jm2": summary.se_tr_jm2,
-        "mean_tr_jm4": summary.mean_tr_jm4,
-        "se_tr_jm4": summary.se_tr_jm4,
-        "mean_entropy": summary.mean_entropy,
-        "se_entropy": summary.se_entropy,
-        "std_entropy": summary.std_entropy,
-        # repr keys survive JSON exactly; float(key) restores them
-        "tail_counts": {repr(eps): frac for eps, frac in summary.tail_counts.items()},
-    }
+    payload = {field.name: getattr(summary, field.name) for field in fields(RunSummary)}
+    # repr keys survive JSON exactly; float(key) restores them
+    payload["tail_counts"] = {repr(eps): frac for eps, frac in summary.tail_counts.items()}
     if provenance is not None:
         payload["provenance"] = provenance
     return payload
 
 
 def summary_from_jsonable(payload: dict) -> RunSummary:
-    return RunSummary(
-        samples=int(payload["samples"]),
-        n=int(payload["n"]),
-        k=int(payload["k"]),
-        lambda_bar=float(payload["lambda_bar"]),
-        seed=int(payload["seed"]),
-        flagged=int(payload["flagged"]),
-        mean_f=float(payload["mean_f"]),
-        se_f=float(payload["se_f"]),
-        mean_tr_jm2=float(payload["mean_tr_jm2"]),
-        se_tr_jm2=float(payload["se_tr_jm2"]),
-        mean_tr_jm4=float(payload["mean_tr_jm4"]),
-        se_tr_jm4=float(payload["se_tr_jm4"]),
-        mean_entropy=float(payload["mean_entropy"]),
-        se_entropy=float(payload["se_entropy"]),
-        std_entropy=float(payload["std_entropy"]),
-        tail_counts={float(key): float(val) for key, val in payload["tail_counts"].items()},
-    )
+    # every field but tail_counts is an int or a float, restored by its type
+    values = {
+        name: kind(payload[name])
+        for name, kind in get_type_hints(RunSummary).items()
+        if name != "tail_counts"
+    }
+    values["tail_counts"] = {float(key): float(val) for key, val in payload["tail_counts"].items()}
+    return RunSummary(**values)
 
 
 def write_summary_json(path, summary: RunSummary, provenance: dict | None = None) -> None:

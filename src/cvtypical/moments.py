@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
 
-from ._rational import rational, to_fraction
 from .errors import DimensionTooSmall, DomainError, InvalidSubsystem
 
 __all__ = [
@@ -85,8 +84,7 @@ def moment_inputs_from_spectrum(z, k: int) -> MomentInputs:
 
 @lru_cache(maxsize=512)
 def _power_sums(mi: MomentInputs) -> dict:
-    a = [rational(x.numerator, x.denominator) for x in mi.a]
-    b = [rational(x.numerator, x.denominator) for x in mi.b]
+    a, b = mi.a, mi.b
     return {
         "trB": sum(b),
         "trB2": sum(x * x for x in b),
@@ -101,7 +99,7 @@ def _power_sums(mi: MomentInputs) -> dict:
 
 def average_energy_exact(mi: MomentInputs) -> Fraction:
     """Exact average energy per mode, tr(B)/n."""
-    return to_fraction(_power_sums(mi)["trB"] / mi.n)
+    return Fraction(_power_sums(mi)["trB"], mi.n)
 
 
 def tilde_lambda_squared_exact(mi: MomentInputs) -> Fraction:
@@ -111,11 +109,11 @@ def tilde_lambda_squared_exact(mi: MomentInputs) -> Fraction:
     n, k = mi.n, mi.k
     ps = _power_sums(mi)
     val = (
-        rational(n - k, n * (n * n - 1)) * ps["trB"] ** 2
-        - rational(k + 1, n * (n + 1)) * ps["trA2"]
-        + rational(k * n - 1, n * (n * n - 1)) * ps["trB2"]
+        Fraction(n - k, n * (n * n - 1)) * ps["trB"] ** 2
+        - Fraction(k + 1, n * (n + 1)) * ps["trA2"]
+        + Fraction(k * n - 1, n * (n * n - 1)) * ps["trB2"]
     )
-    return to_fraction(val)
+    return val
 
 
 def tilde_lambda_squared(mi: MomentInputs) -> float:
@@ -137,11 +135,11 @@ def _table1_second_moment_exact(mi: MomentInputs) -> Fraction:
     n, k = mi.n, mi.k
     ps = _power_sums(mi)
     val = (
-        rational(2 * k * (k - n), n * (n * n - 1)) * ps["trB"] ** 2
-        + rational(2 * k * (k + 1), n * (n + 1)) * ps["trA2"]
-        - rational(2 * k * (k * n - 1), n * (n * n - 1)) * ps["trB2"]
+        Fraction(2 * k * (k - n), n * (n * n - 1)) * ps["trB"] ** 2
+        + Fraction(2 * k * (k + 1), n * (n + 1)) * ps["trA2"]
+        - Fraction(2 * k * (k * n - 1), n * (n * n - 1)) * ps["trB2"]
     )
-    return to_fraction(val)
+    return val
 
 
 def _fourth_moment_rows(n: int, k: int) -> list[tuple[int, int, str]]:
@@ -187,10 +185,10 @@ def fourth_moment_trace_exact(mi: MomentInputs) -> Fraction:
         "trA2*trB2": ps["trA2"] * ps["trB2"],
         "trB*trA2B": ps["trB"] * ps["trA2B"],
     }
-    total = rational(0)
+    total = Fraction(0)
     for num, den, key in _fourth_moment_rows(mi.n, mi.k):
-        total += rational(num, den) * mono[key]
-    return to_fraction(total)
+        total += Fraction(num, den) * mono[key]
+    return total
 
 
 def fourth_moment_trace(mi: MomentInputs) -> float:

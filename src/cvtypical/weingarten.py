@@ -16,7 +16,6 @@ from functools import cache
 
 import numpy as np
 
-from ._rational import rational, to_fraction
 from .errors import (
     DimensionMismatch,
     DimensionTooSmall,
@@ -195,14 +194,14 @@ def weingarten(n: int, sigma: tuple[int, ...]) -> Fraction:
     if n < p:
         raise DimensionTooSmall(f"need n >= p, got n={n}, p={p}")
     identity = (1,) * p
-    total = rational(0)
+    total = Fraction(0)
     for lam in partitions(p):
         dim_sp = _chi(lam, identity)
-        total += rational(dim_sp * dim_sp * _chi(lam, sigma), unitary_irrep_dimension(lam, n))
+        total += Fraction(dim_sp * dim_sp * _chi(lam, sigma), unitary_irrep_dimension(lam, n))
     fact = 1
     for i in range(2, p + 1):
         fact *= i
-    return to_fraction(total / (fact * fact))
+    return total / (fact * fact)
 
 
 def _gram_solution(n: int, p: int) -> dict[tuple[int, ...], Fraction]:
@@ -210,13 +209,13 @@ def _gram_solution(n: int, p: int) -> dict[tuple[int, ...], Fraction]:
     G(sigma, tau) = n^(#cycles(sigma^-1 tau)); returns x indexed by permutation."""
     perms = list(itertools.permutations(range(p)))
     size = len(perms)
-    npow = [rational(n) ** c for c in range(p + 1)]
+    npow = [Fraction(n) ** c for c in range(p + 1)]
     rows = []
     for s in perms:
         s_inv = inverse(s)
         rows.append([npow[len(cycle_type(compose(s_inv, t)))] for t in perms])
-    rhs = [rational(0)] * size
-    rhs[perms.index(tuple(range(p)))] = rational(1)
+    rhs = [Fraction(0)] * size
+    rhs[perms.index(tuple(range(p)))] = Fraction(1)
 
     # forward elimination with partial pivoting, exact arithmetic
     for col in range(size):
@@ -236,14 +235,14 @@ def _gram_solution(n: int, p: int) -> dict[tuple[int, ...], Fraction]:
             for c in range(col, size):
                 row_r[c] -= scale * row_c[c]
             rhs[r] -= scale * rhs[col]
-    x = [rational(0)] * size
+    x = [Fraction(0)] * size
     for r in range(size - 1, -1, -1):
         acc = rhs[r]
         row = rows[r]
         for c in range(r + 1, size):
             acc -= row[c] * x[c]
         x[r] = acc / row[r]
-    return {perm: to_fraction(val) for perm, val in zip(perms, x)}
+    return dict(zip(perms, x))
 
 
 def gram_weingarten_oracle(n: int, p: int) -> dict[tuple[int, ...], Fraction]:

@@ -229,6 +229,56 @@ def test_config_file_subcommand_mismatch(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv, config, flag",
+    [
+        (
+            ["profile-sample"],
+            {"z_profile": "micro:14", "n": 4, "samples": 2, "format": "xml"},
+            "--format",
+        ),
+        (["concentration"], {"n_list": [4], "samples": 2, "base_profile": "bogus"}, "--base-profile"),
+        (["concentration"], {"n_list": [4], "samples": 2, "output_dir": 5}, "--output-dir"),
+        (["concentration"], {"n_list": [4], "samples": 2, "scaling": {"zeta": True}}, "--zeta"),
+    ],
+    ids=["format", "base_profile", "output_dir", "scaling_zeta"],
+)
+def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, capsys, argv, config, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    rc, out, err = run_main(capsys, argv + ["--config", "run.json"])
+    assert rc == 2
+    assert err.startswith("error:") and flag in err
+    assert out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]  # nothing was written
+
+
+# Provenance digests of known configs: a refactor of the option handling must
+# leave every artifact's config=sha256 line as it was.
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("moments --n 4 --k 1 --z-profile fixed:3,1,1,1", "fec653a644690d7f"),
+        ("moments --config m.json", "fec653a644690d7f"),
+        ("concentration --n-list 4,6 --samples 20 --seed 1 --k 1", "395abdb4c424b287"),
+        ("concentration --n-list 16,32 --samples 5 --zeta 0.25 --kappa 0.5", "f511f1aaaceff0ac"),
+        ("weingarten-check --p 4 --n-range 6:6", "01c0a6856a2b5cb4"),
+        (
+            "profile-sample --z-profile micro:14 --n 4 --samples 6 --seed 3 --format json",
+            "486ce1251aafdc3f",
+        ),
+        (
+            "trial-dump --n 4 --k 1 --z-profile fixed:3,1,1,1 --samples 12 --seed 3",
+            "b49a93d319ba73bd",
+        ),
+    ],
+)
+def test_config_digest_pins(tmp_path, monkeypatch, command, digest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps({"n": 4, "k": 1, "z_profile": "fixed:3,1,1,1"}))
+    assert config_digest(parse_config(command.split())) == digest
+
+
 def test_workers_env_default(monkeypatch):
     monkeypatch.setenv("CVTYPICAL_WORKERS", "3")
     cfg = parse_config(["trial-dump", "--n", "3", "--k", "1", "--z-profile", "constant:2x3", "--samples", "2"])

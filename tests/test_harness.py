@@ -1,9 +1,17 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cvtypical
 import cvtypical.harness as harness
 from cvtypical.errors import DomainError, InvalidSubsystem, PairingFailure
 from cvtypical.haar import SeededStream, sample_haar_unitary
@@ -222,6 +230,85 @@ def test_single_record_has_nan_errors():
     assert summary.samples == 1
     assert math.isnan(summary.se_f)
     assert math.isnan(summary.std_entropy)
+
+
+def test_summarize_rejects_tails_beyond_markov():
+    """f = 0 with delta = 10 puts every trial in every tail, which the Markov
+    bound from mean_f forbids; the check must raise, also under python -O."""
+    fields = dict(
+        n=2, k=1, lambda_bar=1.0, symplectic_spectrum=(1.0,), entropy=0.0,
+        f_value=0.0, delta=10.0, purity_residual=0.0, tr_jm2=0.0, tr_jm4=0.0,
+    )
+    records = [TrialRecord(trial_id=t, **fields) for t in range(3)]
+    with pytest.raises(PairingFailure, match="Markov"):
+        summarize_records(records, seed=0)
+
+    code = (
+        "assert False, 'this run must strip asserts'\n"
+        "from cvtypical.harness import TrialRecord, summarize_records\n"
+        f"records = [TrialRecord(trial_id=t, **{fields!r}) for t in range(3)]\n"
+        "summarize_records(records, seed=0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cvtypical.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 1
+    assert "PairingFailure" in proc.stderr and "Markov" in proc.stderr
+
+
+_INT_SUMMARY_FIELDS = {"samples", "n", "k", "seed", "flagged"}
+
+
+@st.composite
+def _summaries(draw):
+    # st.floats() draws NaN, +-inf, -0.0 and subnormals among the rest
+    values = {
+        field.name: draw(st.integers() if field.name in _INT_SUMMARY_FIELDS else st.floats())
+        for field in dataclasses.fields(RunSummary)
+        if field.name != "tail_counts"
+    }
+    tails = draw(st.dictionaries(st.floats(allow_nan=False), st.floats(), max_size=6))
+    return RunSummary(**values, tail_counts=tails)
+
+
+@st.composite
+def _csv_records(draw):
+    k = draw(st.integers(1, 3))
+    records = []
+    for trial_id in range(draw(st.integers(1, 4))):
+        f_value = draw(st.floats())
+        records.append(
+            TrialRecord(
+                trial_id=trial_id,
+                n=draw(st.integers(k, 10**6)),
+                k=k,
+                lambda_bar=draw(st.floats()),
+                symplectic_spectrum=tuple(draw(st.floats()) for _ in range(k)),
+                entropy=draw(st.floats()),
+                f_value=f_value,
+                delta=draw(st.floats()),
+                purity_residual=draw(st.floats()),
+                # the CSV carries neither trace; a NaN f marks a flagged row
+                tr_jm2=float("nan"),
+                tr_jm4=float("nan"),
+                flagged=math.isnan(f_value),
+            )
+        )
+    return records
+
+
+@settings(max_examples=200, deadline=None)
+@given(summary=_summaries(), records=_csv_records())
+def test_serialization_round_trips_every_value(tmp_path_factory, summary, records):
+    text = json.dumps(summary_to_jsonable(summary))
+    assert repr(summary_from_jsonable(json.loads(text))) == repr(summary)
+
+    path = tmp_path_factory.getbasetemp() / "property_trials.csv"
+    path.write_text(format_trials_csv(records, provenance="property"))
+    back, provenance = read_trials_csv(path)
+    assert provenance == "property"
+    assert repr(back) == repr(records)
 
 
 def test_trial_csv_header_pinned():
