@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .errors import (
 )
 from .haar import SeededStream
 from .harness import (
+    SWEEP_MIN_N,
     concentration_sweep,
     format_trials_csv,
     run_ensemble,
@@ -83,6 +85,8 @@ def _integer(minimum: int):
 def _number(value, opt) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UsageError(f"{opt.flag} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise UsageError(f"{opt.flag} must be finite, got {value!r}")
     return float(value)
 
 
@@ -111,6 +115,8 @@ def _parse_n_list(value, opt) -> tuple:
         raise UsageError(f"{opt.flag} must be a comma list of integers, got {value!r}") from None
     if not ns:
         raise UsageError(f"{opt.flag} is empty")
+    if min(ns) < SWEEP_MIN_N:
+        raise UsageError(f"{opt.flag} entries must be >= {SWEEP_MIN_N}, got {min(ns)}")
     return ns
 
 

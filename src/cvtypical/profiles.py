@@ -246,6 +246,9 @@ class ScalingConfig:
     scale_k: float = 1.0
 
     def __post_init__(self):
+        values = (self.zeta, self.kappa, self.scale_z, self.scale_k)
+        if not all(math.isfinite(v) for v in values):
+            raise DomainError(f"scaling values must be finite, got {values}")
         if self.zeta < 0.0 or self.kappa < 0.0:
             raise DomainError("growth exponents must be >= 0")
         if self.scale_z < 1.0:

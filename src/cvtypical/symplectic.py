@@ -29,6 +29,7 @@ __all__ = [
     "fiducial_covariance",
     "rotate_covariance",
     "reduce_covariance",
+    "reduced_covariance_from_rows",
     "validate_covariance",
     "symplectic_spectrum",
     "average_energy",
@@ -78,6 +79,17 @@ def _as_squeezing(z) -> np.ndarray:
     return z
 
 
+def _embed(V: np.ndarray) -> np.ndarray:
+    """[[Re V, Im V], [-Im V, Re V]] for a k x n complex V."""
+    k, n = V.shape
+    out = np.empty((2 * k, 2 * n))
+    out[:k, :n] = V.real
+    out[:k, n:] = V.imag
+    out[k:, :n] = -V.imag
+    out[k:, n:] = V.real
+    return out
+
+
 def eta_embed(U: np.ndarray) -> np.ndarray:
     """Embed an n x n complex unitary as the 2n x 2n real orthogonal
     symplectic matrix [[Re U, Im U], [-Im U, Re U]]."""
@@ -88,12 +100,7 @@ def eta_embed(U: np.ndarray) -> np.ndarray:
     err = np.abs(U.conj().T @ U - np.eye(n)).max()
     if err > UNITARITY_TOL:
         raise NonUnitaryInput(f"max |U+U - I| = {err:.3e} exceeds {UNITARITY_TOL}")
-    out = np.empty((2 * n, 2 * n))
-    out[:n, :n] = U.real
-    out[:n, n:] = U.imag
-    out[n:, :n] = -U.imag
-    out[n:, n:] = U.real
-    return out
+    return _embed(U)
 
 
 def fiducial_covariance(z) -> np.ndarray:
@@ -124,6 +131,31 @@ def reduce_covariance(M: np.ndarray, k: int) -> np.ndarray:
         raise InvalidSubsystem(f"need 1 <= k <= {n}, got k={k}")
     idx = np.concatenate([np.arange(k), n + np.arange(k)])
     return M[np.ix_(idx, idx)]
+
+
+def reduced_covariance_from_rows(V: np.ndarray, z) -> tuple:
+    """Covariance matrix of the first k modes of the rotated fiducial state,
+    built from the k rows V = U[:k] of the passive unitary alone.
+
+    The rows embed as W = [[Re V, Im V], [-Im V, Re V]], which is the 2k x 2n
+    slice of eta_embed(U) that reduce_covariance keeps, so
+    M_red = W diag(z, 1/z) W^T equals reduce_covariance(rotate_covariance(
+    fiducial_covariance(z), eta_embed(U)), k) at O(n k^2) cost instead of
+    O(n^3).  The n-mode state is pure exactly when the rows are orthonormal.
+
+    Returns (M_red, max |V V^+ - I_k|).  Raises NonUnitaryInput when that
+    residual exceeds UNITARITY_TOL.
+    """
+    V = np.asarray(V)
+    z = _as_squeezing(z)
+    if V.ndim != 2 or V.shape[1] != z.size or not 1 <= V.shape[0] <= z.size:
+        raise DimensionMismatch(f"expected 1..{z.size} rows of length {z.size}, got {V.shape}")
+    residual = float(np.abs(V @ V.conj().T - np.eye(V.shape[0])).max())
+    if residual > UNITARITY_TOL:
+        raise NonUnitaryInput(f"max |V V+ - I| = {residual:.3e} exceeds {UNITARITY_TOL}")
+    W = _embed(V)
+    out = (W * np.concatenate([z, 1.0 / z])) @ W.T
+    return 0.5 * (out + out.T), residual  # resymmetrize rounding noise
 
 
 def validate_covariance(M: np.ndarray) -> None:

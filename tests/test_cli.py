@@ -240,8 +240,17 @@ def test_config_file_subcommand_mismatch(tmp_path, capsys):
         (["concentration"], {"n_list": [4], "samples": 2, "base_profile": "bogus"}, "--base-profile"),
         (["concentration"], {"n_list": [4], "samples": 2, "output_dir": 5}, "--output-dir"),
         (["concentration"], {"n_list": [4], "samples": 2, "scaling": {"zeta": True}}, "--zeta"),
+        (
+            ["concentration"],
+            {"n_list": [4], "samples": 2, "scaling": {"scale_k": float("inf")}},
+            "--scale-k",
+        ),
+        (["concentration"], {"n_list": [4], "samples": 2, "scale_z": "nan"}, "--scale-z"),
+        (["concentration"], {"n_list": [3], "samples": 2}, "--n-list"),
     ],
-    ids=["format", "base_profile", "output_dir", "scaling_zeta"],
+    ids=[
+        "format", "base_profile", "output_dir", "scaling_zeta", "scale_k_inf", "scale_z_nan", "n_list_3"
+    ],
 )
 def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, capsys, argv, config, flag):
     monkeypatch.chdir(tmp_path)
@@ -251,6 +260,27 @@ def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, capsys
     assert err.startswith("error:") and flag in err
     assert out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]  # nothing was written
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--scale-k", "inf"], "--scale-k"),
+        (["--kappa", "inf"], "--kappa"),
+        (["--zeta", "nan"], "--zeta"),
+        (["--n-list", "3"], "--n-list"),
+        (["--n-list", "8,2"], "--n-list"),
+    ],
+    ids=["scale_k_inf", "kappa_inf", "zeta_nan", "n_list_3", "n_list_8_2"],
+)
+def test_concentration_flag_values_are_usage_errors(tmp_path, monkeypatch, capsys, extra, flag):
+    monkeypatch.chdir(tmp_path)
+    argv = ["concentration", "--n-list", "4", "--samples", "2"]
+    rc, out, err = run_main(capsys, argv + extra)
+    assert rc == 2
+    assert err.startswith("error:") and flag in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []  # nothing was written
 
 
 # Provenance digests of known configs: a refactor of the option handling must
@@ -324,8 +354,9 @@ def test_entry_point_version():
     tomllib = pytest.importorskip("tomllib")
     root = Path(__file__).resolve().parents[1]
     with open(root / "pyproject.toml", "rb") as fh:
-        scripts = tomllib.load(fh)["project"]["scripts"]
-    assert scripts["cvtypical"] == "cvtypical.cli:main"
+        project = tomllib.load(fh)["project"]
+    assert project["scripts"]["cvtypical"] == "cvtypical.cli:main"
+    assert project["version"] == __version__
 
     env = dict(os.environ, PYTHONPATH=str(Path(cvtypical.__file__).resolve().parents[1]))
     proc = subprocess.run(

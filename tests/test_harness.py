@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 import cvtypical
 import cvtypical.harness as harness
@@ -44,6 +45,8 @@ from cvtypical.moments import (
 )
 from cvtypical.profiles import ScalingConfig, constant_profile, microcanonical_profile
 from cvtypical.symplectic import (
+    average_energy,
+    concentration_f,
     entropy_G,
     eta_embed,
     fiducial_covariance,
@@ -69,6 +72,24 @@ def test_trial_is_bit_reproducible():
     a = run_trial([3.0, 1.0, 1.0, 1.0], 1, SeededStream(12, 5), trial_id=5)
     b = run_trial([3.0, 1.0, 1.0, 1.0], 1, SeededStream(12, 5), trial_id=5)
     assert a == b
+
+
+@pytest.mark.parametrize("n, k", [(4, 1), (6, 3), (9, 9)])
+def test_trial_matches_full_state_path(n, k):
+    """run_trial's k Haar rows, completed to a full unitary, give the same
+    reduced state through the full-state composition."""
+    z = np.linspace(1.0, 4.0, n)
+    rec = run_trial(z, k, SeededStream(61, n), trial_id=n)
+    V = sample_haar_unitary(n, SeededStream(61, n), k).T  # the rows the trial drew
+    U = np.vstack([V, null_space(V).conj().T])
+    M = rotate_covariance(fiducial_covariance(z), eta_embed(U))
+    assert np.max(np.abs(symplectic_spectrum(M).lambdas - 1.0)) <= 1e-10
+    M_red = reduce_covariance(M, k)
+    lambdas = symplectic_spectrum(M_red).lambdas
+    assert np.max(np.abs(np.array(rec.symplectic_spectrum) - lambdas)) <= 1e-12 * lambdas.max()
+    lam_bar = average_energy(z)
+    assert rec.f_value == pytest.approx(concentration_f(M_red, lam_bar), abs=1e-10 * lam_bar**4)
+    assert 0.0 <= rec.purity_residual <= 1e-13
 
 
 def test_trial_rejects_bad_subsystem():
@@ -374,6 +395,22 @@ def test_summary_json_round_trip(tmp_path):
     text = path.read_text()
     write_summary_json(path, summary, provenance={"version": "x"})
     assert path.read_text() == text
+
+
+def test_all_flagged_summary_round_trips():
+    """With no live trial the tail thresholds come from the records' own
+    lambda_bar, so the five keys stay distinct through JSON."""
+    nan = float("nan")
+    flagged = TrialRecord(
+        trial_id=0, n=4, k=1, lambda_bar=1.5, symplectic_spectrum=(nan,),
+        entropy=nan, f_value=nan, delta=nan, purity_residual=nan,
+        tr_jm2=nan, tr_jm4=nan, flagged=True,
+    )
+    summary = summarize_records([flagged], seed=0)
+    assert summary.flagged == 1
+    assert sorted(summary.tail_counts) == [f * 1.5**4 for f in TAIL_LADDER_FACTORS]
+    back = summary_from_jsonable(json.loads(json.dumps(summary_to_jsonable(summary))))
+    assert repr(back) == repr(summary)
 
 
 def test_summary_jsonable_handles_nan():

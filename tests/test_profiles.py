@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,7 @@ def test_scaling_config_validation():
         ScalingConfig(scale_z=0.5)
     with pytest.raises(DomainError):
         ScalingConfig(scale_k=0.0)
+    for name in ("zeta", "kappa", "scale_z", "scale_k"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                ScalingConfig(**{name: value})

@@ -12,8 +12,10 @@ from cvtypical.errors import (
     PairingFailure,
 )
 from cvtypical.haar import SeededStream, sample_haar_unitary
+from cvtypical.harness import PURITY_TOL
 from cvtypical.symplectic import (
     PURE_CLAMP,
+    UNITARITY_TOL,
     average_energy,
     concentration_f,
     entropy_G,
@@ -25,6 +27,7 @@ from cvtypical.symplectic import (
     mode_energy_from_squeezing,
     photon_number,
     reduce_covariance,
+    reduced_covariance_from_rows,
     rotate_covariance,
     spectral_deviation_delta,
     squeezing_from_energy,
@@ -115,6 +118,55 @@ def test_reduce_covariance_rejects_bad_subsystem():
         reduce_covariance(M, 0)
     with pytest.raises(InvalidSubsystem):
         reduce_covariance(M, 5)
+
+
+PROFILES = {
+    "flat": lambda n: np.full(n, 2.0),
+    "ramp": lambda n: np.linspace(1.0, 10.0, n),
+    "vacuum": np.ones,
+}
+
+
+@pytest.mark.parametrize(
+    "n, k, profile",
+    [
+        (n, k, profile)
+        for n in (4, 16, 64, 256)
+        for k in sorted({1, 2, math.isqrt(n), n - 1, n})
+        for profile in PROFILES
+    ],
+)
+def test_row_reduction_matches_full_state_path(n, k, profile):
+    """The k-row reduction against the full-state composition on one Haar U.
+
+    The full path is also the eigenvalue-route purity audit: the 2n x 2n
+    symplectic spectrum of every rotated state must be flat at 1.
+    """
+    z = PROFILES[profile](n)
+    U = sample_haar_unitary(n, SeededStream(n, k))
+    M = rotate_covariance(fiducial_covariance(z), eta_embed(U))
+    assert np.max(np.abs(symplectic_spectrum(M).lambdas - 1.0)) <= PURITY_TOL
+    expected = reduce_covariance(M, k)
+
+    M_red, residual = reduced_covariance_from_rows(U[:k], z)
+    assert residual <= UNITARITY_TOL
+    assert np.array_equal(M_red, M_red.T)
+    assert np.max(np.abs(M_red - expected)) <= 1e-12 * np.max(np.abs(expected))
+    lambdas = symplectic_spectrum(M_red).lambdas
+    expected_lambdas = symplectic_spectrum(expected).lambdas
+    assert np.max(np.abs(lambdas - expected_lambdas)) <= 1e-12 * expected_lambdas.max()
+
+
+def test_row_reduction_rejects_bad_rows():
+    z = [2.0, 1.0, 1.0]
+    with pytest.raises(NonUnitaryInput):
+        reduced_covariance_from_rows(2.0 * np.eye(3)[:1], z)
+    with pytest.raises(DimensionMismatch):
+        reduced_covariance_from_rows(np.eye(4)[:2], z)
+    with pytest.raises(DimensionMismatch):
+        reduced_covariance_from_rows(np.ones(3), z)
+    with pytest.raises(DomainError):
+        reduced_covariance_from_rows(np.eye(3)[:1], [0.5, 1.0, 1.0])
 
 
 def test_validate_covariance_accepts_physical_states():
