@@ -42,8 +42,7 @@ from .harness import (
     write_trials_csv,
     _atomic_write_text,
 )
-from .moments import compute_moment_report, moment_inputs_from_spectrum
-from .moments import average_energy_exact
+from .moments import compute_moment_report
 from .profiles import ProfileSpec, ScalingConfig, parse_profile, profile_to_string
 from .profiles import sample_profile
 from .weingarten import gram_weingarten_oracle, partitions, weingarten
@@ -322,6 +321,13 @@ def parse_config(argv) -> RunConfig:
             values["scaling"] = ScalingConfig(**scaling)
         except DomainError as exc:
             raise UsageError(f"bad scaling config: {exc}") from None
+        rule = values["scaling"]
+        if values.get("base_profile", "constant") == "constant":
+            for n in values.get("n_list", ()):
+                if not math.isfinite(rule.z_value(n)):
+                    raise UsageError(
+                        f"--zeta {rule.zeta!r}, --scale-z {rule.scale_z!r}: z overflows at --n-list entry {n}"
+                    )
     for dest in _SUBCOMMANDS[sub].required:
         if dest not in values:
             raise UsageError(f"subcommand {sub!r} needs {_OPTIONS[dest].flag}")
@@ -384,13 +390,12 @@ def _emit_text(text: str, path: str | None) -> None:
 def _run_moments(cfg: RunConfig) -> int:
     z = cfg.z_profile.fixed_spectrum()
     report = compute_moment_report(z, cfg.k)
-    mi = moment_inputs_from_spectrum(z, cfg.k)
     payload = {
         "provenance": _provenance_dict(cfg),
         "n": cfg.z_profile.n,
         "k": cfg.k,
         "z_profile": profile_to_string(cfg.z_profile),
-        "lambda_bar": float(average_energy_exact(mi)),
+        "lambda_bar": report.lambda_bar,
         "tilde_lambda_sq": report.tilde_lambda_sq,
         "second_moment": report.second_moment,
         "fourth_moment": report.fourth_moment,

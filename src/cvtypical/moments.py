@@ -5,10 +5,17 @@ parameters are rationalized (floats are exact binary rationals), the moment
 polynomials are evaluated over the rationals, and floats appear only in the
 return values of the non-``_exact`` wrappers. The coefficient tables cancel
 heavily at large n, which float evaluation would corrupt.
+
+The arithmetic runs on plain integers: a binary-splitting tree sums the
+per-mode powers over D = lcm of the modes' denominators, and each moment
+formula, homogeneous in those power sums, is one integer over (small
+integer) * D**g. A ``Fraction`` is built once per returned value; the float
+wrappers divide the two integers, which Python rounds correctly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -61,6 +68,7 @@ class MomentReport:
     second_moment: float
     fourth_moment: float
     expected_f: float
+    lambda_bar: float
 
 
 def moment_inputs_from_spectrum(z, k: int) -> MomentInputs:
@@ -69,7 +77,7 @@ def moment_inputs_from_spectrum(z, k: int) -> MomentInputs:
     Each z_j is taken as an exact rational (floats convert losslessly), so the
     identity b_j^2 - a_j^2 = 1 holds exactly by construction.
     """
-    zs = [x if isinstance(x, Rational) else Fraction(float(x)) for x in z]
+    zs = [Fraction(x) if isinstance(x, Rational) else Fraction(float(x)) for x in z]
     if not zs:
         raise DomainError("squeezing spectrum must be nonempty")
     if any(x < 1 for x in zs):
@@ -77,69 +85,128 @@ def moment_inputs_from_spectrum(z, k: int) -> MomentInputs:
     n = len(zs)
     if not 1 <= k <= n:
         raise InvalidSubsystem(f"need 1 <= k <= {n}, got k={k}")
-    a = tuple(Fraction(x - 1 / Fraction(x), 2) for x in zs)
-    b = tuple(Fraction(x + 1 / Fraction(x), 2) for x in zs)
+    # z = p/q gives a = (p^2 - q^2) / 2pq and b = (p^2 + q^2) / 2pq
+    pq = [(int(x.numerator), int(x.denominator)) for x in zs]  # numpy integers too
+    a = tuple(Fraction(p * p - q * q, 2 * p * q) for p, q in pq)
+    b = tuple(Fraction(p * p + q * q, 2 * p * q) for p, q in pq)
     return MomentInputs(n=n, k=k, a=a, b=b)
 
 
+# (name, power of a, power of b) of the power sums the moment tables use
+_POWER_SUMS = (
+    ("trB", 0, 1), ("trB2", 0, 2), ("trB3", 0, 3), ("trB4", 0, 4),
+    ("trA2", 2, 0), ("trA4", 4, 0), ("trA2B2", 2, 2), ("trA2B", 2, 1),
+)
+
+
+def _mode_leaf(a: Fraction, b: Fraction) -> tuple[int, list[int]]:
+    # b^2 - a^2 = 1 makes a and b share their reduced denominator d
+    x, y = a.numerator, b.numerator
+    return b.denominator, [x**i * y**j for _, i, j in _POWER_SUMS]
+
+
+def _merge(left: tuple[int, list[int]], right: tuple[int, list[int]]) -> tuple[int, list[int]]:
+    """Add two (D, numerators) nodes over the lcm of their denominators."""
+    (d1, n1), (d2, n2) = left, right
+    g = math.gcd(d1, d2)
+    p1, p2 = [(d2 // g) ** e for e in range(5)], [(d1 // g) ** e for e in range(5)]
+    return d1 * p1[1], [
+        u * p1[i + j] + v * p2[i + j] for u, v, (_, i, j) in zip(n1, n2, _POWER_SUMS)
+    ]
+
+
 @lru_cache(maxsize=512)
-def _power_sums(mi: MomentInputs) -> dict:
-    a, b = mi.a, mi.b
-    return {
-        "trB": sum(b),
-        "trB2": sum(x * x for x in b),
-        "trB3": sum(x**3 for x in b),
-        "trB4": sum(x**4 for x in b),
-        "trA2": sum(x * x for x in a),
-        "trA4": sum(x**4 for x in a),
-        "trA2B2": sum(x * x * y * y for x, y in zip(a, b)),
-        "trA2B": sum(x * x * y for x, y in zip(a, b)),
-    }
+def _power_sums(mi: MomentInputs) -> tuple[int, dict]:
+    """(D, numerators): the power sum of degree g is numerators[name] / D**g.
+
+    A binary-splitting tree over the modes, so the large products happen only
+    near the root, between operands of equal size."""
+    nodes = [_mode_leaf(aj, bj) for aj, bj in zip(mi.a, mi.b)]
+    while len(nodes) > 1:
+        merged = [_merge(nodes[i], nodes[i + 1]) for i in range(0, len(nodes) - 1, 2)]
+        nodes = merged + nodes[2 * len(merged):]
+    denominator, numerators = nodes[0]
+    return denominator, {name: num for (name, _, _), num in zip(_POWER_SUMS, numerators)}
+
+
+# An exact value in the making is a triple (num, den, g) that stands for
+# num / (den * D**g), D the power-sum denominator; den is a small integer, so
+# sums never take a gcd of the large D powers. A part is a function
+# (mi, (D, numerators), *args) -> triple; the public functions look the power
+# sums up once and normalise (Fraction) or round (float) the part's triple.
+
+
+def _sum_terms(D: int, terms) -> tuple[int, int, int]:
+    """One unnormalised (num, den, g) triple for the sum of the terms."""
+    den = math.lcm(*(d for _, d, _ in terms))
+    g = max(t[2] for t in terms)
+    return sum(num * (den // d) * D ** (g - gt) for num, d, gt in terms), den, g
+
+
+def _exact(mi: MomentInputs, part, *args) -> Fraction:
+    sums = _power_sums(mi)
+    num, den, g = part(mi, sums, *args)
+    return Fraction(num, den * sums[0] ** g)
+
+
+def _to_float(sums, value: tuple[int, int, int], name: str) -> float:
+    """The correctly rounded float of an exact value, as float(Fraction) gives."""
+    num, den, g = value
+    den *= sums[0] ** g
+    try:
+        return num / den
+    except OverflowError:
+        digits = round((abs(num).bit_length() - den.bit_length()) * math.log10(2))
+        raise DomainError(f"{name} has magnitude about 1e{digits}, beyond the float range") from None
+
+
+def _float(mi: MomentInputs, part, name: str, *args) -> float:
+    sums = _power_sums(mi)
+    return _to_float(sums, part(mi, sums, *args), name)
+
+
+def _average_energy(mi: MomentInputs, sums) -> tuple[int, int, int]:
+    return sums[1]["trB"], mi.n, 1
 
 
 def average_energy_exact(mi: MomentInputs) -> Fraction:
     """Exact average energy per mode, tr(B)/n."""
-    return Fraction(_power_sums(mi)["trB"], mi.n)
+    return _exact(mi, _average_energy)
+
+
+def _tilde_lambda_squared(mi: MomentInputs, sums) -> tuple[int, int, int]:
+    if mi.n < 2:
+        raise DimensionTooSmall(f"need n >= 2, got n={mi.n}")
+    n, k = mi.n, mi.k
+    D, ps = sums
+    return _sum_terms(D, [
+        ((n - k) * ps["trB"] ** 2, n * (n * n - 1), 2),
+        (-(k + 1) * ps["trA2"], n * (n + 1), 2),
+        ((k * n - 1) * ps["trB2"], n * (n * n - 1), 2),
+    ])
 
 
 def tilde_lambda_squared_exact(mi: MomentInputs) -> Fraction:
     """The exact second-moment scalar: E[(JM)^2] = -tilde_lambda^2 * I."""
-    if mi.n < 2:
-        raise DimensionTooSmall(f"need n >= 2, got n={mi.n}")
-    n, k = mi.n, mi.k
-    ps = _power_sums(mi)
-    val = (
-        Fraction(n - k, n * (n * n - 1)) * ps["trB"] ** 2
-        - Fraction(k + 1, n * (n + 1)) * ps["trA2"]
-        + Fraction(k * n - 1, n * (n * n - 1)) * ps["trB2"]
-    )
-    return val
+    return _exact(mi, _tilde_lambda_squared)
 
 
 def tilde_lambda_squared(mi: MomentInputs) -> float:
-    return float(tilde_lambda_squared_exact(mi))
+    return _float(mi, _tilde_lambda_squared, "tilde_lambda^2")
+
+
+def _second_moment(mi: MomentInputs, sums, tl=None) -> tuple[int, int, int]:
+    num, den, g = tl or _tilde_lambda_squared(mi, sums)
+    return -2 * mi.k * num, den, g
 
 
 def second_moment_trace_exact(mi: MomentInputs) -> Fraction:
     """Exact E[tr((JM)^2)] = -2k * tilde_lambda^2."""
-    return -2 * mi.k * tilde_lambda_squared_exact(mi)
+    return _exact(mi, _second_moment)
 
 
 def second_moment_trace(mi: MomentInputs) -> float:
-    return float(second_moment_trace_exact(mi))
-
-
-def _table1_second_moment_exact(mi: MomentInputs) -> Fraction:
-    # independent three-row transcription of the second-moment table, kept for
-    # the polynomial-identity cross-check against -2k * tilde_lambda^2
-    n, k = mi.n, mi.k
-    ps = _power_sums(mi)
-    val = (
-        Fraction(2 * k * (k - n), n * (n * n - 1)) * ps["trB"] ** 2
-        + Fraction(2 * k * (k + 1), n * (n + 1)) * ps["trA2"]
-        - Fraction(2 * k * (k * n - 1), n * (n * n - 1)) * ps["trB2"]
-    )
-    return val
+    return _float(mi, _second_moment, "E tr((JM)^2)")
 
 
 def _fourth_moment_rows(n: int, k: int) -> list[tuple[int, int, str]]:
@@ -164,35 +231,56 @@ def _fourth_moment_rows(n: int, k: int) -> list[tuple[int, int, str]]:
     ]
 
 
-def fourth_moment_trace_exact(mi: MomentInputs) -> Fraction:
-    """Exact E[tr((JM)^4)] as the twelve-row coefficient table contracted with
-    power sums of a and b. For diagonal A, B the monomials tr[(AB)^2] and
-    tr[A^2 B^2] coincide (both are sum_j a_j^2 b_j^2)."""
+def _fourth_moment(mi: MomentInputs, sums) -> tuple[int, int, int]:
+    """The twelve-row coefficient table contracted with power sums of a and b.
+    For diagonal A, B the monomials tr[(AB)^2] and tr[A^2 B^2] coincide (both
+    are sum_j a_j^2 b_j^2). Every monomial has degree 4."""
     if mi.n < 4:
         raise DimensionTooSmall(f"need n >= 4, got n={mi.n}")
-    ps = _power_sums(mi)
+    D, ps = sums
+    trB, trB2, trA2 = ps["trB"], ps["trB2"], ps["trA2"]
+    trB_sq = trB * trB
     mono = {
-        "trB^4": ps["trB"] ** 4,
-        "trB*trB3": ps["trB"] * ps["trB3"],
-        "trB^2*trB2": ps["trB"] ** 2 * ps["trB2"],
+        "trB^4": trB_sq * trB_sq,
+        "trB*trB3": trB * ps["trB3"],
+        "trB^2*trB2": trB_sq * trB2,
         "trB4": ps["trB4"],
-        "trB2^2": ps["trB2"] ** 2,
-        "trB^2*trA2": ps["trB"] ** 2 * ps["trA2"],
-        "trA2^2": ps["trA2"] ** 2,
+        "trB2^2": trB2 * trB2,
+        "trB^2*trA2": trB_sq * trA2,
+        "trA2^2": trA2 * trA2,
         "trA4": ps["trA4"],
         "trAB2": ps["trA2B2"],
         "trA2B2": ps["trA2B2"],
-        "trA2*trB2": ps["trA2"] * ps["trB2"],
-        "trB*trA2B": ps["trB"] * ps["trA2B"],
+        "trA2*trB2": trA2 * trB2,
+        "trB*trA2B": trB * ps["trA2B"],
     }
-    total = Fraction(0)
-    for num, den, key in _fourth_moment_rows(mi.n, mi.k):
-        total += Fraction(num, den) * mono[key]
-    return total
+    rows = _fourth_moment_rows(mi.n, mi.k)
+    return _sum_terms(D, [(num * mono[key], den, 4) for num, den, key in rows])
+
+
+def fourth_moment_trace_exact(mi: MomentInputs) -> Fraction:
+    """Exact E[tr((JM)^4)]."""
+    return _exact(mi, _fourth_moment)
 
 
 def fourth_moment_trace(mi: MomentInputs) -> float:
-    return float(fourth_moment_trace_exact(mi))
+    return _float(mi, _fourth_moment, "E tr((JM)^4)")
+
+
+def _expected_f(mi: MomentInputs, sums, lambda_bar, fourth=None, tl=None) -> tuple[int, int, int]:
+    """E[f] = E[tr((JM)^4)] + 2*lb^2*E[tr((JM)^2)] + 2k*lb^4, with
+    E[tr((JM)^2)] = -2k * tilde_lambda^2."""
+    if lambda_bar is None:
+        p, r, g = _average_energy(mi, sums)
+    else:
+        lb = Fraction(lambda_bar) if isinstance(lambda_bar, Rational) else Fraction(float(lambda_bar))
+        p, r, g = lb.numerator, lb.denominator, 0
+    fourth = fourth or _fourth_moment(mi, sums)
+    t, t_den, t_g = tl or _tilde_lambda_squared(mi, sums)
+    p2, r2, k = p * p, r * r, mi.k
+    return _sum_terms(sums[0], [
+        fourth, (-4 * k * p2 * t, r2 * t_den, 2 * g + t_g), (2 * k * p2 * p2, r2 * r2, 4 * g)
+    ])
 
 
 def expected_f_exact(mi: MomentInputs, lambda_bar=None) -> Fraction:
@@ -201,31 +289,25 @@ def expected_f_exact(mi: MomentInputs, lambda_bar=None) -> Fraction:
     lambda_bar defaults to the exact average energy tr(B)/n; a supplied value
     is rationalized exactly.
     """
-    if lambda_bar is None:
-        lb = average_energy_exact(mi)
-    elif isinstance(lambda_bar, Rational):
-        lb = Fraction(lambda_bar)
-    else:
-        lb = Fraction(float(lambda_bar))
-    lb2 = lb * lb
-    return (
-        fourth_moment_trace_exact(mi)
-        + 2 * lb2 * second_moment_trace_exact(mi)
-        + 2 * mi.k * lb2 * lb2
-    )
+    return _exact(mi, _expected_f, lambda_bar)
 
 
 def expected_f(mi: MomentInputs, lambda_bar=None) -> float:
-    return float(expected_f_exact(mi, lambda_bar))
+    return _float(mi, _expected_f, "E f", lambda_bar)
 
 
 def compute_moment_report(z, k: int) -> MomentReport:
     """Evaluate all moment expectations for a squeezing spectrum, with
-    lambda_bar fixed to the exact average energy of z."""
+    lambda_bar fixed to the exact average energy of z. Each exact value is
+    formed once."""
     mi = moment_inputs_from_spectrum(z, k)
+    sums = _power_sums(mi)
+    tl = _tilde_lambda_squared(mi, sums)
+    fourth = _fourth_moment(mi, sums)
     return MomentReport(
-        tilde_lambda_sq=tilde_lambda_squared(mi),
-        second_moment=second_moment_trace(mi),
-        fourth_moment=fourth_moment_trace(mi),
-        expected_f=expected_f(mi),
+        tilde_lambda_sq=_to_float(sums, tl, "tilde_lambda^2"),
+        second_moment=_to_float(sums, _second_moment(mi, sums, tl), "E tr((JM)^2)"),
+        fourth_moment=_to_float(sums, fourth, "E tr((JM)^4)"),
+        expected_f=_to_float(sums, _expected_f(mi, sums, None, fourth, tl), "E f"),
+        lambda_bar=_to_float(sums, _average_energy(mi, sums), "lambda_bar"),
     )

@@ -257,10 +257,16 @@ class ScalingConfig:
             raise DomainError(f"subsystem scale must be > 0, got {self.scale_k}")
 
     def z_value(self, n: int) -> float:
-        return self.scale_z * float(n) ** self.zeta
+        try:
+            return self.scale_z * float(n) ** self.zeta
+        except OverflowError:
+            return math.inf
 
     def k_of(self, n: int) -> int:
-        k = max(1, math.floor(self.scale_k * float(n) ** self.kappa))
+        try:
+            k = max(1, math.floor(self.scale_k * float(n) ** self.kappa))
+        except OverflowError:  # the rule is past every float, so past n too
+            return n
         return min(k, n)
 
     def profile_for(self, n: int) -> ProfileSpec:

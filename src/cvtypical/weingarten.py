@@ -11,13 +11,11 @@ Conventions used throughout:
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import cache
 
-import numpy as np
-
 from .errors import (
-    DimensionMismatch,
     DimensionTooSmall,
     DomainError,
     RowOverflow,
@@ -34,7 +32,6 @@ __all__ = [
     "unitary_irrep_dimension",
     "weingarten",
     "gram_weingarten_oracle",
-    "haar_average_BB_minus_AA",
 ]
 
 GRAM_MAX_ORDER = 6  # p! x p! exact solves stay desk-scale up to here
@@ -206,39 +203,43 @@ def weingarten(n: int, sigma: tuple[int, ...]) -> Fraction:
 
 def _gram_solution(n: int, p: int) -> dict[tuple[int, ...], Fraction]:
     """Solve G x = e_id over the rationals for the full S_p Gram matrix
-    G(sigma, tau) = n^(#cycles(sigma^-1 tau)); returns x indexed by permutation."""
+    G(sigma, tau) = n^(#cycles(sigma^-1 tau)); returns x indexed by permutation.
+
+    Forward elimination runs on integer rows of the augmented matrix [G | e_id]:
+    each update is row <- (pivot/g) row - (entry/g) pivot_row, g their gcd,
+    after which the row is divided by its content. Back substitution is in
+    Fractions."""
     perms = list(itertools.permutations(range(p)))
     size = len(perms)
-    npow = [Fraction(n) ** c for c in range(p + 1)]
+    gram_entry = {perm: n ** len(cycle_type(perm)) for perm in perms}
+    identity = tuple(range(p))
     rows = []
     for s in perms:
         s_inv = inverse(s)
-        rows.append([npow[len(cycle_type(compose(s_inv, t)))] for t in perms])
-    rhs = [Fraction(0)] * size
-    rhs[perms.index(tuple(range(p)))] = Fraction(1)
+        rows.append([gram_entry[compose(s_inv, t)] for t in perms] + [int(s == identity)])
 
-    # forward elimination with partial pivoting, exact arithmetic
     for col in range(size):
         piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
         if piv is None:
             raise SingularGram(f"zero pivot at column {col} (n={n}, p={p})")
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        pivot = rows[col][col]
+        pivot_row = rows[col]
+        pivot = pivot_row[col]
         for r in range(col + 1, size):
-            factor = rows[r][col]
-            if factor == 0:
+            entry = rows[r][col]
+            if entry == 0:
                 continue
-            scale = factor / pivot
-            row_r, row_c = rows[r], rows[col]
-            for c in range(col, size):
-                row_r[c] -= scale * row_c[c]
-            rhs[r] -= scale * rhs[col]
+            g = math.gcd(pivot, entry)
+            ps, es = pivot // g, entry // g
+            tail = zip(rows[r][col + 1 :], pivot_row[col + 1 :])
+            row = [0] * (col + 1) + [ps * x - es * y for x, y in tail]
+            content = math.gcd(*row)
+            rows[r] = [x // content for x in row] if content > 1 else row
     x = [Fraction(0)] * size
     for r in range(size - 1, -1, -1):
-        acc = rhs[r]
         row = rows[r]
+        acc = Fraction(row[size])
         for c in range(r + 1, size):
             acc -= row[c] * x[c]
         x[r] = acc / row[r]
@@ -268,39 +269,3 @@ def gram_weingarten_oracle(n: int, p: int) -> dict[tuple[int, ...], Fraction]:
         else:
             out[ct] = val
     return out
-
-
-# ---------------------------------------------------------------------------
-# averaged matrix (second-moment building block)
-
-
-def haar_average_BB_minus_AA(n: int, a, b, pi) -> np.ndarray:
-    """Closed form of E[U B U+ P U B U+ - U A U^T P conj(U) A U+] over Haar U,
-    for diagonal A = diag(a), B = diag(b) and a diagonal 0/1 projector
-    P = diag(pi).
-
-    Returns the n x n real matrix
-
-        c_p * P + c_i * I
-
-    with c_p = [(tr B)^2 - tr A^2]/(n^2-1) + [tr A^2 - tr B^2]/(n(n^2-1)) and
-    c_i = tr P * ([tr B^2 - tr A^2]/(n^2-1) + [tr A^2 - (tr B)^2]/(n(n^2-1))).
-    """
-    if n < 2:
-        raise DimensionTooSmall(f"need n >= 2, got n={n}")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    if a.shape != (n,) or b.shape != (n,) or pi.shape != (n,):
-        raise DimensionMismatch(
-            f"expected three length-{n} vectors, got shapes {a.shape}, {b.shape}, {pi.shape}"
-        )
-    tr_b = b.sum()
-    tr_b2 = (b * b).sum()
-    tr_a2 = (a * a).sum()
-    tr_pi = pi.sum()
-    c1 = 1.0 / (n * n - 1)
-    c2 = 1.0 / (n * (n * n - 1))
-    c_pi = c1 * (tr_b**2 - tr_a2) + c2 * (tr_a2 - tr_b2)
-    c_id = tr_pi * (c1 * (tr_b2 - tr_a2) + c2 * (tr_a2 - tr_b**2))
-    return c_pi * np.diag(pi) + c_id * np.eye(n)

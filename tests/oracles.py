@@ -17,6 +17,12 @@ with Wg values taken from the Gram-inversion oracle. This never touches the
 coefficient tables in cvtypical.moments, so agreement is a genuine
 transcription audit. Everything is exact: weights are Fractions and the result
 is a Fraction (the imaginary part must cancel to zero, which is asserted).
+
+The module also keeps the plain-Fraction references of the package's integer
+fast paths: the moment formulas evaluated on Fraction power sums
+(``reference_moments``) and the Fraction Gram elimination
+(``gram_solution_reference``), plus the float closed form of the averaged
+matrix that acceptance criterion 2 checks (``haar_average_BB_minus_AA``).
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from numbers import Rational
 
 import numpy as np
 
+from cvtypical.errors import DimensionMismatch, DimensionTooSmall, SingularGram
+from cvtypical.moments import MomentInputs, _fourth_moment_rows
 from cvtypical.weingarten import compose, cycle_type, gram_weingarten_oracle, inverse
 
 # block (row, col) -> (power of i, weight vector name, conj of slot1, conj of slot2)
@@ -152,3 +160,132 @@ def block_matrix_V(U: np.ndarray, z, k: int) -> np.ndarray:
             [Uc @ A @ U.conj().T @ P, -1j * Uc @ B @ Uc.conj().T @ P],
         ]
     )
+
+
+def reference_moments(mi: MomentInputs, lambda_bar=None) -> dict[str, Fraction]:
+    """Every exact moment of cvtypical.moments, on running Fraction sums.
+
+    Keys: average_energy, tilde_lambda_sq (n >= 2), second_moment (n >= 2),
+    table1_second_moment (n >= 2), fourth_moment (n >= 4) and expected_f
+    (n >= 4, at lambda_bar, default the average energy). The fourth moment
+    shares the coefficient table with the package; expected_trace_power
+    audits that table independently."""
+    a, b, n, k = mi.a, mi.b, mi.n, mi.k
+    trB = sum(b)
+    trB2 = sum(x * x for x in b)
+    trA2 = sum(x * x for x in a)
+    out = {"average_energy": Fraction(trB, n)}
+    if n < 2:
+        return out
+    tl = (
+        Fraction(n - k, n * (n * n - 1)) * trB**2
+        - Fraction(k + 1, n * (n + 1)) * trA2
+        + Fraction(k * n - 1, n * (n * n - 1)) * trB2
+    )
+    out["tilde_lambda_sq"] = tl
+    out["second_moment"] = -2 * k * tl
+    out["table1_second_moment"] = (
+        Fraction(2 * k * (k - n), n * (n * n - 1)) * trB**2
+        + Fraction(2 * k * (k + 1), n * (n + 1)) * trA2
+        - Fraction(2 * k * (k * n - 1), n * (n * n - 1)) * trB2
+    )
+    if n < 4:
+        return out
+    trB3 = sum(x**3 for x in b)
+    trA2B2 = sum(x * x * y * y for x, y in zip(a, b))
+    mono = {
+        "trB^4": trB**4,
+        "trB*trB3": trB * trB3,
+        "trB^2*trB2": trB**2 * trB2,
+        "trB4": sum(x**4 for x in b),
+        "trB2^2": trB2**2,
+        "trB^2*trA2": trB**2 * trA2,
+        "trA2^2": trA2**2,
+        "trA4": sum(x**4 for x in a),
+        "trAB2": trA2B2,
+        "trA2B2": trA2B2,
+        "trA2*trB2": trA2 * trB2,
+        "trB*trA2B": trB * sum(x * x * y for x, y in zip(a, b)),
+    }
+    fourth = Fraction(0)
+    for num, den, key in _fourth_moment_rows(n, k):
+        fourth += Fraction(num, den) * mono[key]
+    out["fourth_moment"] = fourth
+    if lambda_bar is None:
+        lb = out["average_energy"]
+    elif isinstance(lambda_bar, Rational):
+        lb = Fraction(lambda_bar)
+    else:
+        lb = Fraction(float(lambda_bar))
+    lb2 = lb * lb
+    out["expected_f"] = fourth + 2 * lb2 * out["second_moment"] + 2 * k * lb2 * lb2
+    return out
+
+
+def gram_solution_reference(n: int, p: int) -> dict[tuple[int, ...], Fraction]:
+    """Solve G x = e_id for the S_p Gram matrix G(sigma, tau) =
+    n^(#cycles(sigma^-1 tau)) by Gaussian elimination on Fractions, with the
+    first nonzero entry of each column as its pivot."""
+    perms = list(itertools.permutations(range(p)))
+    size = len(perms)
+    npow = [Fraction(n) ** c for c in range(p + 1)]
+    rows = []
+    for s in perms:
+        s_inv = inverse(s)
+        rows.append([npow[len(cycle_type(compose(s_inv, t)))] for t in perms])
+    rhs = [Fraction(0)] * size
+    rhs[perms.index(tuple(range(p)))] = Fraction(1)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if piv is None:
+            raise SingularGram(f"zero pivot at column {col} (n={n}, p={p})")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        pivot = rows[col][col]
+        for r in range(col + 1, size):
+            factor = rows[r][col]
+            if factor == 0:
+                continue
+            scale = factor / pivot
+            for c in range(col, size):
+                rows[r][c] -= scale * rows[col][c]
+            rhs[r] -= scale * rhs[col]
+    x = [Fraction(0)] * size
+    for r in range(size - 1, -1, -1):
+        acc = rhs[r]
+        for c in range(r + 1, size):
+            acc -= rows[r][c] * x[c]
+        x[r] = acc / rows[r][r]
+    return dict(zip(perms, x))
+
+
+def haar_average_BB_minus_AA(n: int, a, b, pi) -> np.ndarray:
+    """Closed form of E[U B U+ P U B U+ - U A U^T P conj(U) A U+] over Haar U,
+    for diagonal A = diag(a), B = diag(b) and a diagonal 0/1 projector
+    P = diag(pi).
+
+    Returns the n x n real matrix
+
+        c_p * P + c_i * I
+
+    with c_p = [(tr B)^2 - tr A^2]/(n^2-1) + [tr A^2 - tr B^2]/(n(n^2-1)) and
+    c_i = tr P * ([tr B^2 - tr A^2]/(n^2-1) + [tr A^2 - (tr B)^2]/(n(n^2-1))).
+    """
+    if n < 2:
+        raise DimensionTooSmall(f"need n >= 2, got n={n}")
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    pi = np.asarray(pi, dtype=float)
+    if a.shape != (n,) or b.shape != (n,) or pi.shape != (n,):
+        raise DimensionMismatch(
+            f"expected three length-{n} vectors, got shapes {a.shape}, {b.shape}, {pi.shape}"
+        )
+    tr_b = b.sum()
+    tr_b2 = (b * b).sum()
+    tr_a2 = (a * a).sum()
+    tr_pi = pi.sum()
+    c1 = 1.0 / (n * n - 1)
+    c2 = 1.0 / (n * (n * n - 1))
+    c_pi = c1 * (tr_b**2 - tr_a2) + c2 * (tr_a2 - tr_b2)
+    c_id = tr_pi * (c1 * (tr_b2 - tr_a2) + c2 * (tr_a2 - tr_b**2))
+    return c_pi * np.diag(pi) + c_id * np.eye(n)

@@ -40,10 +40,10 @@ from cvtypical.profiles import (
 from cvtypical.symplectic import entropy_G
 from cvtypical.weingarten import (
     gram_weingarten_oracle,
-    haar_average_BB_minus_AA,
     partitions,
     weingarten,
 )
+from oracles import haar_average_BB_minus_AA
 
 MOMENT_SUITES = ((4, 1, 1004), (5, 1, 1005), (8, 2, 1008))
 SWEEP_NS = (16, 32, 64, 128)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -47,6 +49,26 @@ def test_moments_to_file_and_repeatability(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads(first)
     assert payload["expected_f"] == pytest.approx(float(Fraction(153, 448)), rel=1e-12)
+
+
+@pytest.mark.parametrize("profile", ["constant:1e200x4", "fixed:1e300,1,1,1"])
+def test_moments_out_of_float_range_is_an_error(capsys, profile):
+    rc, out, err = run_main(capsys, ["moments", "--k", "1", "--z-profile", profile])
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "beyond the float range" in err
+
+
+# One fixed random n = 64 spectrum; the digest of its moments JSON was taken
+# from the Fraction implementation the integer one replaced.
+def test_moments_json_is_pinned(capsys):
+    rng = random.Random(64)
+    profile = "fixed:" + ",".join(repr(1.0 + 2.0 * rng.random()) for _ in range(64))
+    rc, out, err = run_main(capsys, ["moments", "--k", "3", "--z-profile", profile])
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "86c358a6a8a2605156b06a2fd30cba6493d67be5a87aff287750bdc861ab67f3"
+    )
 
 
 def test_moments_rejects_underfilled_energy(capsys):
@@ -247,9 +269,11 @@ def test_config_file_subcommand_mismatch(tmp_path, capsys):
         ),
         (["concentration"], {"n_list": [4], "samples": 2, "scale_z": "nan"}, "--scale-z"),
         (["concentration"], {"n_list": [3], "samples": 2}, "--n-list"),
+        (["concentration"], {"n_list": [4, 16], "samples": 2, "scaling": {"zeta": 400}}, "--n-list"),
     ],
     ids=[
-        "format", "base_profile", "output_dir", "scaling_zeta", "scale_k_inf", "scale_z_nan", "n_list_3"
+        "format", "base_profile", "output_dir", "scaling_zeta", "scale_k_inf", "scale_z_nan", "n_list_3",
+        "zeta_400",
     ],
 )
 def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, capsys, argv, config, flag):
@@ -270,8 +294,11 @@ def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, capsys
         (["--zeta", "nan"], "--zeta"),
         (["--n-list", "3"], "--n-list"),
         (["--n-list", "8,2"], "--n-list"),
+        # 4**400 is a float, 16**400 is not
+        (["--n-list", "4,16", "--zeta", "400"], "--n-list"),
+        (["--zeta", "1", "--scale-z", "1e308"], "--n-list"),
     ],
-    ids=["scale_k_inf", "kappa_inf", "zeta_nan", "n_list_3", "n_list_8_2"],
+    ids=["scale_k_inf", "kappa_inf", "zeta_nan", "n_list_3", "n_list_8_2", "zeta_400", "scale_z_1e308"],
 )
 def test_concentration_flag_values_are_usage_errors(tmp_path, monkeypatch, capsys, extra, flag):
     monkeypatch.chdir(tmp_path)
@@ -281,6 +308,16 @@ def test_concentration_flag_values_are_usage_errors(tmp_path, monkeypatch, capsy
     assert err.startswith("error:") and flag in err
     assert out == ""
     assert list(tmp_path.iterdir()) == []  # nothing was written
+
+
+def test_concentration_k_saturates_at_n(tmp_path, capsys):
+    # scale_k * 16**400 is past every float; the rule's k is then all 16 modes
+    out_dir = tmp_path / "sweep"
+    argv = ["concentration", "--n-list", "16", "--samples", "2", "--kappa", "400", "--output-dir", str(out_dir)]
+    rc, _, err = run_main(capsys, argv)
+    assert rc == 0 and err == ""
+    (row,) = json.loads((out_dir / "sweep_summary.json").read_text())["rows"]
+    assert row["k"] == 16
 
 
 # Provenance digests of known configs: a refactor of the option handling must

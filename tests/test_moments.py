@@ -1,22 +1,28 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvtypical.errors import DimensionTooSmall, DomainError, InvalidSubsystem
 from cvtypical.moments import (
     MomentInputs,
-    _table1_second_moment_exact,
     average_energy_exact,
     compute_moment_report,
     expected_f,
     expected_f_exact,
+    fourth_moment_trace,
     fourth_moment_trace_exact,
     moment_inputs_from_spectrum,
+    second_moment_trace,
     second_moment_trace_exact,
+    tilde_lambda_squared,
     tilde_lambda_squared_exact,
 )
 from cvtypical.symplectic import average_energy
+from oracles import reference_moments
 
 
 def spiked(n):
@@ -62,7 +68,7 @@ def test_two_second_moment_routes_agree():
         k = rng.randint(1, n)
         z = tuple(Fraction(rng.randint(1, 5)) for _ in range(n))
         mi = moment_inputs_from_spectrum(z, k)
-        assert _table1_second_moment_exact(mi) == second_moment_trace_exact(mi)
+        assert reference_moments(mi)["table1_second_moment"] == second_moment_trace_exact(mi)
         assert second_moment_trace_exact(mi) == -2 * k * tilde_lambda_squared_exact(mi)
 
 
@@ -90,6 +96,14 @@ def test_full_system_is_pure():
         assert second_moment_trace_exact(mi) == -2 * n
         assert fourth_moment_trace_exact(mi) == 2 * n
         assert expected_f_exact(mi) == 2 * n * (1 - lam * lam) ** 2
+
+
+def test_numpy_integer_spectra():
+    # numpy integers are Rational; a and b must still hold Python ints
+    for z in (np.array([3, 1, 1, 1]), [np.int32(3), 1, 1, 1]):
+        mi = moment_inputs_from_spectrum(z, 1)
+        assert expected_f_exact(mi) == Fraction(1667, 22680)
+        assert all(type(x.numerator) is int for x in mi.a + mi.b)
 
 
 def test_permutation_invariance():
@@ -177,3 +191,82 @@ def test_fourth_moment_needs_room():
     # the denominators vanish below n = 4
     with pytest.raises(DimensionTooSmall):
         fourth_moment_trace_exact(moment_inputs_from_spectrum((2, 2, 2), 1))
+
+
+def test_float_wrappers_leave_the_float_range_cleanly():
+    mi = moment_inputs_from_spectrum((1e200,) * 4, 1)
+    with pytest.raises(DomainError, match="tilde_lambda\\^2"):
+        tilde_lambda_squared(mi)
+    with pytest.raises(DomainError, match="E tr\\(\\(JM\\)\\^4\\)"):
+        fourth_moment_trace(mi)
+    with pytest.raises(DomainError, match="E f"):
+        expected_f(mi)
+    with pytest.raises(DomainError, match="tilde_lambda\\^2"):
+        compute_moment_report((1e200,) * 4, 1)
+    # the exact values exist all the same
+    assert tilde_lambda_squared_exact(mi) > 10**399
+
+
+Z_FLOATS = st.floats(min_value=1.0, max_value=1e3)
+Z_FRACTIONS = st.fractions(min_value=1, max_value=30, max_denominator=97)
+Z_INTEGERS = st.integers(1, 12)
+
+
+@st.composite
+def spectra(draw):
+    """(z, k): distinct floats, repeated floats, integers, a mix of floats,
+    integers and fractions with unrelated denominators, or the vacuum."""
+    n = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(["distinct", "repeats", "integer", "mixed", "vacuum"]))
+    if kind == "distinct":
+        z = draw(st.lists(Z_FLOATS, min_size=n, max_size=n, unique=True))
+    elif kind == "repeats":
+        pool = draw(st.lists(Z_FLOATS, min_size=1, max_size=3))
+        z = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    elif kind == "integer":
+        z = draw(st.lists(Z_INTEGERS, min_size=n, max_size=n))
+    elif kind == "mixed":
+        z = draw(st.lists(st.one_of(Z_FLOATS, Z_INTEGERS, Z_FRACTIONS), min_size=n, max_size=n))
+    else:
+        z = [1] * n
+    return z, draw(st.integers(1, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=spectra(),
+    lambda_bar=st.one_of(st.none(), st.floats(0.5, 10.0), st.fractions(1, 10, max_denominator=40)),
+)
+@example(case=([1.0000000000000002, 3.0, 1.5, 2.75], 2), lambda_bar=None)
+@example(case=([Fraction(3, 2), Fraction(7, 5), 2, 2.5, 1], 5), lambda_bar=Fraction(4, 3))
+def test_exact_moments_equal_the_fraction_reference(case, lambda_bar):
+    """Every *_exact value equals the running-Fraction reference exactly, and
+    every float wrapper returns float() of it, bit for bit."""
+    z, k = case
+    mi = moment_inputs_from_spectrum(z, k)
+    ref = reference_moments(mi, lambda_bar)
+    assert average_energy_exact(mi) == ref["average_energy"]
+    checks = {
+        "tilde_lambda_sq": (tilde_lambda_squared_exact, tilde_lambda_squared, 2),
+        "second_moment": (second_moment_trace_exact, second_moment_trace, 2),
+        "fourth_moment": (fourth_moment_trace_exact, fourth_moment_trace, 4),
+        "expected_f": (
+            lambda m: expected_f_exact(m, lambda_bar), lambda m: expected_f(m, lambda_bar), 4
+        ),
+    }
+    for name, (exact_fn, float_fn, min_n) in checks.items():
+        if mi.n < min_n:
+            assert name not in ref
+            with pytest.raises(DimensionTooSmall):
+                exact_fn(mi)
+            continue
+        assert exact_fn(mi) == ref[name], name
+        assert float_fn(mi) == float(ref[name]), name
+    if mi.n >= 4:
+        report = compute_moment_report(z, k)
+        default = reference_moments(mi) if lambda_bar is not None else ref
+        assert report.lambda_bar == float(default["average_energy"])
+        assert report.tilde_lambda_sq == float(default["tilde_lambda_sq"])
+        assert report.second_moment == float(default["second_moment"])
+        assert report.fourth_moment == float(default["fourth_moment"])
+        assert report.expected_f == float(default["expected_f"])

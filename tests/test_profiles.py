@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvtypical.errors import DomainError, EnergyTooSmall, InvalidSpec
 from cvtypical.haar import SeededStream
@@ -81,6 +83,39 @@ def test_profile_string_round_trips():
     ]
     for spec in specs:
         assert parse_profile(profile_to_string(spec), n=spec.n) == spec
+
+
+POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
+AT_LEAST_ONE = st.floats(min_value=1.0, allow_infinity=False)
+MODE_COUNTS = st.integers(1, 300)
+
+
+@st.composite
+def profile_specs(draw):
+    kind = draw(st.sampled_from(["fixed", "constant", "micro", "canonical"]))
+    if kind == "fixed":
+        return fixed_profile(draw(st.lists(AT_LEAST_ONE, min_size=1, max_size=20)))
+    n = draw(MODE_COUNTS)
+    if kind == "constant":
+        return constant_profile(draw(AT_LEAST_ONE), n)
+    if kind == "micro":
+        return microcanonical_profile(draw(st.floats(min_value=2.0 * n, allow_infinity=False)), n)
+    return canonical_profile(draw(POSITIVE), n, temperature=draw(st.none() | POSITIVE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=profile_specs())
+@example(spec=fixed_profile((1.0000000000000002, 1.0, 1e308)))
+@example(spec=constant_profile(1.0000000000000002, 3))
+@example(spec=microcanonical_profile(8.000000000000002, 4))
+@example(spec=canonical_profile(5e-324, 2, temperature=2.2250738585072014e-308))
+def test_profile_string_round_trip_property(spec):
+    """parse_profile inverts profile_to_string for every kind and every float
+    the string can carry, and the string is stable under the round trip."""
+    text = profile_to_string(spec)
+    parsed = parse_profile(text, n=spec.n)
+    assert parsed == spec
+    assert profile_to_string(parsed) == text
 
 
 def test_micro_ground_state_edge():
@@ -174,6 +209,9 @@ def test_scaling_config_rules():
     assert cfg.k_of(16) == 4
     assert cfg.k_of(2) == 1  # floor clamps up to one mode
     assert ScalingConfig(kappa=3.0).k_of(10) == 10  # and down to n
+    # a rule past the float range saturates at n as well
+    assert ScalingConfig(kappa=400.0).k_of(16) == 16
+    assert ScalingConfig(kappa=300.0, scale_k=1e10).k_of(10) == 10
     prof = cfg.profile_for(9)
     assert prof.kind == "constant"
     assert prof.z == pytest.approx(6.0)

@@ -9,6 +9,7 @@ import pytest
 from cvtypical.errors import DimensionTooSmall, DomainError, RowOverflow, SizeMismatch
 from cvtypical.haar import SeededStream, sample_haar_unitary
 from cvtypical.weingarten import (
+    _gram_solution,
     character_chi,
     compose,
     cycle_type,
@@ -19,6 +20,7 @@ from cvtypical.weingarten import (
     unitary_irrep_dimension,
     weingarten,
 )
+from oracles import gram_solution_reference
 
 
 def all_permutations(p):
@@ -144,6 +146,15 @@ def test_gram_oracle_matches_character_sum():
         assert set(oracle) == set(partitions(p))
         for ct, value in oracle.items():
             assert weingarten(n, ct) == value
+
+
+@pytest.mark.parametrize(
+    "p, n", [(p, n) for p in range(1, 5) for n in range(p, p + 4)] + [(5, 5), (5, 6)]
+)
+def test_integer_gram_elimination_matches_fraction_reference(p, n):
+    """The integer-row elimination solves the same system as the Fraction one,
+    to the same exact solution on every permutation."""
+    assert _gram_solution(n, p) == gram_solution_reference(n, p)
 
 
 def test_gram_oracle_order_bounds():
