@@ -16,6 +16,7 @@ from .errors import DomainError
 __all__ = ["SeededStream", "sample_haar_unitary"]
 
 _MASK64 = (1 << 64) - 1
+_ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -28,6 +29,30 @@ class SeededStream:
     def generator(self) -> np.random.Generator:
         key = [self.seed & _MASK64, self.stream_id & _MASK64]
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def _reseat(gen: np.random.Generator, seed: int, stream_id: int) -> np.random.Generator:
+    """Point gen, a Philox-backed generator, at the start of stream
+    (seed, stream_id).
+
+    It then draws exactly what SeededStream(seed, stream_id).generator()
+    would, at a fraction of the cost of a new Generator: key, counter 0 and
+    an empty output buffer are the whole state of a fresh Philox.
+    """
+    key = [seed & _MASK64, stream_id & _MASK64]
+    if (key[0] >> 63) != (key[1] >> 63):
+        # numpy makes such a pair float64, which Philox(key=...) then casts
+        # to uint64, rounding the larger half; generator() keys it that way
+        key = np.asarray(key).astype(np.uint64)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": key},
+        "buffer": _ZERO4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -62,7 +87,12 @@ def sample_haar_unitary(n: int, rng, k: int | None = None) -> np.ndarray:
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= {n}, got k={k}")
     gen = _as_generator(rng)
-    ginibre = gen.standard_normal((n, k)) + 1j * gen.standard_normal((n, k))
+    return _haar_columns(gen.standard_normal((n, k)) + 1j * gen.standard_normal((n, k)))
+
+
+def _haar_columns(ginibre: np.ndarray) -> np.ndarray:
+    """Q of the QR factorization of each n x k Ginibre block in a stack
+    (..., n, k), its columns rephased so the diagonal of R is real positive."""
     q, r = np.linalg.qr(ginibre)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]

@@ -21,15 +21,13 @@ from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 import numpy as np
-from scipy.linalg import expm
 
-from .errors import DomainError, InvalidSubsystem, PairingFailure
-from .haar import SeededStream, _as_generator, sample_haar_unitary
+from .errors import DomainError, InvalidSubsystem, NonUnitaryInput, PairingFailure
+from .haar import SeededStream, _as_generator, _haar_columns, _reseat
 from .profiles import ProfileSpec, ScalingConfig, constant_profile, fixed_profile
 from .profiles import sample_profile
 from .symplectic import (
     average_energy,
-    concentration_f,
     gaussian_entropy,
     reduced_covariance_from_rows,
     spectral_deviation_delta,
@@ -48,6 +46,12 @@ FLAG_BUDGET = 1e-3
 
 F_IDENTITY_RTOL = 1e-8
 PURITY_TOL = 1e-8
+
+# run_ensemble runs trials in blocks of BLOCK_TRIALS, fewer when n is large
+# enough that a block's stacked Ginibre draws would pass BLOCK_ENTRIES
+# complex entries; the records do not depend on the block size.
+BLOCK_TRIALS = 256
+BLOCK_ENTRIES = 1 << 16
 
 # smallest mode count a concentration sweep row may have
 SWEEP_MIN_N = 4
@@ -124,10 +128,11 @@ class RunSummary:
 def run_trial(z, k: int, rng, trial_id: int = 0) -> TrialRecord:
     """Run the pipeline once and record everything.
 
-    Only the k Haar rows the reduced state depends on are drawn, so a trial
-    costs O(n k^2).  A PairingFailure from the reduced spectrum yields a
-    flagged record with NaN fields rather than an exception, so downstream
-    tallies see every trial.
+    A block of one: the k Haar rows come off rng (a SeededStream, or a
+    Generator consumed in place), then _block_records does the rest.  A
+    PairingFailure from the reduced spectrum yields a flagged record with
+    NaN fields rather than an exception, so downstream tallies see every
+    trial.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     n = z.size
@@ -135,47 +140,106 @@ def run_trial(z, k: int, rng, trial_id: int = 0) -> TrialRecord:
         raise InvalidSubsystem(f"k={k} outside 1..{n}")
     gen = _as_generator(rng)
     lam_bar = average_energy(z)
+    draws = np.empty((1, 2, n, k))
+    _draw_ginibre(gen, draws[0])
+    return _block_records(z, [lam_bar], draws, k, [trial_id])[0]
+
+
+def _draw_ginibre(gen, out: np.ndarray) -> None:
+    # real parts, then imaginary parts, each an n x k block in C order:
+    # the draws sample_haar_unitary(n, gen, k) makes
+    gen.standard_normal(out=out[0])
+    gen.standard_normal(out=out[1])
+
+
+def _out_of_range(z: np.ndarray, lam_bars):
+    """(index, reason) of the first trial whose spectrum is not finite or
+    whose lambda_bar**4, the scale of f and of the tail ladder, leaves the
+    float range; None when every trial is in range."""
+    finite = np.isfinite(z).all(axis=-1)
+    for b, lam in enumerate(lam_bars):
+        if not (finite if finite.ndim == 0 else finite[b]):
+            return b, "squeezing spectrum is not finite"
+        try:
+            in_range = math.isfinite(lam**4)
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            return b, f"lambda_bar = {lam!r} puts lambda_bar**4 beyond the float range"
+    return None
+
+
+def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
+    """The records of a block of trials, in trial order.
+
+    z is one spectrum (n,) shared by the block or one per trial (B, n),
+    lam_bars the per-trial average_energy, draws (B, 2, n, k) the Ginibre
+    blocks' real and imaginary parts.  The QR, the row reduction, the
+    spectra and the J M traces run once on the whole stack; every matrix is
+    computed as it would be alone, so a record does not depend on its block.
+    An error is the one a trial-by-trial loop would meet first: before
+    raising for trial b, the trials ahead of it are run on their own.
+    """
+    if not trial_ids:
+        return []
+    n = draws.shape[2]
+
+    def run_head(bad):
+        # the trials ahead of a failing one, on their own: an error there comes first
+        head_z = z[:bad] if z.ndim == 2 else z
+        _block_records(head_z, lam_bars[:bad], draws[:bad], k, trial_ids[:bad])
+
+    out_of_range = _out_of_range(z, lam_bars)
+    if out_of_range is not None:
+        bad, reason = out_of_range
+        run_head(bad)
+        raise DomainError(f"trial {trial_ids[bad]}: {reason}")
     # the first k columns of a Haar U are the first k rows of the Haar U^T
-    V = sample_haar_unitary(n, gen, k).T
-    M_red, purity_residual = reduced_covariance_from_rows(V, z)
+    V = np.swapaxes(_haar_columns(draws[:, 0] + 1j * draws[:, 1]), -1, -2)
     try:
-        reduced = symplectic_spectrum(M_red)
-    except PairingFailure:
-        nan = float("nan")
-        return TrialRecord(
-            trial_id=trial_id,
-            n=n,
-            k=k,
-            lambda_bar=lam_bar,
-            symplectic_spectrum=(nan,) * k,
-            entropy=nan,
-            f_value=nan,
-            delta=nan,
-            purity_residual=nan,
-            tr_jm2=nan,
-            tr_jm4=nan,
-            flagged=True,
-        )
+        M_red, residuals = reduced_covariance_from_rows(V, z)
+    except NonUnitaryInput as exc:
+        run_head(exc.index)
+        raise NonUnitaryInput(f"trial {trial_ids[exc.index]}: {exc}") from None
+    spectra = symplectic_spectrum(M_red)
     jm = symplectic_form(k) @ M_red
     P = jm @ jm
-    tr_jm2 = float(np.trace(P).real)
-    tr_jm4 = float(np.trace(P @ P).real)
-    c = lam_bar * lam_bar
-    f_value = tr_jm4 + 2.0 * c * tr_jm2 + 2.0 * k * c * c
-    return TrialRecord(
-        trial_id=trial_id,
-        n=n,
-        k=k,
-        lambda_bar=lam_bar,
-        symplectic_spectrum=tuple(float(x) for x in reduced.lambdas),
-        entropy=gaussian_entropy(reduced),
-        f_value=f_value,
-        delta=spectral_deviation_delta(reduced, lam_bar),
-        purity_residual=purity_residual,
-        tr_jm2=tr_jm2,
-        tr_jm4=tr_jm4,
-        flagged=False,
-    )
+    tr_jm2 = np.trace(P, axis1=1, axis2=2)
+    tr_jm4 = np.trace(P @ P, axis1=1, axis2=2)
+    nan = float("nan")
+    records = []
+    for b, reduced in enumerate(spectra):
+        if isinstance(reduced, PairingFailure):
+            records.append(
+                TrialRecord(
+                    trial_ids[b], n, k, lam_bars[b], (nan,) * k,
+                    entropy=nan, f_value=nan, delta=nan, purity_residual=nan,
+                    tr_jm2=nan, tr_jm4=nan, flagged=True,
+                )
+            )
+            continue
+        if isinstance(reduced, Exception):
+            raise type(reduced)(f"trial {trial_ids[b]}: {reduced}")
+        # Python floats: past the float range f goes to inf or NaN silently
+        lam_bar, tr2, tr4 = lam_bars[b], float(tr_jm2[b]), float(tr_jm4[b])
+        c = lam_bar * lam_bar
+        records.append(
+            TrialRecord(
+                trial_id=trial_ids[b],
+                n=n,
+                k=k,
+                lambda_bar=lam_bar,
+                symplectic_spectrum=tuple(float(x) for x in reduced.lambdas),
+                entropy=gaussian_entropy(reduced),
+                f_value=tr4 + 2.0 * c * tr2 + 2.0 * k * c * c,
+                delta=spectral_deviation_delta(reduced, lam_bar),
+                purity_residual=float(residuals[b]),
+                tr_jm2=tr2,
+                tr_jm4=tr4,
+                flagged=False,
+            )
+        )
+    return records
 
 
 def validate_trial_record(rec: TrialRecord) -> None:
@@ -206,12 +270,35 @@ def _as_profile(profile) -> ProfileSpec:
     return fixed_profile(profile)
 
 
-def _run_one(args) -> TrialRecord:
-    spec, k, seed, trial_id = args
-    gen = SeededStream(seed, trial_id).generator()
-    # profile draws come off the same per-trial stream, before the unitary
-    z = sample_profile(spec, gen)
-    return run_trial(z, k, gen, trial_id=trial_id)
+def _run_block(args) -> list:
+    """The records of trials start..stop-1, each drawn from its own
+    (seed, trial_id) stream: one Philox, re-seated per trial."""
+    spec, k, seed, start, stop = args
+    n = spec.n
+    trial_ids = list(range(start, stop))
+    gen = SeededStream(seed, start).generator()
+    draws = np.empty((len(trial_ids), 2, n, k))
+    if spec.is_deterministic:
+        z = spec.fixed_spectrum()
+        lam_bars = [average_energy(z)] * len(trial_ids)
+    else:
+        z = np.empty((len(trial_ids), n))
+        lam_bars = []
+    # a huge energy squares to inf in the profile draw; the block check
+    # reports the trial as out of range instead
+    with np.errstate(over="ignore"):
+        for b, t in enumerate(trial_ids):
+            _reseat(gen, seed, t)
+            if not spec.is_deterministic:
+                # profile draws come off the trial's stream, before the unitary
+                z[b] = sample_profile(spec, gen)
+                lam_bars.append(average_energy(z[b]))
+            _draw_ginibre(gen, draws[b])
+    return _block_records(z, lam_bars, draws, k, trial_ids)
+
+
+def _block_size(n: int, k: int) -> int:
+    return max(1, min(BLOCK_TRIALS, BLOCK_ENTRIES // (n * k)))
 
 
 def _mean_se(values: np.ndarray) -> tuple:
@@ -302,8 +389,9 @@ def run_ensemble(profile, k: int, samples: int, seed: int, workers: int = 1):
 
     Returns (RunSummary, list of TrialRecord in trial_id order).  The trial
     stream for trial t is keyed (seed, t), so any worker count reproduces the
-    same records bit for bit.  Raises PairingFailure when flagged trials
-    exceed FLAG_BUDGET of the run.
+    same records bit for bit.  Trials run in contiguous blocks of ids, and
+    pool workers take whole blocks.  Raises PairingFailure when flagged
+    trials exceed FLAG_BUDGET of the run.
     """
     spec = _as_profile(profile)
     if samples < 1:
@@ -313,13 +401,17 @@ def run_ensemble(profile, k: int, samples: int, seed: int, workers: int = 1):
     if not 1 <= k <= spec.n:
         raise InvalidSubsystem(f"k={k} outside 1..{spec.n}")
 
-    argsets = [(spec, k, seed, t) for t in range(samples)]
+    size = _block_size(spec.n, k)
+    if workers > 1:
+        size = min(size, -(-samples // workers))
+    blocks = [
+        (spec, k, seed, start, min(start + size, samples)) for start in range(0, samples, size)
+    ]
     if workers == 1:
-        records = [_run_one(a) for a in argsets]
+        records = [rec for block in blocks for rec in _run_block(block)]
     else:
-        chunk = max(1, samples // (workers * 4))
         with multiprocessing.Pool(processes=workers) as pool:
-            records = list(pool.imap(_run_one, argsets, chunksize=chunk))
+            records = [rec for part in pool.imap(_run_block, blocks) for rec in part]
 
     flagged = sum(1 for r in records if r.flagged)
     if flagged > FLAG_BUDGET * samples:
@@ -373,47 +465,6 @@ def lipschitz_bound(z, k: int) -> float:
     """The proved ceiling for |f(U) - f(V)| / ||U - V||_F."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     return 32.0 * math.sqrt(2.0 * k) * float(np.max(z)) ** 4
-
-
-def lipschitz_probe(z, k: int, pairs: int, rng) -> float:
-    """Max observed difference quotient of f over random unitary pairs.
-
-    Alternates independent Haar pairs with nearby pairs V = U expm(K), K a
-    random skew-Hermitian step of Frobenius size log-uniform in [1e-4, 1e-1];
-    the nearby pairs are what probe the local slope.  Distances use the
-    Frobenius norm, matching the bound from lipschitz_bound.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    n = z.size
-    if not 1 <= k <= n:
-        raise InvalidSubsystem(f"k={k} outside 1..{n}")
-    if pairs < 1:
-        raise DomainError(f"need pairs >= 1, got {pairs}")
-    gen = _as_generator(rng)
-    lam_bar = average_energy(z)
-
-    def f_of(unitary):
-        M_red, _residual = reduced_covariance_from_rows(unitary[:k], z)
-        return concentration_f(M_red, lam_bar)
-
-    worst = 0.0
-    for i in range(pairs):
-        U = sample_haar_unitary(n, gen)
-        if i % 2 == 0:
-            V = sample_haar_unitary(n, gen)
-        else:
-            A = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-            K = 0.5 * (A - A.conj().T)
-            size = np.linalg.norm(K)
-            if size == 0.0:
-                continue
-            K *= 10.0 ** gen.uniform(-4.0, -1.0) / size
-            V = U @ expm(K)
-        dist = float(np.linalg.norm(U - V))
-        if dist < 1e-13:
-            continue
-        worst = max(worst, abs(f_of(U) - f_of(V)) / dist)
-    return worst
 
 
 def _atomic_write_text(path, text: str) -> None:

@@ -70,9 +70,9 @@ def symplectic_form(n: int) -> np.ndarray:
     return J
 
 
-def _as_squeezing(z) -> np.ndarray:
+def _as_squeezing(z, stacked: bool = False) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.ndim != 1 or z.size < 1:
+    if z.ndim > (2 if stacked else 1) or z.shape[-1] < 1:
         raise DomainError("squeezing spectrum must be a nonempty vector")
     if np.any(z < 1.0):
         raise DomainError(f"squeezing parameters must be >= 1, got min {z.min()}")
@@ -80,13 +80,13 @@ def _as_squeezing(z) -> np.ndarray:
 
 
 def _embed(V: np.ndarray) -> np.ndarray:
-    """[[Re V, Im V], [-Im V, Re V]] for a k x n complex V."""
-    k, n = V.shape
-    out = np.empty((2 * k, 2 * n))
-    out[:k, :n] = V.real
-    out[:k, n:] = V.imag
-    out[k:, :n] = -V.imag
-    out[k:, n:] = V.real
+    """[[Re V, Im V], [-Im V, Re V]] for a k x n complex V, or a stack of them."""
+    *stack, k, n = V.shape
+    out = np.empty((*stack, 2 * k, 2 * n))
+    out[..., :k, :n] = V.real
+    out[..., :k, n:] = V.imag
+    out[..., k:, :n] = -V.imag
+    out[..., k:, n:] = V.real
     return out
 
 
@@ -143,19 +143,40 @@ def reduced_covariance_from_rows(V: np.ndarray, z) -> tuple:
     fiducial_covariance(z), eta_embed(U)), k) at O(n k^2) cost instead of
     O(n^3).  The n-mode state is pure exactly when the rows are orthonormal.
 
-    Returns (M_red, max |V V^+ - I_k|).  Raises NonUnitaryInput when that
-    residual exceeds UNITARITY_TOL.
+    V may be a stack (B, k, n) of row sets, with z one spectrum (n,) shared
+    by all or one per set (B, n); the results are then stacked too, each
+    matrix computed exactly as it would be alone.
+
+    Returns (M_red, max |V V^+ - I_k|), the residual an array for a stack.
+    Raises NonUnitaryInput when a residual exceeds UNITARITY_TOL; for a
+    stack its index attribute names the first such set.
     """
     V = np.asarray(V)
-    z = _as_squeezing(z)
-    if V.ndim != 2 or V.shape[1] != z.size or not 1 <= V.shape[0] <= z.size:
-        raise DimensionMismatch(f"expected 1..{z.size} rows of length {z.size}, got {V.shape}")
-    residual = float(np.abs(V @ V.conj().T - np.eye(V.shape[0])).max())
-    if residual > UNITARITY_TOL:
-        raise NonUnitaryInput(f"max |V V+ - I| = {residual:.3e} exceeds {UNITARITY_TOL}")
+    z = _as_squeezing(z, stacked=True)
+    n = z.shape[-1]
+    if (
+        V.ndim not in (2, 3)
+        or V.shape[-1] != n
+        or not 1 <= V.shape[-2] <= n
+        or (z.ndim == 2 and (V.ndim != 3 or len(V) != len(z)))
+    ):
+        raise DimensionMismatch(
+            f"expected 1..{n} rows of length {n} per spectrum, got {V.shape} for {z.shape}"
+        )
+    gram = V @ np.swapaxes(V.conj(), -1, -2)
+    residual = np.abs(gram - np.eye(V.shape[-2])).max(axis=(-2, -1))
+    bad = np.flatnonzero(residual > UNITARITY_TOL)
+    if bad.size:
+        index = int(bad[0])
+        error = NonUnitaryInput(
+            f"max |V V+ - I| = {residual.flat[index]:.3e} exceeds {UNITARITY_TOL}"
+        )
+        error.index = index
+        raise error
     W = _embed(V)
-    out = (W * np.concatenate([z, 1.0 / z])) @ W.T
-    return 0.5 * (out + out.T), residual  # resymmetrize rounding noise
+    out = (W * np.concatenate([z, 1.0 / z], axis=-1)[..., None, :]) @ np.swapaxes(W, -1, -2)
+    M_red = 0.5 * (out + np.swapaxes(out, -1, -2))  # resymmetrize rounding noise
+    return M_red, (residual if V.ndim == 3 else float(residual))
 
 
 def validate_covariance(M: np.ndarray) -> None:
@@ -174,29 +195,52 @@ def validate_covariance(M: np.ndarray) -> None:
         raise InvalidCovariance(f"uncertainty relation violated: min eig {w.min():.3e}")
 
 
-def symplectic_spectrum(M: np.ndarray) -> SymplecticSpectrum:
+def symplectic_spectrum(M: np.ndarray):
     """Symplectic eigenvalues of a covariance matrix via the spectrum of J*M.
 
     The eigenvalues of the real non-symmetric matrix J*M must form conjugate
     pairs +-i*lambda_j; the positive imaginary parts are returned sorted
     descending. pairing_residual is the largest absolute real part seen.
+    Raises PairingFailure when they do not pair and InvalidCovariance when
+    a lambda_j falls below 1.
+
+    A stack (B, 2k, 2k) of matrices gives a list of B outcomes instead,
+    each the SymplecticSpectrum of its matrix or the error its lone call
+    would raise, so one failure does not stop the others.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
-        raise DimensionMismatch(f"expected a 2k x 2k matrix, got shape {M.shape}")
-    k = M.shape[0] // 2
-    tol = PAIRING_RTOL * max(1.0, np.abs(M).max())
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or M.shape[-1] % 2:
+        raise DimensionMismatch(f"expected a 2k x 2k matrix or a stack, got shape {M.shape}")
+    if M.ndim == 2:
+        (outcome,) = symplectic_spectrum(M[None])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+    k = M.shape[-1] // 2
+    tol = PAIRING_RTOL * np.maximum(1.0, np.abs(M).max(axis=(1, 2)))
     w = np.linalg.eigvals(symplectic_form(k) @ M)
-    residual = float(np.abs(w.real).max())
-    if residual > tol:
-        raise PairingFailure(f"max |Re eig(JM)| = {residual:.3e} exceeds {tol:.3e}")
-    pos = np.sort(w.imag[w.imag > 0])[::-1]
-    neg = np.sort(-w.imag[w.imag < 0])[::-1]
-    if len(pos) != k or len(neg) != k or np.abs(pos - neg).max() > tol:
-        raise PairingFailure(f"eigenvalues of JM do not pair into +-i couples at tol {tol:.3e}")
-    if pos[-1] < 1.0 - WILLIAMSON_TOL:
-        raise InvalidCovariance(f"symplectic eigenvalue {pos[-1]} below 1")
-    return SymplecticSpectrum(lambdas=pos, pairing_residual=residual)
+    residual = np.abs(w.real).max(axis=1)
+    imag = np.sort(w.imag, axis=1)
+    # exactly k negative and k positive parts, paired largest to largest
+    pos = imag[:, : k - 1 : -1]
+    paired = (imag[:, k - 1] < 0.0) & (imag[:, k] > 0.0)
+    gap = np.abs(pos + imag[:, :k]).max(axis=1)
+    outcomes = []
+    for i in range(len(M)):
+        if residual[i] > tol[i]:
+            outcome = PairingFailure(
+                f"max |Re eig(JM)| = {residual[i]:.3e} exceeds {tol[i]:.3e}"
+            )
+        elif not paired[i] or gap[i] > tol[i]:
+            outcome = PairingFailure(
+                f"eigenvalues of JM do not pair into +-i couples at tol {tol[i]:.3e}"
+            )
+        elif pos[i, -1] < 1.0 - WILLIAMSON_TOL:
+            outcome = InvalidCovariance(f"symplectic eigenvalue {pos[i, -1]} below 1")
+        else:
+            outcome = SymplecticSpectrum(lambdas=pos[i], pairing_residual=float(residual[i]))
+        outcomes.append(outcome)
+    return outcomes
 
 
 def average_energy(z) -> float:

@@ -23,6 +23,10 @@ fast paths: the moment formulas evaluated on Fraction power sums
 (``reference_moments``) and the Fraction Gram elimination
 (``gram_solution_reference``), plus the float closed form of the averaged
 matrix that acceptance criterion 2 checks (``haar_average_BB_minus_AA``).
+
+It keeps the trial-by-trial Monte Carlo pipeline as the reference of the
+package's block kernel (``reference_run_trial``, ``reference_run_one``), and
+the scipy-based ``lipschitz_probe`` that acceptance criterion 8 runs.
 """
 
 from __future__ import annotations
@@ -32,9 +36,34 @@ from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
+from scipy.linalg import expm
 
-from cvtypical.errors import DimensionMismatch, DimensionTooSmall, SingularGram
+from cvtypical.errors import (
+    DimensionMismatch,
+    DimensionTooSmall,
+    DomainError,
+    InvalidCovariance,
+    InvalidSubsystem,
+    NonUnitaryInput,
+    PairingFailure,
+    SingularGram,
+)
+from cvtypical.haar import SeededStream, _as_generator, sample_haar_unitary
+from cvtypical.harness import TrialRecord
 from cvtypical.moments import MomentInputs, _fourth_moment_rows
+from cvtypical.profiles import sample_profile
+from cvtypical.symplectic import (
+    PAIRING_RTOL,
+    UNITARITY_TOL,
+    WILLIAMSON_TOL,
+    SymplecticSpectrum,
+    average_energy,
+    concentration_f,
+    gaussian_entropy,
+    reduced_covariance_from_rows,
+    spectral_deviation_delta,
+    symplectic_form,
+)
 from cvtypical.weingarten import compose, cycle_type, gram_weingarten_oracle, inverse
 
 # block (row, col) -> (power of i, weight vector name, conj of slot1, conj of slot2)
@@ -289,3 +318,143 @@ def haar_average_BB_minus_AA(n: int, a, b, pi) -> np.ndarray:
     c_pi = c1 * (tr_b**2 - tr_a2) + c2 * (tr_a2 - tr_b2)
     c_id = tr_pi * (c1 * (tr_b2 - tr_a2) + c2 * (tr_a2 - tr_b**2))
     return c_pi * np.diag(pi) + c_id * np.eye(n)
+
+
+# The trial-by-trial pipeline, one matrix per call: the reference the block
+# kernel in cvtypical.harness must match record for record, repr for repr.
+
+
+def _reference_haar_rows(n: int, gen, k: int) -> np.ndarray:
+    ginibre = gen.standard_normal((n, k)) + 1j * gen.standard_normal((n, k))
+    q, r = np.linalg.qr(ginibre)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _reference_rows_covariance(V: np.ndarray, z) -> tuple:
+    residual = float(np.abs(V @ V.conj().T - np.eye(V.shape[0])).max())
+    if residual > UNITARITY_TOL:
+        raise NonUnitaryInput(f"max |V V+ - I| = {residual:.3e} exceeds {UNITARITY_TOL}")
+    k, n = V.shape
+    W = np.empty((2 * k, 2 * n))
+    W[:k, :n] = V.real
+    W[:k, n:] = V.imag
+    W[k:, :n] = -V.imag
+    W[k:, n:] = V.real
+    out = (W * np.concatenate([z, 1.0 / z])) @ W.T
+    return 0.5 * (out + out.T), residual
+
+
+def _reference_spectrum(M: np.ndarray) -> SymplecticSpectrum:
+    k = M.shape[0] // 2
+    tol = PAIRING_RTOL * max(1.0, np.abs(M).max())
+    w = np.linalg.eigvals(symplectic_form(k) @ M)
+    residual = float(np.abs(w.real).max())
+    if residual > tol:
+        raise PairingFailure(f"max |Re eig(JM)| = {residual:.3e} exceeds {tol:.3e}")
+    pos = np.sort(w.imag[w.imag > 0])[::-1]
+    neg = np.sort(-w.imag[w.imag < 0])[::-1]
+    if len(pos) != k or len(neg) != k or np.abs(pos - neg).max() > tol:
+        raise PairingFailure(f"eigenvalues of JM do not pair into +-i couples at tol {tol:.3e}")
+    if pos[-1] < 1.0 - WILLIAMSON_TOL:
+        raise InvalidCovariance(f"symplectic eigenvalue {pos[-1]} below 1")
+    return SymplecticSpectrum(lambdas=pos, pairing_residual=residual)
+
+
+def reference_run_trial(z, k: int, rng, trial_id: int = 0) -> TrialRecord:
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    n = z.size
+    if not 1 <= k <= n:
+        raise InvalidSubsystem(f"k={k} outside 1..{n}")
+    gen = _as_generator(rng)
+    lam_bar = average_energy(z)
+    # the first k columns of a Haar U are the first k rows of the Haar U^T
+    V = _reference_haar_rows(n, gen, k).T
+    M_red, purity_residual = _reference_rows_covariance(V, z)
+    try:
+        reduced = _reference_spectrum(M_red)
+    except PairingFailure:
+        nan = float("nan")
+        return TrialRecord(
+            trial_id=trial_id,
+            n=n,
+            k=k,
+            lambda_bar=lam_bar,
+            symplectic_spectrum=(nan,) * k,
+            entropy=nan,
+            f_value=nan,
+            delta=nan,
+            purity_residual=nan,
+            tr_jm2=nan,
+            tr_jm4=nan,
+            flagged=True,
+        )
+    jm = symplectic_form(k) @ M_red
+    P = jm @ jm
+    tr_jm2 = float(np.trace(P).real)
+    tr_jm4 = float(np.trace(P @ P).real)
+    c = lam_bar * lam_bar
+    f_value = tr_jm4 + 2.0 * c * tr_jm2 + 2.0 * k * c * c
+    return TrialRecord(
+        trial_id=trial_id,
+        n=n,
+        k=k,
+        lambda_bar=lam_bar,
+        symplectic_spectrum=tuple(float(x) for x in reduced.lambdas),
+        entropy=gaussian_entropy(reduced),
+        f_value=f_value,
+        delta=spectral_deviation_delta(reduced, lam_bar),
+        purity_residual=purity_residual,
+        tr_jm2=tr_jm2,
+        tr_jm4=tr_jm4,
+        flagged=False,
+    )
+
+
+def reference_run_one(args) -> TrialRecord:
+    spec, k, seed, trial_id = args
+    gen = SeededStream(seed, trial_id).generator()
+    # profile draws come off the same per-trial stream, before the unitary
+    z = sample_profile(spec, gen)
+    return reference_run_trial(z, k, gen, trial_id=trial_id)
+
+
+def lipschitz_probe(z, k: int, pairs: int, rng) -> float:
+    """Max observed difference quotient of f over random unitary pairs.
+
+    Alternates independent Haar pairs with nearby pairs V = U expm(K), K a
+    random skew-Hermitian step of Frobenius size log-uniform in [1e-4, 1e-1];
+    the nearby pairs are what probe the local slope.  Distances use the
+    Frobenius norm, matching the bound from lipschitz_bound.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    n = z.size
+    if not 1 <= k <= n:
+        raise InvalidSubsystem(f"k={k} outside 1..{n}")
+    if pairs < 1:
+        raise DomainError(f"need pairs >= 1, got {pairs}")
+    gen = _as_generator(rng)
+    lam_bar = average_energy(z)
+
+    def f_of(unitary):
+        M_red, _residual = reduced_covariance_from_rows(unitary[:k], z)
+        return concentration_f(M_red, lam_bar)
+
+    worst = 0.0
+    for i in range(pairs):
+        U = sample_haar_unitary(n, gen)
+        if i % 2 == 0:
+            V = sample_haar_unitary(n, gen)
+        else:
+            A = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+            K = 0.5 * (A - A.conj().T)
+            size = np.linalg.norm(K)
+            if size == 0.0:
+                continue
+            K *= 10.0 ** gen.uniform(-4.0, -1.0) / size
+            V = U @ expm(K)
+        dist = float(np.linalg.norm(U - V))
+        if dist < 1e-13:
+            continue
+        worst = max(worst, abs(f_of(U) - f_of(V)) / dist)
+    return worst

@@ -59,6 +59,31 @@ def test_moments_out_of_float_range_is_an_error(capsys, profile):
     assert "beyond the float range" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "trial-dump --n 4 --k 1 --z-profile constant:1e100x4 --samples 2",
+        "concentration --n-list 4 --samples 2 --zeta 400",
+        "trial-dump --n 4 --k 1 --z-profile micro:1e200 --samples 2",
+        "trial-dump --n 4 --k 1 --z-profile canonical:1e200 --samples 2",
+    ],
+)
+def test_huge_squeezing_is_one_error_line(tmp_path, command):
+    """A spectrum that is not finite, or whose lambda_bar**4 leaves the float
+    range, stops the run with one error line: no traceback, no warning."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cvtypical.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvtypical.cli", *command.split()],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: trial 0: ") and proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 # One fixed random n = 64 spectrum; the digest of its moments JSON was taken
 # from the Fraction implementation the integer one replaced.
 def test_moments_json_is_pinned(capsys):

@@ -14,8 +14,14 @@ from scipy.linalg import null_space
 
 import cvtypical
 import cvtypical.harness as harness
-from cvtypical.errors import DomainError, InvalidSubsystem, PairingFailure
-from cvtypical.haar import SeededStream, sample_haar_unitary
+from cvtypical.errors import (
+    DomainError,
+    InvalidCovariance,
+    InvalidSubsystem,
+    NonUnitaryInput,
+    PairingFailure,
+)
+from cvtypical.haar import SeededStream, _reseat, sample_haar_unitary
 from cvtypical.harness import (
     FLAG_BUDGET,
     TAIL_LADDER_FACTORS,
@@ -24,7 +30,6 @@ from cvtypical.harness import (
     concentration_sweep,
     format_trials_csv,
     lipschitz_bound,
-    lipschitz_probe,
     read_summary_json,
     read_trials_csv,
     run_ensemble,
@@ -43,7 +48,12 @@ from cvtypical.moments import (
     moment_inputs_from_spectrum,
     second_moment_trace_exact,
 )
-from cvtypical.profiles import ScalingConfig, constant_profile, microcanonical_profile
+from cvtypical.profiles import (
+    ScalingConfig,
+    constant_profile,
+    microcanonical_profile,
+    parse_profile,
+)
 from cvtypical.symplectic import (
     average_energy,
     concentration_f,
@@ -54,6 +64,8 @@ from cvtypical.symplectic import (
     rotate_covariance,
     symplectic_spectrum,
 )
+import oracles
+from oracles import lipschitz_probe, reference_run_one
 
 
 def test_vacuum_trial_is_exactly_boring():
@@ -181,9 +193,10 @@ def test_ensemble_mean_matches_exact_moments():
 def test_worker_count_is_invisible():
     spec = microcanonical_profile(16.0, 3)
     s1, r1 = run_ensemble(spec, 2, 40, seed=5, workers=1)
-    s2, r2 = run_ensemble(spec, 2, 40, seed=5, workers=2)
-    assert r1 == r2
-    assert s1 == s2
+    for workers in (2, 3):
+        s2, r2 = run_ensemble(spec, 2, 40, seed=5, workers=workers)
+        assert r1 == r2
+        assert s1 == s2
 
 
 def test_seed_changes_the_ensemble():
@@ -206,16 +219,19 @@ def test_tail_ladder_shape():
 
 
 def poisoned_spectrum(poison):
-    """Wrap the real spectrum routine to fail on chosen call indices."""
-    state = {"calls": 0}
+    """Wrap the real stacked spectrum routine so the matrices at chosen
+    positions, counted across calls, fail to pair."""
+    state = {"matrices": 0}
     real = symplectic_spectrum
 
     def wrapper(M):
-        index = state["calls"]
-        state["calls"] += 1
-        if index in poison:
-            raise PairingFailure(f"poisoned call {index}")
-        return real(M)
+        outcomes = real(M)
+        start = state["matrices"]
+        state["matrices"] += len(outcomes)
+        return [
+            PairingFailure(f"poisoned matrix {start + i}") if start + i in poison else outcome
+            for i, outcome in enumerate(outcomes)
+        ]
 
     return wrapper
 
@@ -238,6 +254,140 @@ def test_flagged_trials_are_reported_not_dropped(monkeypatch):
     # aggregates come from the live trials only
     assert math.isfinite(summary.mean_f)
     assert summary.mean_entropy == 0.0
+
+
+# (profile, n from context, k): every shape of the block kernel's reference
+# check; random profiles draw their spectrum off the trial's stream first.
+KERNEL_GRID = (
+    ("fixed:3,1,1,1", None, 1),
+    ("fixed:3,1,1,1,1,1,1,1", None, 2),
+    ("micro:50", 16, 4),
+    ("canonical:50", 16, 4),
+    ("constant:2.0x32", None, 1),
+    ("micro:200", 64, 8),
+    ("canonical:400", 128, 11),
+    ("constant:1.7x256", None, 16),
+)
+POISONED_TRIAL = 5  # in the middle of the first block at every shape
+
+
+@pytest.mark.parametrize("profile, n, k", KERNEL_GRID)
+def test_block_kernel_matches_trial_by_trial_reference(monkeypatch, profile, n, k):
+    """Records from the block kernel are repr-equal to the trial-by-trial
+    pipeline's, over blocks of every fill and with one trial flagged."""
+    spec = parse_profile(profile, n=n)
+    samples = harness._block_size(spec.n, k) + 3  # a full block and a partial one
+    monkeypatch.setattr(harness, "FLAG_BUDGET", 1.0)  # the poisoned trial is over budget
+    for seed in (0, 77, 2**41 + 9):
+        monkeypatch.setattr(harness, "symplectic_spectrum", poisoned_spectrum({POISONED_TRIAL}))
+        _, records = run_ensemble(spec, k, samples, seed)
+        monkeypatch.setattr(
+            oracles, "_reference_spectrum", poisoned_reference({POISONED_TRIAL})
+        )
+        reference = [reference_run_one((spec, k, seed, t)) for t in range(samples)]
+        assert records[POISONED_TRIAL].flagged
+        assert repr(records) == repr(reference)
+
+
+def poisoned_reference(poison):
+    """The reference spectrum, failing on chosen call indices (one call per
+    trial)."""
+    state = {"calls": 0}
+    real = oracles._reference_spectrum
+
+    def wrapper(M):
+        index = state["calls"]
+        state["calls"] += 1
+        if index in poison:
+            raise PairingFailure(f"poisoned call {index}")
+        return real(M)
+
+    return wrapper
+
+
+def test_run_trial_matches_reference():
+    z = [3.0, 1.5, 1.0, 1.0, 1.0]
+    gen, ref_gen = SeededStream(40, 2).generator(), SeededStream(40, 2).generator()
+    for t in range(20):
+        # both consume their generator in place, trial after trial
+        assert repr(run_trial(z, 2, gen, trial_id=t)) == repr(
+            oracles.reference_run_trial(z, 2, ref_gen, trial_id=t)
+        )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@pytest.mark.parametrize("seed", [0, 12, -3, 2**40 + 1, 2**64 + 5])
+def test_reseated_stream_draws_what_a_fresh_one_does(seed):
+    gen = SeededStream(99, 99).generator()
+    gen.standard_normal(7)  # leave it mid-buffer
+    for stream_id in (0, 1, 2**33, -1):
+        fresh = SeededStream(seed, stream_id).generator()
+        reseated = _reseat(gen, seed, stream_id)
+        for draw in ("standard_normal", "standard_exponential", "random"):
+            assert np.array_equal(getattr(reseated, draw)(5), getattr(fresh, draw)(5))
+        assert reseated.integers(2**62) == fresh.integers(2**62)
+
+
+def _poison_domain(monkeypatch, trial):
+    real = harness.sample_profile
+    state = {"calls": 0}
+
+    def wrapper(spec, gen):
+        z = real(spec, gen)
+        state["calls"] += 1
+        if state["calls"] - 1 == trial:
+            z = z.copy()
+            z[0] = math.inf
+        return z
+
+    monkeypatch.setattr(harness, "sample_profile", wrapper)
+
+
+def _poison_rows(monkeypatch, trial):
+    real = harness.reduced_covariance_from_rows
+
+    def wrapper(V, z):
+        out = real(V, z)
+        # one block, and a re-run only ever takes its head: position = trial
+        if trial < len(V):
+            error = NonUnitaryInput("poisoned rows")
+            error.index = trial
+            raise error
+        return out
+
+    monkeypatch.setattr(harness, "reduced_covariance_from_rows", wrapper)
+
+
+def _poison_covariance(monkeypatch, trial):
+    real = harness.symplectic_spectrum
+
+    def wrapper(M):
+        outcomes = real(M)
+        if trial < len(outcomes):
+            outcomes[trial] = InvalidCovariance("poisoned spectrum")
+        return outcomes
+
+    monkeypatch.setattr(harness, "symplectic_spectrum", wrapper)
+
+
+_POISONS = {
+    DomainError: _poison_domain,
+    NonUnitaryInput: _poison_rows,
+    InvalidCovariance: _poison_covariance,
+}
+
+
+@pytest.mark.parametrize("first", list(_POISONS))
+@pytest.mark.parametrize("second", list(_POISONS))
+def test_block_raises_the_first_failing_trials_error(monkeypatch, first, second):
+    """Two trials of one block fail; the error is the earlier trial's, as a
+    trial-by-trial loop would raise it, whatever stage each fails in."""
+    spec = microcanonical_profile(12.0, 4)
+    assert harness._block_size(4, 1) > 20
+    _POISONS[second](monkeypatch, 11)
+    _POISONS[first](monkeypatch, 4)
+    with pytest.raises(first, match="^trial 4: "):
+        run_ensemble(spec, 1, 20, seed=8)
 
 
 def test_summarize_rejects_empty():
