@@ -70,6 +70,11 @@ class RunConfig:
     base_profile: str = "constant"
 
 
+# A stream key half at or above 2^63 is rounded through float64 when Philox
+# is keyed (haar._reseat keeps that rounding), so such seeds share streams.
+SEED_LIMIT = 2**63
+
+
 def _integer(minimum: int):
     def check(value, opt):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -79,6 +84,13 @@ def _integer(minimum: int):
         return value
 
     return check
+
+
+def _seed(value, opt) -> int:
+    value = _integer(0)(value, opt)
+    if value >= SEED_LIMIT:
+        raise UsageError(f"{opt.flag} must be < 2^63 = {SEED_LIMIT}, got {value}")
+    return value
 
 
 def _number(value, opt) -> float:
@@ -149,7 +161,7 @@ class _Option(NamedTuple):
 # One entry per option; the key is the argparse dest, the config-file key,
 # and (except for the four scaling values) the RunConfig field.
 _OPTIONS = {
-    "seed": _Option("--seed", _integer(0), type=int),
+    "seed": _Option("--seed", _seed, type=int),
     "workers": _Option(
         "--workers", _integer(1), f"worker processes (default ${WORKERS_ENV_VAR} or 1)", type=int
     ),
@@ -321,6 +333,13 @@ def parse_config(argv) -> RunConfig:
             values["scaling"] = ScalingConfig(**scaling)
         except DomainError as exc:
             raise UsageError(f"bad scaling config: {exc}") from None
+        seed, n_list = values.get("seed", 0), values.get("n_list", ())
+        if n_list and seed + len(n_list) - 1 >= SEED_LIMIT:
+            index = SEED_LIMIT - seed
+            raise UsageError(
+                f"--seed {seed}: the row seed seed + {index} of --n-list entry {n_list[index]}"
+                f" reaches 2^63 = {SEED_LIMIT}"
+            )
         rule = values["scaling"]
         if values.get("base_profile", "constant") == "constant":
             for n in values.get("n_list", ()):

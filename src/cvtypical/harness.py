@@ -220,9 +220,16 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
             continue
         if isinstance(reduced, Exception):
             raise type(reduced)(f"trial {trial_ids[b]}: {reduced}")
-        # Python floats: past the float range f goes to inf or NaN silently
+        # Python floats: past the float range f goes to inf or NaN without
+        # a numpy warning, and such a trial stops the run
         lam_bar, tr2, tr4 = lam_bars[b], float(tr_jm2[b]), float(tr_jm4[b])
         c = lam_bar * lam_bar
+        f_value = tr4 + 2.0 * c * tr2 + 2.0 * k * c * c
+        if not math.isfinite(f_value):
+            raise DomainError(
+                f"trial {trial_ids[b]}: f = {f_value!r} is not finite"
+                f" (lambda_bar = {lam_bar!r}, tr(JM)^4 = {tr4!r})"
+            )
         records.append(
             TrialRecord(
                 trial_id=trial_ids[b],
@@ -231,7 +238,7 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
                 lambda_bar=lam_bar,
                 symplectic_spectrum=tuple(float(x) for x in reduced.lambdas),
                 entropy=gaussian_entropy(reduced),
-                f_value=tr4 + 2.0 * c * tr2 + 2.0 * k * c * c,
+                f_value=f_value,
                 delta=spectral_deviation_delta(reduced, lam_bar),
                 purity_residual=float(residuals[b]),
                 tr_jm2=tr2,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from numbers import Rational
 
 from .errors import DimensionTooSmall, DomainError, InvalidSubsystem
@@ -56,10 +56,17 @@ class MomentInputs:
         if not 1 <= self.k <= self.n:
             raise InvalidSubsystem(f"need 1 <= k <= {self.n}, got k={self.k}")
         for aj, bj in zip(self.a, self.b):
-            if bj < 1:
+            # on reduced a = x/d1, b = y/d2: b^2 = 1 + a^2 forces d1 == d2
+            x, d1, y, d2 = aj.numerator, aj.denominator, bj.numerator, bj.denominator
+            if y < d2:
                 raise DomainError(f"need b_j >= 1, got {bj}")
-            if bj * bj - aj * aj != 1:
+            if d1 != d2 or y * y - x * x != d2 * d2:
                 raise DomainError(f"hyperbolic identity b^2 - a^2 = 1 violated at (a,b)=({aj},{bj})")
+
+    @cached_property
+    def _sums(self) -> tuple[int, dict]:
+        """The power sums, built once per instance (see _power_sums)."""
+        return _power_sums(self)
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,6 @@ def _merge(left: tuple[int, list[int]], right: tuple[int, list[int]]) -> tuple[i
     ]
 
 
-@lru_cache(maxsize=512)
 def _power_sums(mi: MomentInputs) -> tuple[int, dict]:
     """(D, numerators): the power sum of degree g is numerators[name] / D**g.
 
@@ -132,8 +138,9 @@ def _power_sums(mi: MomentInputs) -> tuple[int, dict]:
 # An exact value in the making is a triple (num, den, g) that stands for
 # num / (den * D**g), D the power-sum denominator; den is a small integer, so
 # sums never take a gcd of the large D powers. A part is a function
-# (mi, (D, numerators), *args) -> triple; the public functions look the power
-# sums up once and normalise (Fraction) or round (float) the part's triple.
+# (mi, (D, numerators), *args) -> triple; the public functions take the power
+# sums from the instance and normalise (Fraction) or round (float) the part's
+# triple.
 
 
 def _sum_terms(D: int, terms) -> tuple[int, int, int]:
@@ -144,7 +151,7 @@ def _sum_terms(D: int, terms) -> tuple[int, int, int]:
 
 
 def _exact(mi: MomentInputs, part, *args) -> Fraction:
-    sums = _power_sums(mi)
+    sums = mi._sums
     num, den, g = part(mi, sums, *args)
     return Fraction(num, den * sums[0] ** g)
 
@@ -161,7 +168,7 @@ def _to_float(sums, value: tuple[int, int, int], name: str) -> float:
 
 
 def _float(mi: MomentInputs, part, name: str, *args) -> float:
-    sums = _power_sums(mi)
+    sums = mi._sums
     return _to_float(sums, part(mi, sums, *args), name)
 
 
@@ -301,7 +308,7 @@ def compute_moment_report(z, k: int) -> MomentReport:
     lambda_bar fixed to the exact average energy of z. Each exact value is
     formed once."""
     mi = moment_inputs_from_spectrum(z, k)
-    sums = _power_sums(mi)
+    sums = mi._sums
     tl = _tilde_lambda_squared(mi, sums)
     fourth = _fourth_moment(mi, sums)
     return MomentReport(

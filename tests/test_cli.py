@@ -66,11 +66,14 @@ def test_moments_out_of_float_range_is_an_error(capsys, profile):
         "concentration --n-list 4 --samples 2 --zeta 400",
         "trial-dump --n 4 --k 1 --z-profile micro:1e200 --samples 2",
         "trial-dump --n 4 --k 1 --z-profile canonical:1e200 --samples 2",
+        # lambda_bar**4 is a float, but f = tr4 + 2 c tr2 + 2k c^2 is inf - inf
+        "trial-dump --n 4 --k 1 --z-profile constant:2e77x4 --samples 2",
     ],
 )
 def test_huge_squeezing_is_one_error_line(tmp_path, command):
-    """A spectrum that is not finite, or whose lambda_bar**4 leaves the float
-    range, stops the run with one error line: no traceback, no warning."""
+    """A spectrum that is not finite, whose lambda_bar**4 leaves the float
+    range, or whose f is not finite, stops the run with one error line: no
+    traceback, no warning."""
     env = dict(os.environ, PYTHONPATH=str(Path(cvtypical.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "cvtypical.cli", *command.split()],
@@ -134,6 +137,15 @@ def test_weingarten_check_table(capsys):
     by_type = {cells[1]: cells[2] for cells in body}
     assert by_type["1+1+1+1"] == "169/181440"
     assert by_type["4"] == "-1/36288"
+
+
+def test_weingarten_check_order_six(capsys):
+    rc, out, err = run_main(capsys, ["weingarten-check", "--p", "6", "--n-range", "6:7"])
+    assert rc == 0 and err == ""
+    body = [line.split(",") for line in out.strip().splitlines()[2:]]
+    assert len(body) == 22  # eleven partitions of 6, two n
+    assert [cells[0] for cells in body] == ["6"] * 11 + ["7"] * 11
+    assert all(cells[-1] == "0" for cells in body)
 
 
 def test_weingarten_check_dimension_failure(capsys):
@@ -295,10 +307,12 @@ def test_config_file_subcommand_mismatch(tmp_path, capsys):
         (["concentration"], {"n_list": [4], "samples": 2, "scale_z": "nan"}, "--scale-z"),
         (["concentration"], {"n_list": [3], "samples": 2}, "--n-list"),
         (["concentration"], {"n_list": [4, 16], "samples": 2, "scaling": {"zeta": 400}}, "--n-list"),
+        (["concentration"], {"n_list": [4], "samples": 2, "seed": 2**63}, "--seed"),
+        (["concentration"], {"n_list": [4, 8], "samples": 2, "seed": 2**63 - 1}, "--seed"),
     ],
     ids=[
         "format", "base_profile", "output_dir", "scaling_zeta", "scale_k_inf", "scale_z_nan", "n_list_3",
-        "zeta_400",
+        "zeta_400", "seed_2_63", "row_seed_2_63",
     ],
 )
 def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, capsys, argv, config, flag):
@@ -322,8 +336,14 @@ def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, capsys
         # 4**400 is a float, 16**400 is not
         (["--n-list", "4,16", "--zeta", "400"], "--n-list"),
         (["--zeta", "1", "--scale-z", "1e308"], "--n-list"),
+        # seeds at or above 2^63 alias other seeds' streams; sweep row i runs on seed + i
+        (["--seed", str(2**63)], "--seed"),
+        (["--n-list", "4,8", "--seed", str(2**63 - 1)], "--seed"),
     ],
-    ids=["scale_k_inf", "kappa_inf", "zeta_nan", "n_list_3", "n_list_8_2", "zeta_400", "scale_z_1e308"],
+    ids=[
+        "scale_k_inf", "kappa_inf", "zeta_nan", "n_list_3", "n_list_8_2", "zeta_400", "scale_z_1e308",
+        "seed_2_63", "row_seed_2_63",
+    ],
 )
 def test_concentration_flag_values_are_usage_errors(tmp_path, monkeypatch, capsys, extra, flag):
     monkeypatch.chdir(tmp_path)

@@ -187,6 +187,40 @@ def test_moment_inputs_enforce_hyperbolic_identity():
         MomentInputs(n=2, k=1, a=good.a, b=good.b)
 
 
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        # 5^2 - 3^2 = 4^2, but a = 3/5 and b = 5/4 do not share a denominator
+        (Fraction(3, 5), Fraction(5, 4), "hyperbolic identity"),
+        (Fraction(1, 2), Fraction(3, 2), "hyperbolic identity"),
+        (Fraction(0), Fraction(1, 2), "need b_j >= 1"),
+    ],
+    ids=["unequal_denominators", "broken_identity", "b_below_one"],
+)
+def test_hand_built_inputs_are_rejected(a, b, message):
+    good = moment_inputs_from_spectrum((2, 3), 1)
+    with pytest.raises(DomainError, match=message):
+        MomentInputs(n=2, k=1, a=(good.a[0], a), b=(good.b[0], b))
+
+
+def test_power_sums_are_built_once_per_instance(monkeypatch):
+    import cvtypical.moments as moments
+
+    calls = []
+    build = moments._power_sums
+    monkeypatch.setattr(moments, "_power_sums", lambda mi: calls.append(mi) or build(mi))
+    mi = spiked(5)
+    expected = expected_f_exact(mi)
+    assert average_energy_exact(mi) == Fraction(17, 15)
+    tilde_lambda_squared(mi)
+    second_moment_trace_exact(mi)
+    fourth_moment_trace(mi)
+    assert expected_f_exact(mi) == expected and expected_f(mi) == float(expected)
+    assert calls == [mi]
+    compute_moment_report((3, 1, 1, 1, 1), 1)
+    assert len(calls) == 2
+
+
 def test_fourth_moment_needs_room():
     # the denominators vanish below n = 4
     with pytest.raises(DimensionTooSmall):

@@ -141,7 +141,7 @@ def test_gram_oracle_pinned_order_two():
 
 
 def test_gram_oracle_matches_character_sum():
-    for n, p in ((4, 1), (4, 2), (4, 3), (6, 3), (5, 4)):
+    for n, p in ((4, 1), (4, 2), (4, 3), (6, 3), (5, 4), (6, 6), (7, 6)):
         oracle = gram_weingarten_oracle(n, p)
         assert set(oracle) == set(partitions(p))
         for ct, value in oracle.items():
@@ -152,9 +152,14 @@ def test_gram_oracle_matches_character_sum():
     "p, n", [(p, n) for p in range(1, 5) for n in range(p, p + 4)] + [(5, 5), (5, 6)]
 )
 def test_integer_gram_elimination_matches_fraction_reference(p, n):
-    """The integer-row elimination solves the same system as the Fraction one,
-    to the same exact solution on every permutation."""
-    assert _gram_solution(n, p) == gram_solution_reference(n, p)
+    """The class-space integer elimination gives the full p! x p! Fraction
+    solve's exact value on every permutation: the full solution is constant
+    on classes and equals the class solution there."""
+    reference = gram_solution_reference(n, p)
+    solution = _gram_solution(n, p)
+    assert set(solution) == set(partitions(p))
+    for perm, value in reference.items():
+        assert value == solution[cycle_type(perm)]
 
 
 def test_gram_oracle_order_bounds():
