@@ -12,6 +12,7 @@ formats stay pinned next to the records they serialize.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import multiprocessing
@@ -25,12 +26,13 @@ import numpy as np
 from .errors import DomainError, InvalidSubsystem, NonUnitaryInput, PairingFailure
 from .haar import SeededStream, _as_generator, _haar_columns, _reseat
 from .profiles import ProfileSpec, ScalingConfig, constant_profile, fixed_profile
-from .profiles import sample_profile
+from .profiles import exponential_count, spectra_from_exponentials
 from .symplectic import (
+    average_energies,
     average_energy,
-    gaussian_entropy,
+    gaussian_entropies,
     reduced_covariance_from_rows,
-    spectral_deviation_delta,
+    spectral_deviation_deltas,
     symplectic_form,
     symplectic_spectrum,
 )
@@ -140,16 +142,8 @@ def run_trial(z, k: int, rng, trial_id: int = 0) -> TrialRecord:
         raise InvalidSubsystem(f"k={k} outside 1..{n}")
     gen = _as_generator(rng)
     lam_bar = average_energy(z)
-    draws = np.empty((1, 2, n, k))
-    _draw_ginibre(gen, draws[0])
+    draws = gen.standard_normal((1, 2, n, k))
     return _block_records(z, [lam_bar], draws, k, [trial_id])[0]
-
-
-def _draw_ginibre(gen, out: np.ndarray) -> None:
-    # real parts, then imaginary parts, each an n x k block in C order:
-    # the draws sample_haar_unitary(n, gen, k) makes
-    gen.standard_normal(out=out[0])
-    gen.standard_normal(out=out[1])
 
 
 def _out_of_range(z: np.ndarray, lam_bars):
@@ -174,11 +168,11 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
 
     z is one spectrum (n,) shared by the block or one per trial (B, n),
     lam_bars the per-trial average_energy, draws (B, 2, n, k) the Ginibre
-    blocks' real and imaginary parts.  The QR, the row reduction, the
-    spectra and the J M traces run once on the whole stack; every matrix is
-    computed as it would be alone, so a record does not depend on its block.
-    An error is the one a trial-by-trial loop would meet first: before
-    raising for trial b, the trials ahead of it are run on their own.
+    blocks' real and imaginary parts.  Every step runs once on the whole
+    stack and computes each value as it would be alone, so a record does not
+    depend on its block.  An error is the one a trial-by-trial loop would
+    meet first: before raising for trial b, the trials ahead of it are run
+    on their own.
     """
     if not trial_ids:
         return []
@@ -206,47 +200,42 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
     P = jm @ jm
     tr_jm2 = np.trace(P, axis1=1, axis2=2)
     tr_jm4 = np.trace(P @ P, axis1=1, axis2=2)
-    nan = float("nan")
-    records = []
-    for b, reduced in enumerate(spectra):
-        if isinstance(reduced, PairingFailure):
-            records.append(
-                TrialRecord(
-                    trial_ids[b], n, k, lam_bars[b], (nan,) * k,
-                    entropy=nan, f_value=nan, delta=nan, purity_residual=nan,
-                    tr_jm2=nan, tr_jm4=nan, flagged=True,
-                )
-            )
-            continue
-        if isinstance(reduced, Exception):
-            raise type(reduced)(f"trial {trial_ids[b]}: {reduced}")
-        # Python floats: past the float range f goes to inf or NaN without
-        # a numpy warning, and such a trial stops the run
-        lam_bar, tr2, tr4 = lam_bars[b], float(tr_jm2[b]), float(tr_jm4[b])
-        c = lam_bar * lam_bar
-        f_value = tr4 + 2.0 * c * tr2 + 2.0 * k * c * c
-        if not math.isfinite(f_value):
-            raise DomainError(
-                f"trial {trial_ids[b]}: f = {f_value!r} is not finite"
-                f" (lambda_bar = {lam_bar!r}, tr(JM)^4 = {tr4!r})"
-            )
-        records.append(
-            TrialRecord(
-                trial_id=trial_ids[b],
-                n=n,
-                k=k,
-                lambda_bar=lam_bar,
-                symplectic_spectrum=tuple(float(x) for x in reduced.lambdas),
-                entropy=gaussian_entropy(reduced),
-                f_value=f_value,
-                delta=spectral_deviation_delta(reduced, lam_bar),
-                purity_residual=float(residuals[b]),
-                tr_jm2=tr2,
-                tr_jm4=tr4,
-                flagged=False,
-            )
+    # rows up to the first spectrum that is an error (B if none), NaN if flagged
+    flagged, rows = [], []
+    for outcome in spectra:
+        if isinstance(outcome, Exception) and not isinstance(outcome, PairingFailure):
+            break
+        flagged.append(isinstance(outcome, PairingFailure))
+        rows.append(np.full(k, np.nan) if flagged[-1] else outcome.lambdas)
+    failed = len(rows)
+    flagged = np.array(flagged, dtype=bool)
+    lams = np.array(rows).reshape(-1, k)
+    # the scalar formula's operations in its order; past the float range f
+    # goes to inf or NaN, and such a trial stops the run
+    bars = np.array(lam_bars)
+    c = bars * bars
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_values = tr_jm4 + 2.0 * c * tr_jm2 + 2.0 * k * c * c
+    nonfinite = np.flatnonzero(~(np.isfinite(f_values[:failed]) | flagged))
+    stop = int(nonfinite[0]) if nonfinite.size else failed
+    # an earlier trial's entropy error comes first
+    entropies = gaussian_entropies(lams[:stop])
+    if stop < failed:
+        raise DomainError(
+            f"trial {trial_ids[stop]}: f = {f_values[stop].item()!r} is not finite"
+            f" (lambda_bar = {lam_bars[stop]!r}, tr(JM)^4 = {tr_jm4[stop].item()!r})"
         )
-    return records
+    if failed < len(trial_ids):
+        error = spectra[failed]
+        raise type(error)(f"trial {trial_ids[failed]}: {error}")
+    deltas = spectral_deviation_deltas(lams, lam_bars)
+    for column in (f_values, residuals, tr_jm2, tr_jm4):
+        column[flagged] = np.nan
+    columns = (entropies, f_values, deltas, residuals, tr_jm2, tr_jm4, flagged)
+    return list(map(
+        TrialRecord, trial_ids, itertools.repeat(n), itertools.repeat(k), lam_bars,
+        map(tuple, lams.tolist()), *(column.tolist() for column in columns),
+    ))
 
 
 def validate_trial_record(rec: TrialRecord) -> None:
@@ -285,22 +274,26 @@ def _run_block(args) -> list:
     trial_ids = list(range(start, stop))
     gen = SeededStream(seed, start).generator()
     draws = np.empty((len(trial_ids), 2, n, k))
-    if spec.is_deterministic:
+    exponentials = None
+    if not spec.is_deterministic:
+        exponentials = np.empty((len(trial_ids), exponential_count(spec)))
+    for b, t in enumerate(trial_ids):
+        _reseat(gen, seed, t)
+        if exponentials is not None:
+            # profile draws come off the trial's stream, before the unitary
+            gen.standard_exponential(out=exponentials[b])
+        # the real parts, then the imaginary parts of the n x k Ginibre
+        # block, in C order: the draws sample_haar_unitary(n, gen, k) makes
+        gen.standard_normal(out=draws[b])
+    if exponentials is None:
         z = spec.fixed_spectrum()
         lam_bars = [average_energy(z)] * len(trial_ids)
     else:
-        z = np.empty((len(trial_ids), n))
-        lam_bars = []
-    # a huge energy squares to inf in the profile draw; the block check
-    # reports the trial as out of range instead
-    with np.errstate(over="ignore"):
-        for b, t in enumerate(trial_ids):
-            _reseat(gen, seed, t)
-            if not spec.is_deterministic:
-                # profile draws come off the trial's stream, before the unitary
-                z[b] = sample_profile(spec, gen)
-                lam_bars.append(average_energy(z[b]))
-            _draw_ginibre(gen, draws[b])
+        # a huge energy squares to inf in the profile transform; the block
+        # check reports the trial as out of range instead
+        with np.errstate(over="ignore"):
+            z = spectra_from_exponentials(spec, exponentials)
+            lam_bars = average_energies(z).tolist()
     return _block_records(z, lam_bars, draws, k, trial_ids)
 
 
@@ -308,14 +301,26 @@ def _block_size(n: int, k: int) -> int:
     return max(1, min(BLOCK_TRIALS, BLOCK_ENTRIES // (n * k)))
 
 
+def _rescaled(statistic, values: np.ndarray, **options) -> float:
+    """statistic(values, **options) as a float; if finite values overflow on
+    the way (a square past about 1e154), it is taken on values scaled by a
+    power of two and scaled back: exact, so other results keep their bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = statistic(values, **options)
+        if math.isfinite(result) or not np.isfinite(values).all():
+            return float(result)
+        exponent = math.frexp(np.abs(values).max())[1]
+        return float(np.ldexp(statistic(np.ldexp(values, -exponent), **options), exponent))
+
+
 def _mean_se(values: np.ndarray) -> tuple:
     count = values.size
     if count == 0:
         return float("nan"), float("nan")
-    mean = float(np.mean(values))
+    mean = _rescaled(np.mean, values)
     if count < 2:
         return mean, float("nan")
-    return mean, float(np.std(values, ddof=1) / math.sqrt(count))
+    return mean, _rescaled(np.std, values, ddof=1) / math.sqrt(count)
 
 
 def summarize_records(records, seed: int, profile: ProfileSpec | None = None) -> RunSummary:
@@ -349,7 +354,7 @@ def summarize_records(records, seed: int, profile: ProfileSpec | None = None) ->
     mean_tr2, se_tr2 = _mean_se(tr2)
     mean_tr4, se_tr4 = _mean_se(tr4)
     mean_s, se_s = _mean_se(entropy)
-    std_s = float(np.std(entropy, ddof=1)) if entropy.size >= 2 else float("nan")
+    std_s = _rescaled(np.std, entropy, ddof=1) if entropy.size >= 2 else float("nan")
 
     scale = lambda_ref ** 4
     tail_counts = {}
@@ -508,9 +513,12 @@ def format_trials_csv(records, provenance: str | None = None) -> str:
     for r in records:
         if r.k != k:
             raise DomainError("records in one CSV must share k")
-        cells = [repr(parse(getattr(r, field))) for _column, field, parse in _TRIAL_CSV_SCHEMA]
-        cells.extend(repr(x) for x in r.symplectic_spectrum)
-        lines.append(",".join(cells))
+        # _TRIAL_CSV_SCHEMA's columns in its order, each cell repr(parse(value))
+        lines.append(
+            f"{int(r.trial_id)!r},{int(r.n)!r},{int(r.k)!r},{float(r.lambda_bar)!r},"
+            f"{float(r.entropy)!r},{float(r.f_value)!r},{float(r.delta)!r},"
+            f"{float(r.purity_residual)!r},{','.join(map(repr, r.symplectic_spectrum))}"
+        )
     return "\n".join(lines) + "\n"
 
 

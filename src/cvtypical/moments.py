@@ -30,7 +30,6 @@ __all__ = [
     "average_energy_exact",
     "tilde_lambda_squared",
     "tilde_lambda_squared_exact",
-    "second_moment_trace",
     "second_moment_trace_exact",
     "fourth_moment_trace",
     "fourth_moment_trace_exact",
@@ -210,10 +209,6 @@ def _second_moment(mi: MomentInputs, sums, tl=None) -> tuple[int, int, int]:
 def second_moment_trace_exact(mi: MomentInputs) -> Fraction:
     """Exact E[tr((JM)^2)] = -2k * tilde_lambda^2."""
     return _exact(mi, _second_moment)
-
-
-def second_moment_trace(mi: MomentInputs) -> float:
-    return _float(mi, _second_moment, "E tr((JM)^2)")
 
 
 def _fourth_moment_rows(n: int, k: int) -> list[tuple[int, int, str]]:

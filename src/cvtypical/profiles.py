@@ -206,31 +206,39 @@ def profile_to_string(spec: ProfileSpec) -> str:
     return f"canonical:{spec.energy!r}"
 
 
-def _squeezing_from_energies(energies: np.ndarray) -> np.ndarray:
-    # energies >= 2 by construction; the sqrt argument cannot go negative
-    # because float squaring is weakly monotone.
-    return 0.5 * (energies + np.sqrt(energies * energies - 4.0))
-
-
 def sample_profile(spec: ProfileSpec, rng) -> np.ndarray:
-    """Draw one squeezing spectrum (shape (n,), every entry >= 1).
-
-    Deterministic kinds ignore the generator.  The microcanonical draw uses
-    the simplex trick: n+1 iid unit exponentials g, with
-    E_j = 2 + (E - 2n) g_j / sum(g); the first n coordinates of a uniform
-    point on the scaled simplex are uniform on the sub-level set, and no
-    rejection step is needed even when E is barely above 2n.
-    """
+    """Draw one squeezing spectrum (shape (n,), every entry >= 1);
+    deterministic kinds ignore the generator."""
     if spec.is_deterministic:
         return spec.fixed_spectrum()
-    gen = _as_generator(rng)
+    g = _as_generator(rng).standard_exponential((1, exponential_count(spec)))
+    return spectra_from_exponentials(spec, g)[0]
+
+
+def exponential_count(spec: ProfileSpec) -> int:
+    """Unit exponentials one draw of a random profile takes off its stream."""
+    return spec.n + 1 if spec.kind == "microcanonical" else spec.n
+
+
+def spectra_from_exponentials(spec: ProfileSpec, g: np.ndarray) -> np.ndarray:
+    """The squeezing spectra (B, n) of a random profile, one per row of unit
+    exponentials g (B, exponential_count(spec)), every entry >= 1.
+
+    The microcanonical draw uses the simplex trick: n+1 iid unit
+    exponentials g, with E_j = 2 + (E - 2n) g_j / sum(g); the first n
+    coordinates of a uniform point on the scaled simplex are uniform on the
+    sub-level set, and no rejection step is needed even when E is barely
+    above 2n.  A row of a C-ordered stack sums in the order the row alone
+    does, so each spectrum is bit-equal to its lone draw.
+    """
     n = spec.n
     if spec.kind == "microcanonical":
-        g = gen.standard_exponential(n + 1)
-        energies = 2.0 + (spec.energy - 2.0 * n) * (g[:n] / g.sum())
+        energies = 2.0 + (spec.energy - 2.0 * n) * (g[:, :n] / g.sum(axis=1, keepdims=True))
     else:
-        energies = 2.0 + gen.standard_exponential(n) * spec.mean_temperature()
-    z = _squeezing_from_energies(energies)
+        energies = 2.0 + g * spec.mean_temperature()
+    # energies >= 2 by construction; the sqrt argument cannot go negative
+    # because float squaring is weakly monotone
+    z = 0.5 * (energies + np.sqrt(energies * energies - 4.0))
     # E_j == 2 must give exactly 1 even after rounding
     return np.maximum(z, 1.0)
 

@@ -30,23 +30,19 @@ __all__ = [
     "rotate_covariance",
     "reduce_covariance",
     "reduced_covariance_from_rows",
-    "validate_covariance",
     "symplectic_spectrum",
     "average_energy",
+    "average_energies",
     "mode_energy_from_squeezing",
-    "squeezing_from_energy",
-    "photon_number",
-    "entropy_g",
     "entropy_G",
-    "inverse_temperature_beta",
     "gaussian_entropy",
+    "gaussian_entropies",
     "concentration_f",
     "spectral_deviation_delta",
+    "spectral_deviation_deltas",
 ]
 
 UNITARITY_TOL = 1e-10
-SYMMETRY_RTOL = 1e-12
-UNCERTAINTY_TOL = 1e-8
 PAIRING_RTOL = 1e-6  # times max-abs entry of M
 WILLIAMSON_TOL = 1e-6  # slack below 1 tolerated before InvalidCovariance
 PURE_CLAMP = 1e-8  # entropy functionals treat |lambda - 1| <= PURE_CLAMP as 1
@@ -179,22 +175,6 @@ def reduced_covariance_from_rows(V: np.ndarray, z) -> tuple:
     return M_red, (residual if V.ndim == 3 else float(residual))
 
 
-def validate_covariance(M: np.ndarray) -> None:
-    """Check the covariance-matrix invariants: symmetry to 1e-12 relative and
-    the uncertainty relation eig(M + iJ) >= -1e-8. Raises InvalidCovariance."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
-        raise InvalidCovariance(f"expected a 2n x 2n matrix, got shape {M.shape}")
-    scale = max(1.0, np.abs(M).max())
-    asym = np.abs(M - M.T).max()
-    if asym > SYMMETRY_RTOL * scale:
-        raise InvalidCovariance(f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL} relative")
-    n = M.shape[0] // 2
-    w = np.linalg.eigvalsh(M + 1j * symplectic_form(n))
-    if w.min() < -UNCERTAINTY_TOL:
-        raise InvalidCovariance(f"uncertainty relation violated: min eig {w.min():.3e}")
-
-
 def symplectic_spectrum(M: np.ndarray):
     """Symplectic eigenvalues of a covariance matrix via the spectrum of J*M.
 
@@ -225,84 +205,53 @@ def symplectic_spectrum(M: np.ndarray):
     pos = imag[:, : k - 1 : -1]
     paired = (imag[:, k - 1] < 0.0) & (imag[:, k] > 0.0)
     gap = np.abs(pos + imag[:, :k]).max(axis=1)
-    outcomes = []
-    for i in range(len(M)):
-        if residual[i] > tol[i]:
-            outcome = PairingFailure(
+    unreal = residual > tol
+    unpaired = ~paired | (gap > tol)
+    below = pos[:, -1] < 1.0 - WILLIAMSON_TOL
+    outcomes = list(map(SymplecticSpectrum, pos, residual.tolist()))
+    for i in np.flatnonzero(unreal | unpaired | below):
+        if unreal[i]:
+            outcomes[i] = PairingFailure(
                 f"max |Re eig(JM)| = {residual[i]:.3e} exceeds {tol[i]:.3e}"
             )
-        elif not paired[i] or gap[i] > tol[i]:
-            outcome = PairingFailure(
+        elif unpaired[i]:
+            outcomes[i] = PairingFailure(
                 f"eigenvalues of JM do not pair into +-i couples at tol {tol[i]:.3e}"
             )
-        elif pos[i, -1] < 1.0 - WILLIAMSON_TOL:
-            outcome = InvalidCovariance(f"symplectic eigenvalue {pos[i, -1]} below 1")
         else:
-            outcome = SymplecticSpectrum(lambdas=pos[i], pairing_residual=float(residual[i]))
-        outcomes.append(outcome)
+            outcomes[i] = InvalidCovariance(f"symplectic eigenvalue {pos[i, -1]} below 1")
     return outcomes
 
 
 def average_energy(z) -> float:
     """The flat spectral value (1/2n) tr of the fiducial covariance,
     i.e. (1/2n) sum_j (z_j + 1/z_j); equals 1 exactly at the vacuum."""
-    z = _as_squeezing(z)
-    return float((z + 1.0 / z).sum() / (2 * z.size))
+    return float(average_energies(_as_squeezing(z)))
+
+
+def average_energies(z) -> np.ndarray:
+    """average_energy of each spectrum in a stack (B, n), or of one (n,);
+    a row of a C-ordered stack sums in the order the row alone does."""
+    z = _as_squeezing(z, stacked=True)
+    return (z + 1.0 / z).sum(axis=-1) / (2 * z.shape[-1])
 
 
 def mode_energy_from_squeezing(z: float) -> float:
     """Energy E = z + 1/z of a single squeezed mode; the vacuum floor is 2.
 
-    Inverse of squeezing_from_energy, and the convention the energy-ensemble
-    profiles are written in.
+    The convention the energy-ensemble profiles are written in; they invert
+    it as z = (E + sqrt(E^2 - 4))/2.
     """
     if z < 1.0:
         raise DomainError(f"need z >= 1, got {z}")
     return z + 1.0 / z
 
 
-def squeezing_from_energy(E: float) -> float:
-    """Inverse of mode_energy_from_squeezing: z = (E + sqrt(E^2 - 4))/2."""
-    if E < 2.0:
-        raise DomainError(f"need E >= 2, got {E}")
-    return (E + math.sqrt(E * E - 4.0)) / 2.0
-
-
-def photon_number(lam: float) -> float:
-    """Mean photon number N = (lambda - 1)/2 of a thermal mode.
-
-    Eigenvalues within PURE_CLAMP of 1 snap to N = 0 so states that are pure
-    up to roundoff report exactly zero entropy, from either side of 1.
-    """
-    if lam < 1.0 - PURE_CLAMP:
-        raise DomainError(f"need lambda >= 1, got {lam}")
-    if abs(lam - 1.0) <= PURE_CLAMP:
-        return 0.0
-    return (lam - 1.0) / 2.0
-
-
-def entropy_g(N: float) -> float:
-    """Thermal entropy g(N) = (N+1)log(N+1) - N log N in nats, g(0) = 0."""
-    if N < 0.0:
-        raise DomainError(f"need N >= 0, got {N}")
-    if N == 0.0:
-        return 0.0
-    return (N + 1.0) * math.log(N + 1.0) - N * math.log(N)
-
-
 def entropy_G(lam: float) -> float:
     """Entropy contribution G(lambda) = g((lambda - 1)/2) of one symplectic
-    eigenvalue. Values within 1e-8 of 1 are treated as exactly 1."""
-    return entropy_g(photon_number(lam))
-
-
-def inverse_temperature_beta(lam: float) -> float:
-    """Inverse temperature beta = log((lambda+1)/(lambda-1)); beta(1) = inf."""
-    if lam < 1.0 - PURE_CLAMP:
-        raise DomainError(f"need lambda >= 1, got {lam}")
-    if lam <= 1.0:
-        return math.inf
-    return math.log((lam + 1.0) / (lam - 1.0))
+    eigenvalue, with g(N) = (N+1)log(N+1) - N log N in nats and g(0) = 0.
+    Values within PURE_CLAMP of 1 are treated as exactly 1."""
+    return gaussian_entropy((lam,))
 
 
 def _as_lambdas(spectrum) -> np.ndarray:
@@ -313,7 +262,40 @@ def _as_lambdas(spectrum) -> np.ndarray:
 
 def gaussian_entropy(spectrum) -> float:
     """Von Neumann entropy sum_j G(lambda_j) of a Gaussian state, in nats."""
-    return float(sum(entropy_G(lam) for lam in _as_lambdas(spectrum)))
+    return float(gaussian_entropies(_as_lambdas(spectrum)[None])[0])
+
+
+def _logs(x: np.ndarray) -> np.ndarray:
+    # math.log, not np.log: numpy's SIMD log differs from it in the last bit
+    # on some inputs, and the entropies stay those of the scalar formula
+    return np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def gaussian_entropies(lams) -> np.ndarray:
+    """gaussian_entropy of each spectrum in a stack (B, k); NaN rows give NaN.
+
+    N = (lambda - 1)/2 snaps to 0 within PURE_CLAMP of 1, so states pure up
+    to roundoff have zero entropy.  The k terms are added left to right from
+    0, as the sum over one spectrum adds them.  Raises DomainError for the
+    first eigenvalue, in C order, below 1 - PURE_CLAMP or, at the rounded
+    bound, with N < 0 after the snap.
+    """
+    lams = np.asarray(lams, dtype=float)
+    N = np.where(np.abs(lams - 1.0) <= PURE_CLAMP, 0.0, (lams - 1.0) / 2.0)
+    low = lams < 1.0 - PURE_CLAMP
+    rejected = low | (N < 0.0)
+    if rejected.any():
+        first = np.argmax(rejected)
+        if low.flat[first]:
+            raise DomainError(f"need lambda >= 1, got {lams.flat[first]}")
+        raise DomainError(f"need N >= 0, got {N.flat[first]}")
+    up = N + 1.0
+    # log N is taken at 1 where N = 0, so those terms are 1*0 - 0*0 = 0
+    g = up * _logs(up) - N * _logs(np.where(N > 0.0, N, 1.0))
+    total = np.zeros(len(g))
+    for column in g.T:
+        total += column
+    return total
 
 
 def concentration_f(M_red: np.ndarray, lambda_bar: float) -> float:
@@ -332,5 +314,13 @@ def concentration_f(M_red: np.ndarray, lambda_bar: float) -> float:
 def spectral_deviation_delta(spectrum, lambda_bar: float) -> float:
     """Deviation Delta = sqrt(sum_j (lambda_bar^2 - lambda_j^2)^2) of a
     symplectic spectrum from the flat spectrum at lambda_bar."""
-    lams = _as_lambdas(spectrum)
-    return float(math.sqrt(((lambda_bar**2 - lams**2) ** 2).sum()))
+    return float(spectral_deviation_deltas(_as_lambdas(spectrum)[None], [lambda_bar])[0])
+
+
+def spectral_deviation_deltas(lams, lambda_bars) -> np.ndarray:
+    """spectral_deviation_delta of each spectrum in a stack (B, k), row b
+    against lambda_bars[b]."""
+    # Python's float ** 2 (libm pow), which differs from numpy's square in
+    # the last bit on some inputs
+    flat = np.array([float(bar) ** 2 for bar in lambda_bars])
+    return np.sqrt(((flat[:, None] - np.asarray(lams, dtype=float) ** 2) ** 2).sum(axis=1))

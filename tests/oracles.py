@@ -22,16 +22,22 @@ The module also keeps the plain-Fraction references of the package's integer
 fast paths: the moment formulas evaluated on Fraction power sums
 (``reference_moments``) and the Fraction Gram elimination
 (``gram_solution_reference``), plus the float closed form of the averaged
-matrix that acceptance criterion 2 checks (``haar_average_BB_minus_AA``).
+matrix that acceptance criterion 2 checks (``haar_average_BB_minus_AA``),
+and the helpers only tests call (``validate_covariance``,
+``inverse_temperature_beta``, ``squeezing_from_energy``,
+``second_moment_trace``).
 
 It keeps the trial-by-trial Monte Carlo pipeline as the reference of the
-package's block kernel (``reference_run_trial``, ``reference_run_one``), and
-the scipy-based ``lipschitz_probe`` that acceptance criterion 8 runs.
+package's block kernel (``reference_run_trial``, ``reference_run_one``),
+with frozen scalar copies of the per-trial functionals the package now
+computes on stacks, and the scipy-based ``lipschitz_probe`` that acceptance
+criterion 8 runs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from numbers import Rational
 
@@ -50,18 +56,15 @@ from cvtypical.errors import (
 )
 from cvtypical.haar import SeededStream, _as_generator, sample_haar_unitary
 from cvtypical.harness import TrialRecord
-from cvtypical.moments import MomentInputs, _fourth_moment_rows
-from cvtypical.profiles import sample_profile
+from cvtypical.moments import MomentInputs, _float, _fourth_moment_rows, _second_moment
 from cvtypical.symplectic import (
     PAIRING_RTOL,
+    PURE_CLAMP,
     UNITARITY_TOL,
     WILLIAMSON_TOL,
     SymplecticSpectrum,
-    average_energy,
     concentration_f,
-    gaussian_entropy,
     reduced_covariance_from_rows,
-    spectral_deviation_delta,
     symplectic_form,
 )
 from cvtypical.weingarten import compose, cycle_type, gram_weingarten_oracle, inverse
@@ -320,8 +323,117 @@ def haar_average_BB_minus_AA(n: int, a, b, pi) -> np.ndarray:
     return c_pi * np.diag(pi) + c_id * np.eye(n)
 
 
+# Checks and functionals only the tests call.
+
+SYMMETRY_RTOL = 1e-12
+UNCERTAINTY_TOL = 1e-8
+
+
+def validate_covariance(M: np.ndarray) -> None:
+    """Check the covariance-matrix invariants: symmetry to 1e-12 relative and
+    the uncertainty relation eig(M + iJ) >= -1e-8. Raises InvalidCovariance."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
+        raise InvalidCovariance(f"expected a 2n x 2n matrix, got shape {M.shape}")
+    scale = max(1.0, np.abs(M).max())
+    asym = np.abs(M - M.T).max()
+    if asym > SYMMETRY_RTOL * scale:
+        raise InvalidCovariance(f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL} relative")
+    n = M.shape[0] // 2
+    w = np.linalg.eigvalsh(M + 1j * symplectic_form(n))
+    if w.min() < -UNCERTAINTY_TOL:
+        raise InvalidCovariance(f"uncertainty relation violated: min eig {w.min():.3e}")
+
+
+def inverse_temperature_beta(lam: float) -> float:
+    """Inverse temperature beta = log((lambda+1)/(lambda-1)); beta(1) = inf."""
+    if lam < 1.0 - PURE_CLAMP:
+        raise DomainError(f"need lambda >= 1, got {lam}")
+    if lam <= 1.0:
+        return math.inf
+    return math.log((lam + 1.0) / (lam - 1.0))
+
+
+def squeezing_from_energy(E: float) -> float:
+    """Inverse of mode_energy_from_squeezing: z = (E + sqrt(E^2 - 4))/2."""
+    if E < 2.0:
+        raise DomainError(f"need E >= 2, got {E}")
+    return (E + math.sqrt(E * E - 4.0)) / 2.0
+
+
+def second_moment_trace(mi: MomentInputs) -> float:
+    """E[tr((JM)^2)] as a float, rounded once from the exact value."""
+    return _float(mi, _second_moment, "E tr((JM)^2)")
+
+
 # The trial-by-trial pipeline, one matrix per call: the reference the block
 # kernel in cvtypical.harness must match record for record, repr for repr.
+# Its per-trial functionals (entropy, delta, lambda_bar, the profile draw)
+# are frozen copies of the scalar code the package's stacked routines
+# replaced, so the comparison never checks the package against itself.
+
+
+def _as_squeezing(z) -> np.ndarray:
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if z.ndim > 1 or z.shape[-1] < 1:
+        raise DomainError("squeezing spectrum must be a nonempty vector")
+    if np.any(z < 1.0):
+        raise DomainError(f"squeezing parameters must be >= 1, got min {z.min()}")
+    return z
+
+
+def average_energy(z) -> float:
+    z = _as_squeezing(z)
+    return float((z + 1.0 / z).sum() / (2 * z.size))
+
+
+def photon_number(lam: float) -> float:
+    if lam < 1.0 - PURE_CLAMP:
+        raise DomainError(f"need lambda >= 1, got {lam}")
+    if abs(lam - 1.0) <= PURE_CLAMP:
+        return 0.0
+    return (lam - 1.0) / 2.0
+
+
+def entropy_g(N: float) -> float:
+    if N < 0.0:
+        raise DomainError(f"need N >= 0, got {N}")
+    if N == 0.0:
+        return 0.0
+    return (N + 1.0) * math.log(N + 1.0) - N * math.log(N)
+
+
+def entropy_G(lam: float) -> float:
+    return entropy_g(photon_number(lam))
+
+
+def _as_lambdas(spectrum) -> np.ndarray:
+    if isinstance(spectrum, SymplecticSpectrum):
+        return spectrum.lambdas
+    return np.atleast_1d(np.asarray(spectrum, dtype=float))
+
+
+def gaussian_entropy(spectrum) -> float:
+    return float(sum(entropy_G(lam) for lam in _as_lambdas(spectrum)))
+
+
+def spectral_deviation_delta(spectrum, lambda_bar: float) -> float:
+    lams = _as_lambdas(spectrum)
+    return float(math.sqrt(((lambda_bar**2 - lams**2) ** 2).sum()))
+
+
+def sample_profile(spec, rng) -> np.ndarray:
+    if spec.is_deterministic:
+        return spec.fixed_spectrum()
+    gen = _as_generator(rng)
+    n = spec.n
+    if spec.kind == "microcanonical":
+        g = gen.standard_exponential(n + 1)
+        energies = 2.0 + (spec.energy - 2.0 * n) * (g[:n] / g.sum())
+    else:
+        energies = 2.0 + gen.standard_exponential(n) * spec.mean_temperature()
+    z = 0.5 * (energies + np.sqrt(energies * energies - 4.0))
+    return np.maximum(z, 1.0)
 
 
 def _reference_haar_rows(n: int, gen, k: int) -> np.ndarray:

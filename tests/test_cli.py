@@ -87,6 +87,29 @@ def test_huge_squeezing_is_one_error_line(tmp_path, command):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_huge_f_summarizes_to_strict_json(tmp_path):
+    """f near 1e237 squares past the float range inside the standard errors;
+    the summary rescales instead, so the run warns about nothing and its
+    JSON holds no Infinity or NaN."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cvtypical.__file__).resolve().parents[1]))
+    command = "trial-dump --n 4 --k 1 --z-profile constant:1e60x4 --samples 2 --output t.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvtypical.cli", *command.split()],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    payload = json.loads(proc.stdout, parse_constant=reject)
+    assert payload["mean_f"] > 1e236 and payload["se_f"] > 1e236
+    assert payload["se_tr_jm4"] > 1e237
+
+
 # One fixed random n = 64 spectrum; the digest of its moments JSON was taken
 # from the Fraction implementation the integer one replaced.
 def test_moments_json_is_pinned(capsys):
@@ -97,6 +120,66 @@ def test_moments_json_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "86c358a6a8a2605156b06a2fd30cba6493d67be5a87aff287750bdc861ab67f3"
     )
+
+
+# The benchmark's four trial-dump shapes and one concentration sweep; each
+# output's sha256 was taken from the record-by-record trial finishing that
+# the column-wise one replaced.
+TRIAL_PINS = [
+    (
+        "trial-dump --k 1 --z-profile fixed:3,1,1,1 --samples 300 --seed 11",
+        {
+            "summary.json": "d72afc330a2b34886bcb5742c82b6627f46cca0c97dd5d493794ae923a628fc8",
+            "trials.csv": "a0977d386a1d6c6ef0892b0a06b3830cf735f08c889f2ebe1f3b6c90c50c84cf",
+        },
+    ),
+    (
+        "trial-dump --k 2 --z-profile fixed:3,1,1,1,1,1,1,1 --samples 300 --seed 12",
+        {
+            "summary.json": "c1666934e10d3785db265e5fe6156d0149d2d8fb207d40818a4093cf11addeaf",
+            "trials.csv": "5f737fd5a7f8702e67dddc65b63cb93907805e6ccbb9f37c9f299633380dac8d",
+        },
+    ),
+    (
+        "trial-dump --n 16 --k 4 --z-profile micro:48.0 --samples 300 --seed 13",
+        {
+            "summary.json": "38903952463067a96f00c6fbe734aec9d178d3661cf34ef44a8f6389c1def201",
+            "trials.csv": "a63df09016e8fd8a3573b9cc4ff63893ef45d5419e6c538c6849f55fc0046c81",
+        },
+    ),
+    (
+        "trial-dump --n 16 --k 4 --z-profile canonical:48.0 --samples 300 --seed 14",
+        {
+            "summary.json": "6153ba75f010b61967f9fca31b9755556767c6e0694208242a5bf372b263644c",
+            "trials.csv": "1ab090b5b867c0dfb7abddbc33abf6b5540ffa6a19f21df78764de4f56b6afaa",
+        },
+    ),
+    (
+        "concentration --n-list 32,64 --kappa 0.5 --samples 30 --seed 15",
+        {
+            "sweep_summary.json": "c3b2ceb6b97576d9a6747370b40d31bc090a0536aa054e55b68df28d469ca185",
+            "trials_n32.csv": "f4f1df40ebdb842f6d3c470e1b41f2df1dfc1d43540d9abcea49098836ad295e",
+            "trials_n64.csv": "7c57856de5035faf375e3cdfaeb84661bbd9a6a064387a8b6c8421c5095b2573",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command, digests", TRIAL_PINS)
+def test_trial_dump_bytes_are_pinned(tmp_path, capsys, command, digests, workers):
+    argv = command.split() + ["--workers", workers]
+    if argv[0] == "trial-dump":
+        argv += [
+            "--output", str(tmp_path / "trials.csv"),
+            "--summary-output", str(tmp_path / "summary.json"),
+        ]
+    else:
+        argv += ["--output-dir", str(tmp_path)]
+    rc, _, err = run_main(capsys, argv)
+    assert rc == 0 and err == ""
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    assert written == digests
 
 
 def test_moments_rejects_underfilled_energy(capsys):

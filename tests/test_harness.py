@@ -55,6 +55,7 @@ from cvtypical.profiles import (
     parse_profile,
 )
 from cvtypical.symplectic import (
+    SymplecticSpectrum,
     average_energy,
     concentration_f,
     entropy_G,
@@ -329,18 +330,21 @@ def test_reseated_stream_draws_what_a_fresh_one_does(seed):
 
 
 def _poison_domain(monkeypatch, trial):
-    real = harness.sample_profile
-    state = {"calls": 0}
+    """Make the spectrum of one trial, its row counted across calls of the
+    stacked profile transform, not finite."""
+    real = harness.spectra_from_exponentials
+    state = {"rows": 0}
 
-    def wrapper(spec, gen):
-        z = real(spec, gen)
-        state["calls"] += 1
-        if state["calls"] - 1 == trial:
+    def wrapper(spec, g):
+        z = real(spec, g)
+        start = state["rows"]
+        state["rows"] += len(z)
+        if start <= trial < start + len(z):
             z = z.copy()
-            z[0] = math.inf
+            z[trial - start, 0] = math.inf
         return z
 
-    monkeypatch.setattr(harness, "sample_profile", wrapper)
+    monkeypatch.setattr(harness, "spectra_from_exponentials", wrapper)
 
 
 def _poison_rows(monkeypatch, trial):
@@ -388,6 +392,38 @@ def test_block_raises_the_first_failing_trials_error(monkeypatch, first, second)
     _POISONS[first](monkeypatch, 4)
     with pytest.raises(first, match="^trial 4: "):
         run_ensemble(spec, 1, 20, seed=8)
+
+
+def _poison_entropy(monkeypatch, trial):
+    """Give one trial a spectrum below 1 - PURE_CLAMP (but above the
+    Williamson slack), which only its entropy rejects."""
+    real = harness.symplectic_spectrum
+
+    def wrapper(M):
+        outcomes = real(M)
+        if trial < len(outcomes):
+            k = M.shape[-1] // 2
+            outcomes[trial] = SymplecticSpectrum(np.full(k, 1.0 - 1e-7), 0.0)
+        return outcomes
+
+    monkeypatch.setattr(harness, "symplectic_spectrum", wrapper)
+
+
+@pytest.mark.parametrize("entropy_first", [True, False])
+@pytest.mark.parametrize("other", list(_POISONS))
+def test_block_raises_an_entropy_error_in_trial_order(monkeypatch, entropy_first, other):
+    """A trial whose entropy fails and a trial failing in any other stage:
+    the earlier one's error is raised, as a trial-by-trial loop would."""
+    spec = microcanonical_profile(12.0, 4)
+    first, second = (4, 11) if entropy_first else (11, 4)
+    _POISONS[other](monkeypatch, second)
+    _poison_entropy(monkeypatch, first)
+    if entropy_first:
+        with pytest.raises(DomainError, match=r"^need lambda >= 1, got 0\.9999999$"):
+            run_ensemble(spec, 1, 20, seed=8)
+    else:
+        with pytest.raises(other, match="^trial 4: "):
+            run_ensemble(spec, 1, 20, seed=8)
 
 
 def test_summarize_rejects_empty():

@@ -16,13 +16,12 @@ from cvtypical.moments import (
     fourth_moment_trace,
     fourth_moment_trace_exact,
     moment_inputs_from_spectrum,
-    second_moment_trace,
     second_moment_trace_exact,
     tilde_lambda_squared,
     tilde_lambda_squared_exact,
 )
 from cvtypical.symplectic import average_energy
-from oracles import reference_moments
+from oracles import reference_moments, second_moment_trace
 
 
 def spiked(n):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,13 +13,16 @@ from cvtypical.profiles import (
     ScalingConfig,
     canonical_profile,
     constant_profile,
+    exponential_count,
     fixed_profile,
     microcanonical_profile,
     parse_profile,
     profile_to_string,
     sample_profile,
+    spectra_from_exponentials,
 )
-from cvtypical.symplectic import mode_energy_from_squeezing
+from cvtypical.symplectic import average_energies, mode_energy_from_squeezing
+import oracles
 
 
 def draw(spec, seed=0, stream=0):
@@ -229,3 +233,45 @@ def test_scaling_config_validation():
         for value in (math.inf, math.nan):
             with pytest.raises(DomainError):
                 ScalingConfig(**{name: value})
+
+
+@st.composite
+def random_profiles(draw):
+    n = draw(st.integers(1, 130))
+    if draw(st.booleans()):
+        floor = 2.0 * n
+        energy = draw(
+            st.sampled_from([
+                floor, np.nextafter(floor, math.inf), floor * (1.0 + 1e-12), 3.0 * n, 1e200,
+            ])
+        )
+        return microcanonical_profile(energy, n)
+    energy = draw(st.sampled_from([1e-300, 0.5 * n, 3.0 * n, 1e200]))
+    temperature = draw(st.sampled_from([None, 1e-9, 2.0]))
+    return canonical_profile(energy, n, temperature)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=random_profiles(),
+    count=st.integers(1, 40),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_stacked_profile_matches_the_scalar_reference(spec, count, seed):
+    """From the same per-trial streams, spectra_from_exponentials and
+    average_energies on the (B, n) stack are repr-equal to the frozen
+    one-draw-at-a-time reference; under the harness's errstate an energy
+    that squares past the float range gives z = inf without a warning."""
+    g = np.empty((count, exponential_count(spec)))
+    for t in range(count):
+        SeededStream(seed, t).generator().standard_exponential(out=g[t])
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        z = spectra_from_exponentials(spec, g)
+        lam_bars = average_energies(z)
+        reference = [oracles.sample_profile(spec, SeededStream(seed, t)) for t in range(count)]
+        reference_bars = [oracles.average_energy(row) for row in reference]
+    assert repr(z.tolist()) == repr([row.tolist() for row in reference])
+    assert repr(lam_bars.tolist()) == repr(reference_bars)
+    if spec.energy == 1e200 and spec.temperature is None:
+        assert np.isinf(z).any()

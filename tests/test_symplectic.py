@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvtypical.errors import (
     DimensionMismatch,
@@ -19,20 +21,25 @@ from cvtypical.symplectic import (
     average_energy,
     concentration_f,
     entropy_G,
-    entropy_g,
     eta_embed,
     fiducial_covariance,
+    gaussian_entropies,
     gaussian_entropy,
-    inverse_temperature_beta,
     mode_energy_from_squeezing,
-    photon_number,
     reduce_covariance,
     reduced_covariance_from_rows,
     rotate_covariance,
     spectral_deviation_delta,
-    squeezing_from_energy,
+    spectral_deviation_deltas,
     symplectic_form,
     symplectic_spectrum,
+)
+import oracles
+from oracles import (
+    entropy_g,
+    inverse_temperature_beta,
+    photon_number,
+    squeezing_from_energy,
     validate_covariance,
 )
 
@@ -325,3 +332,61 @@ def test_concentration_f_matches_deviation_delta():
 def test_spectral_deviation_delta_hand_value():
     value = spectral_deviation_delta(np.array([2.0, 1.0]), 1.5)
     assert value == pytest.approx(math.sqrt((4.0 - 2.25) ** 2 + (2.25 - 1.0) ** 2), rel=1e-14)
+
+
+# Eigenvalues where the scalar entropy and delta have edges: exactly 1, both
+# sides of each PURE_CLAMP boundary, and values whose N log N or lambda^4
+# is huge.
+_EDGE_LAMBDAS = (
+    1.0,
+    1.0 + PURE_CLAMP,
+    np.nextafter(1.0 + PURE_CLAMP, 2.0),
+    np.nextafter(1.0 + PURE_CLAMP, 0.0),
+    1.0 - PURE_CLAMP,
+    np.nextafter(1.0 - PURE_CLAMP, 2.0),
+    1.0000000000000002,
+    1e15,
+    1e30,
+)
+_BELOW_CLAMP = (np.nextafter(1.0 - PURE_CLAMP, 0.0), 1.0 - 1e-7, 0.5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(1, 32),
+    count=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    edge_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    low=st.booleans(),
+)
+def test_stacked_entropy_and_delta_match_the_scalar_reference(k, count, seed, edge_share, low):
+    """gaussian_entropies and spectral_deviation_deltas on a (B, k) stack are
+    repr-equal to the frozen one-spectrum-at-a-time reference, and raise its
+    DomainError for the first eigenvalue below 1 - PURE_CLAMP."""
+    rng = np.random.default_rng(seed)
+    lams = np.where(
+        rng.random((count, k)) < 0.5,
+        1.0 + rng.random((count, k)) * 1e-3,
+        10.0 ** rng.uniform(0.0, 4.0, (count, k)),
+    )
+    edges = rng.random((count, k)) < edge_share
+    lams[edges] = rng.choice(_EDGE_LAMBDAS, size=int(edges.sum()))
+    if low:
+        lams[rng.integers(count), rng.integers(k)] = rng.choice(_BELOW_CLAMP)
+    lambda_bars = (10.0 ** rng.uniform(0.0, 15.0, count)).tolist()
+
+    reference_error = None
+    reference = []
+    try:
+        for row in lams:
+            reference.append(oracles.gaussian_entropy(row))
+    except DomainError as exc:
+        reference_error = str(exc)
+    if reference_error is None:
+        assert repr(gaussian_entropies(lams).tolist()) == repr(reference)
+    else:
+        with pytest.raises(DomainError) as info:
+            gaussian_entropies(lams)
+        assert str(info.value) == reference_error
+    deltas = [oracles.spectral_deviation_delta(row, lb) for row, lb in zip(lams, lambda_bars)]
+    assert repr(spectral_deviation_deltas(lams, lambda_bars).tolist()) == repr(deltas)
