@@ -1,106 +1,11 @@
 """Random Gaussian states at the covariance-matrix level: symplectic spectra,
 entanglement entropy, exact Haar-moment formulas, and Monte Carlo
-concentration experiments."""
+concentration experiments.  The functions live in the submodules
+(cvtypical.symplectic, .haar, .weingarten, .moments, .profiles, .harness,
+.cli); the root holds the version and the seeded stream every draw uses."""
 
 __version__ = "0.2.0"
 
-from . import errors
-from .haar import SeededStream, sample_haar_unitary
-from .harness import (
-    RunSummary,
-    TrialRecord,
-    concentration_sweep,
-    lipschitz_bound,
-    read_summary_json,
-    read_trials_csv,
-    run_ensemble,
-    run_trial,
-    summarize_records,
-    validate_trial_record,
-    write_summary_json,
-    write_trials_csv,
-)
-from .moments import (
-    MomentInputs,
-    MomentReport,
-    compute_moment_report,
-    expected_f,
-    fourth_moment_trace,
-    moment_inputs_from_spectrum,
-    tilde_lambda_squared,
-)
-from .profiles import (
-    ProfileSpec,
-    ScalingConfig,
-    canonical_profile,
-    constant_profile,
-    fixed_profile,
-    microcanonical_profile,
-    parse_profile,
-    profile_to_string,
-    sample_profile,
-)
-from .symplectic import (
-    SymplecticSpectrum,
-    average_energy,
-    concentration_f,
-    entropy_G,
-    eta_embed,
-    fiducial_covariance,
-    gaussian_entropy,
-    reduce_covariance,
-    rotate_covariance,
-    spectral_deviation_delta,
-    symplectic_form,
-    symplectic_spectrum,
-)
-from .weingarten import gram_weingarten_oracle, weingarten
+from .haar import SeededStream
 
-__all__ = [
-    "errors",
-    "SeededStream",
-    "sample_haar_unitary",
-    "RunSummary",
-    "TrialRecord",
-    "concentration_sweep",
-    "lipschitz_bound",
-    "read_summary_json",
-    "read_trials_csv",
-    "run_ensemble",
-    "run_trial",
-    "summarize_records",
-    "validate_trial_record",
-    "write_summary_json",
-    "write_trials_csv",
-    "MomentInputs",
-    "MomentReport",
-    "compute_moment_report",
-    "expected_f",
-    "fourth_moment_trace",
-    "moment_inputs_from_spectrum",
-    "tilde_lambda_squared",
-    "ProfileSpec",
-    "ScalingConfig",
-    "canonical_profile",
-    "constant_profile",
-    "fixed_profile",
-    "microcanonical_profile",
-    "parse_profile",
-    "profile_to_string",
-    "sample_profile",
-    "SymplecticSpectrum",
-    "average_energy",
-    "concentration_f",
-    "entropy_G",
-    "eta_embed",
-    "fiducial_covariance",
-    "gaussian_entropy",
-    "reduce_covariance",
-    "rotate_covariance",
-    "spectral_deviation_delta",
-    "symplectic_form",
-    "symplectic_spectrum",
-    "weingarten",
-    "gram_weingarten_oracle",
-    "__version__",
-]
+__all__ = ["SeededStream", "__version__"]

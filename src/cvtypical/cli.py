@@ -16,12 +16,13 @@ header with the version, seed, and a config digest.  Entropies are in nats.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -37,6 +38,7 @@ from .harness import (
     SWEEP_MIN_N,
     concentration_sweep,
     format_trials_csv,
+    json_text,
     run_ensemble,
     summary_to_jsonable,
     write_trials_csv,
@@ -196,33 +198,7 @@ class _Subcommand(NamedTuple):
     help: str
     options: tuple  # dests after the shared seed and workers, in flag order
     required: tuple
-
-
-_SUBCOMMANDS = {
-    "moments": _Subcommand(
-        "exact moment formulas for one profile",
-        ("n", "k", "z_profile", "output_path"),
-        ("k", "z_profile"),
-    ),
-    "concentration": _Subcommand(
-        "ensemble sweep over a list of n",
-        ("n_list", "k", "samples", *_SCALING_KEYS, "output_dir", "base_profile"),
-        ("n_list", "samples"),
-    ),
-    "weingarten-check": _Subcommand(
-        "character sum vs Gram-matrix oracle", ("p", "n_range"), ("p", "n_range")
-    ),
-    "profile-sample": _Subcommand(
-        "draw squeezing spectra",
-        ("z_profile", "n", "samples", "output_path", "format"),
-        ("z_profile", "samples"),
-    ),
-    "trial-dump": _Subcommand(
-        "run an ensemble, dump trials + summary",
-        ("n", "k", "z_profile", "samples", "output_path", "summary_output"),
-        ("k", "z_profile", "samples"),
-    ),
-}
+    run: Callable  # run(cfg) -> exit code
 
 
 def _dests(sub: str) -> tuple:
@@ -359,26 +335,23 @@ def parse_config(argv) -> RunConfig:
     return cfg
 
 
+# RunConfig fields that cannot change results, so they stay out of the digest
+_UNHASHED = ("workers", "output_path", "output_dir", "summary_output")
+
+
 def config_digest(cfg: RunConfig) -> str:
-    """Digest of the semantic fields only: worker count and output locations
-    must not change results, so they stay out of the hash."""
-    semantic = {
-        "subcommand": cfg.subcommand,
-        "seed": cfg.seed,
-        "n": cfg.n,
-        "k": cfg.k,
-        "samples": cfg.samples,
-        "z_profile": profile_to_string(cfg.z_profile) if cfg.z_profile else None,
-        "scaling": [cfg.scaling.zeta, cfg.scaling.kappa, cfg.scaling.scale_z, cfg.scaling.scale_k]
-        if cfg.scaling
-        else None,
-        "p": cfg.p,
-        "n_range": list(cfg.n_range) if cfg.n_range else None,
-        "n_list": list(cfg.n_list) if cfg.n_list else None,
-        "base_profile": cfg.base_profile,
-        "format": cfg.format,
-    }
-    semantic = {key: val for key, val in semantic.items() if val is not None}
+    """Digest of every RunConfig field but _UNHASHED that is set; a profile
+    enters as its string and a scaling rule as its four values."""
+    semantic = {}
+    for field in fields(RunConfig):
+        value = getattr(cfg, field.name)
+        if field.name in _UNHASHED or value is None:
+            continue
+        if isinstance(value, ProfileSpec):
+            value = profile_to_string(value)
+        elif isinstance(value, ScalingConfig):
+            value = astuple(value)
+        semantic[field.name] = value
     blob = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -399,10 +372,20 @@ def _provenance_dict(cfg: RunConfig) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """An OSError while writing path is a usage error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit_text(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    with _writing(path):
         _atomic_write_text(path, text)
 
 
@@ -420,27 +403,28 @@ def _run_moments(cfg: RunConfig) -> int:
         "fourth_moment": report.fourth_moment,
         "expected_f": report.expected_f,
     }
-    _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.output_path)
+    _emit_text(json_text(payload), cfg.output_path)
     return 0
 
 
 def _run_concentration(cfg: RunConfig) -> int:
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    with _writing(cfg.output_dir):
+        os.makedirs(cfg.output_dir, exist_ok=True)
     provenance_line = _provenance_line(cfg)
     written = []
 
     def sink(n, summary, records):
         path = os.path.join(cfg.output_dir, f"trials_n{n}.csv")
-        write_trials_csv(path, records, provenance_line)
+        with _writing(path):
+            write_trials_csv(path, records, provenance_line)
         written.append(path)
 
-    k_rule = (lambda n: cfg.k) if cfg.k is not None else None
     results = concentration_sweep(
         cfg.scaling,
         cfg.n_list,
         cfg.samples,
         cfg.seed,
-        k_rule=k_rule,
+        k=cfg.k,
         base_profile=cfg.base_profile,
         workers=cfg.workers,
         record_sink=sink,
@@ -450,7 +434,7 @@ def _run_concentration(cfg: RunConfig) -> int:
         "rows": [summary_to_jsonable(summary) for _n, summary in results],
     }
     summary_path = os.path.join(cfg.output_dir, "sweep_summary.json")
-    _atomic_write_text(summary_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit_text(json_text(payload), summary_path)
     written.append(summary_path)
     for path in written:
         print(f"wrote {path}")
@@ -479,9 +463,12 @@ def _run_weingarten_check(cfg: RunConfig) -> int:
 
 def _run_profile_sample(cfg: RunConfig) -> int:
     spec = cfg.z_profile
-    spectra = [
-        sample_profile(spec, SeededStream(cfg.seed, i)) for i in range(cfg.samples)
-    ]
+    spectra = []
+    for i in range(cfg.samples):
+        try:
+            spectra.append(sample_profile(spec, SeededStream(cfg.seed, i)))
+        except DomainError as exc:
+            raise DomainError(f"sample {i}: {exc}") from None
     if cfg.format == "json":
         payload = {
             "provenance": _provenance_dict(cfg),
@@ -489,7 +476,7 @@ def _run_profile_sample(cfg: RunConfig) -> int:
             "z_profile": profile_to_string(spec),
             "spectra": [[float(z) for z in zs] for zs in spectra],
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json_text(payload)
     else:
         header = "sample_id," + ",".join(f"z_{j}" for j in range(1, spec.n + 1))
         lines = ["# " + _provenance_line(cfg), header]
@@ -507,27 +494,46 @@ def _run_trial_dump(cfg: RunConfig) -> int:
     csv_text = format_trials_csv(records, _provenance_line(cfg))
     _emit_text(csv_text, cfg.output_path)
     summary_payload = summary_to_jsonable(summary, _provenance_dict(cfg))
-    summary_text = json.dumps(summary_payload, indent=2, sort_keys=True) + "\n"
-    if cfg.summary_output is not None:
-        _atomic_write_text(cfg.summary_output, summary_text)
-    elif cfg.output_path is not None:
-        sys.stdout.write(summary_text)
+    # without --summary-output the summary goes to stdout, unless the CSV did
+    if cfg.summary_output is not None or cfg.output_path is not None:
+        _emit_text(json_text(summary_payload), cfg.summary_output)
     return 0
 
 
+_SUBCOMMANDS = {
+    "moments": _Subcommand(
+        "exact moment formulas for one profile",
+        ("n", "k", "z_profile", "output_path"),
+        ("k", "z_profile"),
+        _run_moments,
+    ),
+    "concentration": _Subcommand(
+        "ensemble sweep over a list of n",
+        ("n_list", "k", "samples", *_SCALING_KEYS, "output_dir", "base_profile"),
+        ("n_list", "samples"),
+        _run_concentration,
+    ),
+    "weingarten-check": _Subcommand(
+        "character sum vs Gram-matrix oracle", ("p", "n_range"), ("p", "n_range"), _run_weingarten_check
+    ),
+    "profile-sample": _Subcommand(
+        "draw squeezing spectra",
+        ("z_profile", "n", "samples", "output_path", "format"),
+        ("z_profile", "samples"),
+        _run_profile_sample,
+    ),
+    "trial-dump": _Subcommand(
+        "run an ensemble, dump trials + summary",
+        ("n", "k", "z_profile", "samples", "output_path", "summary_output"),
+        ("k", "z_profile", "samples"),
+        _run_trial_dump,
+    ),
+}
+
+
 def execute(cfg: RunConfig) -> int:
-    """Dispatch a validated config; returns the process exit code."""
-    if cfg.subcommand == "moments":
-        return _run_moments(cfg)
-    if cfg.subcommand == "concentration":
-        return _run_concentration(cfg)
-    if cfg.subcommand == "weingarten-check":
-        return _run_weingarten_check(cfg)
-    if cfg.subcommand == "profile-sample":
-        return _run_profile_sample(cfg)
-    if cfg.subcommand == "trial-dump":
-        return _run_trial_dump(cfg)
-    raise UsageError(f"unknown subcommand {cfg.subcommand!r}")
+    """Run a validated config; returns the process exit code."""
+    return _SUBCOMMANDS[cfg.subcommand].run(cfg)
 
 
 def main(argv=None) -> int:

@@ -439,33 +439,31 @@ def concentration_sweep(
     n_list,
     samples: int,
     seed: int,
-    k_rule=None,
+    k: int | None = None,
     base_profile: str = "constant",
     workers: int = 1,
     record_sink=None,
 ):
     """Run one ensemble per n and collect (n, RunSummary) pairs.
 
-    The profile at each n is constant with z = scaling.z_value(n) (or the
-    vacuum when base_profile="vacuum"; a callable n -> ProfileSpec is also
-    accepted).  k comes from k_rule(n) when given, else scaling.k_of(n).
-    Each n gets its own base seed (seed + index) so rows stay independent.
-    record_sink, when given, receives (n, summary, records) per row.
+    The profile at each n is constant with z = scaling.z_value(n), or the
+    vacuum when base_profile="vacuum".  Every row has k modes when k is
+    given, else scaling.k_of(n).  Each n gets its own base seed
+    (seed + index) so rows stay independent.  record_sink, when given,
+    receives (n, summary, records) per row.
     """
     results = []
     for index, n in enumerate(n_list):
         n = int(n)
         if n < SWEEP_MIN_N:
             raise DomainError(f"sweep rows need n >= {SWEEP_MIN_N}, got {n}")
-        if callable(base_profile):
-            spec = base_profile(n)
-        elif base_profile == "constant":
+        if base_profile == "constant":
             spec = scaling.profile_for(n)
         elif base_profile == "vacuum":
             spec = constant_profile(1.0, n)
         else:
             raise DomainError(f"unknown base profile {base_profile!r}")
-        k_n = int(k_rule(n)) if k_rule is not None else scaling.k_of(n)
+        k_n = scaling.k_of(n) if k is None else k
         summary, records = run_ensemble(spec, k_n, samples, seed + index, workers)
         if record_sink is not None:
             record_sink(n, summary, records)
@@ -589,9 +587,13 @@ def summary_from_jsonable(payload: dict) -> RunSummary:
     return RunSummary(**values)
 
 
+def json_text(payload) -> str:
+    """The JSON artifacts' text: two-space indent, sorted keys, a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_summary_json(path, summary: RunSummary, provenance: dict | None = None) -> None:
-    payload = summary_to_jsonable(summary, provenance)
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write_text(path, json_text(summary_to_jsonable(summary, provenance)))
 
 
 def read_summary_json(path):

@@ -208,11 +208,17 @@ def profile_to_string(spec: ProfileSpec) -> str:
 
 def sample_profile(spec: ProfileSpec, rng) -> np.ndarray:
     """Draw one squeezing spectrum (shape (n,), every entry >= 1);
-    deterministic kinds ignore the generator."""
+    deterministic kinds ignore the generator.  Raises DomainError when an
+    energy is so large that the spectrum is not finite."""
     if spec.is_deterministic:
         return spec.fixed_spectrum()
     g = _as_generator(rng).standard_exponential((1, exponential_count(spec)))
-    return spectra_from_exponentials(spec, g)[0]
+    # an energy past about 1e154 squares to inf in the transform
+    with np.errstate(over="ignore"):
+        z = spectra_from_exponentials(spec, g)[0]
+    if not np.isfinite(z).all():
+        raise DomainError("squeezing spectrum is not finite")
+    return z
 
 
 def exponential_count(spec: ProfileSpec) -> int:

@@ -5,6 +5,7 @@ import random
 import shutil
 import subprocess
 import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import cvtypical
 from cvtypical import __version__
 from cvtypical.cli import RunConfig, config_digest, main, parse_config
 from cvtypical.harness import read_summary_json, read_trials_csv, run_ensemble
-from cvtypical.profiles import parse_profile
+from cvtypical.profiles import ScalingConfig, parse_profile
 
 
 def run_main(capsys, argv):
@@ -271,6 +272,36 @@ def test_profile_sample_json(capsys):
     assert all(len(row) == 4 and min(row) >= 1.0 for row in payload["spectra"])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("profile", ["micro:1e200", "canonical:1e200"])
+def test_profile_sample_huge_energy_is_an_error(capsys, profile):
+    rc, out, err = run_main(capsys, ["profile-sample", "--z-profile", profile, "--n", "4", "--samples", "2"])
+    assert rc == 1 and out == ""
+    assert err == "error: sample 0: squeezing spectrum is not finite\n"
+
+
+TRIAL_DUMP = "trial-dump --n 4 --k 1 --z-profile constant:2x4 --samples 2"
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        (TRIAL_DUMP + " --output {missing}", "{missing}"),
+        (TRIAL_DUMP + " --summary-output {missing}", "{missing}"),
+        ("moments --k 1 --z-profile constant:2x4 --output {missing}", "{missing}"),
+        ("concentration --n-list 4 --samples 2 --output-dir {file}", "{file}"),
+    ],
+    ids=["trial_dump_output", "trial_dump_summary_output", "moments_output", "concentration_output_dir"],
+)
+def test_unwritable_output_is_one_error_line(tmp_path, capsys, command, target):
+    paths = {"missing": tmp_path / "missing" / "out", "file": tmp_path / "file"}
+    paths["file"].write_text("")
+    rc, _, err = run_main(capsys, command.format(**paths).split())
+    assert rc == 2
+    assert err.startswith(f"error: cannot write {target.format(**paths)}: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [paths["file"]]
+
+
 def test_trial_dump_round_trip(tmp_path, capsys):
     csv_path = tmp_path / "trials.csv"
     summary_path = tmp_path / "summary.json"
@@ -490,6 +521,27 @@ def test_config_digest_ignores_workers_and_paths(tmp_path):
     assert config_digest(a) == config_digest(b)
     c = parse_config(base[:-1] + ["3"])
     assert config_digest(a) != config_digest(c)
+
+    # every RunConfig field set, then each changed on its own
+    full = RunConfig(
+        subcommand="trial-dump", seed=1, workers=1, n=4, k=1, samples=2,
+        z_profile=parse_profile("constant:2x4"), scaling=ScalingConfig(), output_path="a.csv",
+        format="csv", n_list=(4, 6), p=2, n_range=(1, 2), output_dir="d", summary_output="s.json",
+        base_profile="constant",
+    )
+    hashed = {
+        "subcommand": "moments", "seed": 2, "n": 5, "k": 2, "samples": 3,
+        "z_profile": parse_profile("constant:3x4"), "scaling": ScalingConfig(kappa=0.5),
+        "format": "json", "n_list": (4, 8), "p": 3, "n_range": (1, 3), "base_profile": "vacuum",
+    }
+    unhashed = {"workers": 4, "output_path": "b.csv", "output_dir": "e", "summary_output": "t.json"}
+    assert hashed.keys() | unhashed.keys() == {field.name for field in fields(RunConfig)}
+    for name, value in hashed.items():
+        assert config_digest(replace(full, **{name: value})) != config_digest(full), name
+        if name != "subcommand":
+            assert config_digest(replace(full, **{name: None})) != config_digest(full), name
+    for name, value in unhashed.items():
+        assert config_digest(replace(full, **{name: value})) == config_digest(full), name
 
 
 def test_parse_config_types():

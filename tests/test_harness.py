@@ -626,7 +626,7 @@ def test_concentration_sweep_vacuum_and_hooks():
         (4, 5),
         samples=10,
         seed=13,
-        k_rule=lambda n: 2,
+        k=2,
         base_profile="vacuum",
         record_sink=lambda n, summary, records: sunk.append((n, len(records))),
     )
