@@ -11,7 +11,7 @@ import math
 
 from cvtypical.harness import concentration_sweep
 from cvtypical.profiles import ScalingConfig
-from cvtypical.symplectic import entropy_G
+from cvtypical.symplectic import gaussian_entropies
 
 NS = (8, 16, 32, 64)
 SAMPLES = 500
@@ -21,7 +21,7 @@ SEED = 99
 def main():
     rows = concentration_sweep(ScalingConfig(), NS, samples=SAMPLES, seed=SEED)
     print(f"{'n':>4}  {'mean_f':>12}  {'rms':>10}  {'entropy gap':>12}  {'entropy std':>12}")
-    target = entropy_G(1.25)  # lambda for z = 2 at one retained mode
+    (target,) = gaussian_entropies([[1.25]])  # lambda for z = 2 at one retained mode
     for n, summary in rows:
         gap = abs(summary.mean_entropy - target)
         print(f"{n:>4}  {summary.mean_f:>12.6f}  {math.sqrt(summary.mean_f):>10.5f}"

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import astuple, dataclass, fields
 from typing import Callable, NamedTuple
@@ -48,9 +50,6 @@ from .moments import compute_moment_report
 from .profiles import ProfileSpec, ScalingConfig, parse_profile, profile_to_string
 from .profiles import sample_profile
 from .weingarten import gram_weingarten_oracle, partitions, weingarten
-
-WORKERS_ENV_VAR = "CVTYPICAL_WORKERS"
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -164,9 +163,7 @@ class _Option(NamedTuple):
 # and (except for the four scaling values) the RunConfig field.
 _OPTIONS = {
     "seed": _Option("--seed", _seed, type=int),
-    "workers": _Option(
-        "--workers", _integer(1), f"worker processes (default ${WORKERS_ENV_VAR} or 1)", type=int
-    ),
+    "workers": _Option("--workers", _integer(1), "worker processes (default 1)", type=int),
     "n": _Option("--n", _integer(1), "mode count", type=int),
     "k": _Option("--k", _integer(1), "subsystem modes (concentration default: scaling rule)", type=int),
     "samples": _Option("--samples", _integer(1), type=int),
@@ -241,40 +238,16 @@ def _load_config_file(path: str) -> dict:
 
 
 def _config_file_defaults(path: str, sub: str) -> dict:
-    """The config file's values by dest.  Null values count as absent, and a
-    "scaling" object may stand for the four scaling keys."""
+    """The config file's values by dest.  Null values count as absent."""
     data = _load_config_file(path)
     allowed = ("subcommand",) + _dests(sub)
-    if set(_SCALING_KEYS) <= set(allowed):
-        allowed += ("scaling",)
     for key in data:
         if key not in allowed:
             raise UsageError(f"config key {key!r} is not valid for subcommand {sub!r}")
     named = data.pop("subcommand", sub)
     if named != sub:
         raise UsageError(f"config file names subcommand {named!r} but {sub!r} was invoked")
-    scaling = data.pop("scaling", None)
-    if scaling is not None:
-        if not isinstance(scaling, dict):
-            raise UsageError("config key 'scaling' must be an object")
-        for key in scaling:
-            if key not in _SCALING_KEYS:
-                raise UsageError(f"unknown scaling key {key!r}")
-        data = {**scaling, **data}
     return {key: value for key, value in data.items() if value is not None}
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise UsageError(f"${WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise UsageError(f"${WORKERS_ENV_VAR} must be >= 1, got {workers}")
-    return workers
 
 
 def parse_config(argv) -> RunConfig:
@@ -283,8 +256,9 @@ def parse_config(argv) -> RunConfig:
     The file's values become the subparser's defaults, so argparse applies
     the precedence: explicit flag, then config-file key, then default.  Each
     value then passes its option's check, whichever source it came from.
-    Unknown config keys, missing required options and cross-field
-    inconsistencies raise UsageError.
+    Unknown config keys, missing required options, cross-field
+    inconsistencies and a file output whose directory is missing raise
+    UsageError, before anything runs.
     """
     parser, subparsers = _build_parser()
     ns = parser.parse_args(argv)
@@ -299,8 +273,6 @@ def parse_config(argv) -> RunConfig:
         value = getattr(ns, dest)
         if value is not None:
             values[dest] = opt.check(value, opt)
-    if "workers" not in values:
-        values["workers"] = _default_workers()
     if "z_profile" in values:
         values["z_profile"] = parse_profile(values["z_profile"], n=values.get("n"))
     if sub == "concentration":
@@ -318,11 +290,13 @@ def parse_config(argv) -> RunConfig:
             )
         rule = values["scaling"]
         if values.get("base_profile", "constant") == "constant":
-            for n in values.get("n_list", ()):
+            for n in n_list:
                 if not math.isfinite(rule.z_value(n)):
                     raise UsageError(
                         f"--zeta {rule.zeta!r}, --scale-z {rule.scale_z!r}: z overflows at --n-list entry {n}"
                     )
+        if n_list and values.get("k", 0) > min(n_list):
+            raise UsageError(f"--k {values['k']} exceeds the smallest --n-list entry {min(n_list)}")
     for dest in _SUBCOMMANDS[sub].required:
         if dest not in values:
             raise UsageError(f"subcommand {sub!r} needs {_OPTIONS[dest].flag}")
@@ -332,6 +306,9 @@ def parse_config(argv) -> RunConfig:
         raise UsageError("moments needs a deterministic profile (fixed:... or constant:...)")
     if cfg.k is not None and cfg.z_profile is not None and cfg.k > cfg.z_profile.n:
         raise UsageError(f"--k {cfg.k} exceeds the profile's n={cfg.z_profile.n}")
+    for path in (cfg.output_path, cfg.summary_output):
+        if path is not None:
+            _check_output_directory(path)
     return cfg
 
 
@@ -379,6 +356,15 @@ def _writing(path: str):
         yield
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _check_output_directory(path: str) -> None:
+    """Find a file output whose directory is missing before the run, with
+    the error its write would give."""
+    directory = os.path.dirname(os.path.abspath(path))
+    with _writing(path):
+        if not stat.S_ISDIR(os.stat(directory).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
 
 
 def _emit_text(text: str, path: str | None) -> None:

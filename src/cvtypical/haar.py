@@ -27,22 +27,22 @@ class SeededStream:
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = [self.seed & _MASK64, self.stream_id & _MASK64]
-        return np.random.Generator(np.random.Philox(key=key))
+        return _reseat(np.random.Generator(np.random.Philox(key=0)), self.seed, self.stream_id)
 
 
 def _reseat(gen: np.random.Generator, seed: int, stream_id: int) -> np.random.Generator:
     """Point gen, a Philox-backed generator, at the start of stream
-    (seed, stream_id).
+    (seed, stream_id), the one place a stream is keyed.
 
-    It then draws exactly what SeededStream(seed, stream_id).generator()
-    would, at a fraction of the cost of a new Generator: key, counter 0 and
-    an empty output buffer are the whole state of a fresh Philox.
+    Key, counter 0 and an empty output buffer are the whole state of a fresh
+    Philox, so gen then draws exactly what a new generator keyed
+    Philox(key=[seed, stream_id] mod 2^64) would, at a fraction of the cost
+    of building one.
     """
     key = [seed & _MASK64, stream_id & _MASK64]
     if (key[0] >> 63) != (key[1] >> 63):
-        # numpy makes such a pair float64, which Philox(key=...) then casts
-        # to uint64, rounding the larger half; generator() keys it that way
+        # numpy makes such a pair float64, which Philox(key=...) casts to
+        # uint64, rounding the larger half; the streams stay keyed that way
         key = np.asarray(key).astype(np.uint64)
     gen.bit_generator.state = {
         "bit_generator": "Philox",

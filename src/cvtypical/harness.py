@@ -130,11 +130,12 @@ class RunSummary:
 def run_trial(z, k: int, rng, trial_id: int = 0) -> TrialRecord:
     """Run the pipeline once and record everything.
 
-    A block of one: the k Haar rows come off rng (a SeededStream, or a
-    Generator consumed in place), then _block_records does the rest.  A
-    PairingFailure from the reduced spectrum yields a flagged record with
-    NaN fields rather than an exception, so downstream tallies see every
-    trial.
+    Kept for perfbench, whose per-layer trace wraps it and whose self-test
+    calls it.  A block of one: the k Haar rows come off rng (a
+    SeededStream, or a Generator consumed in place), then _block_records
+    does the rest.  A PairingFailure from the reduced spectrum yields a
+    flagged record with NaN fields rather than an exception, so downstream
+    tallies see every trial.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     n = z.size
@@ -219,7 +220,10 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
     nonfinite = np.flatnonzero(~(np.isfinite(f_values[:failed]) | flagged))
     stop = int(nonfinite[0]) if nonfinite.size else failed
     # an earlier trial's entropy error comes first
-    entropies = gaussian_entropies(lams[:stop])
+    try:
+        entropies = gaussian_entropies(lams[:stop])
+    except DomainError as exc:
+        raise DomainError(f"trial {trial_ids[exc.index]}: {exc}") from None
     if stop < failed:
         raise DomainError(
             f"trial {trial_ids[stop]}: f = {f_values[stop].item()!r} is not finite"
@@ -472,7 +476,8 @@ def concentration_sweep(
 
 
 def lipschitz_bound(z, k: int) -> float:
-    """The proved ceiling for |f(U) - f(V)| / ||U - V||_F."""
+    """The proved ceiling for |f(U) - f(V)| / ||U - V||_F: the Lipschitz
+    constant the measure-concentration tail bound on f is stated with."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     return 32.0 * math.sqrt(2.0 * k) * float(np.max(z)) ** 4
 
@@ -592,12 +597,10 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_summary_json(path, summary: RunSummary, provenance: dict | None = None) -> None:
-    _atomic_write_text(path, json_text(summary_to_jsonable(summary, provenance)))
-
-
 def read_summary_json(path):
-    """Returns (RunSummary, provenance dict or None)."""
+    """Read a summary JSON the CLI wrote, the inverse of summary_to_jsonable.
+
+    Returns (RunSummary, provenance dict or None)."""
     with open(path) as handle:
         payload = json.load(handle)
     return summary_from_jsonable(payload), payload.get("provenance")

@@ -3,14 +3,14 @@
 Everything here is evaluated in exact rational arithmetic: squeezing
 parameters are rationalized (floats are exact binary rationals), the moment
 polynomials are evaluated over the rationals, and floats appear only in the
-return values of the non-``_exact`` wrappers. The coefficient tables cancel
-heavily at large n, which float evaluation would corrupt.
+values of ``compute_moment_report``. The coefficient tables cancel heavily
+at large n, which float evaluation would corrupt.
 
 The arithmetic runs on plain integers: a binary-splitting tree sums the
 per-mode powers over D = lcm of the modes' denominators, and each moment
 formula, homogeneous in those power sums, is one integer over (small
-integer) * D**g. A ``Fraction`` is built once per returned value; the float
-wrappers divide the two integers, which Python rounds correctly.
+integer) * D**g. A ``Fraction`` is built once per returned value; the report
+divides the two integers, which Python rounds correctly.
 """
 
 from __future__ import annotations
@@ -28,12 +28,9 @@ __all__ = [
     "MomentReport",
     "moment_inputs_from_spectrum",
     "average_energy_exact",
-    "tilde_lambda_squared",
     "tilde_lambda_squared_exact",
     "second_moment_trace_exact",
-    "fourth_moment_trace",
     "fourth_moment_trace_exact",
-    "expected_f",
     "expected_f_exact",
     "compute_moment_report",
 ]
@@ -137,9 +134,9 @@ def _power_sums(mi: MomentInputs) -> tuple[int, dict]:
 # An exact value in the making is a triple (num, den, g) that stands for
 # num / (den * D**g), D the power-sum denominator; den is a small integer, so
 # sums never take a gcd of the large D powers. A part is a function
-# (mi, (D, numerators), *args) -> triple; the public functions take the power
-# sums from the instance and normalise (Fraction) or round (float) the part's
-# triple.
+# (mi, (D, numerators), *args) -> triple; the *_exact functions take the
+# power sums from the instance and normalise the part's triple to a Fraction,
+# and compute_moment_report rounds each triple to a float.
 
 
 def _sum_terms(D: int, terms) -> tuple[int, int, int]:
@@ -166,11 +163,6 @@ def _to_float(sums, value: tuple[int, int, int], name: str) -> float:
         raise DomainError(f"{name} has magnitude about 1e{digits}, beyond the float range") from None
 
 
-def _float(mi: MomentInputs, part, name: str, *args) -> float:
-    sums = mi._sums
-    return _to_float(sums, part(mi, sums, *args), name)
-
-
 def _average_energy(mi: MomentInputs, sums) -> tuple[int, int, int]:
     return sums[1]["trB"], mi.n, 1
 
@@ -195,10 +187,6 @@ def _tilde_lambda_squared(mi: MomentInputs, sums) -> tuple[int, int, int]:
 def tilde_lambda_squared_exact(mi: MomentInputs) -> Fraction:
     """The exact second-moment scalar: E[(JM)^2] = -tilde_lambda^2 * I."""
     return _exact(mi, _tilde_lambda_squared)
-
-
-def tilde_lambda_squared(mi: MomentInputs) -> float:
-    return _float(mi, _tilde_lambda_squared, "tilde_lambda^2")
 
 
 def _second_moment(mi: MomentInputs, sums, tl=None) -> tuple[int, int, int]:
@@ -265,10 +253,6 @@ def fourth_moment_trace_exact(mi: MomentInputs) -> Fraction:
     return _exact(mi, _fourth_moment)
 
 
-def fourth_moment_trace(mi: MomentInputs) -> float:
-    return _float(mi, _fourth_moment, "E tr((JM)^4)")
-
-
 def _expected_f(mi: MomentInputs, sums, lambda_bar, fourth=None, tl=None) -> tuple[int, int, int]:
     """E[f] = E[tr((JM)^4)] + 2*lb^2*E[tr((JM)^2)] + 2k*lb^4, with
     E[tr((JM)^2)] = -2k * tilde_lambda^2."""
@@ -292,10 +276,6 @@ def expected_f_exact(mi: MomentInputs, lambda_bar=None) -> Fraction:
     is rationalized exactly.
     """
     return _exact(mi, _expected_f, lambda_bar)
-
-
-def expected_f(mi: MomentInputs, lambda_bar=None) -> float:
-    return _float(mi, _expected_f, "E f", lambda_bar)
 
 
 def compute_moment_report(z, k: int) -> MomentReport:

@@ -209,7 +209,10 @@ def profile_to_string(spec: ProfileSpec) -> str:
 def sample_profile(spec: ProfileSpec, rng) -> np.ndarray:
     """Draw one squeezing spectrum (shape (n,), every entry >= 1);
     deterministic kinds ignore the generator.  Raises DomainError when an
-    energy is so large that the spectrum is not finite."""
+    energy is so large that the spectrum is not finite.
+
+    The one-draw route of ``profile-sample``; a trial's stream draws the
+    same spectrum first, through spectra_from_exponentials on its block."""
     if spec.is_deterministic:
         return spec.fixed_spectrum()
     g = _as_generator(rng).standard_exponential((1, exponential_count(spec)))

@@ -24,8 +24,15 @@ fast paths: the moment formulas evaluated on Fraction power sums
 (``gram_solution_reference``), plus the float closed form of the averaged
 matrix that acceptance criterion 2 checks (``haar_average_BB_minus_AA``),
 and the helpers only tests call (``validate_covariance``,
-``inverse_temperature_beta``, ``squeezing_from_energy``,
-``second_moment_trace``).
+``inverse_temperature_beta``, ``squeezing_from_energy`` and
+``mode_energy_from_squeezing``).
+
+The full-state composition is the reference of the package's k-row
+reduction: ``fiducial_covariance`` builds the 2n x 2n squeezed state,
+``eta_embed`` the orthogonal symplectic image of a unitary,
+``rotate_covariance`` conjugates by it, ``reduce_covariance`` keeps the
+first k modes, and ``concentration_f`` evaluates f by direct matrix
+arithmetic.
 
 It keeps the trial-by-trial Monte Carlo pipeline as the reference of the
 package's block kernel (``reference_run_trial``, ``reference_run_one``),
@@ -56,14 +63,13 @@ from cvtypical.errors import (
 )
 from cvtypical.haar import SeededStream, _as_generator, sample_haar_unitary
 from cvtypical.harness import TrialRecord
-from cvtypical.moments import MomentInputs, _float, _fourth_moment_rows, _second_moment
+from cvtypical.moments import MomentInputs, _fourth_moment_rows
 from cvtypical.symplectic import (
     PAIRING_RTOL,
     PURE_CLAMP,
     UNITARITY_TOL,
     WILLIAMSON_TOL,
     SymplecticSpectrum,
-    concentration_f,
     reduced_covariance_from_rows,
     symplectic_form,
 )
@@ -361,9 +367,69 @@ def squeezing_from_energy(E: float) -> float:
     return (E + math.sqrt(E * E - 4.0)) / 2.0
 
 
-def second_moment_trace(mi: MomentInputs) -> float:
-    """E[tr((JM)^2)] as a float, rounded once from the exact value."""
-    return _float(mi, _second_moment, "E tr((JM)^2)")
+def mode_energy_from_squeezing(z: float) -> float:
+    """Energy E = z + 1/z of a single squeezed mode; the vacuum floor is 2."""
+    if z < 1.0:
+        raise DomainError(f"need z >= 1, got {z}")
+    return z + 1.0 / z
+
+
+# The full-state composition, one 2n x 2n matrix per call.
+
+
+def eta_embed(U: np.ndarray) -> np.ndarray:
+    """Embed an n x n complex unitary as the 2n x 2n real orthogonal
+    symplectic matrix [[Re U, Im U], [-Im U, Re U]]."""
+    U = np.asarray(U)
+    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {U.shape}")
+    err = np.abs(U.conj().T @ U - np.eye(U.shape[0])).max()
+    if err > UNITARITY_TOL:
+        raise NonUnitaryInput(f"max |U+U - I| = {err:.3e} exceeds {UNITARITY_TOL}")
+    return np.block([[U.real, U.imag], [-U.imag, U.real]])
+
+
+def fiducial_covariance(z) -> np.ndarray:
+    """Covariance matrix diag(z_1..z_n, 1/z_1..1/z_n) of the product of
+    single-mode squeezed states with squeezing parameters z."""
+    z = _as_squeezing(z)
+    return np.diag(np.concatenate([z, 1.0 / z]))
+
+
+def rotate_covariance(M: np.ndarray, O: np.ndarray) -> np.ndarray:
+    """Conjugate a covariance matrix by a passive symplectic: O M O^T."""
+    M = np.asarray(M, dtype=float)
+    O = np.asarray(O, dtype=float)
+    if M.shape != O.shape or M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise DimensionMismatch(f"shape mismatch: M {M.shape}, O {O.shape}")
+    out = O @ M @ O.T
+    return 0.5 * (out + out.T)  # resymmetrize rounding noise
+
+
+def reduce_covariance(M: np.ndarray, k: int) -> np.ndarray:
+    """Covariance matrix of the first k modes: the submatrix of M on rows and
+    columns {1..k} u {n+1..n+k} (1-based)."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
+        raise DimensionMismatch(f"expected a 2n x 2n matrix, got shape {M.shape}")
+    n = M.shape[0] // 2
+    if not 1 <= k <= n:
+        raise InvalidSubsystem(f"need 1 <= k <= {n}, got k={k}")
+    idx = np.concatenate([np.arange(k), n + np.arange(k)])
+    return M[np.ix_(idx, idx)]
+
+
+def concentration_f(M_red: np.ndarray, lambda_bar: float) -> float:
+    """tr[((J M)^2 + lambda_bar^2 I)^2] by direct matrix arithmetic on the
+    reduced covariance matrix; zero iff the symplectic spectrum is flat at
+    lambda_bar."""
+    M_red = np.asarray(M_red, dtype=float)
+    if M_red.ndim != 2 or M_red.shape[0] != M_red.shape[1] or M_red.shape[0] % 2:
+        raise DimensionMismatch(f"expected a 2k x 2k matrix, got shape {M_red.shape}")
+    k = M_red.shape[0] // 2
+    jm = symplectic_form(k) @ M_red
+    shifted = jm @ jm + lambda_bar**2 * np.eye(2 * k)
+    return float(np.trace(shifted @ shifted))
 
 
 # The trial-by-trial pipeline, one matrix per call: the reference the block
@@ -390,7 +456,7 @@ def average_energy(z) -> float:
 def photon_number(lam: float) -> float:
     if lam < 1.0 - PURE_CLAMP:
         raise DomainError(f"need lambda >= 1, got {lam}")
-    if abs(lam - 1.0) <= PURE_CLAMP:
+    if lam - 1.0 <= PURE_CLAMP:
         return 0.0
     return (lam - 1.0) / 2.0
 

@@ -36,13 +36,12 @@ from cvtypical.profiles import (
     microcanonical_profile,
     sample_profile,
 )
-from cvtypical.symplectic import entropy_G
 from cvtypical.weingarten import (
     gram_weingarten_oracle,
     partitions,
     weingarten,
 )
-from oracles import haar_average_BB_minus_AA, lipschitz_probe
+from oracles import entropy_G, haar_average_BB_minus_AA, lipschitz_probe
 
 MOMENT_SUITES = ((4, 1, 1004), (5, 1, 1005), (8, 2, 1008))
 SWEEP_NS = (16, 32, 64, 128)

@@ -288,16 +288,23 @@ TRIAL_DUMP = "trial-dump --n 4 --k 1 --z-profile constant:2x4 --samples 2"
     [
         (TRIAL_DUMP + " --output {missing}", "{missing}"),
         (TRIAL_DUMP + " --summary-output {missing}", "{missing}"),
+        (TRIAL_DUMP + " --output {file}/out", "{file}/out"),
+        (TRIAL_DUMP + " --summary-output {file}/out", "{file}/out"),
         ("moments --k 1 --z-profile constant:2x4 --output {missing}", "{missing}"),
         ("concentration --n-list 4 --samples 2 --output-dir {file}", "{file}"),
     ],
-    ids=["trial_dump_output", "trial_dump_summary_output", "moments_output", "concentration_output_dir"],
+    ids=[
+        "trial_dump_output", "trial_dump_summary_output", "trial_dump_output_in_file",
+        "trial_dump_summary_output_in_file", "moments_output", "concentration_output_dir",
+    ],
 )
 def test_unwritable_output_is_one_error_line(tmp_path, capsys, command, target):
+    """Found before the run: nothing reaches stdout, not even the CSV that
+    precedes a --summary-output."""
     paths = {"missing": tmp_path / "missing" / "out", "file": tmp_path / "file"}
     paths["file"].write_text("")
-    rc, _, err = run_main(capsys, command.format(**paths).split())
-    assert rc == 2
+    rc, out, err = run_main(capsys, command.format(**paths).split())
+    assert (rc, out) == (2, "")
     assert err.startswith(f"error: cannot write {target.format(**paths)}: ") and err.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == [paths["file"]]
 
@@ -412,21 +419,20 @@ def test_config_file_subcommand_mismatch(tmp_path, capsys):
         ),
         (["concentration"], {"n_list": [4], "samples": 2, "base_profile": "bogus"}, "--base-profile"),
         (["concentration"], {"n_list": [4], "samples": 2, "output_dir": 5}, "--output-dir"),
-        (["concentration"], {"n_list": [4], "samples": 2, "scaling": {"zeta": True}}, "--zeta"),
-        (
-            ["concentration"],
-            {"n_list": [4], "samples": 2, "scaling": {"scale_k": float("inf")}},
-            "--scale-k",
-        ),
+        (["concentration"], {"n_list": [4], "samples": 2, "zeta": True}, "--zeta"),
+        (["concentration"], {"n_list": [4], "samples": 2, "scale_k": float("inf")}, "--scale-k"),
         (["concentration"], {"n_list": [4], "samples": 2, "scale_z": "nan"}, "--scale-z"),
         (["concentration"], {"n_list": [3], "samples": 2}, "--n-list"),
-        (["concentration"], {"n_list": [4, 16], "samples": 2, "scaling": {"zeta": 400}}, "--n-list"),
+        (["concentration"], {"n_list": [4, 16], "samples": 2, "zeta": 400}, "--n-list"),
+        (["concentration"], {"n_list": [4, 8], "samples": 2, "k": 6}, "--k"),
+        # the scaling values are flat keys only
+        (["concentration"], {"n_list": [4], "samples": 2, "scaling": {"zeta": 0.5}}, "'scaling'"),
         (["concentration"], {"n_list": [4], "samples": 2, "seed": 2**63}, "--seed"),
         (["concentration"], {"n_list": [4, 8], "samples": 2, "seed": 2**63 - 1}, "--seed"),
     ],
     ids=[
         "format", "base_profile", "output_dir", "scaling_zeta", "scale_k_inf", "scale_z_nan", "n_list_3",
-        "zeta_400", "seed_2_63", "row_seed_2_63",
+        "zeta_400", "k_6", "scaling_object", "seed_2_63", "row_seed_2_63",
     ],
 )
 def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, capsys, argv, config, flag):
@@ -453,10 +459,12 @@ def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, capsys
         # seeds at or above 2^63 alias other seeds' streams; sweep row i runs on seed + i
         (["--seed", str(2**63)], "--seed"),
         (["--n-list", "4,8", "--seed", str(2**63 - 1)], "--seed"),
+        # an explicit k runs in every row, so it must fit the smallest
+        (["--n-list", "8,4", "--k", "6", "--output-dir", "d"], "--k 6 exceeds the smallest --n-list entry 4"),
     ],
     ids=[
         "scale_k_inf", "kappa_inf", "zeta_nan", "n_list_3", "n_list_8_2", "zeta_400", "scale_z_1e308",
-        "seed_2_63", "row_seed_2_63",
+        "seed_2_63", "row_seed_2_63", "k_above_smallest_n",
     ],
 )
 def test_concentration_flag_values_are_usage_errors(tmp_path, monkeypatch, capsys, extra, flag):
@@ -505,13 +513,16 @@ def test_config_digest_pins(tmp_path, monkeypatch, command, digest):
     assert config_digest(parse_config(command.split())) == digest
 
 
-def test_workers_env_default(monkeypatch):
-    monkeypatch.setenv("CVTYPICAL_WORKERS", "3")
-    cfg = parse_config(["trial-dump", "--n", "3", "--k", "1", "--z-profile", "constant:2x3", "--samples", "2"])
-    assert cfg.workers == 3
+def test_workers_come_from_the_flag_or_the_config_file(tmp_path, monkeypatch, capsys):
+    """--workers, else the config key, else 1; the environment plays no part."""
     monkeypatch.setenv("CVTYPICAL_WORKERS", "zero")
-    rc = main(["trial-dump", "--n", "3", "--k", "1", "--z-profile", "constant:2x3", "--samples", "2"])
-    assert rc == 2
+    base = ["trial-dump", "--n", "3", "--k", "1", "--z-profile", "constant:2x3", "--samples", "2"]
+    assert parse_config(base).workers == 1
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"workers": 3}))
+    assert parse_config(base + ["--config", str(config)]).workers == 3
+    assert parse_config(base + ["--config", str(config), "--workers", "2"]).workers == 2
+    assert run_main(capsys, base)[0] == 0
 
 
 def test_config_digest_ignores_workers_and_paths(tmp_path):

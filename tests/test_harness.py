@@ -29,6 +29,7 @@ from cvtypical.harness import (
     TrialRecord,
     concentration_sweep,
     format_trials_csv,
+    json_text,
     lipschitz_bound,
     read_summary_json,
     read_trials_csv,
@@ -39,7 +40,6 @@ from cvtypical.harness import (
     summary_to_jsonable,
     trial_csv_header,
     validate_trial_record,
-    write_summary_json,
     write_trials_csv,
 )
 from cvtypical.moments import (
@@ -54,19 +54,18 @@ from cvtypical.profiles import (
     microcanonical_profile,
     parse_profile,
 )
-from cvtypical.symplectic import (
-    SymplecticSpectrum,
-    average_energy,
+from cvtypical.symplectic import SymplecticSpectrum, average_energy, symplectic_spectrum
+import oracles
+from oracles import (
     concentration_f,
     entropy_G,
     eta_embed,
     fiducial_covariance,
+    lipschitz_probe,
     reduce_covariance,
+    reference_run_one,
     rotate_covariance,
-    symplectic_spectrum,
 )
-import oracles
-from oracles import lipschitz_probe, reference_run_one
 
 
 def test_vacuum_trial_is_exactly_boring():
@@ -319,14 +318,22 @@ def test_run_trial_matches_reference():
 @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
 @pytest.mark.parametrize("seed", [0, 12, -3, 2**40 + 1, 2**64 + 5])
 def test_reseated_stream_draws_what_a_fresh_one_does(seed):
+    """A re-seated generator and SeededStream.generator() both draw what a
+    Philox keyed directly with the two 64-bit halves draws, numpy's float
+    rounding of a pair with one half at or above 2^63 included."""
     gen = SeededStream(99, 99).generator()
     gen.standard_normal(7)  # leave it mid-buffer
+    mask = (1 << 64) - 1
     for stream_id in (0, 1, 2**33, -1):
-        fresh = SeededStream(seed, stream_id).generator()
+        fresh = np.random.Generator(np.random.Philox(key=[seed & mask, stream_id & mask]))
+        stream = SeededStream(seed, stream_id).generator()
         reseated = _reseat(gen, seed, stream_id)
         for draw in ("standard_normal", "standard_exponential", "random"):
-            assert np.array_equal(getattr(reseated, draw)(5), getattr(fresh, draw)(5))
-        assert reseated.integers(2**62) == fresh.integers(2**62)
+            expected = getattr(fresh, draw)(5)
+            assert np.array_equal(getattr(reseated, draw)(5), expected)
+            assert np.array_equal(getattr(stream, draw)(5), expected)
+        expected = fresh.integers(2**62)
+        assert reseated.integers(2**62) == expected and stream.integers(2**62) == expected
 
 
 def _poison_domain(monkeypatch, trial):
@@ -419,7 +426,7 @@ def test_block_raises_an_entropy_error_in_trial_order(monkeypatch, entropy_first
     _POISONS[other](monkeypatch, second)
     _poison_entropy(monkeypatch, first)
     if entropy_first:
-        with pytest.raises(DomainError, match=r"^need lambda >= 1, got 0\.9999999$"):
+        with pytest.raises(DomainError, match=r"^trial 4: need lambda >= 1, got 0\.9999999$"):
             run_ensemble(spec, 1, 20, seed=8)
     else:
         with pytest.raises(other, match="^trial 4: "):
@@ -573,14 +580,13 @@ def test_flagged_rows_survive_csv(tmp_path):
 def test_summary_json_round_trip(tmp_path):
     summary, _ = run_ensemble((2.0, 1.0, 1.0), 1, 20, seed=8)
     path = tmp_path / "summary.json"
-    write_summary_json(path, summary, provenance={"version": "x"})
+    text = json_text(summary_to_jsonable(summary, provenance={"version": "x"}))
+    path.write_text(text)
     back, provenance = read_summary_json(path)
     assert provenance == {"version": "x"}
     assert back == summary
-    # writing is deterministic byte for byte
-    text = path.read_text()
-    write_summary_json(path, summary, provenance={"version": "x"})
-    assert path.read_text() == text
+    # formatting is deterministic byte for byte
+    assert json_text(summary_to_jsonable(back, provenance)) == text
 
 
 def test_all_flagged_summary_round_trips():

@@ -11,17 +11,14 @@ from cvtypical.moments import (
     MomentInputs,
     average_energy_exact,
     compute_moment_report,
-    expected_f,
     expected_f_exact,
-    fourth_moment_trace,
     fourth_moment_trace_exact,
     moment_inputs_from_spectrum,
     second_moment_trace_exact,
-    tilde_lambda_squared,
     tilde_lambda_squared_exact,
 )
 from cvtypical.symplectic import average_energy
-from oracles import reference_moments, second_moment_trace
+from oracles import reference_moments
 
 
 def spiked(n):
@@ -152,13 +149,14 @@ def test_expected_f_alternate_reference():
 
 
 def test_float_wrappers_match_exact():
+    """The report's floats are the exact values rounded once."""
     mi = spiked(5)
     report = compute_moment_report((3, 1, 1, 1, 1), 1)
-    assert report.second_moment == pytest.approx(float(second_moment_trace_exact(mi)), rel=1e-14)
-    assert report.fourth_moment == pytest.approx(float(fourth_moment_trace_exact(mi)), rel=1e-14)
-    assert report.expected_f == pytest.approx(float(expected_f_exact(mi)), rel=1e-14)
-    assert report.tilde_lambda_sq == pytest.approx(float(tilde_lambda_squared_exact(mi)), rel=1e-14)
-    assert expected_f(mi) == pytest.approx(float(expected_f_exact(mi)), rel=1e-14)
+    assert report.second_moment == float(second_moment_trace_exact(mi))
+    assert report.fourth_moment == float(fourth_moment_trace_exact(mi))
+    assert report.expected_f == float(expected_f_exact(mi))
+    assert report.tilde_lambda_sq == float(tilde_lambda_squared_exact(mi))
+    assert report.lambda_bar == float(average_energy_exact(mi))
 
 
 def test_average_energy_routes_agree():
@@ -211,10 +209,10 @@ def test_power_sums_are_built_once_per_instance(monkeypatch):
     mi = spiked(5)
     expected = expected_f_exact(mi)
     assert average_energy_exact(mi) == Fraction(17, 15)
-    tilde_lambda_squared(mi)
+    tilde_lambda_squared_exact(mi)
     second_moment_trace_exact(mi)
-    fourth_moment_trace(mi)
-    assert expected_f_exact(mi) == expected and expected_f(mi) == float(expected)
+    fourth_moment_trace_exact(mi)
+    assert expected_f_exact(mi) == expected
     assert calls == [mi]
     compute_moment_report((3, 1, 1, 1, 1), 1)
     assert len(calls) == 2
@@ -227,17 +225,19 @@ def test_fourth_moment_needs_room():
 
 
 def test_float_wrappers_leave_the_float_range_cleanly():
-    mi = moment_inputs_from_spectrum((1e200,) * 4, 1)
-    with pytest.raises(DomainError, match="tilde_lambda\\^2"):
-        tilde_lambda_squared(mi)
-    with pytest.raises(DomainError, match="E tr\\(\\(JM\\)\\^4\\)"):
-        fourth_moment_trace(mi)
-    with pytest.raises(DomainError, match="E f"):
-        expected_f(mi)
+    """The report names the first value it cannot round to a float."""
     with pytest.raises(DomainError, match="tilde_lambda\\^2"):
         compute_moment_report((1e200,) * 4, 1)
+    # tilde_lambda^2 ~ z^2 fits, E tr((JM)^4) ~ z^4 does not
+    with pytest.raises(DomainError, match="E tr\\(\\(JM\\)\\^4\\)"):
+        compute_moment_report((1e100,) * 4, 1)
+    # at k = n the state is pure: the traces are -2n and 2n, E f = 2n (1 - lb^2)^2
+    with pytest.raises(DomainError, match="E f has"):
+        compute_moment_report((2e80,) * 4, 4)
     # the exact values exist all the same
-    assert tilde_lambda_squared_exact(mi) > 10**399
+    assert tilde_lambda_squared_exact(moment_inputs_from_spectrum((1e200,) * 4, 1)) > 10**399
+    assert fourth_moment_trace_exact(moment_inputs_from_spectrum((1e100,) * 4, 1)) > 10**398
+    assert expected_f_exact(moment_inputs_from_spectrum((2e80,) * 4, 4)) > 10**320
 
 
 Z_FLOATS = st.floats(min_value=1.0, max_value=1e3)
@@ -274,27 +274,24 @@ def spectra(draw):
 @example(case=([Fraction(3, 2), Fraction(7, 5), 2, 2.5, 1], 5), lambda_bar=Fraction(4, 3))
 def test_exact_moments_equal_the_fraction_reference(case, lambda_bar):
     """Every *_exact value equals the running-Fraction reference exactly, and
-    every float wrapper returns float() of it, bit for bit."""
+    every value of the report is float() of it, bit for bit."""
     z, k = case
     mi = moment_inputs_from_spectrum(z, k)
     ref = reference_moments(mi, lambda_bar)
     assert average_energy_exact(mi) == ref["average_energy"]
     checks = {
-        "tilde_lambda_sq": (tilde_lambda_squared_exact, tilde_lambda_squared, 2),
-        "second_moment": (second_moment_trace_exact, second_moment_trace, 2),
-        "fourth_moment": (fourth_moment_trace_exact, fourth_moment_trace, 4),
-        "expected_f": (
-            lambda m: expected_f_exact(m, lambda_bar), lambda m: expected_f(m, lambda_bar), 4
-        ),
+        "tilde_lambda_sq": (tilde_lambda_squared_exact, 2),
+        "second_moment": (second_moment_trace_exact, 2),
+        "fourth_moment": (fourth_moment_trace_exact, 4),
+        "expected_f": (lambda m: expected_f_exact(m, lambda_bar), 4),
     }
-    for name, (exact_fn, float_fn, min_n) in checks.items():
+    for name, (exact_fn, min_n) in checks.items():
         if mi.n < min_n:
             assert name not in ref
             with pytest.raises(DimensionTooSmall):
                 exact_fn(mi)
             continue
         assert exact_fn(mi) == ref[name], name
-        assert float_fn(mi) == float(ref[name]), name
     if mi.n >= 4:
         report = compute_moment_report(z, k)
         default = reference_moments(mi) if lambda_bar is not None else ref

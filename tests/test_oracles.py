@@ -17,14 +17,15 @@ from cvtypical.moments import (
     moment_inputs_from_spectrum,
     second_moment_trace_exact,
 )
-from cvtypical.symplectic import (
+from cvtypical.symplectic import symplectic_form
+from oracles import (
+    block_matrix_V,
     eta_embed,
+    expected_trace_power,
     fiducial_covariance,
     reduce_covariance,
     rotate_covariance,
-    symplectic_form,
 )
-from oracles import block_matrix_V, expected_trace_power
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (5, 2)])

@@ -21,8 +21,9 @@ from cvtypical.profiles import (
     sample_profile,
     spectra_from_exponentials,
 )
-from cvtypical.symplectic import average_energies, mode_energy_from_squeezing
+from cvtypical.symplectic import average_energies
 import oracles
+from oracles import mode_energy_from_squeezing
 
 
 def draw(spec, seed=0, stream=0):

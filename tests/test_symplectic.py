@@ -19,26 +19,24 @@ from cvtypical.symplectic import (
     PURE_CLAMP,
     UNITARITY_TOL,
     average_energy,
-    concentration_f,
-    entropy_G,
-    eta_embed,
-    fiducial_covariance,
     gaussian_entropies,
-    gaussian_entropy,
-    mode_energy_from_squeezing,
-    reduce_covariance,
     reduced_covariance_from_rows,
-    rotate_covariance,
-    spectral_deviation_delta,
     spectral_deviation_deltas,
     symplectic_form,
     symplectic_spectrum,
 )
 import oracles
 from oracles import (
+    concentration_f,
+    entropy_G,
     entropy_g,
+    eta_embed,
+    fiducial_covariance,
     inverse_temperature_beta,
+    mode_energy_from_squeezing,
     photon_number,
+    reduce_covariance,
+    rotate_covariance,
     squeezing_from_energy,
     validate_covariance,
 )
@@ -284,8 +282,20 @@ def test_entropy_g_pinned_values():
 
 
 def test_entropy_G_pinned_values():
-    assert entropy_G(1.0) == 0.0
-    assert entropy_G(3.0) == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
+    """The package's entropy of one eigenvalue, on a stack of one."""
+    assert gaussian_entropies([[1.0]]).tolist() == [0.0]
+    assert gaussian_entropies([[3.0]])[0] == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
+    assert entropy_G(3.0) == gaussian_entropies([[3.0]])[0]
+
+
+def test_entropy_snaps_the_rounded_pure_bound():
+    """Every accepted eigenvalue up to 1 + PURE_CLAMP is pure, including the
+    rounded 1 - PURE_CLAMP, where N = (lambda - 1)/2 is slightly negative."""
+    edges = [[0.99999999], [1.0 - PURE_CLAMP], [np.nextafter(1.0 - PURE_CLAMP, 2.0)]]
+    assert gaussian_entropies(edges).tolist() == [0.0, 0.0, 0.0]
+    assert [oracles.gaussian_entropy(row) for row in edges] == [0.0, 0.0, 0.0]
+    with pytest.raises(DomainError, match=r"^need lambda >= 1"):
+        gaussian_entropies([[2.0], [np.nextafter(1.0 - PURE_CLAMP, 0.0)]])
 
 
 def test_inverse_temperature_values():
@@ -304,9 +314,9 @@ def test_beta_is_twice_entropy_slope():
 def test_gaussian_entropy_additive_over_modes():
     lams = np.array([3.0, 2.0, 1.0])
     expected = sum(entropy_G(v) for v in lams)
-    assert gaussian_entropy(lams) == pytest.approx(expected, rel=1e-14)
+    assert gaussian_entropies(lams[None])[0] == pytest.approx(expected, rel=1e-14)
     spec = symplectic_spectrum(np.diag([3.0, 3.0]))
-    assert gaussian_entropy(spec) == pytest.approx(entropy_G(3.0), rel=1e-14)
+    assert gaussian_entropies(spec.lambdas[None])[0] == pytest.approx(entropy_G(3.0), rel=1e-14)
 
 
 def test_concentration_f_single_thermal_mode():
@@ -325,12 +335,12 @@ def test_concentration_f_matches_deviation_delta():
     M = rotate_covariance(fiducial_covariance(z), eta_embed(sample_haar_unitary(5, gen)))
     M_red = reduce_covariance(M, 2)
     f = concentration_f(M_red, lam_bar)
-    delta = spectral_deviation_delta(symplectic_spectrum(M_red), lam_bar)
+    (delta,) = spectral_deviation_deltas(symplectic_spectrum(M_red).lambdas[None], [lam_bar])
     assert f == pytest.approx(2.0 * delta**2, rel=1e-10)
 
 
 def test_spectral_deviation_delta_hand_value():
-    value = spectral_deviation_delta(np.array([2.0, 1.0]), 1.5)
+    (value,) = spectral_deviation_deltas([[2.0, 1.0]], [1.5])
     assert value == pytest.approx(math.sqrt((4.0 - 2.25) ** 2 + (2.25 - 1.0) ** 2), rel=1e-14)
 
 
