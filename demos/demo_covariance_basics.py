@@ -39,15 +39,15 @@ def main():
     print("\nrow orthonormality residual |U U+ - I|:", residual)
     spectrum = symplectic_spectrum(rotated)
     print("symplectic spectrum of rotated state:", spectrum.lambdas)
-    print("pairing residual:", spectrum.pairing_residual)
+    print("largest gap within an eigenvalue pair:", spectrum.pair_gap)
     print("still pure (all eigenvalues 1):",
           bool(np.all(np.abs(spectrum.lambdas - 1.0) < 1e-10)))
 
     reduced, _residual = reduced_covariance_from_rows(U[:1], Z)
-    lambdas = symplectic_spectrum(reduced).lambdas[None]
-    (entropy,) = gaussian_entropies(lambdas)
-    (delta,) = spectral_deviation_deltas(lambdas, [average_energy(Z)])
-    print("\nkeep mode 1: symplectic eigenvalue =", lambdas[0, 0])
+    kept = symplectic_spectrum(reduced)
+    (entropy,) = gaussian_entropies(kept.lambdas[None])
+    (delta,) = spectral_deviation_deltas(kept.squares[None], [average_energy(Z)])
+    print("\nkeep mode 1: symplectic eigenvalue =", kept.lambdas[0])
     print("entanglement entropy (nats)        =", entropy)
     print("deviation functional f = 2 delta^2 =", 2.0 * delta**2)
 

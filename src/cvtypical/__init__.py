@@ -4,7 +4,7 @@ concentration experiments.  The functions live in the submodules
 (cvtypical.symplectic, .haar, .weingarten, .moments, .profiles, .harness,
 .cli); the root holds the version and the seeded stream every draw uses."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .haar import SeededStream
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import hashlib
 import json
 import math
@@ -71,9 +72,9 @@ class RunConfig:
     base_profile: str = "constant"
 
 
-# A stream key half at or above 2^63 is rounded through float64 when Philox
-# is keyed (haar._reseat keeps that rounding), so such seeds share streams.
-SEED_LIMIT = 2**63
+# Philox is keyed with the seed as one exact 64-bit half (haar._reseat), so
+# a seed must fit in 64 bits, as must every sweep row's seed + i.
+SEED_LIMIT = 2**64
 
 
 def _integer(minimum: int):
@@ -90,7 +91,7 @@ def _integer(minimum: int):
 def _seed(value, opt) -> int:
     value = _integer(0)(value, opt)
     if value >= SEED_LIMIT:
-        raise UsageError(f"{opt.flag} must be < 2^63 = {SEED_LIMIT}, got {value}")
+        raise UsageError(f"{opt.flag} must be < 2^64 = {SEED_LIMIT}, got {value}")
     return value
 
 
@@ -202,8 +203,9 @@ def _dests(sub: str) -> tuple:
     return ("seed", "workers") + _SUBCOMMANDS[sub].options
 
 
+@functools.cache
 def _build_parser():
-    """The argument parser, and its subparsers by name."""
+    """The parser and its subparsers by name, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cvtypical",
         description="Typicality experiments for random pure Gaussian states.",
@@ -264,8 +266,12 @@ def parse_config(argv) -> RunConfig:
     ns = parser.parse_args(argv)
     sub = ns.subcommand
     if ns.config:
-        subparsers[sub].set_defaults(**_config_file_defaults(ns.config, sub))
-        ns = parser.parse_args(argv)
+        defaults = _config_file_defaults(ns.config, sub)
+        subparsers[sub].set_defaults(**defaults)
+        try:
+            ns = parser.parse_args(argv)
+        finally:  # the parser is cached: the next call must not see the file
+            subparsers[sub].set_defaults(**dict.fromkeys(defaults))
 
     values = {}
     for dest in _dests(sub):
@@ -286,7 +292,7 @@ def parse_config(argv) -> RunConfig:
             index = SEED_LIMIT - seed
             raise UsageError(
                 f"--seed {seed}: the row seed seed + {index} of --n-list entry {n_list[index]}"
-                f" reaches 2^63 = {SEED_LIMIT}"
+                f" reaches 2^64 = {SEED_LIMIT}"
             )
         rule = values["scaling"]
         if values.get("base_profile", "constant") == "constant":

@@ -18,7 +18,7 @@ class InvalidSubsystem(CvTypicalError):
 
 
 class PairingFailure(CvTypicalError):
-    """Eigenvalues of J*M could not be grouped into conjugate pairs."""
+    """A matrix is not numerically positive definite, or a trial invariant broke."""
 
 
 class InvalidCovariance(CvTypicalError):

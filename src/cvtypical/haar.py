@@ -35,15 +35,11 @@ def _reseat(gen: np.random.Generator, seed: int, stream_id: int) -> np.random.Ge
     (seed, stream_id), the one place a stream is keyed.
 
     Key, counter 0 and an empty output buffer are the whole state of a fresh
-    Philox, so gen then draws exactly what a new generator keyed
-    Philox(key=[seed, stream_id] mod 2^64) would, at a fraction of the cost
-    of building one.
+    Philox, so gen then draws exactly what a new generator keyed with the
+    two exact 64-bit halves [seed, stream_id] mod 2^64 would, at a fraction
+    of the cost of building one.
     """
-    key = [seed & _MASK64, stream_id & _MASK64]
-    if (key[0] >> 63) != (key[1] >> 63):
-        # numpy makes such a pair float64, which Philox(key=...) casts to
-        # uint64, rounding the larger half; the streams stay keyed that way
-        key = np.asarray(key).astype(np.uint64)
+    key = np.array([seed & _MASK64, stream_id & _MASK64], dtype=np.uint64)
     gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": _ZERO4, "key": key},

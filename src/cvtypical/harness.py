@@ -81,8 +81,9 @@ class TrialRecord:
     is max |V V^+ - I_k| over the k Haar rows V the trial drew: the n-mode
     state is pure exactly when those rows are orthonormal.
     tr_jm2/tr_jm4 are the raw trace powers feeding the moment comparisons.
-    A flagged record means the eigenvalue pairing failed; its numeric fields
-    are NaN and it never enters summary statistics.
+    A flagged record means the reduced covariance matrix was not
+    numerically positive definite, so its spectrum could not be taken; its
+    numeric fields are NaN and it never enters summary statistics.
     """
 
     trial_id: int
@@ -201,16 +202,16 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
     P = jm @ jm
     tr_jm2 = np.trace(P, axis1=1, axis2=2)
     tr_jm4 = np.trace(P @ P, axis1=1, axis2=2)
-    # rows up to the first spectrum that is an error (B if none), NaN if flagged
+    # (lambdas, squares) up to the first error (B if none), NaN if flagged
     flagged, rows = [], []
     for outcome in spectra:
         if isinstance(outcome, Exception) and not isinstance(outcome, PairingFailure):
             break
         flagged.append(isinstance(outcome, PairingFailure))
-        rows.append(np.full(k, np.nan) if flagged[-1] else outcome.lambdas)
+        rows.append(np.full((2, k), np.nan) if flagged[-1] else (outcome.lambdas, outcome.squares))
     failed = len(rows)
     flagged = np.array(flagged, dtype=bool)
-    lams = np.array(rows).reshape(-1, k)
+    lams, squares = np.array(rows).reshape(-1, 2, k).swapaxes(0, 1)
     # the scalar formula's operations in its order; past the float range f
     # goes to inf or NaN, and such a trial stops the run
     bars = np.array(lam_bars)
@@ -232,7 +233,7 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
     if failed < len(trial_ids):
         error = spectra[failed]
         raise type(error)(f"trial {trial_ids[failed]}: {error}")
-    deltas = spectral_deviation_deltas(lams, lam_bars)
+    deltas = spectral_deviation_deltas(squares, lam_bars)
     for column in (f_values, residuals, tr_jm2, tr_jm4):
         column[flagged] = np.nan
     columns = (entropies, f_values, deltas, residuals, tr_jm2, tr_jm4, flagged)
@@ -432,7 +433,7 @@ def run_ensemble(profile, k: int, samples: int, seed: int, workers: int = 1):
     flagged = sum(1 for r in records if r.flagged)
     if flagged > FLAG_BUDGET * samples:
         raise PairingFailure(
-            f"{flagged} of {samples} trials failed eigenvalue pairing "
+            f"{flagged} of {samples} trials failed the Cholesky factorization "
             f"(budget {FLAG_BUDGET:.1%})"
         )
     return summarize_records(records, seed=seed, profile=spec), records

@@ -9,7 +9,6 @@ spectrum is any length-n array-like with entries z_j >= 1.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -34,17 +33,17 @@ __all__ = [
 ]
 
 UNITARITY_TOL = 1e-10
-PAIRING_RTOL = 1e-6  # times max-abs entry of M
 WILLIAMSON_TOL = 1e-6  # slack below 1 tolerated before InvalidCovariance
 PURE_CLAMP = 1e-8  # the entropy treats lambda - 1 <= PURE_CLAMP as lambda = 1
 
 
 class SymplecticSpectrum(NamedTuple):
-    """Symplectic eigenvalues sorted descending, plus the max absolute real
-    part seen while pairing the eigenvalues of J*M (a quality diagnostic)."""
+    """Symplectic eigenvalues sorted descending, their squares as eigvalsh gave
+    them, and pair_gap, the largest gap within a pair of squares."""
 
     lambdas: np.ndarray
-    pairing_residual: float
+    squares: np.ndarray
+    pair_gap: float
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -125,13 +124,14 @@ def reduced_covariance_from_rows(V: np.ndarray, z) -> tuple:
 
 
 def symplectic_spectrum(M: np.ndarray):
-    """Symplectic eigenvalues of a covariance matrix via the spectrum of J*M.
+    """Symplectic eigenvalues of a covariance matrix from its Cholesky factor.
 
-    The eigenvalues of the real non-symmetric matrix J*M must form conjugate
-    pairs +-i*lambda_j; the positive imaginary parts are returned sorted
-    descending. pairing_residual is the largest absolute real part seen.
-    Raises PairingFailure when they do not pair and InvalidCovariance when
-    a lambda_j falls below 1.
+    With M = L L^T, K = L^T J L is antisymmetric and similar to J M, so
+    S = K^T K is symmetric and holds each lambda_j^2 twice (Serafini,
+    Quantum Continuous Variables, CRC 2017, ch. 3): every other eigenvalue
+    of S from the top.  Raises InvalidCovariance for a matrix that is not
+    finite and exactly symmetric or has a lambda_j below 1 - WILLIAMSON_TOL,
+    and PairingFailure when M is not numerically positive definite.
 
     A stack (B, 2k, 2k) of matrices gives a list of B outcomes instead,
     each the SymplecticSpectrum of its matrix or the error its lone call
@@ -146,29 +146,34 @@ def symplectic_spectrum(M: np.ndarray):
             raise outcome
         return outcome
     k = M.shape[-1] // 2
-    tol = PAIRING_RTOL * np.maximum(1.0, np.abs(M).max(axis=(1, 2)))
-    w = np.linalg.eigvals(symplectic_form(k) @ M)
-    residual = np.abs(w.real).max(axis=1)
-    imag = np.sort(w.imag, axis=1)
-    # exactly k negative and k positive parts, paired largest to largest
-    pos = imag[:, : k - 1 : -1]
-    paired = (imag[:, k - 1] < 0.0) & (imag[:, k] > 0.0)
-    gap = np.abs(pos + imag[:, :k]).max(axis=1)
-    unreal = residual > tol
-    unpaired = ~paired | (gap > tol)
-    below = pos[:, -1] < 1.0 - WILLIAMSON_TOL
-    outcomes = list(map(SymplecticSpectrum, pos, residual.tolist()))
-    for i in np.flatnonzero(unreal | unpaired | below):
-        if unreal[i]:
-            outcomes[i] = PairingFailure(
-                f"max |Re eig(JM)| = {residual[i]:.3e} exceeds {tol[i]:.3e}"
-            )
-        elif unpaired[i]:
-            outcomes[i] = PairingFailure(
-                f"eigenvalues of JM do not pair into +-i couples at tol {tol[i]:.3e}"
-            )
+    # the factorization reads one triangle, and passes a NaN unnoticed
+    unfit = ~np.isfinite(M).all(axis=(1, 2)) | (M != np.swapaxes(M, 1, 2)).any(axis=(1, 2))
+    M = np.where(unfit[:, None, None], np.eye(2 * k), M)
+    indefinite = np.zeros(len(M), dtype=bool)
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        # one failure fails the stacked call: factor one by one to find them
+        L = np.empty_like(M)
+        for i, matrix in enumerate(M):
+            try:
+                L[i] = np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                L[i], indefinite[i] = np.eye(2 * k), True
+    K = np.swapaxes(L, 1, 2) @ np.concatenate([-L[:, k:], L[:, :k]], axis=1)  # L^T (J L)
+    w = np.linalg.eigvalsh(np.swapaxes(K, 1, 2) @ K)[:, ::-1]
+    squares = w[:, 0::2]
+    gaps = (squares - w[:, 1::2]).max(axis=1)
+    lambdas = np.sqrt(np.maximum(squares, 0.0))
+    below = lambdas[:, -1] < 1.0 - WILLIAMSON_TOL
+    outcomes = list(map(SymplecticSpectrum, lambdas, squares, gaps.tolist()))
+    for i in np.flatnonzero(unfit | indefinite | below):
+        if unfit[i]:
+            outcomes[i] = InvalidCovariance("covariance matrix is not finite and symmetric")
+        elif indefinite[i]:
+            outcomes[i] = PairingFailure("covariance matrix is not positive definite")
         else:
-            outcomes[i] = InvalidCovariance(f"symplectic eigenvalue {pos[i, -1]} below 1")
+            outcomes[i] = InvalidCovariance(f"symplectic eigenvalue {lambdas[i, -1]} below 1")
     return outcomes
 
 
@@ -185,24 +190,21 @@ def average_energies(z) -> np.ndarray:
     return (z + 1.0 / z).sum(axis=-1) / (2 * z.shape[-1])
 
 
-def _logs(x: np.ndarray) -> np.ndarray:
-    # math.log, not np.log: numpy's SIMD log differs from it in the last bit
-    # on some inputs, and the entropies stay those of the scalar formula
-    return np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
 def gaussian_entropies(lams) -> np.ndarray:
     """Von Neumann entropy sum_j G(lambda_j) in nats of each spectrum in a
     stack (B, k), with G(lambda) = g((lambda - 1)/2) and
-    g(N) = (N+1) log(N+1) - N log N; NaN rows give NaN.
+    g(N) = (N+1) log(N+1) - N log N, taken as log1p(N) + N log1p(1/N),
+    which does not cancel at large N; NaN rows give NaN.
 
     N snaps to 0 where lambda - 1 <= PURE_CLAMP, so states pure up to
-    roundoff have zero entropy.  The k terms are added left to right from
-    0, as the sum over one spectrum adds them.  Raises DomainError for the
-    first eigenvalue, in C order, below 1 - PURE_CLAMP; its index attribute
-    names that eigenvalue's row.
+    roundoff have zero entropy.  Each row sums as the spectrum alone would.
+    Raises DomainError for an input that is not a (B, k) stack, and for
+    the first eigenvalue, in C order, below 1 - PURE_CLAMP; its index
+    attribute names that eigenvalue's row.
     """
     lams = np.asarray(lams, dtype=float)
+    if lams.ndim != 2:
+        raise DomainError(f"need a (B, k) stack of spectra, got shape {lams.shape}")
     low = lams < 1.0 - PURE_CLAMP
     if low.any():
         first = int(np.argmax(low))
@@ -210,20 +212,14 @@ def gaussian_entropies(lams) -> np.ndarray:
         error.index = first // lams.shape[-1]
         raise error
     N = np.where(lams - 1.0 <= PURE_CLAMP, 0.0, (lams - 1.0) / 2.0)
-    up = N + 1.0
-    # log N is taken at 1 where N = 0, so those terms are 1*0 - 0*0 = 0
-    g = up * _logs(up) - N * _logs(np.where(N > 0.0, N, 1.0))
-    total = np.zeros(len(g))
-    for column in g.T:
-        total += column
-    return total
+    # 1/N is taken as 0 where N = 0, so those terms are 0 + 0*0 = 0
+    g = np.log1p(N) + N * np.log1p(1.0 / np.where(N > 0.0, N, np.inf))
+    return g.sum(axis=1)
 
 
-def spectral_deviation_deltas(lams, lambda_bars) -> np.ndarray:
+def spectral_deviation_deltas(squares, lambda_bars) -> np.ndarray:
     """Deviation Delta = sqrt(sum_j (lambda_bar^2 - lambda_j^2)^2) of each
-    spectrum in a stack (B, k) from the flat spectrum, row b against
-    lambda_bars[b]."""
-    # Python's float ** 2 (libm pow), which differs from numpy's square in
-    # the last bit on some inputs
-    flat = np.array([float(bar) ** 2 for bar in lambda_bars])
-    return np.sqrt(((flat[:, None] - np.asarray(lams, dtype=float) ** 2) ** 2).sum(axis=1))
+    spectrum in a stack, given by its squares lambda_j^2 (B, k), from the
+    flat spectrum, row b against lambda_bars[b]."""
+    flat = np.square(np.asarray(lambda_bars, dtype=float))
+    return np.sqrt(((flat[:, None] - np.asarray(squares, dtype=float)) ** 2).sum(axis=1))

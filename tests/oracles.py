@@ -38,7 +38,9 @@ It keeps the trial-by-trial Monte Carlo pipeline as the reference of the
 package's block kernel (``reference_run_trial``, ``reference_run_one``),
 with frozen scalar copies of the per-trial functionals the package now
 computes on stacks, and the scipy-based ``lipschitz_probe`` that acceptance
-criterion 8 runs.
+criterion 8 runs.  ``eigvals_spectrum`` keeps the earlier symplectic
+spectrum route, from the eigenvalues of the non-symmetric J*M, as a
+cross-check of the package's Cholesky route.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from cvtypical.haar import SeededStream, _as_generator, sample_haar_unitary
 from cvtypical.harness import TrialRecord
 from cvtypical.moments import MomentInputs, _fourth_moment_rows
 from cvtypical.symplectic import (
-    PAIRING_RTOL,
     PURE_CLAMP,
     UNITARITY_TOL,
     WILLIAMSON_TOL,
@@ -461,12 +462,18 @@ def photon_number(lam: float) -> float:
     return (lam - 1.0) / 2.0
 
 
+def _log1p(x: float) -> float:
+    # numpy's log1p on a stack of one: its bits do not depend on a value's
+    # place in its array, while math.log1p differs in the last bit on some
+    return float(np.log1p(np.array([x]))[0])
+
+
 def entropy_g(N: float) -> float:
     if N < 0.0:
         raise DomainError(f"need N >= 0, got {N}")
     if N == 0.0:
         return 0.0
-    return (N + 1.0) * math.log(N + 1.0) - N * math.log(N)
+    return _log1p(N) + N * _log1p(1.0 / N)
 
 
 def entropy_G(lam: float) -> float:
@@ -480,12 +487,16 @@ def _as_lambdas(spectrum) -> np.ndarray:
 
 
 def gaussian_entropy(spectrum) -> float:
-    return float(sum(entropy_G(lam) for lam in _as_lambdas(spectrum)))
+    return float(np.array([entropy_G(lam) for lam in _as_lambdas(spectrum)]).sum())
 
 
-def spectral_deviation_delta(spectrum, lambda_bar: float) -> float:
-    lams = _as_lambdas(spectrum)
-    return float(math.sqrt(((lambda_bar**2 - lams**2) ** 2).sum()))
+def spectral_deviation_delta(squares, lambda_bar: float) -> float:
+    """Delta of one spectrum given by its squares lambda_j^2, or of a
+    SymplecticSpectrum."""
+    if isinstance(squares, SymplecticSpectrum):
+        squares = squares.squares
+    squares = np.atleast_1d(np.asarray(squares, dtype=float))
+    return float(math.sqrt(((lambda_bar * lambda_bar - squares) ** 2).sum()))
 
 
 def sample_profile(spec, rng) -> np.ndarray:
@@ -525,6 +536,31 @@ def _reference_rows_covariance(V: np.ndarray, z) -> tuple:
 
 def _reference_spectrum(M: np.ndarray) -> SymplecticSpectrum:
     k = M.shape[0] // 2
+    if not np.array_equal(M, M.T):
+        raise InvalidCovariance("covariance matrix is not symmetric")
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise PairingFailure("covariance matrix is not positive definite") from None
+    K = L.T @ np.vstack([-L[k:], L[:k]])
+    w = np.linalg.eigvalsh(K.T @ K)[::-1]
+    squares = w[0::2]
+    lambdas = np.sqrt(np.maximum(squares, 0.0))
+    if lambdas[-1] < 1.0 - WILLIAMSON_TOL:
+        raise InvalidCovariance(f"symplectic eigenvalue {lambdas[-1]} below 1")
+    return SymplecticSpectrum(lambdas, squares, float((squares - w[1::2]).max()))
+
+
+# The spectrum route the package used before its Cholesky one: the eigenvalues
+# of the non-symmetric J*M must come in pairs +-i*lambda_j.
+PAIRING_RTOL = 1e-6  # times max-abs entry of M
+
+
+def eigvals_spectrum(M: np.ndarray) -> tuple:
+    """(lambdas sorted descending, max |Re eig(JM)|) of one covariance
+    matrix from the eigenvalues of J*M; raises PairingFailure when they do
+    not pair into +-i couples and InvalidCovariance below 1."""
+    k = M.shape[0] // 2
     tol = PAIRING_RTOL * max(1.0, np.abs(M).max())
     w = np.linalg.eigvals(symplectic_form(k) @ M)
     residual = float(np.abs(w.real).max())
@@ -536,7 +572,7 @@ def _reference_spectrum(M: np.ndarray) -> SymplecticSpectrum:
         raise PairingFailure(f"eigenvalues of JM do not pair into +-i couples at tol {tol:.3e}")
     if pos[-1] < 1.0 - WILLIAMSON_TOL:
         raise InvalidCovariance(f"symplectic eigenvalue {pos[-1]} below 1")
-    return SymplecticSpectrum(lambdas=pos, pairing_residual=residual)
+    return pos, residual
 
 
 def reference_run_trial(z, k: int, rng, trial_id: int = 0) -> TrialRecord:

@@ -14,6 +14,7 @@ import pytest
 import cvtypical
 from cvtypical import __version__
 from cvtypical.cli import RunConfig, config_digest, main, parse_config
+from cvtypical.errors import UsageError
 from cvtypical.harness import read_summary_json, read_trials_csv, run_ensemble
 from cvtypical.profiles import ScalingConfig, parse_profile
 
@@ -112,55 +113,56 @@ def test_huge_f_summarizes_to_strict_json(tmp_path):
 
 
 # One fixed random n = 64 spectrum; the digest of its moments JSON was taken
-# from the Fraction implementation the integer one replaced.
+# from the Fraction implementation the integer one replaced, and re-taken at
+# 0.3.0, which changed only its "version" string.
 def test_moments_json_is_pinned(capsys):
     rng = random.Random(64)
     profile = "fixed:" + ",".join(repr(1.0 + 2.0 * rng.random()) for _ in range(64))
     rc, out, err = run_main(capsys, ["moments", "--k", "3", "--z-profile", profile])
     assert rc == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "86c358a6a8a2605156b06a2fd30cba6493d67be5a87aff287750bdc861ab67f3"
+        "758337ae6ce5088fd8e1a368918df2a821169fd695617910c8e210c088a64909"
     )
 
 
 # The benchmark's four trial-dump shapes and one concentration sweep; each
-# output's sha256 was taken from the record-by-record trial finishing that
-# the column-wise one replaced.
+# output's sha256 was taken at 0.3.0 (Cholesky spectrum, log1p entropy),
+# with 1, 2 and 3 workers giving the same bytes.
 TRIAL_PINS = [
     (
         "trial-dump --k 1 --z-profile fixed:3,1,1,1 --samples 300 --seed 11",
         {
-            "summary.json": "d72afc330a2b34886bcb5742c82b6627f46cca0c97dd5d493794ae923a628fc8",
-            "trials.csv": "a0977d386a1d6c6ef0892b0a06b3830cf735f08c889f2ebe1f3b6c90c50c84cf",
+            "summary.json": "4ed8d9923197d5db6e3933781f0016e858484a3d159f117898ce9d157313d1d2",
+            "trials.csv": "2ddb1093a5c118af69413ef26a46103ec972cd59965bff88fb5d0536dea0aad6",
         },
     ),
     (
         "trial-dump --k 2 --z-profile fixed:3,1,1,1,1,1,1,1 --samples 300 --seed 12",
         {
-            "summary.json": "c1666934e10d3785db265e5fe6156d0149d2d8fb207d40818a4093cf11addeaf",
-            "trials.csv": "5f737fd5a7f8702e67dddc65b63cb93907805e6ccbb9f37c9f299633380dac8d",
+            "summary.json": "e53d6887f1521097bae2867cf771b53ba763755291c9e559f86a8484d4b64364",
+            "trials.csv": "2698ca1e9acf28d409a864351342eef378f729a7a71786156f64ae6e7fc690b8",
         },
     ),
     (
         "trial-dump --n 16 --k 4 --z-profile micro:48.0 --samples 300 --seed 13",
         {
-            "summary.json": "38903952463067a96f00c6fbe734aec9d178d3661cf34ef44a8f6389c1def201",
-            "trials.csv": "a63df09016e8fd8a3573b9cc4ff63893ef45d5419e6c538c6849f55fc0046c81",
+            "summary.json": "64fde3f85baec3e2196b2d9dc3152139c8a735cb8efcbf8303687a3751e777ca",
+            "trials.csv": "f501778d15437c227100e4666d70c286f884e92fbd260232066bf09fc7ce4f2c",
         },
     ),
     (
         "trial-dump --n 16 --k 4 --z-profile canonical:48.0 --samples 300 --seed 14",
         {
-            "summary.json": "6153ba75f010b61967f9fca31b9755556767c6e0694208242a5bf372b263644c",
-            "trials.csv": "1ab090b5b867c0dfb7abddbc33abf6b5540ffa6a19f21df78764de4f56b6afaa",
+            "summary.json": "4faedfed1cb1c4f512f556cd57c67f9187fcd3f344f514413bd486ccfce2f3eb",
+            "trials.csv": "0546677d243b199fa03db150c323495c23b227a51dd322dadedeeaf8ee7115e6",
         },
     ),
     (
         "concentration --n-list 32,64 --kappa 0.5 --samples 30 --seed 15",
         {
-            "sweep_summary.json": "c3b2ceb6b97576d9a6747370b40d31bc090a0536aa054e55b68df28d469ca185",
-            "trials_n32.csv": "f4f1df40ebdb842f6d3c470e1b41f2df1dfc1d43540d9abcea49098836ad295e",
-            "trials_n64.csv": "7c57856de5035faf375e3cdfaeb84661bbd9a6a064387a8b6c8421c5095b2573",
+            "sweep_summary.json": "ad1c359449c33e6f43c642c0c6fbd697335339875ad47d00136bdda01d90c721",
+            "trials_n32.csv": "a0ba5e3cae16eafac9aefedd390cc32e287bd6fc45619365624df7a0262f54f0",
+            "trials_n64.csv": "bd26e04226d75c76bab1773df96861d4a3d5d12831847781b4780569608de4f2",
         },
     ),
 ]
@@ -427,12 +429,12 @@ def test_config_file_subcommand_mismatch(tmp_path, capsys):
         (["concentration"], {"n_list": [4, 8], "samples": 2, "k": 6}, "--k"),
         # the scaling values are flat keys only
         (["concentration"], {"n_list": [4], "samples": 2, "scaling": {"zeta": 0.5}}, "'scaling'"),
-        (["concentration"], {"n_list": [4], "samples": 2, "seed": 2**63}, "--seed"),
-        (["concentration"], {"n_list": [4, 8], "samples": 2, "seed": 2**63 - 1}, "--seed"),
+        (["concentration"], {"n_list": [4], "samples": 2, "seed": 2**64}, "--seed"),
+        (["concentration"], {"n_list": [4, 8], "samples": 2, "seed": 2**64 - 1}, "--seed"),
     ],
     ids=[
         "format", "base_profile", "output_dir", "scaling_zeta", "scale_k_inf", "scale_z_nan", "n_list_3",
-        "zeta_400", "k_6", "scaling_object", "seed_2_63", "row_seed_2_63",
+        "zeta_400", "k_6", "scaling_object", "seed_2_64", "row_seed_2_64",
     ],
 )
 def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, capsys, argv, config, flag):
@@ -456,15 +458,15 @@ def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, capsys
         # 4**400 is a float, 16**400 is not
         (["--n-list", "4,16", "--zeta", "400"], "--n-list"),
         (["--zeta", "1", "--scale-z", "1e308"], "--n-list"),
-        # seeds at or above 2^63 alias other seeds' streams; sweep row i runs on seed + i
-        (["--seed", str(2**63)], "--seed"),
-        (["--n-list", "4,8", "--seed", str(2**63 - 1)], "--seed"),
+        # a seed keys Philox as one 64-bit half; sweep row i runs on seed + i
+        (["--seed", str(2**64)], "--seed"),
+        (["--n-list", "4,8", "--seed", str(2**64 - 1)], "--seed"),
         # an explicit k runs in every row, so it must fit the smallest
         (["--n-list", "8,4", "--k", "6", "--output-dir", "d"], "--k 6 exceeds the smallest --n-list entry 4"),
     ],
     ids=[
         "scale_k_inf", "kappa_inf", "zeta_nan", "n_list_3", "n_list_8_2", "zeta_400", "scale_z_1e308",
-        "seed_2_63", "row_seed_2_63", "k_above_smallest_n",
+        "seed_2_64", "row_seed_2_64", "k_above_smallest_n",
     ],
 )
 def test_concentration_flag_values_are_usage_errors(tmp_path, monkeypatch, capsys, extra, flag):
@@ -523,6 +525,20 @@ def test_workers_come_from_the_flag_or_the_config_file(tmp_path, monkeypatch, ca
     assert parse_config(base + ["--config", str(config)]).workers == 3
     assert parse_config(base + ["--config", str(config), "--workers", "2"]).workers == 2
     assert run_main(capsys, base)[0] == 0
+
+
+def test_config_file_values_do_not_outlive_their_call(tmp_path):
+    """The parser is built once per process; a config file's values must
+    still reach only the call that named it."""
+    base = ["trial-dump", "--n", "3", "--k", "1", "--z-profile", "constant:2x3"]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"samples": 5, "seed": 9, "workers": 2}))
+    cfg = parse_config(base + ["--config", str(config)])
+    assert (cfg.samples, cfg.seed, cfg.workers) == (5, 9, 2)
+    cfg = parse_config(base + ["--samples", "3"])
+    assert (cfg.samples, cfg.seed, cfg.workers) == (3, 0, 1)
+    with pytest.raises(UsageError, match="--samples"):
+        parse_config(base)
 
 
 def test_config_digest_ignores_workers_and_paths(tmp_path):

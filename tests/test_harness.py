@@ -54,7 +54,12 @@ from cvtypical.profiles import (
     microcanonical_profile,
     parse_profile,
 )
-from cvtypical.symplectic import SymplecticSpectrum, average_energy, symplectic_spectrum
+from cvtypical.symplectic import (
+    SymplecticSpectrum,
+    average_energy,
+    reduced_covariance_from_rows,
+    symplectic_spectrum,
+)
 import oracles
 from oracles import (
     concentration_f,
@@ -289,6 +294,22 @@ def test_block_kernel_matches_trial_by_trial_reference(monkeypatch, profile, n, 
         assert repr(records) == repr(reference)
 
 
+@pytest.mark.parametrize("profile, n, k", KERNEL_GRID)
+def test_cholesky_spectrum_matches_the_eigvals_route(profile, n, k):
+    """The package's Cholesky route against the earlier eigenvalues-of-J*M
+    route, on the reduced states of the block kernel's shapes."""
+    spec = parse_profile(profile, n=n)
+    stack = []
+    for t in range(16):
+        gen = SeededStream(5, t).generator()
+        z = oracles.sample_profile(spec, gen)
+        rows = sample_haar_unitary(spec.n, gen, k).T
+        stack.append(reduced_covariance_from_rows(rows, z)[0])
+    for M, outcome in zip(stack, symplectic_spectrum(np.array(stack))):
+        expected, _residual = oracles.eigvals_spectrum(M)
+        assert np.allclose(outcome.lambdas, expected, rtol=1e-12, atol=0.0)
+
+
 def poisoned_reference(poison):
     """The reference spectrum, failing on chosen call indices (one call per
     trial)."""
@@ -315,17 +336,16 @@ def test_run_trial_matches_reference():
         )
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
 @pytest.mark.parametrize("seed", [0, 12, -3, 2**40 + 1, 2**64 + 5])
 def test_reseated_stream_draws_what_a_fresh_one_does(seed):
     """A re-seated generator and SeededStream.generator() both draw what a
-    Philox keyed directly with the two 64-bit halves draws, numpy's float
-    rounding of a pair with one half at or above 2^63 included."""
+    Philox keyed directly with the two exact uint64 halves draws."""
     gen = SeededStream(99, 99).generator()
     gen.standard_normal(7)  # leave it mid-buffer
     mask = (1 << 64) - 1
     for stream_id in (0, 1, 2**33, -1):
-        fresh = np.random.Generator(np.random.Philox(key=[seed & mask, stream_id & mask]))
+        key = np.array([seed & mask, stream_id & mask], dtype=np.uint64)
+        fresh = np.random.Generator(np.random.Philox(key=key))
         stream = SeededStream(seed, stream_id).generator()
         reseated = _reseat(gen, seed, stream_id)
         for draw in ("standard_normal", "standard_exponential", "random"):
@@ -410,7 +430,8 @@ def _poison_entropy(monkeypatch, trial):
         outcomes = real(M)
         if trial < len(outcomes):
             k = M.shape[-1] // 2
-            outcomes[trial] = SymplecticSpectrum(np.full(k, 1.0 - 1e-7), 0.0)
+            lams = np.full(k, 1.0 - 1e-7)
+            outcomes[trial] = SymplecticSpectrum(lams, lams * lams, 0.0)
         return outcomes
 
     monkeypatch.setattr(harness, "symplectic_spectrum", wrapper)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,9 @@ from cvtypical.errors import (
     NonUnitaryInput,
     PairingFailure,
 )
+from cvtypical.cli import main
 from cvtypical.haar import SeededStream, sample_haar_unitary
-from cvtypical.harness import PURITY_TOL
+from cvtypical.harness import PURITY_TOL, read_trials_csv
 from cvtypical.symplectic import (
     PURE_CLAMP,
     UNITARITY_TOL,
@@ -199,7 +201,7 @@ def test_symplectic_spectrum_pure_state_is_flat():
     spec = symplectic_spectrum(M)
     assert spec.lambdas.shape == (4,)
     assert np.max(np.abs(spec.lambdas - 1.0)) < 1e-10
-    assert spec.pairing_residual < 1e-10
+    assert spec.pair_gap < 1e-10
 
 
 def test_symplectic_spectrum_thermal_state():
@@ -219,9 +221,31 @@ def test_symplectic_spectrum_sorted_descending():
 
 
 def test_symplectic_spectrum_rejects_unpaired_matrix():
-    # J itself is antisymmetric: spec(J J) gives real eigenvalues, no +/- i pairs
-    with pytest.raises(PairingFailure):
-        symplectic_spectrum(symplectic_form(2) + 0.0)
+    # symmetric but not positive definite: J M has the real pair +-1 in
+    # place of +-i*lambda, and the Cholesky factorization fails
+    with pytest.raises(PairingFailure, match="not positive definite"):
+        symplectic_spectrum(np.diag([1.0, 1.0, -1.0, 1.0]))
+
+
+def test_symplectic_spectrum_rejects_asymmetric_matrix():
+    # the factorization reads one triangle, so the other must agree with it
+    M = 2.0 * np.eye(4)
+    M[0, 1] = 1e-9
+    with pytest.raises(InvalidCovariance, match="not finite and symmetric"):
+        symplectic_spectrum(M)
+
+
+def test_stacked_spectrum_flags_only_the_failing_matrices():
+    """A failed factorization fails the stacked Cholesky as a whole; each
+    matrix still gets the outcome its lone call would."""
+    good = fiducial_covariance([3.0, 1.0])
+    stack = np.array([good, np.diag([1.0, 1.0, -1.0, 1.0]), 0.5 * np.eye(4), good])
+    outcomes = symplectic_spectrum(stack)
+    assert isinstance(outcomes[1], PairingFailure)
+    assert isinstance(outcomes[2], InvalidCovariance)
+    for outcome in (outcomes[0], outcomes[3]):
+        assert np.array_equal(outcome.lambdas, symplectic_spectrum(good).lambdas)
+        assert np.allclose(outcome.squares, outcome.lambdas**2, rtol=1e-15)
 
 
 def test_symplectic_spectrum_rejects_unphysical_state():
@@ -298,6 +322,46 @@ def test_entropy_snaps_the_rounded_pure_bound():
         gaussian_entropies([[2.0], [np.nextafter(1.0 - PURE_CLAMP, 0.0)]])
 
 
+# G(lambda) = g(N), N = (lambda - 1)/2, from the double lambda; in doubles
+# the N log N form cancels to 32.0 near 1e16 and to 0.0 from about 1e30
+_G_LAMBDAS = (1.0 + 3e-8, 3.0, 1e8, 1e15, 1e16, 1e30, 1e300)
+
+
+def _entropy_G_exact(lam: float) -> float:
+    """G(lambda) to 50 digits: the N log N form, with 310 more working
+    digits than its cancellation at lambda = 1e300 costs."""
+    with mpmath.workdps(360):
+        N = (mpmath.mpf(lam) - 1) / 2
+        return float((N + 1) * mpmath.log(N + 1) - N * mpmath.log(N))
+
+
+def test_entropy_matches_fifty_digits_at_every_scale():
+    values = gaussian_entropies([[lam] for lam in _G_LAMBDAS])
+    for lam, value in zip(_G_LAMBDAS, values):
+        assert value == pytest.approx(_entropy_G_exact(lam), rel=1e-14, abs=0.0), lam
+
+
+def test_huge_squeezing_writes_the_stable_entropy(tmp_path):
+    """A trial at z = 1e30 keeps its entropy: non-zero and the 50-digit G."""
+    out = tmp_path / "trials.csv"
+    argv = ["trial-dump", "--n", "4", "--k", "1", "--z-profile", "constant:1e30x4",
+            "--samples", "2", "--output", str(out), "--summary-output", str(tmp_path / "s.json")]
+    assert main(argv) == 0
+    records, _provenance = read_trials_csv(out)
+    for rec in records:
+        (lam,) = rec.symplectic_spectrum
+        assert rec.entropy > 0.0
+        assert rec.entropy == pytest.approx(_entropy_G_exact(lam), rel=1e-14, abs=0.0)
+
+
+def test_gaussian_entropies_rejects_a_single_spectrum():
+    with pytest.raises(DomainError, match=r"\(B, k\) stack"):
+        gaussian_entropies([3.0, 2.0])
+    with pytest.raises(DomainError):
+        gaussian_entropies(3.0)
+    assert gaussian_entropies([[3.0, 2.0]]).shape == (1,)
+
+
 def test_inverse_temperature_values():
     assert inverse_temperature_beta(3.0) == pytest.approx(math.log(2.0), rel=1e-14)
     assert inverse_temperature_beta(1.0) == math.inf
@@ -335,12 +399,13 @@ def test_concentration_f_matches_deviation_delta():
     M = rotate_covariance(fiducial_covariance(z), eta_embed(sample_haar_unitary(5, gen)))
     M_red = reduce_covariance(M, 2)
     f = concentration_f(M_red, lam_bar)
-    (delta,) = spectral_deviation_deltas(symplectic_spectrum(M_red).lambdas[None], [lam_bar])
+    (delta,) = spectral_deviation_deltas(symplectic_spectrum(M_red).squares[None], [lam_bar])
     assert f == pytest.approx(2.0 * delta**2, rel=1e-10)
 
 
 def test_spectral_deviation_delta_hand_value():
-    (value,) = spectral_deviation_deltas([[2.0, 1.0]], [1.5])
+    # the spectrum (2, 1), given by its squares
+    (value,) = spectral_deviation_deltas([[4.0, 1.0]], [1.5])
     assert value == pytest.approx(math.sqrt((4.0 - 2.25) ** 2 + (2.25 - 1.0) ** 2), rel=1e-14)
 
 
