@@ -164,7 +164,7 @@ class _Option(NamedTuple):
 # and (except for the four scaling values) the RunConfig field.
 _OPTIONS = {
     "seed": _Option("--seed", _seed, type=int),
-    "workers": _Option("--workers", _integer(1), "worker processes (default 1)", type=int),
+    "workers": _Option("--workers", _integer(1), "at most this many worker threads (default 1)", type=int),
     "n": _Option("--n", _integer(1), "mode count", type=int),
     "k": _Option("--k", _integer(1), "subsystem modes (concentration default: scaling rule)", type=int),
     "samples": _Option("--samples", _integer(1), type=int),

@@ -15,9 +15,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
@@ -198,10 +198,16 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
         run_head(exc.index)
         raise NonUnitaryInput(f"trial {trial_ids[exc.index]}: {exc}") from None
     spectra = symplectic_spectrum(M_red)
-    jm = symplectic_form(k) @ M_red
-    P = jm @ jm
-    tr_jm2 = np.trace(P, axis1=1, axis2=2)
-    tr_jm4 = np.trace(P @ P, axis1=1, axis2=2)
+    # the scalar formula's operations in its order; past the float range the
+    # traces and f go to inf or NaN, and such a trial stops the run
+    bars = np.array(lam_bars)
+    c = bars * bars
+    with np.errstate(over="ignore", invalid="ignore"):
+        jm = symplectic_form(k) @ M_red
+        P = jm @ jm
+        tr_jm2 = np.trace(P, axis1=1, axis2=2)
+        tr_jm4 = np.trace(P @ P, axis1=1, axis2=2)
+        f_values = tr_jm4 + 2.0 * c * tr_jm2 + 2.0 * k * c * c
     # (lambdas, squares) up to the first error (B if none), NaN if flagged
     flagged, rows = [], []
     for outcome in spectra:
@@ -212,12 +218,6 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
     failed = len(rows)
     flagged = np.array(flagged, dtype=bool)
     lams, squares = np.array(rows).reshape(-1, 2, k).swapaxes(0, 1)
-    # the scalar formula's operations in its order; past the float range f
-    # goes to inf or NaN, and such a trial stops the run
-    bars = np.array(lam_bars)
-    c = bars * bars
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_values = tr_jm4 + 2.0 * c * tr_jm2 + 2.0 * k * c * c
     nonfinite = np.flatnonzero(~(np.isfinite(f_values[:failed]) | flagged))
     stop = int(nonfinite[0]) if nonfinite.size else failed
     # an earlier trial's entropy error comes first
@@ -304,6 +304,11 @@ def _run_block(args) -> list:
 
 def _block_size(n: int, k: int) -> int:
     return max(1, min(BLOCK_TRIALS, BLOCK_ENTRIES // (n * k)))
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _rescaled(statistic, values: np.ndarray, **options) -> float:
@@ -406,9 +411,13 @@ def run_ensemble(profile, k: int, samples: int, seed: int, workers: int = 1):
 
     Returns (RunSummary, list of TrialRecord in trial_id order).  The trial
     stream for trial t is keyed (seed, t), so any worker count reproduces the
-    same records bit for bit.  Trials run in contiguous blocks of ids, and
-    pool workers take whole blocks.  Raises PairingFailure when flagged
-    trials exceed FLAG_BUDGET of the run.
+    same records bit for bit.  Trials run in contiguous blocks of ids.
+    Threads pay off only where the stacked LAPACK calls, which release the
+    GIL, dominate a block, so only blocks that BLOCK_ENTRIES shrinks below
+    BLOCK_TRIALS (n k > 256) go to w = min(workers, usable CPUs) threads,
+    each taking whole blocks of at most 1/w of one worker's, so the memory
+    in flight stays one worker's.  Raises PairingFailure when flagged trials
+    exceed FLAG_BUDGET of the run.
     """
     spec = _as_profile(profile)
     if samples < 1:
@@ -419,16 +428,16 @@ def run_ensemble(profile, k: int, samples: int, seed: int, workers: int = 1):
         raise InvalidSubsystem(f"k={k} outside 1..{spec.n}")
 
     size = _block_size(spec.n, k)
-    if workers > 1:
-        size = min(size, -(-samples // workers))
+    threads = min(workers, _cpu_count()) if size < BLOCK_TRIALS else 1
+    size = -(-min(size, samples) // threads)
     blocks = [
         (spec, k, seed, start, min(start + size, samples)) for start in range(0, samples, size)
     ]
-    if workers == 1:
+    if threads == 1:
         records = [rec for block in blocks for rec in _run_block(block)]
     else:
-        with multiprocessing.Pool(processes=workers) as pool:
-            records = [rec for part in pool.imap(_run_block, blocks) for rec in part]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            records = [rec for part in pool.map(_run_block, blocks) for rec in part]
 
     flagged = sum(1 for r in records if r.flagged)
     if flagged > FLAG_BUDGET * samples:

@@ -70,6 +70,8 @@ def test_moments_out_of_float_range_is_an_error(capsys, profile):
         "trial-dump --n 4 --k 1 --z-profile canonical:1e200 --samples 2",
         # lambda_bar**4 is a float, but f = tr4 + 2 c tr2 + 2k c^2 is inf - inf
         "trial-dump --n 4 --k 1 --z-profile constant:2e77x4 --samples 2",
+        # tr(JM)^4 itself leaves the float range
+        "trial-dump --n 16 --k 2 --z-profile constant:2e77x16 --samples 2",
     ],
 )
 def test_huge_squeezing_is_one_error_line(tmp_path, command):

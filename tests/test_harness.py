@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -195,13 +197,83 @@ def test_ensemble_mean_matches_exact_moments():
         assert abs(mean - float(exact)) < 5.0 * se
 
 
-def test_worker_count_is_invisible():
-    spec = microcanonical_profile(16.0, 3)
-    s1, r1 = run_ensemble(spec, 2, 40, seed=5, workers=1)
-    for workers in (2, 3):
-        s2, r2 = run_ensemble(spec, 2, 40, seed=5, workers=workers)
-        assert r1 == r2
-        assert s1 == s2
+def test_worker_count_is_invisible(monkeypatch):
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 4)  # three threads on any host
+    shapes = [
+        (microcanonical_profile(16.0, 3), 2, 40),
+        # blocks of 16 trials at one worker, so every worker takes several
+        (microcanonical_profile(600.0, 256), 16, 100),
+    ]
+    for spec, k, samples in shapes:
+        s1, r1 = run_ensemble(spec, k, samples, seed=5, workers=1)
+        for workers in (2, 3):
+            s2, r2 = run_ensemble(spec, k, samples, seed=5, workers=workers)
+            assert r1 == r2
+            assert s1 == s2
+
+
+def test_workers_are_threads_in_this_process(monkeypatch):
+    """Worker threads fork nothing and are all gone when run_ensemble
+    returns or raises."""
+    def no_fork():
+        raise AssertionError("run_ensemble forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 4)
+    spec = microcanonical_profile(600.0, 256)
+    before = threading.active_count()
+    run_ensemble(spec, 16, 60, seed=2, workers=3)
+    assert threading.active_count() == before
+    _poison_trial_ids(monkeypatch, {20})
+    with pytest.raises(DomainError, match="^trial 20: "):
+        run_ensemble(spec, 16, 60, seed=2, workers=3)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "n, k, cpus, workers, threads",
+    [
+        (256, 16, 2, 8, 2),  # no more threads than CPUs
+        (256, 16, 4, 3, 3),
+        (256, 16, 1, 2, 1),
+        (16, 16, 4, 2, 1),  # a full BLOCK_TRIALS block runs on the calling thread
+    ],
+)
+def test_thread_count_follows_the_cpus_and_the_block(monkeypatch, n, k, cpus, workers, threads):
+    """min(workers, CPUs) threads where n k shrinks a block below
+    BLOCK_TRIALS, else none; blocks are sized from that count, and the
+    records do not depend on it."""
+    made, sizes = [], []
+    real_block = harness._run_block
+
+    class Recording(harness.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    def recording_block(block):
+        sizes.append(block[4] - block[3])
+        return real_block(block)
+
+    spec = microcanonical_profile(600.0, n)
+    _, expected = run_ensemble(spec, k, 300, seed=4)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(harness, "_run_block", recording_block)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
+    _, records = run_ensemble(spec, k, 300, seed=4, workers=workers)
+    assert made == ([] if threads == 1 else [threads])
+    assert max(sizes) == -(-harness._block_size(n, k) // threads)
+    assert records == expected
+
+
+def test_cpu_count_is_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert harness._cpu_count() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert harness._cpu_count() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert harness._cpu_count() == 1
 
 
 def test_seed_changes_the_ensemble():
@@ -419,6 +491,33 @@ def test_block_raises_the_first_failing_trials_error(monkeypatch, first, second)
     _POISONS[first](monkeypatch, 4)
     with pytest.raises(first, match="^trial 4: "):
         run_ensemble(spec, 1, 20, seed=8)
+
+
+def _poison_trial_ids(monkeypatch, poison, slow=frozenset()):
+    """Give the trials with the chosen ids an infinite lambda_bar, whichever
+    block and thread runs them; a block holding an id in `slow` first sleeps,
+    so that later blocks fail before it does."""
+    real = harness._block_records
+
+    def wrapper(z, lam_bars, draws, k, trial_ids):
+        if not slow.isdisjoint(trial_ids):
+            time.sleep(0.05)
+        lam_bars = [math.inf if t in poison else lam for t, lam in zip(trial_ids, lam_bars)]
+        return real(z, lam_bars, draws, k, trial_ids)
+
+    monkeypatch.setattr(harness, "_block_records", wrapper)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_first_failing_block_raises_whatever_the_thread_timing(monkeypatch, workers):
+    """Trials 20 and 45 fail in different blocks; the block holding 20
+    fails last in time, yet its error is the one raised."""
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 4)
+    spec = microcanonical_profile(600.0, 256)
+    assert harness._block_size(256, 16) == 16
+    _poison_trial_ids(monkeypatch, {20, 45}, slow={20})
+    with pytest.raises(DomainError, match=r"^trial 20: lambda_bar = inf "):
+        run_ensemble(spec, 16, 60, seed=8, workers=workers)
 
 
 def _poison_entropy(monkeypatch, trial):
