@@ -116,35 +116,28 @@ def _choice(value, opt) -> str:
 
 
 def _parse_n_list(value, opt) -> tuple:
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-    elif isinstance(value, str):
-        items = [part.strip() for part in value.split(",") if part.strip()]
-    else:
+    if isinstance(value, str):
+        try:
+            value = [int(part) for part in value.split(",") if part.strip()]
+        except ValueError:
+            raise UsageError(f"{opt.flag} must be a comma list of integers, got {value!r}") from None
+    if not isinstance(value, (list, tuple)):
         raise UsageError(f"{opt.flag} must be a comma list of integers, got {value!r}")
-    try:
-        ns = tuple(int(x) for x in items)
-    except (TypeError, ValueError):
-        raise UsageError(f"{opt.flag} must be a comma list of integers, got {value!r}") from None
-    if not ns:
+    if not value:
         raise UsageError(f"{opt.flag} is empty")
-    if min(ns) < SWEEP_MIN_N:
-        raise UsageError(f"{opt.flag} entries must be >= {SWEEP_MIN_N}, got {min(ns)}")
-    return ns
+    return tuple(_integer(SWEEP_MIN_N)(n, opt) for n in value)
 
 
 def _parse_n_range(value, opt) -> tuple:
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        lo, hi = value
-    elif isinstance(value, str) and value.count(":") == 1:
-        lo, hi = value.split(":")
-    else:
+    if isinstance(value, str) and value.count(":") == 1:
+        try:
+            value = [int(part) for part in value.split(":")]
+        except ValueError:
+            raise UsageError(f"{opt.flag} must hold integers, got {value!r}") from None
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise UsageError(f"{opt.flag} must look like a:b, got {value!r}")
-    try:
-        lo, hi = int(lo), int(hi)
-    except (TypeError, ValueError):
-        raise UsageError(f"{opt.flag} must hold integers, got {value!r}") from None
-    if lo < 1 or hi < lo:
+    lo, hi = (_integer(1)(end, opt) for end in value)
+    if hi < lo:
         raise UsageError(f"{opt.flag} needs 1 <= a <= b, got {lo}:{hi}")
     return lo, hi
 

@@ -23,18 +23,22 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .errors import DomainError, InvalidSubsystem, NonUnitaryInput, PairingFailure
+from .errors import DomainError, InvalidSubsystem, PairingFailure
 from .haar import SeededStream, _as_generator, _haar_columns, _reseat
 from .profiles import ProfileSpec, ScalingConfig, constant_profile, fixed_profile
 from .profiles import exponential_count, spectra_from_exponentials
 from .symplectic import (
+    NOT_POSITIVE_DEFINITE,
+    UNITARITY_TOL,
     average_energies,
     average_energy,
     gaussian_entropies,
     reduced_covariance_from_rows,
     spectral_deviation_deltas,
+    spectrum_error,
     symplectic_form,
     symplectic_spectrum,
+    unitarity_error,
 )
 
 # Exceedance thresholds are these multiples of lambda_bar**4; the natural
@@ -134,9 +138,9 @@ def run_trial(z, k: int, rng, trial_id: int = 0) -> TrialRecord:
     Kept for perfbench, whose per-layer trace wraps it and whose self-test
     calls it.  A block of one: the k Haar rows come off rng (a
     SeededStream, or a Generator consumed in place), then _block_records
-    does the rest.  A PairingFailure from the reduced spectrum yields a
-    flagged record with NaN fields rather than an exception, so downstream
-    tallies see every trial.
+    does the rest.  A reduced covariance that is not positive definite
+    yields a flagged record with NaN fields rather than an exception, so
+    downstream tallies see every trial.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     n = z.size
@@ -148,91 +152,69 @@ def run_trial(z, k: int, rng, trial_id: int = 0) -> TrialRecord:
     return _block_records(z, [lam_bar], draws, k, [trial_id])[0]
 
 
-def _out_of_range(z: np.ndarray, lam_bars):
-    """(index, reason) of the first trial whose spectrum is not finite or
-    whose lambda_bar**4, the scale of f and of the tail ladder, leaves the
-    float range; None when every trial is in range."""
-    finite = np.isfinite(z).all(axis=-1)
-    for b, lam in enumerate(lam_bars):
-        if not (finite if finite.ndim == 0 else finite[b]):
-            return b, "squeezing spectrum is not finite"
-        try:
-            in_range = math.isfinite(lam**4)
-        except OverflowError:
-            in_range = False
-        if not in_range:
-            return b, f"lambda_bar = {lam!r} puts lambda_bar**4 beyond the float range"
-    return None
-
-
 def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
     """The records of a block of trials, in trial order.
 
     z is one spectrum (n,) shared by the block or one per trial (B, n),
     lam_bars the per-trial average_energy, draws (B, 2, n, k) the Ginibre
-    blocks' real and imaginary parts.  Every step runs once on the whole
+    blocks' real and imaginary parts.  Every stage runs once on the whole
     stack and computes each value as it would be alone, so a record does not
-    depend on its block.  An error is the one a trial-by-trial loop would
-    meet first: before raising for trial b, the trials ahead of it are run
-    on their own.
+    depend on its block.  The stages mark the trials they fail instead of
+    raising, and the error raised is that of the first failing trial, the
+    one a trial-by-trial loop would meet first.  Within a trial the checks
+    go: spectrum finite, lambda_bar**4 in the float range, rows unitary,
+    reduced spectrum (a matrix that is not positive definite flags the
+    trial instead), f finite, then entropy.
     """
     if not trial_ids:
         return []
     n = draws.shape[2]
-
-    def run_head(bad):
-        # the trials ahead of a failing one, on their own: an error there comes first
-        head_z = z[:bad] if z.ndim == 2 else z
-        _block_records(head_z, lam_bars[:bad], draws[:bad], k, trial_ids[:bad])
-
-    out_of_range = _out_of_range(z, lam_bars)
-    if out_of_range is not None:
-        bad, reason = out_of_range
-        run_head(bad)
-        raise DomainError(f"trial {trial_ids[bad]}: {reason}")
+    bars = np.array(lam_bars)
     # the first k columns of a Haar U are the first k rows of the Haar U^T
     V = np.swapaxes(_haar_columns(draws[:, 0] + 1j * draws[:, 1]), -1, -2)
-    try:
-        M_red, residuals = reduced_covariance_from_rows(V, z)
-    except NonUnitaryInput as exc:
-        run_head(exc.index)
-        raise NonUnitaryInput(f"trial {trial_ids[exc.index]}: {exc}") from None
-    spectra = symplectic_spectrum(M_red)
-    # the scalar formula's operations in its order; past the float range the
-    # traces and f go to inf or NaN, and such a trial stops the run
-    bars = np.array(lam_bars)
-    c = bars * bars
+    # a trial out of range, or past it on the way, runs on inf and NaN and
+    # is reported below
     with np.errstate(over="ignore", invalid="ignore"):
+        M_red, residuals = reduced_covariance_from_rows(V, z)
+        (lams, squares, _gaps), codes = symplectic_spectrum(M_red)
+        # the scalar formula's operations in its order
+        c = bars * bars
         jm = symplectic_form(k) @ M_red
         P = jm @ jm
         tr_jm2 = np.trace(P, axis1=1, axis2=2)
         tr_jm4 = np.trace(P @ P, axis1=1, axis2=2)
         f_values = tr_jm4 + 2.0 * c * tr_jm2 + 2.0 * k * c * c
-    # (lambdas, squares) up to the first error (B if none), NaN if flagged
-    flagged, rows = [], []
-    for outcome in spectra:
-        if isinstance(outcome, Exception) and not isinstance(outcome, PairingFailure):
-            break
-        flagged.append(isinstance(outcome, PairingFailure))
-        rows.append(np.full((2, k), np.nan) if flagged[-1] else (outcome.lambdas, outcome.squares))
-    failed = len(rows)
-    flagged = np.array(flagged, dtype=bool)
-    lams, squares = np.array(rows).reshape(-1, 2, k).swapaxes(0, 1)
-    nonfinite = np.flatnonzero(~(np.isfinite(f_values[:failed]) | flagged))
-    stop = int(nonfinite[0]) if nonfinite.size else failed
+        huge = ~np.isfinite(bars**4)
+    flagged = codes == NOT_POSITIVE_DEFINITE
+    lams[flagged] = squares[flagged] = np.nan
+    nonfinite_z = np.broadcast_to(~np.isfinite(z).all(axis=-1), flagged.shape)
+    nonunitary = residuals > UNITARITY_TOL
+    nonfinite_f = ~(np.isfinite(f_values) | flagged)
+    failing = nonfinite_z | huge | nonunitary | ((codes != 0) & ~flagged) | nonfinite_f
+    bad = int(np.argmax(failing)) if failing.any() else len(trial_ids)
     # an earlier trial's entropy error comes first
     try:
-        entropies = gaussian_entropies(lams[:stop])
+        entropies = gaussian_entropies(lams[:bad])
     except DomainError as exc:
         raise DomainError(f"trial {trial_ids[exc.index]}: {exc}") from None
-    if stop < failed:
-        raise DomainError(
-            f"trial {trial_ids[stop]}: f = {f_values[stop].item()!r} is not finite"
-            f" (lambda_bar = {lam_bars[stop]!r}, tr(JM)^4 = {tr_jm4[stop].item()!r})"
-        )
-    if failed < len(trial_ids):
-        error = spectra[failed]
-        raise type(error)(f"trial {trial_ids[failed]}: {error}")
+    if bad < len(trial_ids):
+        # the first check the trial fails, in a lone trial's order
+        if nonfinite_z[bad]:
+            error = DomainError("squeezing spectrum is not finite")
+        elif huge[bad]:
+            error = DomainError(
+                f"lambda_bar = {lam_bars[bad]!r} puts lambda_bar**4 beyond the float range"
+            )
+        elif nonunitary[bad]:
+            error = unitarity_error(residuals[bad])
+        elif codes[bad]:
+            error = spectrum_error(codes[bad], lams[bad])
+        else:
+            error = DomainError(
+                f"f = {f_values[bad].item()!r} is not finite"
+                f" (lambda_bar = {lam_bars[bad]!r}, tr(JM)^4 = {tr_jm4[bad].item()!r})"
+            )
+        raise type(error)(f"trial {trial_ids[bad]}: {error}") from None
     deltas = spectral_deviation_deltas(squares, lam_bars)
     for column in (f_values, residuals, tr_jm2, tr_jm4):
         column[flagged] = np.nan
@@ -417,7 +399,9 @@ def run_ensemble(profile, k: int, samples: int, seed: int, workers: int = 1):
     BLOCK_TRIALS (n k > 256) go to w = min(workers, usable CPUs) threads,
     each taking whole blocks of at most 1/w of one worker's, so the memory
     in flight stays one worker's.  Raises PairingFailure when flagged trials
-    exceed FLAG_BUDGET of the run.
+    exceed FLAG_BUDGET of the run; any other failing trial stops the run
+    with its error, that of the lowest failing trial id whatever the worker
+    count.
     """
     spec = _as_profile(profile)
     if samples < 1:

@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    CvTypicalError,
     DimensionMismatch,
     DomainError,
     InvalidCovariance,
@@ -25,7 +26,9 @@ __all__ = [
     "SymplecticSpectrum",
     "symplectic_form",
     "reduced_covariance_from_rows",
+    "unitarity_error",
     "symplectic_spectrum",
+    "spectrum_error",
     "average_energy",
     "average_energies",
     "gaussian_entropies",
@@ -39,7 +42,8 @@ PURE_CLAMP = 1e-8  # the entropy treats lambda - 1 <= PURE_CLAMP as lambda = 1
 
 class SymplecticSpectrum(NamedTuple):
     """Symplectic eigenvalues sorted descending, their squares as eigvalsh gave
-    them, and pair_gap, the largest gap within a pair of squares."""
+    them, and pair_gap, the largest gap within a pair of squares; for a
+    stack of matrices each field gains a leading stack axis."""
 
     lambdas: np.ndarray
     squares: np.ndarray
@@ -87,13 +91,13 @@ def reduced_covariance_from_rows(V: np.ndarray, z) -> tuple:
     n rows it is the whole rotated state.  The n-mode state is pure exactly
     when the rows are orthonormal.
 
+    Returns (M_red, max |V V^+ - I_k|).  Raises NonUnitaryInput (see
+    unitarity_error) when the residual exceeds UNITARITY_TOL.
+
     V may be a stack (B, k, n) of row sets, with z one spectrum (n,) shared
     by all or one per set (B, n); the results are then stacked too, each
-    matrix computed exactly as it would be alone.
-
-    Returns (M_red, max |V V^+ - I_k|), the residual an array for a stack.
-    Raises NonUnitaryInput when a residual exceeds UNITARITY_TOL; for a
-    stack its index attribute names the first such set.
+    matrix computed exactly as it would be alone, and a residual above
+    UNITARITY_TOL is returned for the caller to check instead of raised.
     """
     V = np.asarray(V)
     z = _as_squeezing(z, stacked=True)
@@ -109,18 +113,21 @@ def reduced_covariance_from_rows(V: np.ndarray, z) -> tuple:
         )
     gram = V @ np.swapaxes(V.conj(), -1, -2)
     residual = np.abs(gram - np.eye(V.shape[-2])).max(axis=(-2, -1))
-    bad = np.flatnonzero(residual > UNITARITY_TOL)
-    if bad.size:
-        index = int(bad[0])
-        error = NonUnitaryInput(
-            f"max |V V+ - I| = {residual.flat[index]:.3e} exceeds {UNITARITY_TOL}"
-        )
-        error.index = index
-        raise error
+    if V.ndim == 2 and residual > UNITARITY_TOL:
+        raise unitarity_error(residual)
     W = _embed(V)
     out = (W * np.concatenate([z, 1.0 / z], axis=-1)[..., None, :]) @ np.swapaxes(W, -1, -2)
     M_red = 0.5 * (out + np.swapaxes(out, -1, -2))  # resymmetrize rounding noise
     return M_red, (residual if V.ndim == 3 else float(residual))
+
+
+def unitarity_error(residual) -> NonUnitaryInput:
+    """The error for rows whose residual max |V V^+ - I| exceeds UNITARITY_TOL."""
+    return NonUnitaryInput(f"max |V V+ - I| = {residual:.3e} exceeds {UNITARITY_TOL}")
+
+
+# The failure codes of a stacked symplectic_spectrum, 0 for none.
+NOT_POSITIVE_DEFINITE, NOT_FINITE_SYMMETRIC, BELOW_ONE = 1, 2, 3
 
 
 def symplectic_spectrum(M: np.ndarray):
@@ -133,18 +140,21 @@ def symplectic_spectrum(M: np.ndarray):
     finite and exactly symmetric or has a lambda_j below 1 - WILLIAMSON_TOL,
     and PairingFailure when M is not numerically positive definite.
 
-    A stack (B, 2k, 2k) of matrices gives a list of B outcomes instead,
-    each the SymplecticSpectrum of its matrix or the error its lone call
-    would raise, so one failure does not stop the others.
+    A stack (B, 2k, 2k) of matrices raises nothing: it gives one
+    SymplecticSpectrum of arrays (lambdas (B, k), squares (B, k), pair_gap
+    (B,)) and a (B,) array of failure codes, 0 for a matrix that fails
+    nothing, else the NOT_POSITIVE_DEFINITE, NOT_FINITE_SYMMETRIC or
+    BELOW_ONE its lone call raises for (see spectrum_error), so one failure
+    does not stop the others.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or M.shape[-1] % 2:
         raise DimensionMismatch(f"expected a 2k x 2k matrix or a stack, got shape {M.shape}")
     if M.ndim == 2:
-        (outcome,) = symplectic_spectrum(M[None])
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+        ((lambdas,), (squares,), (gap,)), (code,) = symplectic_spectrum(M[None])
+        if code:
+            raise spectrum_error(code, lambdas)
+        return SymplecticSpectrum(lambdas, squares, float(gap))
     k = M.shape[-1] // 2
     # the factorization reads one triangle, and passes a NaN unnoticed
     unfit = ~np.isfinite(M).all(axis=(1, 2)) | (M != np.swapaxes(M, 1, 2)).any(axis=(1, 2))
@@ -163,18 +173,22 @@ def symplectic_spectrum(M: np.ndarray):
     K = np.swapaxes(L, 1, 2) @ np.concatenate([-L[:, k:], L[:, :k]], axis=1)  # L^T (J L)
     w = np.linalg.eigvalsh(np.swapaxes(K, 1, 2) @ K)[:, ::-1]
     squares = w[:, 0::2]
-    gaps = (squares - w[:, 1::2]).max(axis=1)
     lambdas = np.sqrt(np.maximum(squares, 0.0))
-    below = lambdas[:, -1] < 1.0 - WILLIAMSON_TOL
-    outcomes = list(map(SymplecticSpectrum, lambdas, squares, gaps.tolist()))
-    for i in np.flatnonzero(unfit | indefinite | below):
-        if unfit[i]:
-            outcomes[i] = InvalidCovariance("covariance matrix is not finite and symmetric")
-        elif indefinite[i]:
-            outcomes[i] = PairingFailure("covariance matrix is not positive definite")
-        else:
-            outcomes[i] = InvalidCovariance(f"symplectic eigenvalue {lambdas[i, -1]} below 1")
-    return outcomes
+    codes = np.select(
+        [unfit, indefinite, lambdas[:, -1] < 1.0 - WILLIAMSON_TOL],
+        [NOT_FINITE_SYMMETRIC, NOT_POSITIVE_DEFINITE, BELOW_ONE],
+    )
+    return SymplecticSpectrum(lambdas, squares, (squares - w[:, 1::2]).max(axis=1)), codes
+
+
+def spectrum_error(code: int, lambdas) -> CvTypicalError:
+    """The error a lone symplectic_spectrum call raises for failure code
+    `code`, given the matrix's symplectic eigenvalues `lambdas`."""
+    if code == NOT_POSITIVE_DEFINITE:
+        return PairingFailure("covariance matrix is not positive definite")
+    if code == NOT_FINITE_SYMMETRIC:
+        return InvalidCovariance("covariance matrix is not finite and symmetric")
+    return InvalidCovariance(f"symplectic eigenvalue {lambdas[-1]} below 1")
 
 
 def average_energy(z) -> float:

@@ -433,10 +433,15 @@ def test_config_file_subcommand_mismatch(tmp_path, capsys):
         (["concentration"], {"n_list": [4], "samples": 2, "scaling": {"zeta": 0.5}}, "'scaling'"),
         (["concentration"], {"n_list": [4], "samples": 2, "seed": 2**64}, "--seed"),
         (["concentration"], {"n_list": [4, 8], "samples": 2, "seed": 2**64 - 1}, "--seed"),
+        # list entries are integers by the rule the integer flags follow
+        (["concentration"], {"n_list": [4.7, 8], "samples": 2}, "--n-list"),
+        (["weingarten-check"], {"p": 2, "n_range": [1.9, 2]}, "--n-range"),
+        (["weingarten-check"], {"p": 2, "n_range": [True, 2]}, "--n-range"),
     ],
     ids=[
         "format", "base_profile", "output_dir", "scaling_zeta", "scale_k_inf", "scale_z_nan", "n_list_3",
-        "zeta_400", "k_6", "scaling_object", "seed_2_64", "row_seed_2_64",
+        "zeta_400", "k_6", "scaling_object", "seed_2_64", "row_seed_2_64", "n_list_float",
+        "n_range_float", "n_range_bool",
     ],
 )
 def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, capsys, argv, config, flag):

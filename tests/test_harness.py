@@ -57,6 +57,8 @@ from cvtypical.profiles import (
     parse_profile,
 )
 from cvtypical.symplectic import (
+    NOT_FINITE_SYMMETRIC,
+    NOT_POSITIVE_DEFINITE,
     SymplecticSpectrum,
     average_energy,
     reduced_covariance_from_rows,
@@ -297,18 +299,16 @@ def test_tail_ladder_shape():
 
 def poisoned_spectrum(poison):
     """Wrap the real stacked spectrum routine so the matrices at chosen
-    positions, counted across calls, fail to pair."""
+    positions, counted across calls, are not positive definite."""
     state = {"matrices": 0}
     real = symplectic_spectrum
 
     def wrapper(M):
-        outcomes = real(M)
+        spectrum, codes = real(M)
         start = state["matrices"]
-        state["matrices"] += len(outcomes)
-        return [
-            PairingFailure(f"poisoned matrix {start + i}") if start + i in poison else outcome
-            for i, outcome in enumerate(outcomes)
-        ]
+        state["matrices"] += len(codes)
+        positions = np.arange(start, start + len(codes))
+        return spectrum, np.where(np.isin(positions, list(poison)), NOT_POSITIVE_DEFINITE, codes)
 
     return wrapper
 
@@ -377,9 +377,10 @@ def test_cholesky_spectrum_matches_the_eigvals_route(profile, n, k):
         z = oracles.sample_profile(spec, gen)
         rows = sample_haar_unitary(spec.n, gen, k).T
         stack.append(reduced_covariance_from_rows(rows, z)[0])
-    for M, outcome in zip(stack, symplectic_spectrum(np.array(stack))):
+    spectrum, _codes = symplectic_spectrum(np.array(stack))
+    for M, lambdas in zip(stack, spectrum.lambdas):
         expected, _residual = oracles.eigvals_spectrum(M)
-        assert np.allclose(outcome.lambdas, expected, rtol=1e-12, atol=0.0)
+        assert np.allclose(lambdas, expected, rtol=1e-12, atol=0.0)
 
 
 def poisoned_reference(poison):
@@ -447,28 +448,26 @@ def _poison_domain(monkeypatch, trial):
 
 
 def _poison_rows(monkeypatch, trial):
+    """Give one trial's rows a residual above UNITARITY_TOL; the run is one
+    block, so the trial's position in it is its id."""
     real = harness.reduced_covariance_from_rows
 
     def wrapper(V, z):
-        out = real(V, z)
-        # one block, and a re-run only ever takes its head: position = trial
-        if trial < len(V):
-            error = NonUnitaryInput("poisoned rows")
-            error.index = trial
-            raise error
-        return out
+        M_red, residuals = real(V, z)
+        residuals[trial] = 1.0
+        return M_red, residuals
 
     monkeypatch.setattr(harness, "reduced_covariance_from_rows", wrapper)
 
 
 def _poison_covariance(monkeypatch, trial):
+    """Mark one trial's reduced covariance not finite and symmetric."""
     real = harness.symplectic_spectrum
 
     def wrapper(M):
-        outcomes = real(M)
-        if trial < len(outcomes):
-            outcomes[trial] = InvalidCovariance("poisoned spectrum")
-        return outcomes
+        spectrum, codes = real(M)
+        codes[trial] = NOT_FINITE_SYMMETRIC
+        return spectrum, codes
 
     monkeypatch.setattr(harness, "symplectic_spectrum", wrapper)
 
@@ -491,6 +490,21 @@ def test_block_raises_the_first_failing_trials_error(monkeypatch, first, second)
     _POISONS[first](monkeypatch, 4)
     with pytest.raises(first, match="^trial 4: "):
         run_ensemble(spec, 1, 20, seed=8)
+
+
+def test_a_failing_block_runs_each_stage_once(monkeypatch):
+    """Trial 11 of a one-block run fails its spectrum; the trials ahead of
+    it are not run a second time to look for an earlier error."""
+    _poison_covariance(monkeypatch, 11)
+    calls = []
+    for name in ("reduced_covariance_from_rows", "symplectic_spectrum"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(
+            harness, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    with pytest.raises(InvalidCovariance, match="^trial 11: "):
+        run_ensemble(microcanonical_profile(12.0, 4), 1, 20, seed=8)
+    assert sorted(calls) == ["reduced_covariance_from_rows", "symplectic_spectrum"]
 
 
 def _poison_trial_ids(monkeypatch, poison, slow=frozenset()):
@@ -526,12 +540,10 @@ def _poison_entropy(monkeypatch, trial):
     real = harness.symplectic_spectrum
 
     def wrapper(M):
-        outcomes = real(M)
-        if trial < len(outcomes):
-            k = M.shape[-1] // 2
-            lams = np.full(k, 1.0 - 1e-7)
-            outcomes[trial] = SymplecticSpectrum(lams, lams * lams, 0.0)
-        return outcomes
+        (lams, squares, gaps), codes = real(M)
+        lams[trial] = 1.0 - 1e-7
+        squares[trial] = lams[trial] * lams[trial]
+        return SymplecticSpectrum(lams, squares, gaps), codes
 
     monkeypatch.setattr(harness, "symplectic_spectrum", wrapper)
 

@@ -24,6 +24,7 @@ from cvtypical.symplectic import (
     gaussian_entropies,
     reduced_covariance_from_rows,
     spectral_deviation_deltas,
+    spectrum_error,
     symplectic_form,
     symplectic_spectrum,
 )
@@ -237,15 +238,27 @@ def test_symplectic_spectrum_rejects_asymmetric_matrix():
 
 def test_stacked_spectrum_flags_only_the_failing_matrices():
     """A failed factorization fails the stacked Cholesky as a whole; each
-    matrix still gets the outcome its lone call would."""
+    matrix still gets the outcome its lone call would: a failing one the
+    code of the error that call raises, a good one its spectrum."""
     good = fiducial_covariance([3.0, 1.0])
-    stack = np.array([good, np.diag([1.0, 1.0, -1.0, 1.0]), 0.5 * np.eye(4), good])
-    outcomes = symplectic_spectrum(stack)
-    assert isinstance(outcomes[1], PairingFailure)
-    assert isinstance(outcomes[2], InvalidCovariance)
-    for outcome in (outcomes[0], outcomes[3]):
-        assert np.array_equal(outcome.lambdas, symplectic_spectrum(good).lambdas)
-        assert np.allclose(outcome.squares, outcome.lambdas**2, rtol=1e-15)
+    not_finite = good.copy()
+    not_finite[2, 2] = np.nan
+    asymmetric = good.copy()
+    asymmetric[0, 1] += 1e-9
+    indefinite = np.diag([1.0, 1.0, -1.0, 1.0])
+    stack = np.array([good, indefinite, 0.5 * np.eye(4), not_finite, asymmetric, good])
+    spectrum, codes = symplectic_spectrum(stack)
+    assert isinstance(spectrum_error(codes[1], spectrum.lambdas[1]), PairingFailure)
+    assert isinstance(spectrum_error(codes[2], spectrum.lambdas[2]), InvalidCovariance)
+    for i in (1, 2, 3, 4):
+        error = spectrum_error(codes[i], spectrum.lambdas[i])
+        with pytest.raises(type(error)) as lone:
+            symplectic_spectrum(stack[i])
+        assert type(lone.value) is type(error) and str(lone.value) == str(error)
+    for i in (0, 5):
+        assert codes[i] == 0
+        assert np.array_equal(spectrum.lambdas[i], symplectic_spectrum(good).lambdas)
+        assert np.allclose(spectrum.squares[i], spectrum.lambdas[i] ** 2, rtol=1e-15)
 
 
 def test_symplectic_spectrum_rejects_unphysical_state():
