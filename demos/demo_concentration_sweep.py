@@ -21,7 +21,7 @@ SEED = 99
 def main():
     rows = concentration_sweep(ScalingConfig(), NS, samples=SAMPLES, seed=SEED)
     print(f"{'n':>4}  {'mean_f':>12}  {'rms':>10}  {'entropy gap':>12}  {'entropy std':>12}")
-    (target,) = gaussian_entropies([[1.25]])  # lambda for z = 2 at one retained mode
+    (target,), _low = gaussian_entropies([[1.25]])  # lambda for z = 2 at one retained mode
     for n, summary in rows:
         gap = abs(summary.mean_entropy - target)
         print(f"{n:>4}  {summary.mean_f:>12.6f}  {math.sqrt(summary.mean_f):>10.5f}"

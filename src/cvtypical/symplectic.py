@@ -32,6 +32,7 @@ __all__ = [
     "average_energy",
     "average_energies",
     "gaussian_entropies",
+    "entropy_error",
     "spectral_deviation_deltas",
 ]
 
@@ -204,7 +205,7 @@ def average_energies(z) -> np.ndarray:
     return (z + 1.0 / z).sum(axis=-1) / (2 * z.shape[-1])
 
 
-def gaussian_entropies(lams) -> np.ndarray:
+def gaussian_entropies(lams) -> tuple[np.ndarray, np.ndarray]:
     """Von Neumann entropy sum_j G(lambda_j) in nats of each spectrum in a
     stack (B, k), with G(lambda) = g((lambda - 1)/2) and
     g(N) = (N+1) log(N+1) - N log N, taken as log1p(N) + N log1p(1/N),
@@ -212,23 +213,25 @@ def gaussian_entropies(lams) -> np.ndarray:
 
     N snaps to 0 where lambda - 1 <= PURE_CLAMP, so states pure up to
     roundoff have zero entropy.  Each row sums as the spectrum alone would.
-    Raises DomainError for an input that is not a (B, k) stack, and for
-    the first eigenvalue, in C order, below 1 - PURE_CLAMP; its index
-    attribute names that eigenvalue's row.
+    Returns the (B,) entropies and a (B,) mask of the spectra that hold an
+    eigenvalue below 1 - PURE_CLAMP, whose entropy is undefined (see
+    entropy_error).  Raises DomainError for an input that is not a (B, k)
+    stack.
     """
     lams = np.asarray(lams, dtype=float)
     if lams.ndim != 2:
         raise DomainError(f"need a (B, k) stack of spectra, got shape {lams.shape}")
-    low = lams < 1.0 - PURE_CLAMP
-    if low.any():
-        first = int(np.argmax(low))
-        error = DomainError(f"need lambda >= 1, got {lams.flat[first]}")
-        error.index = first // lams.shape[-1]
-        raise error
     N = np.where(lams - 1.0 <= PURE_CLAMP, 0.0, (lams - 1.0) / 2.0)
     # 1/N is taken as 0 where N = 0, so those terms are 0 + 0*0 = 0
     g = np.log1p(N) + N * np.log1p(1.0 / np.where(N > 0.0, N, np.inf))
-    return g.sum(axis=1)
+    return g.sum(axis=1), (lams < 1.0 - PURE_CLAMP).any(axis=1)
+
+
+def entropy_error(lambdas) -> DomainError:
+    """The error for a spectrum that gaussian_entropies marks: it names the
+    spectrum's first eigenvalue below 1 - PURE_CLAMP."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    return DomainError(f"need lambda >= 1, got {lambdas[lambdas < 1.0 - PURE_CLAMP][0]}")
 
 
 def spectral_deviation_deltas(squares, lambda_bars) -> np.ndarray:

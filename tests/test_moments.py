@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cvtypical.moments as moments
 from cvtypical.errors import DimensionTooSmall, DomainError, InvalidSubsystem
 from cvtypical.moments import (
     MomentInputs,
@@ -201,8 +203,6 @@ def test_hand_built_inputs_are_rejected(a, b, message):
 
 
 def test_power_sums_are_built_once_per_instance(monkeypatch):
-    import cvtypical.moments as moments
-
     calls = []
     build = moments._power_sums
     monkeypatch.setattr(moments, "_power_sums", lambda mi: calls.append(mi) or build(mi))
@@ -214,8 +214,9 @@ def test_power_sums_are_built_once_per_instance(monkeypatch):
     fourth_moment_trace_exact(mi)
     assert expected_f_exact(mi) == expected
     assert calls == [mi]
+    # the report settles every value on intervals and builds no exact sums
     compute_moment_report((3, 1, 1, 1, 1), 1)
-    assert len(calls) == 2
+    assert calls == [mi]
 
 
 def test_fourth_moment_needs_room():
@@ -300,3 +301,128 @@ def test_exact_moments_equal_the_fraction_reference(case, lambda_bar):
         assert report.second_moment == float(default["second_moment"])
         assert report.fourth_moment == float(default["fourth_moment"])
         assert report.expected_f == float(default["expected_f"])
+
+
+def exact_report(z, k):
+    """The report of z from the exact power sums alone, errors included."""
+    mi = moment_inputs_from_spectrum(z, k)
+    return moments._report(mi, mi._sums, moments._to_float)
+
+
+def spy_on_exact_sums(monkeypatch):
+    calls = []
+    build = moments._power_sums
+    monkeypatch.setattr(moments, "_power_sums", lambda mi: calls.append(mi) or build(mi))
+    return calls
+
+
+def test_undecided_intervals_fall_back_to_the_exact_route(monkeypatch):
+    """At 8 bits no interval settles its rounding: the report comes from the
+    exact power sums, and is float() of every exact value, bit for bit."""
+    rng = random.Random(5)
+    z = [1.0 + 2.0 * rng.random() for _ in range(12)]
+    expected = exact_report(z, 3)
+    mi = moment_inputs_from_spectrum(z, 3)
+    calls = spy_on_exact_sums(monkeypatch)
+    monkeypatch.setattr(moments, "_PRECISION", 8)
+    report = compute_moment_report(z, 3)
+    assert len(calls) == 1
+    assert repr(report) == repr(expected)
+    assert report.tilde_lambda_sq == float(tilde_lambda_squared_exact(mi))
+    assert report.second_moment == float(second_moment_trace_exact(mi))
+    assert report.fourth_moment == float(fourth_moment_trace_exact(mi))
+    assert report.expected_f == float(expected_f_exact(mi))
+    assert report.lambda_bar == float(average_energy_exact(mi))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_shapes_need_no_exact_sums(monkeypatch, seed):
+    """The moments workload's spectra (random floats in [1, 3) at n = 256
+    and 1024, a constant and the vacuum at n = 1024) are settled on
+    intervals alone, and equal the exact route's report."""
+    rng = random.Random(seed)
+    cases = [
+        (np.array([1.0 + 2.0 * rng.random() for _ in range(256)]), 1),
+        (np.array([1.0 + 2.0 * rng.random() for _ in range(256)]), 2),
+        (np.array([1.0 + 2.0 * rng.random() for _ in range(1024)]), 1),
+        (np.full(1024, 1.0 + 2.0 * rng.random()), 2),
+        (np.full(1024, 1.0), 1),
+    ]
+    calls = spy_on_exact_sums(monkeypatch)
+    reports = [compute_moment_report(z, k) for z, k in cases]
+    assert calls == []
+    for (z, k), report in zip(cases, reports):
+        assert repr(report) == repr(exact_report(z, k))
+
+
+def test_interval_ends_of_opposite_zero_sign_are_undecided():
+    """Both ends underflow to zero, but -0.0 and 0.0 are different floats."""
+    scale = 2**1200
+    with pytest.raises(moments._Undecided):
+        moments._interval_to_float((1, {}), (moments._Interval(-1, 1), scale, 0), "x")
+    value = moments._interval_to_float((1, {}), (moments._Interval(0, 1), scale, 0), "x")
+    assert repr(value) == "0.0"
+    value = moments._interval_to_float((1, {}), (moments._Interval(-2, -1), scale, 0), "x")
+    assert repr(value) == "-0.0"
+
+
+def bracket(x: Fraction):
+    scaled = x * 2**moments._PRECISION
+    return moments._Interval(math.floor(scaled), math.ceil(scaled))
+
+
+def contains(interval, x: Fraction) -> bool:
+    scaled = x * 2**moments._PRECISION
+    return interval.lo <= scaled <= interval.hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.fractions(-(10**60), 10**60),
+    y=st.fractions(-(10**60), 10**60),
+    c=st.integers(-(10**30), 10**30),
+)
+def test_interval_arithmetic_brackets_the_exact_value(x, y, c):
+    """Sums, integer and interval products and powers of brackets bracket
+    the exact results, whatever the signs."""
+    X, Y = bracket(x), bracket(y)
+    assert contains(X + Y, x + y)
+    assert contains(sum([X, Y]), x + y)
+    assert contains(X + c, x + c)
+    assert contains(c * X, c * x) and contains(X * c, c * x)
+    assert contains(X * Y, x * y)
+    assert contains(X**3, x**3)
+
+
+NEAR_ONE = (1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-40, 1.0 + 2.0**-26, 1.5)
+WIDE_FLOATS = st.one_of(st.floats(min_value=1.0, max_value=1e150), st.sampled_from(NEAR_ONE))
+
+
+@st.composite
+def wide_spectra(draw):
+    """(z, k) over twenty decades of squeezing and its edge near 1: floats
+    up to 1e150, values a few ulps above 1, repeats, integers, fractions."""
+    n = draw(st.integers(1, 40))
+    pool = draw(st.lists(st.one_of(WIDE_FLOATS, Z_INTEGERS, Z_FRACTIONS), min_size=1, max_size=4))
+    z = draw(st.lists(st.one_of(WIDE_FLOATS, st.sampled_from(pool)), min_size=n, max_size=n))
+    return z, draw(st.integers(1, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=wide_spectra())
+@example(case=([1.0 + 2.0**-52] * 6, 2))
+@example(case=([1e150, 1.0, 1.0, 1.0], 1))
+@example(case=([1e150] * 5, 5))
+@example(case=([Fraction(7, 5), 1.0 + 2.0**-52, 3, 1e75], 4))
+def test_report_equals_the_exact_route(case):
+    """Value for value the report is the exact route's, or it raises the
+    exact route's error class with the same message."""
+    z, k = case
+    try:
+        expected = exact_report(z, k)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            compute_moment_report(z, k)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+    else:
+        assert repr(compute_moment_report(z, k)) == repr(expected)

@@ -21,6 +21,7 @@ from cvtypical.symplectic import (
     PURE_CLAMP,
     UNITARITY_TOL,
     average_energy,
+    entropy_error,
     gaussian_entropies,
     reduced_covariance_from_rows,
     spectral_deviation_deltas,
@@ -320,19 +321,24 @@ def test_entropy_g_pinned_values():
 
 def test_entropy_G_pinned_values():
     """The package's entropy of one eigenvalue, on a stack of one."""
-    assert gaussian_entropies([[1.0]]).tolist() == [0.0]
-    assert gaussian_entropies([[3.0]])[0] == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
-    assert entropy_G(3.0) == gaussian_entropies([[3.0]])[0]
+    assert gaussian_entropies([[1.0]])[0].tolist() == [0.0]
+    (value,), _low = gaussian_entropies([[3.0]])
+    assert value == pytest.approx(2.0 * math.log(2.0), rel=1e-14)
+    assert entropy_G(3.0) == value
 
 
 def test_entropy_snaps_the_rounded_pure_bound():
     """Every accepted eigenvalue up to 1 + PURE_CLAMP is pure, including the
     rounded 1 - PURE_CLAMP, where N = (lambda - 1)/2 is slightly negative."""
     edges = [[0.99999999], [1.0 - PURE_CLAMP], [np.nextafter(1.0 - PURE_CLAMP, 2.0)]]
-    assert gaussian_entropies(edges).tolist() == [0.0, 0.0, 0.0]
+    entropies, low = gaussian_entropies(edges)
+    assert entropies.tolist() == [0.0, 0.0, 0.0]
+    assert low.tolist() == [False, False, False]
     assert [oracles.gaussian_entropy(row) for row in edges] == [0.0, 0.0, 0.0]
+    below = [[2.0], [np.nextafter(1.0 - PURE_CLAMP, 0.0)]]
+    assert gaussian_entropies(below)[1].tolist() == [False, True]
     with pytest.raises(DomainError, match=r"^need lambda >= 1"):
-        gaussian_entropies([[2.0], [np.nextafter(1.0 - PURE_CLAMP, 0.0)]])
+        raise entropy_error(below[1])
 
 
 # G(lambda) = g(N), N = (lambda - 1)/2, from the double lambda; in doubles
@@ -349,7 +355,7 @@ def _entropy_G_exact(lam: float) -> float:
 
 
 def test_entropy_matches_fifty_digits_at_every_scale():
-    values = gaussian_entropies([[lam] for lam in _G_LAMBDAS])
+    values, _low = gaussian_entropies([[lam] for lam in _G_LAMBDAS])
     for lam, value in zip(_G_LAMBDAS, values):
         assert value == pytest.approx(_entropy_G_exact(lam), rel=1e-14, abs=0.0), lam
 
@@ -372,7 +378,8 @@ def test_gaussian_entropies_rejects_a_single_spectrum():
         gaussian_entropies([3.0, 2.0])
     with pytest.raises(DomainError):
         gaussian_entropies(3.0)
-    assert gaussian_entropies([[3.0, 2.0]]).shape == (1,)
+    entropies, low = gaussian_entropies([[3.0, 2.0]])
+    assert entropies.shape == low.shape == (1,)
 
 
 def test_inverse_temperature_values():
@@ -391,9 +398,9 @@ def test_beta_is_twice_entropy_slope():
 def test_gaussian_entropy_additive_over_modes():
     lams = np.array([3.0, 2.0, 1.0])
     expected = sum(entropy_G(v) for v in lams)
-    assert gaussian_entropies(lams[None])[0] == pytest.approx(expected, rel=1e-14)
+    assert gaussian_entropies(lams[None])[0][0] == pytest.approx(expected, rel=1e-14)
     spec = symplectic_spectrum(np.diag([3.0, 3.0]))
-    assert gaussian_entropies(spec.lambdas[None])[0] == pytest.approx(entropy_G(3.0), rel=1e-14)
+    assert gaussian_entropies(spec.lambdas[None])[0][0] == pytest.approx(entropy_G(3.0), rel=1e-14)
 
 
 def test_concentration_f_single_thermal_mode():
@@ -449,8 +456,8 @@ _BELOW_CLAMP = (np.nextafter(1.0 - PURE_CLAMP, 0.0), 1.0 - 1e-7, 0.5)
 )
 def test_stacked_entropy_and_delta_match_the_scalar_reference(k, count, seed, edge_share, low):
     """gaussian_entropies and spectral_deviation_deltas on a (B, k) stack are
-    repr-equal to the frozen one-spectrum-at-a-time reference, and raise its
-    DomainError for the first eigenvalue below 1 - PURE_CLAMP."""
+    repr-equal to the frozen one-spectrum-at-a-time reference, and mark the
+    spectra it rejects, whose entropy_error is its DomainError."""
     rng = np.random.default_rng(seed)
     lams = np.where(
         rng.random((count, k)) < 0.5,
@@ -463,18 +470,16 @@ def test_stacked_entropy_and_delta_match_the_scalar_reference(k, count, seed, ed
         lams[rng.integers(count), rng.integers(k)] = rng.choice(_BELOW_CLAMP)
     lambda_bars = (10.0 ** rng.uniform(0.0, 15.0, count)).tolist()
 
-    reference_error = None
-    reference = []
-    try:
-        for row in lams:
-            reference.append(oracles.gaussian_entropy(row))
-    except DomainError as exc:
-        reference_error = str(exc)
-    if reference_error is None:
-        assert repr(gaussian_entropies(lams).tolist()) == repr(reference)
-    else:
-        with pytest.raises(DomainError) as info:
-            gaussian_entropies(lams)
-        assert str(info.value) == reference_error
+    entropies, low = gaussian_entropies(lams)
+    for row, value, marked in zip(lams, entropies.tolist(), low.tolist()):
+        try:
+            reference = oracles.gaussian_entropy(row)
+        except DomainError as exc:
+            assert marked
+            error = entropy_error(row)
+            assert type(error) is DomainError and str(error) == str(exc)
+        else:
+            assert not marked
+            assert repr(value) == repr(reference)
     deltas = [oracles.spectral_deviation_delta(row, lb) for row, lb in zip(lams, lambda_bars)]
     assert repr(spectral_deviation_deltas(lams, lambda_bars).tolist()) == repr(deltas)
