@@ -19,7 +19,6 @@ import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from typing import get_type_hints
 
 import numpy as np
 
@@ -574,26 +573,6 @@ def summary_to_jsonable(summary: RunSummary, provenance: dict | None = None) -> 
     return payload
 
 
-def summary_from_jsonable(payload: dict) -> RunSummary:
-    # every field but tail_counts is an int or a float, restored by its type
-    values = {
-        name: kind(payload[name])
-        for name, kind in get_type_hints(RunSummary).items()
-        if name != "tail_counts"
-    }
-    values["tail_counts"] = {float(key): float(val) for key, val in payload["tail_counts"].items()}
-    return RunSummary(**values)
-
-
 def json_text(payload) -> str:
     """The JSON artifacts' text: two-space indent, sorted keys, a final newline."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def read_summary_json(path):
-    """Read a summary JSON the CLI wrote, the inverse of summary_to_jsonable.
-
-    Returns (RunSummary, provenance dict or None)."""
-    with open(path) as handle:
-        payload = json.load(handle)
-    return summary_from_jsonable(payload), payload.get("provenance")

@@ -24,8 +24,9 @@ fast paths: the moment formulas evaluated on Fraction power sums
 (``gram_solution_reference``), plus the float closed form of the averaged
 matrix that acceptance criterion 2 checks (``haar_average_BB_minus_AA``),
 and the helpers only tests call (``validate_covariance``,
-``inverse_temperature_beta``, ``squeezing_from_energy`` and
-``mode_energy_from_squeezing``).
+``inverse_temperature_beta``, ``squeezing_from_energy``,
+``mode_energy_from_squeezing``, and ``read_summary_json`` with
+``summary_from_jsonable``, the readers of the summary JSON).
 
 The full-state composition is the reference of the package's k-row
 reduction: ``fiducial_covariance`` builds the 2n x 2n squeezed state,
@@ -46,9 +47,11 @@ cross-check of the package's Cholesky route.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from numbers import Rational
+from typing import get_type_hints
 
 import numpy as np
 from scipy.linalg import expm
@@ -64,8 +67,8 @@ from cvtypical.errors import (
     SingularGram,
 )
 from cvtypical.haar import SeededStream, _as_generator, sample_haar_unitary
-from cvtypical.harness import TrialRecord
-from cvtypical.moments import MomentInputs, _fourth_moment_rows
+from cvtypical.harness import RunSummary, TrialRecord
+from cvtypical.moments import _fourth_moment_rows
 from cvtypical.symplectic import (
     PURE_CLAMP,
     UNITARITY_TOL,
@@ -201,15 +204,17 @@ def block_matrix_V(U: np.ndarray, z, k: int) -> np.ndarray:
     )
 
 
-def reference_moments(mi: MomentInputs, lambda_bar=None) -> dict[str, Fraction]:
-    """Every exact moment of cvtypical.moments, on running Fraction sums.
+def reference_moments(z, k: int, lambda_bar=None) -> dict[str, Fraction]:
+    """Every exact moment of cvtypical.moments, on running Fraction sums of
+    the diagonals a, b of z (``_ab_vectors``, not the package's mode table).
 
     Keys: average_energy, tilde_lambda_sq (n >= 2), second_moment (n >= 2),
     table1_second_moment (n >= 2), fourth_moment (n >= 4) and expected_f
     (n >= 4, at lambda_bar, default the average energy). The fourth moment
     shares the coefficient table with the package; expected_trace_power
     audits that table independently."""
-    a, b, n, k = mi.a, mi.b, mi.n, mi.k
+    a, b = _ab_vectors(z)
+    n = len(a)
     trB = sum(b)
     trB2 = sum(x * x for x in b)
     trA2 = sum(x * x for x in a)
@@ -672,3 +677,24 @@ def lipschitz_probe(z, k: int, pairs: int, rng) -> float:
             continue
         worst = max(worst, abs(f_of(U) - f_of(V)) / dist)
     return worst
+
+
+def summary_from_jsonable(payload: dict) -> RunSummary:
+    """The inverse of harness.summary_to_jsonable."""
+    # every field but tail_counts is an int or a float, restored by its type
+    values = {
+        name: kind(payload[name])
+        for name, kind in get_type_hints(RunSummary).items()
+        if name != "tail_counts"
+    }
+    values["tail_counts"] = {float(key): float(val) for key, val in payload["tail_counts"].items()}
+    return RunSummary(**values)
+
+
+def read_summary_json(path):
+    """Read a summary JSON the CLI wrote, the inverse of summary_to_jsonable.
+
+    Returns (RunSummary, provenance dict or None)."""
+    with open(path) as handle:
+        payload = json.load(handle)
+    return summary_from_jsonable(payload), payload.get("provenance")

@@ -15,8 +15,9 @@ import cvtypical
 from cvtypical import __version__
 from cvtypical.cli import RunConfig, config_digest, main, parse_config
 from cvtypical.errors import UsageError
-from cvtypical.harness import read_summary_json, read_trials_csv, run_ensemble
+from cvtypical.harness import read_trials_csv, run_ensemble
 from cvtypical.profiles import ScalingConfig, parse_profile
+from oracles import read_summary_json
 
 
 def run_main(capsys, argv):

@@ -33,12 +33,10 @@ from cvtypical.harness import (
     format_trials_csv,
     json_text,
     lipschitz_bound,
-    read_summary_json,
     read_trials_csv,
     run_ensemble,
     run_trial,
     summarize_records,
-    summary_from_jsonable,
     summary_to_jsonable,
     trial_csv_header,
     validate_trial_record,
@@ -71,9 +69,11 @@ from oracles import (
     eta_embed,
     fiducial_covariance,
     lipschitz_probe,
+    read_summary_json,
     reduce_covariance,
     reference_run_one,
     rotate_covariance,
+    summary_from_jsonable,
 )
 
 

@@ -66,7 +66,7 @@ def test_two_second_moment_routes_agree():
         k = rng.randint(1, n)
         z = tuple(Fraction(rng.randint(1, 5)) for _ in range(n))
         mi = moment_inputs_from_spectrum(z, k)
-        assert reference_moments(mi)["table1_second_moment"] == second_moment_trace_exact(mi)
+        assert reference_moments(z, k)["table1_second_moment"] == second_moment_trace_exact(mi)
         assert second_moment_trace_exact(mi) == -2 * k * tilde_lambda_squared_exact(mi)
 
 
@@ -97,11 +97,12 @@ def test_full_system_is_pure():
 
 
 def test_numpy_integer_spectra():
-    # numpy integers are Rational; a and b must still hold Python ints
+    # numpy integers are Rational; the mode table must still hold Python ints
     for z in (np.array([3, 1, 1, 1]), [np.int32(3), 1, 1, 1]):
         mi = moment_inputs_from_spectrum(z, 1)
         assert expected_f_exact(mi) == Fraction(1667, 22680)
-        assert all(type(x.numerator) is int for x in mi.a + mi.b)
+        assert mi.modes == ((3, 1, 1), (1, 1, 3))
+        assert all(type(v) is int for mode in mi.modes for v in mode)
 
 
 def test_permutation_invariance():
@@ -178,28 +179,40 @@ def test_moment_input_validation():
         moment_inputs_from_spectrum((), 1)
 
 
-def test_moment_inputs_enforce_hyperbolic_identity():
-    good = moment_inputs_from_spectrum((2,), 1)
-    with pytest.raises(DomainError):
-        MomentInputs(n=1, k=1, a=(Fraction(1),), b=(Fraction(1),))
-    with pytest.raises(DimensionTooSmall):
-        MomentInputs(n=2, k=1, a=good.a, b=good.b)
-
-
 @pytest.mark.parametrize(
-    "a, b, message",
+    "n, k, modes, error, message",
     [
-        # 5^2 - 3^2 = 4^2, but a = 3/5 and b = 5/4 do not share a denominator
-        (Fraction(3, 5), Fraction(5, 4), "hyperbolic identity"),
-        (Fraction(1, 2), Fraction(3, 2), "hyperbolic identity"),
-        (Fraction(0), Fraction(1, 2), "need b_j >= 1"),
+        (2, 1, ((2, 1, 1), (1, 2, 1)), DomainError, "squeezing parameters must be >= 1"),
+        (2, 1, ((2, 1, 1), (1, 0, 1)), DomainError, "need denominators q >= 1"),
+        (2, 1, ((2, 1, 1), (3, 1, 0)), DomainError, "need multiplicities m >= 1"),
+        (3, 1, ((2, 1, 1), (3, 1, 1)), DimensionTooSmall, "need 3 modes, got 2"),
+        (2, 3, ((2, 1, 1), (3, 1, 1)), InvalidSubsystem, "need 1 <= k <= 2, got k=3"),
+        (2, 0, ((2, 1, 1), (3, 1, 1)), InvalidSubsystem, "need 1 <= k <= 2, got k=0"),
     ],
-    ids=["unequal_denominators", "broken_identity", "b_below_one"],
+    ids=["p_below_q", "q_below_one", "m_below_one", "multiplicities_not_n", "k_above_n", "k_below_one"],
 )
-def test_hand_built_inputs_are_rejected(a, b, message):
-    good = moment_inputs_from_spectrum((2, 3), 1)
-    with pytest.raises(DomainError, match=message):
-        MomentInputs(n=2, k=1, a=(good.a[0], a), b=(good.b[0], b))
+def test_hand_built_inputs_are_rejected(n, k, modes, error, message):
+    good = MomentInputs(n=2, k=1, modes=((2, 1, 1), (3, 1, 1)))
+    assert good == moment_inputs_from_spectrum((2, 3), 1)
+    with pytest.raises(error, match=message):
+        MomentInputs(n=n, k=k, modes=modes)
+
+
+def test_subsystem_size_must_be_an_integer():
+    """A float k is refused before any arithmetic; numpy integers work on
+    both routes and are kept as Python ints."""
+    rng = random.Random(4)
+    z = np.array([1.0 + 2.0 * rng.random() for _ in range(256)])
+    with pytest.raises(InvalidSubsystem, match="need an integer k, got k=2.5"):
+        compute_moment_report(z, 2.5)
+    with pytest.raises(InvalidSubsystem, match="need an integer k, got k=2.0"):
+        compute_moment_report(z, 2.0)
+    with pytest.raises(InvalidSubsystem, match="need an integer k, got k=2.0"):
+        moment_inputs_from_spectrum(z, 2.0)
+    mi = moment_inputs_from_spectrum(z, np.int64(2))
+    assert type(mi.k) is int and mi == moment_inputs_from_spectrum(z, 2)
+    assert expected_f_exact(mi) == expected_f_exact(moment_inputs_from_spectrum(z, 2))
+    assert repr(compute_moment_report(z, np.int64(2))) == repr(compute_moment_report(z, 2))
 
 
 def test_power_sums_are_built_once_per_instance(monkeypatch):
@@ -278,7 +291,7 @@ def test_exact_moments_equal_the_fraction_reference(case, lambda_bar):
     every value of the report is float() of it, bit for bit."""
     z, k = case
     mi = moment_inputs_from_spectrum(z, k)
-    ref = reference_moments(mi, lambda_bar)
+    ref = reference_moments(z, k, lambda_bar)
     assert average_energy_exact(mi) == ref["average_energy"]
     checks = {
         "tilde_lambda_sq": (tilde_lambda_squared_exact, 2),
@@ -295,7 +308,7 @@ def test_exact_moments_equal_the_fraction_reference(case, lambda_bar):
         assert exact_fn(mi) == ref[name], name
     if mi.n >= 4:
         report = compute_moment_report(z, k)
-        default = reference_moments(mi) if lambda_bar is not None else ref
+        default = reference_moments(z, k) if lambda_bar is not None else ref
         assert report.lambda_bar == float(default["average_energy"])
         assert report.tilde_lambda_sq == float(default["tilde_lambda_sq"])
         assert report.second_moment == float(default["second_moment"])
@@ -353,6 +366,41 @@ def test_benchmark_shapes_need_no_exact_sums(monkeypatch, seed):
     assert calls == []
     for (z, k), report in zip(cases, reports):
         assert repr(report) == repr(exact_report(z, k))
+
+
+def test_a_repeated_value_is_one_mode(monkeypatch):
+    """A constant spectrum is one (p, q, m) entry, and its exact tree one
+    leaf with nothing to merge."""
+    z = np.full(2**16, 2.0)
+    mi = moment_inputs_from_spectrum(z, 1)
+    assert mi.n == 2**16 and mi.modes == ((2, 1, 2**16),)
+    calls = spy_on_exact_sums(monkeypatch)
+    leaves, merges = [], []
+    mode_terms, merge = moments._mode_terms, moments._merge
+    monkeypatch.setattr(moments, "_mode_terms", lambda *mode: leaves.append(mode) or mode_terms(*mode))
+    monkeypatch.setattr(moments, "_merge", lambda left, right: merges.append(1) or merge(left, right))
+    value = expected_f_exact(mi)
+    assert calls == [mi] and leaves == [(2, 1, 2**16)] and merges == []
+    assert compute_moment_report(z, 1).expected_f == float(value)
+
+
+def test_run_length_modes_equal_the_fraction_reference():
+    """Three float values repeated up to n = 4096: three modes, every exact
+    value the reference's on 4096 separate modes, and the report the exact
+    route's."""
+    rng = random.Random(12)
+    values = [1.0 + 2.0 * rng.random() for _ in range(3)]
+    z = np.array([values[rng.randrange(3)] for _ in range(4096)])
+    k = 9
+    mi = moment_inputs_from_spectrum(z, k)
+    assert len(mi.modes) == 3 and sum(m for _, _, m in mi.modes) == 4096
+    ref = reference_moments(z, k)
+    assert average_energy_exact(mi) == ref["average_energy"]
+    assert tilde_lambda_squared_exact(mi) == ref["tilde_lambda_sq"]
+    assert second_moment_trace_exact(mi) == ref["second_moment"]
+    assert fourth_moment_trace_exact(mi) == ref["fourth_moment"]
+    assert expected_f_exact(mi) == ref["expected_f"]
+    assert repr(compute_moment_report(z, k)) == repr(exact_report(z, k))
 
 
 def test_interval_ends_of_opposite_zero_sign_are_undecided():
