@@ -6,14 +6,15 @@ unitary, and shows the quantities every later demo leans on: the
 symplectic spectrum, mode energies, purity, and the reduced-state
 entropy in nats.  Every matrix comes from the rows of the unitary, as in
 a trial: all n rows give the whole state, the first k rows the state of
-the first k modes.
+the first k modes.  The routines take stacks of trials, so each call here
+passes a stack of one.
 """
 
 import numpy as np
 
-from cvtypical.haar import SeededStream, sample_haar_unitary
+from cvtypical.haar import SeededStream, haar_columns
 from cvtypical.symplectic import (
-    average_energy,
+    average_energies,
     gaussian_entropies,
     reduced_covariance_from_rows,
     spectral_deviation_deltas,
@@ -27,27 +28,28 @@ SEED = 7
 def main():
     print("squeezing parameters z =", Z)
     print("mode energies z + 1/z  =", Z + 1.0 / Z)
-    print("average energy         =", average_energy(Z))
+    print("average energy         =", float(average_energies(Z)))
 
-    M, _residual = reduced_covariance_from_rows(np.eye(3), Z)
+    (M,), _residual = reduced_covariance_from_rows(np.eye(3)[None], Z)
     print("\nfiducial covariance (qqpp blocks):")
     print(M)
 
     gen = SeededStream(SEED).generator()
-    U = sample_haar_unitary(3, gen)
-    rotated, residual = reduced_covariance_from_rows(U, Z)
+    draws = gen.standard_normal((1, 2, 3, 3))
+    U = haar_columns(draws[:, 0] + 1j * draws[:, 1])
+    rotated, (residual,) = reduced_covariance_from_rows(U, Z)
     print("\nrow orthonormality residual |U U+ - I|:", residual)
-    spectrum = symplectic_spectrum(rotated)
-    print("symplectic spectrum of rotated state:", spectrum.lambdas)
-    print("largest gap within an eigenvalue pair:", spectrum.pair_gap)
+    spectrum, _codes = symplectic_spectrum(rotated)
+    print("symplectic spectrum of rotated state:", spectrum.lambdas[0])
+    print("largest gap within an eigenvalue pair:", spectrum.pair_gap[0])
     print("still pure (all eigenvalues 1):",
           bool(np.all(np.abs(spectrum.lambdas - 1.0) < 1e-10)))
 
-    reduced, _residual = reduced_covariance_from_rows(U[:1], Z)
-    kept = symplectic_spectrum(reduced)
-    (entropy,), _low = gaussian_entropies(kept.lambdas[None])
-    (delta,) = spectral_deviation_deltas(kept.squares[None], [average_energy(Z)])
-    print("\nkeep mode 1: symplectic eigenvalue =", kept.lambdas[0])
+    reduced, _residual = reduced_covariance_from_rows(U[:, :1], Z)
+    kept, _codes = symplectic_spectrum(reduced)
+    (entropy,), _low = gaussian_entropies(kept.lambdas)
+    (delta,) = spectral_deviation_deltas(kept.squares, average_energies(Z)[None])
+    print("\nkeep mode 1: symplectic eigenvalue =", kept.lambdas[0, 0])
     print("entanglement entropy (nats)        =", entropy)
     print("deviation functional f = 2 delta^2 =", 2.0 * delta**2)
 

@@ -5,8 +5,6 @@ import numpy as np
 
 from cvtypical.haar import SeededStream
 from cvtypical.profiles import (
-    canonical_profile,
-    microcanonical_profile,
     parse_profile,
     profile_to_string,
     sample_profile,
@@ -23,7 +21,7 @@ def main():
         print(f"{text:18} -> n = {spec.n}, round trip {profile_to_string(spec)!r}")
 
     gen = SeededStream(SEED).generator()
-    spec = microcanonical_profile(12.0, 3)
+    spec = parse_profile("micro:12", n=3)
     totals = np.array([np.sum(zz + 1.0 / zz) for zz in
                        (sample_profile(spec, gen) for _ in range(DRAWS))])
     print(f"\nmicrocanonical E = 12, n = 3 over {DRAWS} draws:")
@@ -31,7 +29,7 @@ def main():
     print(f"  ceiling respected = {bool(np.all(totals <= 12.0 + 1e-9))}")
     print(f"  floor respected   = {bool(np.all(totals >= 6.0 - 1e-9))}")
 
-    spec = canonical_profile(8.0, 4)
+    spec = parse_profile("canonical:8", n=4)
     energies = np.concatenate([sample_profile(spec, gen) for _ in range(DRAWS)])
     energies = energies + 1.0 / energies
     print(f"\ncanonical E = 8, n = 4 (T = E/n = 2) over {DRAWS} draws:")

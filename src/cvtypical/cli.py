@@ -25,7 +25,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -125,7 +125,12 @@ def _parse_n_list(value, opt) -> tuple:
         raise UsageError(f"{opt.flag} must be a comma list of integers, got {value!r}")
     if not value:
         raise UsageError(f"{opt.flag} is empty")
-    return tuple(_integer(SWEEP_MIN_N)(n, opt) for n in value)
+    n_list = tuple(_integer(SWEEP_MIN_N)(n, opt) for n in value)
+    repeated = sorted({n for n in n_list if n_list.count(n) > 1})
+    if repeated:
+        # each n writes trials_n<n>.csv, so a repeat would overwrite a row's trials
+        raise UsageError(f"{opt.flag} repeats {', '.join(map(str, repeated))}")
+    return n_list
 
 
 def _parse_n_range(value, opt) -> tuple:
@@ -252,8 +257,8 @@ def parse_config(argv) -> RunConfig:
     the precedence: explicit flag, then config-file key, then default.  Each
     value then passes its option's check, whichever source it came from.
     Unknown config keys, missing required options, cross-field
-    inconsistencies and a file output whose directory is missing raise
-    UsageError, before anything runs.
+    inconsistencies and a file output that cannot be written (see
+    _check_output_path) raise UsageError, before anything runs.
     """
     parser, subparsers = _build_parser()
     ns = parser.parse_args(argv)
@@ -305,9 +310,11 @@ def parse_config(argv) -> RunConfig:
         raise UsageError("moments needs a deterministic profile (fixed:... or constant:...)")
     if cfg.k is not None and cfg.z_profile is not None and cfg.k > cfg.z_profile.n:
         raise UsageError(f"--k {cfg.k} exceeds the profile's n={cfg.z_profile.n}")
-    for path in (cfg.output_path, cfg.summary_output):
-        if path is not None:
-            _check_output_directory(path)
+    outputs = [path for path in (cfg.output_path, cfg.summary_output) if path is not None]
+    for path in outputs:
+        _check_output_path(path)
+    if len(outputs) == 2 and os.path.realpath(outputs[0]) == os.path.realpath(outputs[1]):
+        raise UsageError(f"--output and --summary-output both name {outputs[0]}")
     return cfg
 
 
@@ -357,13 +364,15 @@ def _writing(path: str):
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _check_output_directory(path: str) -> None:
-    """Find a file output whose directory is missing before the run, with
-    the error its write would give."""
+def _check_output_path(path: str) -> None:
+    """Find a file output whose directory is missing, or that is itself a
+    directory, before the run, with the error its write would give."""
     directory = os.path.dirname(os.path.abspath(path))
     with _writing(path):
         if not stat.S_ISDIR(os.stat(directory).st_mode):
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
 
 
 def _emit_text(text: str, path: str | None) -> None:
@@ -382,11 +391,7 @@ def _run_moments(cfg: RunConfig) -> int:
         "n": cfg.z_profile.n,
         "k": cfg.k,
         "z_profile": profile_to_string(cfg.z_profile),
-        "lambda_bar": report.lambda_bar,
-        "tilde_lambda_sq": report.tilde_lambda_sq,
-        "second_moment": report.second_moment,
-        "fourth_moment": report.fourth_moment,
-        "expected_f": report.expected_f,
+        **asdict(report),
     }
     _emit_text(json_text(payload), cfg.output_path)
     return 0

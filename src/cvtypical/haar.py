@@ -2,7 +2,9 @@
 
 Randomness comes from counter-based Philox streams keyed by (seed, stream_id),
 so trial t of a run with master seed s always sees the same, statistically
-independent stream regardless of scheduling.
+independent stream regardless of scheduling. A block of trials draws its
+Ginibre blocks off those streams, and haar_columns turns the whole stack
+into the first k columns of Haar unitaries at once.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["SeededStream", "sample_haar_unitary"]
+__all__ = ["SeededStream", "haar_columns"]
 
 _MASK64 = (1 << 64) - 1
 _ZERO4 = np.zeros(4, dtype=np.uint64)
@@ -59,36 +61,18 @@ def _as_generator(rng) -> np.random.Generator:
     raise DomainError(f"expected SeededStream or numpy Generator, got {type(rng).__name__}")
 
 
-def sample_haar_unitary(n: int, rng, k: int | None = None) -> np.ndarray:
-    """Draw the first k columns of an n x n unitary from the Haar measure.
+def haar_columns(ginibre: np.ndarray) -> np.ndarray:
+    """The first k columns of a Haar unitary from each n x k Ginibre block
+    (iid standard complex Gaussians) in a stack (..., n, k).
 
-    Fills an n x k matrix with iid standard complex Gaussians, takes its QR
-    factorization, and rephases each column of Q so the diagonal of R becomes
-    real positive. The rephasing is what makes the distribution Haar; plain QR
-    is biased. QR orthonormalizes the columns left to right, so an n x k
-    block gives what the first k columns of an n x n draw would: the first k
-    columns of a Haar unitary (Mezzadri, Notices AMS 54 (2007),
-    arXiv:math-ph/0609050), at O(n k^2) cost.
-
-    Args:
-        n: matrix dimension, >= 1.
-        rng: a SeededStream or an already-constructed numpy Generator (the
-            latter is consumed in place, for callers interleaving draws).
-        k: column count, 1 <= k <= n; the default n draws the full unitary.
+    Takes the QR factorization of each block and rephases each column of Q
+    so the diagonal of R becomes real positive. The rephasing is what makes
+    the distribution Haar; plain QR is biased. QR orthonormalizes the
+    columns left to right, so an n x k block gives what the first k columns
+    of an n x n draw would: the first k columns of a Haar unitary
+    (Mezzadri, Notices AMS 54 (2007), arXiv:math-ph/0609050), at O(n k^2)
+    cost.
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got n={n}")
-    if k is None:
-        k = n
-    if not 1 <= k <= n:
-        raise DomainError(f"need 1 <= k <= {n}, got k={k}")
-    gen = _as_generator(rng)
-    return _haar_columns(gen.standard_normal((n, k)) + 1j * gen.standard_normal((n, k)))
-
-
-def _haar_columns(ginibre: np.ndarray) -> np.ndarray:
-    """Q of the QR factorization of each n x k Ginibre block in a stack
-    (..., n, k), its columns rephased so the diagonal of R is real positive."""
     q, r = np.linalg.qr(ginibre)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]

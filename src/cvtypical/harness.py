@@ -23,14 +23,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, InvalidSubsystem, PairingFailure
-from .haar import SeededStream, _as_generator, _haar_columns, _reseat
+from .haar import SeededStream, _as_generator, _reseat, haar_columns
 from .profiles import ProfileSpec, ScalingConfig, constant_profile, fixed_profile
 from .profiles import exponential_count, spectra_from_exponentials
 from .symplectic import (
     NOT_POSITIVE_DEFINITE,
     UNITARITY_TOL,
     average_energies,
-    average_energy,
     entropy_error,
     gaussian_entropies,
     reduced_covariance_from_rows,
@@ -147,16 +146,17 @@ def run_trial(z, k: int, rng, trial_id: int = 0) -> TrialRecord:
     if not 1 <= k <= n:
         raise InvalidSubsystem(f"k={k} outside 1..{n}")
     gen = _as_generator(rng)
-    lam_bar = average_energy(z)
+    # on a stack of one, a z that is not a vector is a DomainError
+    lam_bars = average_energies(z[None]).tolist()
     draws = gen.standard_normal((1, 2, n, k))
-    return _block_records(z, [lam_bar], draws, k, [trial_id])[0]
+    return _block_records(z, lam_bars, draws, k, [trial_id])[0]
 
 
 def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
     """The records of a block of trials, in trial order.
 
     z is one spectrum (n,) shared by the block or one per trial (B, n),
-    lam_bars the per-trial average_energy, draws (B, 2, n, k) the Ginibre
+    lam_bars the per-trial average energy, draws (B, 2, n, k) the Ginibre
     blocks' real and imaginary parts.  Every stage runs once on the whole
     stack and computes each value as it would be alone, so a record does not
     depend on its block.  The stages mark the trials they fail instead of
@@ -171,7 +171,7 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
     n = draws.shape[2]
     bars = np.array(lam_bars)
     # the first k columns of a Haar U are the first k rows of the Haar U^T
-    V = np.swapaxes(_haar_columns(draws[:, 0] + 1j * draws[:, 1]), -1, -2)
+    V = np.swapaxes(haar_columns(draws[:, 0] + 1j * draws[:, 1]), -1, -2)
     # a trial out of range, or past it on the way, runs on inf and NaN and
     # is reported below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -268,11 +268,11 @@ def _run_block(args) -> list:
             # profile draws come off the trial's stream, before the unitary
             gen.standard_exponential(out=exponentials[b])
         # the real parts, then the imaginary parts of the n x k Ginibre
-        # block, in C order: the draws sample_haar_unitary(n, gen, k) makes
+        # block, in C order
         gen.standard_normal(out=draws[b])
     if exponentials is None:
         z = spec.fixed_spectrum()
-        lam_bars = [average_energy(z)] * len(trial_ids)
+        lam_bars = [float(average_energies(z))] * len(trial_ids)
     else:
         # a huge energy squares to inf in the profile transform; the block
         # check reports the trial as out of range instead
@@ -325,7 +325,7 @@ def summarize_records(records, seed: int, profile: ProfileSpec | None = None) ->
     flagged = len(records) - len(live)
     first = records[0]
     if profile is not None and profile.is_deterministic:
-        lambda_ref = average_energy(profile.fixed_spectrum())
+        lambda_ref = float(average_energies(profile.fixed_spectrum()))
     elif live:
         lambda_ref = float(np.mean([r.lambda_bar for r in live]))
     else:
@@ -465,13 +465,6 @@ def concentration_sweep(
             record_sink(n, summary, records)
         results.append((n, summary))
     return results
-
-
-def lipschitz_bound(z, k: int) -> float:
-    """The proved ceiling for |f(U) - f(V)| / ||U - V||_F: the Lipschitz
-    constant the measure-concentration tail bound on f is stated with."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    return 32.0 * math.sqrt(2.0 * k) * float(np.max(z)) ** 4
 
 
 def _atomic_write_text(path, text: str) -> None:

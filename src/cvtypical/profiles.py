@@ -106,19 +106,6 @@ def constant_profile(z: float, n: int) -> ProfileSpec:
     return ProfileSpec(kind="constant", n=int(n), z=float(z))
 
 
-def microcanonical_profile(energy: float, n: int) -> ProfileSpec:
-    return ProfileSpec(kind="microcanonical", n=int(n), energy=float(energy))
-
-
-def canonical_profile(energy: float, n: int, temperature: float | None = None) -> ProfileSpec:
-    return ProfileSpec(
-        kind="canonical",
-        n=int(n),
-        energy=float(energy),
-        temperature=None if temperature is None else float(temperature),
-    )
-
-
 _CONSTANT_RE = re.compile(r"^(?P<z>[^x]+)x(?P<n>\d+)$")
 
 

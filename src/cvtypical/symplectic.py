@@ -1,10 +1,12 @@
 """Covariance-matrix core: the reduced state of k modes built from k rows
-of the passive unitary, symplectic spectra, entropies and the spectral
-deviation, each on a stack of trials.
+of the passive unitary, symplectic spectra, energies, entropies and the
+spectral deviation.  Each routine takes a stack of trials, with a leading
+stack axis; a lone matrix is a stack of one.
 
 Matrices are plain numpy arrays in (Q_1..Q_n, P_1..P_n) ordering, so the
 symplectic form is the fixed block matrix J = [[0, -I], [I, 0]]. A squeezing
-spectrum is any length-n array-like with entries z_j >= 1.
+spectrum is any length-n array-like with entries z_j >= 1, or a stack (B, n)
+of them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "unitarity_error",
     "symplectic_spectrum",
     "spectrum_error",
-    "average_energy",
     "average_energies",
     "gaussian_entropies",
     "entropy_error",
@@ -61,9 +62,9 @@ def symplectic_form(n: int) -> np.ndarray:
     return J
 
 
-def _as_squeezing(z, stacked: bool = False) -> np.ndarray:
+def _as_squeezing(z) -> np.ndarray:
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.ndim > (2 if stacked else 1) or z.shape[-1] < 1:
+    if z.ndim > 2 or z.shape[-1] < 1:
         raise DomainError("squeezing spectrum must be a nonempty vector")
     if np.any(z < 1.0):
         raise DomainError(f"squeezing parameters must be >= 1, got min {z.min()}")
@@ -82,44 +83,40 @@ def _embed(V: np.ndarray) -> np.ndarray:
 
 
 def reduced_covariance_from_rows(V: np.ndarray, z) -> tuple:
-    """Covariance matrix of the first k modes of the rotated fiducial state,
-    built from the k rows V = U[:k] of the passive unitary alone.
+    """Covariance matrices of the first k modes of the rotated fiducial
+    states, each built from the k rows of its passive unitary alone.
 
-    The rows embed as W = [[Re V, Im V], [-Im V, Re V]], the first k and
-    n+1..n+k rows of the orthogonal symplectic image of U, so
+    The rows of one set embed as W = [[Re V, Im V], [-Im V, Re V]], the
+    first k and n+1..n+k rows of the orthogonal symplectic image of U, so
     M_red = W diag(z, 1/z) W^T is the (q_1..q_k, p_1..p_k) block of the
     rotated n-mode covariance, at O(n k^2) cost instead of O(n^3).  With all
     n rows it is the whole rotated state.  The n-mode state is pure exactly
     when the rows are orthonormal.
 
-    Returns (M_red, max |V V^+ - I_k|).  Raises NonUnitaryInput (see
-    unitarity_error) when the residual exceeds UNITARITY_TOL.
-
-    V may be a stack (B, k, n) of row sets, with z one spectrum (n,) shared
-    by all or one per set (B, n); the results are then stacked too, each
-    matrix computed exactly as it would be alone, and a residual above
-    UNITARITY_TOL is returned for the caller to check instead of raised.
+    V is a stack (B, k, n) of row sets, z one spectrum (n,) shared by all or
+    one per set (B, n).  Returns the stacked M_red (B, 2k, 2k), each matrix
+    computed exactly as it would be alone, and the (B,) residuals
+    max |V V^+ - I_k|; one above UNITARITY_TOL is for the caller to check
+    (see unitarity_error).
     """
     V = np.asarray(V)
-    z = _as_squeezing(z, stacked=True)
+    z = _as_squeezing(z)
     n = z.shape[-1]
     if (
-        V.ndim not in (2, 3)
+        V.ndim != 3
         or V.shape[-1] != n
         or not 1 <= V.shape[-2] <= n
-        or (z.ndim == 2 and (V.ndim != 3 or len(V) != len(z)))
+        or (z.ndim == 2 and len(V) != len(z))
     ):
         raise DimensionMismatch(
-            f"expected 1..{n} rows of length {n} per spectrum, got {V.shape} for {z.shape}"
+            f"expected a stack of 1..{n} rows of length {n} per spectrum, got {V.shape} for {z.shape}"
         )
     gram = V @ np.swapaxes(V.conj(), -1, -2)
     residual = np.abs(gram - np.eye(V.shape[-2])).max(axis=(-2, -1))
-    if V.ndim == 2 and residual > UNITARITY_TOL:
-        raise unitarity_error(residual)
     W = _embed(V)
     out = (W * np.concatenate([z, 1.0 / z], axis=-1)[..., None, :]) @ np.swapaxes(W, -1, -2)
     M_red = 0.5 * (out + np.swapaxes(out, -1, -2))  # resymmetrize rounding noise
-    return M_red, (residual if V.ndim == 3 else float(residual))
+    return M_red, residual
 
 
 def unitarity_error(residual) -> NonUnitaryInput:
@@ -127,35 +124,30 @@ def unitarity_error(residual) -> NonUnitaryInput:
     return NonUnitaryInput(f"max |V V+ - I| = {residual:.3e} exceeds {UNITARITY_TOL}")
 
 
-# The failure codes of a stacked symplectic_spectrum, 0 for none.
+# The failure codes of symplectic_spectrum, 0 for none.
 NOT_POSITIVE_DEFINITE, NOT_FINITE_SYMMETRIC, BELOW_ONE = 1, 2, 3
 
 
 def symplectic_spectrum(M: np.ndarray):
-    """Symplectic eigenvalues of a covariance matrix from its Cholesky factor.
+    """Symplectic eigenvalues of each covariance matrix in a stack
+    (B, 2k, 2k), from its Cholesky factor.
 
     With M = L L^T, K = L^T J L is antisymmetric and similar to J M, so
     S = K^T K is symmetric and holds each lambda_j^2 twice (Serafini,
     Quantum Continuous Variables, CRC 2017, ch. 3): every other eigenvalue
-    of S from the top.  Raises InvalidCovariance for a matrix that is not
-    finite and exactly symmetric or has a lambda_j below 1 - WILLIAMSON_TOL,
-    and PairingFailure when M is not numerically positive definite.
+    of S from the top.
 
-    A stack (B, 2k, 2k) of matrices raises nothing: it gives one
-    SymplecticSpectrum of arrays (lambdas (B, k), squares (B, k), pair_gap
-    (B,)) and a (B,) array of failure codes, 0 for a matrix that fails
-    nothing, else the NOT_POSITIVE_DEFINITE, NOT_FINITE_SYMMETRIC or
-    BELOW_ONE its lone call raises for (see spectrum_error), so one failure
-    does not stop the others.
+    Returns one SymplecticSpectrum of arrays (lambdas (B, k), squares
+    (B, k), pair_gap (B,)) and a (B,) array of failure codes: 0 for a
+    matrix that fails nothing, NOT_FINITE_SYMMETRIC for one that is not
+    finite and exactly symmetric, NOT_POSITIVE_DEFINITE for one that is not
+    numerically positive definite, BELOW_ONE for a lambda_j below
+    1 - WILLIAMSON_TOL.  One failure does not stop the others; spectrum_error
+    gives the error a code stands for.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or M.shape[-1] % 2:
-        raise DimensionMismatch(f"expected a 2k x 2k matrix or a stack, got shape {M.shape}")
-    if M.ndim == 2:
-        ((lambdas,), (squares,), (gap,)), (code,) = symplectic_spectrum(M[None])
-        if code:
-            raise spectrum_error(code, lambdas)
-        return SymplecticSpectrum(lambdas, squares, float(gap))
+    if M.ndim != 3 or M.shape[-1] != M.shape[-2] or M.shape[-1] % 2:
+        raise DimensionMismatch(f"expected a stack of 2k x 2k matrices, got shape {M.shape}")
     k = M.shape[-1] // 2
     # the factorization reads one triangle, and passes a NaN unnoticed
     unfit = ~np.isfinite(M).all(axis=(1, 2)) | (M != np.swapaxes(M, 1, 2)).any(axis=(1, 2))
@@ -183,7 +175,7 @@ def symplectic_spectrum(M: np.ndarray):
 
 
 def spectrum_error(code: int, lambdas) -> CvTypicalError:
-    """The error a lone symplectic_spectrum call raises for failure code
+    """The error for a matrix that symplectic_spectrum gives failure code
     `code`, given the matrix's symplectic eigenvalues `lambdas`."""
     if code == NOT_POSITIVE_DEFINITE:
         return PairingFailure("covariance matrix is not positive definite")
@@ -192,16 +184,12 @@ def spectrum_error(code: int, lambdas) -> CvTypicalError:
     return InvalidCovariance(f"symplectic eigenvalue {lambdas[-1]} below 1")
 
 
-def average_energy(z) -> float:
-    """The flat spectral value (1/2n) tr of the fiducial covariance,
-    i.e. (1/2n) sum_j (z_j + 1/z_j); equals 1 exactly at the vacuum."""
-    return float(average_energies(_as_squeezing(z)))
-
-
 def average_energies(z) -> np.ndarray:
-    """average_energy of each spectrum in a stack (B, n), or of one (n,);
-    a row of a C-ordered stack sums in the order the row alone does."""
-    z = _as_squeezing(z, stacked=True)
+    """The flat spectral value (1/2n) tr of the fiducial covariance, i.e.
+    (1/2n) sum_j (z_j + 1/z_j), of each spectrum in a stack (B, n), or of
+    one (n,) as a numpy scalar; it equals 1 exactly at the vacuum.  A row of a
+    C-ordered stack sums in the order the row alone does."""
+    z = _as_squeezing(z)
     return (z + 1.0 / z).sum(axis=-1) / (2 * z.shape[-1])
 
 

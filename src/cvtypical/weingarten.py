@@ -34,7 +34,6 @@ __all__ = [
     "inverse",
     "cycle_type",
     "partitions",
-    "character_chi",
     "unitary_irrep_dimension",
     "weingarten",
     "gram_weingarten_oracle",
@@ -126,6 +125,9 @@ def _beta_to_partition(beta: tuple[int, ...]) -> tuple[int, ...]:
 
 @cache
 def _chi(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """Character of the S_p irrep labeled by the partition lam, evaluated on
+    the conjugacy class of cycle type mu, by the Murnaghan-Nakayama
+    border-strip recursion; lam and mu are partitions of the same p."""
     if not mu:
         return 1
     t, rest = mu[0], mu[1:]
@@ -144,20 +146,6 @@ def _chi(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         new_beta = tuple(sorted((bset - {b}) | {low}, reverse=True))
         total += sign * _chi(_beta_to_partition(new_beta), rest)
     return total
-
-
-def character_chi(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """Character of the S_p irrep labeled by the partition lam, evaluated on
-    the conjugacy class of cycle type mu.
-
-    Computed by the Murnaghan-Nakayama border-strip recursion. Both partitions
-    must have the same size p.
-    """
-    lam = _check_partition(lam, "lam")
-    mu = _check_partition(mu, "mu")
-    if sum(lam) != sum(mu):
-        raise SizeMismatch(f"|lam|={sum(lam)} but |mu|={sum(mu)}")
-    return _chi(lam, mu)
 
 
 def unitary_irrep_dimension(lam: tuple[int, ...], n: int) -> int:

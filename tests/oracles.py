@@ -38,8 +38,11 @@ arithmetic.
 It keeps the trial-by-trial Monte Carlo pipeline as the reference of the
 package's block kernel (``reference_run_trial``, ``reference_run_one``),
 with frozen scalar copies of the per-trial functionals the package now
-computes on stacks, and the scipy-based ``lipschitz_probe`` that acceptance
-criterion 8 runs.  ``eigvals_spectrum`` keeps the earlier symplectic
+computes on stacks: ``_reference_haar_rows`` draws the first k columns of
+one Haar unitary, ``_reference_rows_covariance`` builds one reduced state
+from k rows, and ``_reference_spectrum`` takes one symplectic spectrum.
+Acceptance criterion 8 runs the scipy-based ``lipschitz_probe`` against
+``lipschitz_bound``, the proved ceiling it checks.  ``eigvals_spectrum`` keeps the earlier symplectic
 spectrum route, from the eigenvalues of the non-symmetric J*M, as a
 cross-check of the package's Cholesky route.
 """
@@ -66,7 +69,7 @@ from cvtypical.errors import (
     PairingFailure,
     SingularGram,
 )
-from cvtypical.haar import SeededStream, _as_generator, sample_haar_unitary
+from cvtypical.haar import SeededStream, _as_generator
 from cvtypical.harness import RunSummary, TrialRecord
 from cvtypical.moments import _fourth_moment_rows
 from cvtypical.symplectic import (
@@ -74,7 +77,6 @@ from cvtypical.symplectic import (
     UNITARITY_TOL,
     WILLIAMSON_TOL,
     SymplecticSpectrum,
-    reduced_covariance_from_rows,
     symplectic_form,
 )
 from cvtypical.weingarten import compose, cycle_type, gram_weingarten_oracle, inverse
@@ -638,6 +640,13 @@ def reference_run_one(args) -> TrialRecord:
     return reference_run_trial(z, k, gen, trial_id=trial_id)
 
 
+def lipschitz_bound(z, k: int) -> float:
+    """The proved ceiling for |f(U) - f(V)| / ||U - V||_F: the Lipschitz
+    constant the measure-concentration tail bound on f is stated with."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    return 32.0 * math.sqrt(2.0 * k) * float(np.max(z)) ** 4
+
+
 def lipschitz_probe(z, k: int, pairs: int, rng) -> float:
     """Max observed difference quotient of f over random unitary pairs.
 
@@ -656,14 +665,14 @@ def lipschitz_probe(z, k: int, pairs: int, rng) -> float:
     lam_bar = average_energy(z)
 
     def f_of(unitary):
-        M_red, _residual = reduced_covariance_from_rows(unitary[:k], z)
+        M_red, _residual = _reference_rows_covariance(unitary[:k], z)
         return concentration_f(M_red, lam_bar)
 
     worst = 0.0
     for i in range(pairs):
-        U = sample_haar_unitary(n, gen)
+        U = _reference_haar_rows(n, gen, n)
         if i % 2 == 0:
-            V = sample_haar_unitary(n, gen)
+            V = _reference_haar_rows(n, gen, n)
         else:
             A = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
             K = 0.5 * (A - A.conj().T)

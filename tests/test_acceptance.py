@@ -14,26 +14,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cvtypical.haar import SeededStream, sample_haar_unitary
+from cvtypical.haar import SeededStream
 from cvtypical.harness import (
     PURITY_TOL,
     F_IDENTITY_RTOL,
     concentration_sweep,
     format_trials_csv,
-    lipschitz_bound,
     run_ensemble,
 )
 from cvtypical.moments import (
+    _exact,
+    _fourth_moment,
+    _second_moment,
+    _tilde_lambda_squared,
     expected_f_exact,
-    fourth_moment_trace_exact,
     moment_inputs_from_spectrum,
-    second_moment_trace_exact,
-    tilde_lambda_squared_exact,
 )
 from cvtypical.profiles import (
+    ProfileSpec,
     ScalingConfig,
-    canonical_profile,
-    microcanonical_profile,
     sample_profile,
 )
 from cvtypical.weingarten import (
@@ -41,7 +40,13 @@ from cvtypical.weingarten import (
     partitions,
     weingarten,
 )
-from oracles import entropy_G, haar_average_BB_minus_AA, lipschitz_probe
+from oracles import (
+    _reference_haar_rows,
+    entropy_G,
+    haar_average_BB_minus_AA,
+    lipschitz_bound,
+    lipschitz_probe,
+)
 
 MOMENT_SUITES = ((4, 1, 1004), (5, 1, 1005), (8, 2, 1008))
 SWEEP_NS = (16, 32, 64, 128)
@@ -120,7 +125,7 @@ def test_criterion_02_averaged_matrix_oracle():
     acc = np.zeros((n, n), dtype=complex)
     acc_sq = np.zeros((n, n, 2))
     for _ in range(trials):
-        U = sample_haar_unitary(n, gen)
+        U = _reference_haar_rows(n, gen, n)
         Ud = U.conj().T
         W = U @ B @ Ud @ P @ U @ B @ Ud - U @ A @ U.T @ P @ U.conj() @ A @ Ud
         acc += W
@@ -141,9 +146,9 @@ def test_criterion_03_vacuum_exact_identities():
         vacuum = (1,) * n
         for k in range(1, n + 1):
             mi = moment_inputs_from_spectrum(vacuum, k)
-            assert tilde_lambda_squared_exact(mi) == 1
-            assert second_moment_trace_exact(mi) == -2 * k
-            assert fourth_moment_trace_exact(mi) == 2 * k
+            assert _exact(mi, _tilde_lambda_squared) == 1
+            assert _exact(mi, _second_moment) == -2 * k
+            assert _exact(mi, _fourth_moment) == 2 * k
             assert expected_f_exact(mi) == 0
     print("ACCEPTANCE 3 PASS: vacuum identities exact for 4 <= n <= 64, 1 <= k <= n")
 
@@ -154,8 +159,8 @@ def test_criterion_04_moment_agreement(moment_ensembles):
         summary, _audit = moment_ensembles[(n, k)]
         mi = moment_inputs_from_spectrum((3,) + (1,) * (n - 1), k)
         checks = (
-            (summary.mean_tr_jm2, summary.se_tr_jm2, second_moment_trace_exact(mi)),
-            (summary.mean_tr_jm4, summary.se_tr_jm4, fourth_moment_trace_exact(mi)),
+            (summary.mean_tr_jm2, summary.se_tr_jm2, _exact(mi, _second_moment)),
+            (summary.mean_tr_jm4, summary.se_tr_jm4, _exact(mi, _fourth_moment)),
             (summary.mean_f, summary.se_f, expected_f_exact(mi)),
         )
         for mean, se, exact in checks:
@@ -261,7 +266,7 @@ def test_criterion_08_lipschitz_ceiling():
 
 def test_criterion_09_ensemble_sampler_means():
     """Sampler means against closed forms, 1e5 draws, 3 sigma."""
-    spec = microcanonical_profile(12.0, 3)
+    spec = ProfileSpec(kind="microcanonical", n=3, energy=12.0)
     gen = SeededStream(909).generator()
     totals = np.empty(100_000)
     for t in range(totals.size):
@@ -271,7 +276,7 @@ def test_criterion_09_ensemble_sampler_means():
     # E[sum E_j] = 2n + (E - 2n) n/(n+1) = 10.5 at (n, E) = (3, 12)
     assert abs(totals.mean() - 10.5) <= 3.0 * se
 
-    spec = canonical_profile(8.0, 4)
+    spec = ProfileSpec(kind="canonical", n=4, energy=8.0)
     gen = SeededStream(910).generator()
     energies = np.empty((100_000, 4))
     for t in range(energies.shape[0]):
@@ -285,7 +290,7 @@ def test_criterion_09_ensemble_sampler_means():
 
 def test_criterion_10_reproducibility(tmp_path):
     """Same seed, different worker counts: identical summaries and CSV bytes."""
-    spec = microcanonical_profile(16.0, 4)
+    spec = ProfileSpec(kind="microcanonical", n=4, energy=16.0)
     s1, r1 = run_ensemble(spec, 2, 2000, seed=55, workers=1)
     s2, r2 = run_ensemble(spec, 2, 2000, seed=55, workers=2)
     assert s1 == s2

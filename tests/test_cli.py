@@ -314,6 +314,26 @@ def test_unwritable_output_is_one_error_line(tmp_path, capsys, command, target):
     assert sorted(tmp_path.iterdir()) == [paths["file"]]
 
 
+@pytest.mark.parametrize("flag", ["--output", "--summary-output"])
+def test_output_that_is_a_directory_is_found_before_the_run(tmp_path, capsys, flag):
+    rc, out, err = run_main(capsys, TRIAL_DUMP.split() + [flag, str(tmp_path)])
+    assert (rc, out) == (2, "")
+    assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trial_dump_outputs_must_differ(tmp_path, capsys):
+    """The summary JSON would replace the trial CSV; two spellings of one
+    path count as the same."""
+    argv = TRIAL_DUMP.split() + [
+        "--output", str(tmp_path / "same.txt"), "--summary-output", str(tmp_path / "." / "same.txt")
+    ]
+    rc, out, err = run_main(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: --output and --summary-output both name ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_trial_dump_round_trip(tmp_path, capsys):
     csv_path = tmp_path / "trials.csv"
     summary_path = tmp_path / "summary.json"
@@ -436,13 +456,15 @@ def test_config_file_subcommand_mismatch(tmp_path, capsys):
         (["concentration"], {"n_list": [4, 8], "samples": 2, "seed": 2**64 - 1}, "--seed"),
         # list entries are integers by the rule the integer flags follow
         (["concentration"], {"n_list": [4.7, 8], "samples": 2}, "--n-list"),
+        # each n writes trials_n<n>.csv: a repeat would overwrite a row's trials
+        (["concentration"], {"n_list": [4, 8, 4], "samples": 2}, "--n-list repeats 4"),
         (["weingarten-check"], {"p": 2, "n_range": [1.9, 2]}, "--n-range"),
         (["weingarten-check"], {"p": 2, "n_range": [True, 2]}, "--n-range"),
     ],
     ids=[
         "format", "base_profile", "output_dir", "scaling_zeta", "scale_k_inf", "scale_z_nan", "n_list_3",
         "zeta_400", "k_6", "scaling_object", "seed_2_64", "row_seed_2_64", "n_list_float",
-        "n_range_float", "n_range_bool",
+        "n_list_repeat", "n_range_float", "n_range_bool",
     ],
 )
 def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, capsys, argv, config, flag):
@@ -463,6 +485,7 @@ def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, capsys
         (["--zeta", "nan"], "--zeta"),
         (["--n-list", "3"], "--n-list"),
         (["--n-list", "8,2"], "--n-list"),
+        (["--n-list", "4,4", "--output-dir", "d"], "--n-list repeats 4"),
         # 4**400 is a float, 16**400 is not
         (["--n-list", "4,16", "--zeta", "400"], "--n-list"),
         (["--zeta", "1", "--scale-z", "1e308"], "--n-list"),
@@ -473,7 +496,8 @@ def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, capsys
         (["--n-list", "8,4", "--k", "6", "--output-dir", "d"], "--k 6 exceeds the smallest --n-list entry 4"),
     ],
     ids=[
-        "scale_k_inf", "kappa_inf", "zeta_nan", "n_list_3", "n_list_8_2", "zeta_400", "scale_z_1e308",
+        "scale_k_inf", "kappa_inf", "zeta_nan", "n_list_3", "n_list_8_2", "n_list_repeat", "zeta_400",
+        "scale_z_1e308",
         "seed_2_64", "row_seed_2_64", "k_above_smallest_n",
     ],
 )

@@ -3,7 +3,16 @@ import pytest
 from scipy.stats import ks_2samp
 
 from cvtypical.errors import DomainError
-from cvtypical.haar import SeededStream, sample_haar_unitary
+from cvtypical.haar import SeededStream, haar_columns
+from cvtypical.harness import run_trial
+
+
+def haar_block(n, gen, k=None):
+    """haar_columns on a stack of one n x k Ginibre block, drawn off gen as
+    a trial draws it: the real parts, then the imaginary parts."""
+    draws = gen.standard_normal((1, 2, n, n if k is None else k))
+    (U,) = haar_columns(draws[:, 0] + 1j * draws[:, 1])
+    return U
 
 
 def full_unitary_reference(n, gen):
@@ -15,13 +24,12 @@ def full_unitary_reference(n, gen):
 
 
 def test_full_unitary_draw_is_pinned():
-    """k = n, given or defaulted, reproduces the full-unitary draws bit for
-    bit and consumes the generator as they did."""
+    """k = n reproduces the full-unitary draws bit for bit and consumes the
+    generator as they did."""
     for n in (1, 2, 5, 16, 64):
-        for k in (None, n):
-            gen, ref = SeededStream(21, n).generator(), SeededStream(21, n).generator()
-            for _ in range(2):
-                assert np.array_equal(sample_haar_unitary(n, gen, k), full_unitary_reference(n, ref))
+        gen, ref = SeededStream(21, n).generator(), SeededStream(21, n).generator()
+        for _ in range(2):
+            assert np.array_equal(haar_block(n, gen), full_unitary_reference(n, ref))
 
 
 def test_samples_are_unitary():
@@ -29,44 +37,39 @@ def test_samples_are_unitary():
     gen = SeededStream(1).generator()
     for n in (1, 2, 5, 16):
         for k in sorted({1, (n + 1) // 2, n}, reverse=True):
-            U = sample_haar_unitary(n, gen, k)
+            U = haar_block(n, gen, k)
             assert U.shape == (n, k)
             assert np.max(np.abs(U.conj().T @ U - np.eye(k))) < 1e-12
 
 
-def test_rejects_nonpositive_dimension():
-    with pytest.raises(DomainError):
-        sample_haar_unitary(0, SeededStream(1).generator())
-    for k in (0, 4):
-        with pytest.raises(DomainError):
-            sample_haar_unitary(3, SeededStream(1).generator(), k)
-
-
 def test_stream_determinism():
     for k in (6, 2):
-        a = sample_haar_unitary(6, SeededStream(42, 7).generator(), k)
-        b = sample_haar_unitary(6, SeededStream(42, 7).generator(), k)
+        a = haar_block(6, SeededStream(42, 7).generator(), k)
+        b = haar_block(6, SeededStream(42, 7).generator(), k)
         assert np.array_equal(a, b)
 
 
 def test_streams_are_distinct():
     for k in (6, 1):
-        a = sample_haar_unitary(6, SeededStream(42, 0).generator(), k)
-        b = sample_haar_unitary(6, SeededStream(42, 1).generator(), k)
-        c = sample_haar_unitary(6, SeededStream(43, 0).generator(), k)
+        a = haar_block(6, SeededStream(42, 0).generator(), k)
+        b = haar_block(6, SeededStream(42, 1).generator(), k)
+        c = haar_block(6, SeededStream(43, 0).generator(), k)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
 
 def test_accepts_plain_generator():
+    """A trial draws off a plain Philox generator as off the SeededStream
+    with the same key."""
     gen = np.random.Generator(np.random.Philox(key=[5, 0]))
-    U = sample_haar_unitary(3, gen)
-    assert np.max(np.abs(U.conj().T @ U - np.eye(3))) < 1e-12
+    rec = run_trial([2.0, 1.0, 1.0], 2, gen)
+    assert repr(rec) == repr(run_trial([2.0, 1.0, 1.0], 2, SeededStream(5, 0)))
+    assert rec.purity_residual < 1e-12
 
 
 def test_rejects_other_rng_types():
     with pytest.raises(DomainError):
-        sample_haar_unitary(3, np.random.RandomState(0))
+        run_trial([2.0, 1.0, 1.0], 2, np.random.RandomState(0))
 
 
 def test_entry_second_moment():
@@ -76,7 +79,7 @@ def test_entry_second_moment():
     for k in (n, 1):
         vals = np.empty(trials)
         for t in range(trials):
-            vals[t] = abs(sample_haar_unitary(n, gen, k)[0, 0]) ** 2
+            vals[t] = abs(haar_block(n, gen, k)[0, 0]) ** 2
         se = vals.std(ddof=1) / np.sqrt(trials)
         assert abs(vals.mean() - 1.0 / n) < 4.0 * se, k
 
@@ -89,7 +92,7 @@ def test_trace_is_centered():
     for k in (n, 2, 1):
         traces = np.empty(trials, dtype=complex)
         for t in range(trials):
-            traces[t] = np.trace(sample_haar_unitary(n, gen, k)[:k])
+            traces[t] = np.trace(haar_block(n, gen, k)[:k])
         se_re = traces.real.std(ddof=1) / np.sqrt(trials)
         se_im = traces.imag.std(ddof=1) / np.sqrt(trials)
         assert abs(traces.real.mean()) < 4.0 * se_re, k
@@ -100,11 +103,11 @@ def test_left_invariance_of_entry_distribution():
     """|((WU))_00|^2 and |U_00|^2 must share one distribution for fixed W."""
     n, trials = 4, 2000
     gen = SeededStream(4).generator()
-    W = sample_haar_unitary(n, gen)
+    W = haar_block(n, gen)
     plain = np.empty(trials)
     shifted = np.empty(trials)
     for t in range(trials):
-        U = sample_haar_unitary(n, gen)
+        U = haar_block(n, gen)
         plain[t] = abs(U[0, 0]) ** 2
         shifted[t] = abs((W @ U)[0, 0]) ** 2
     assert ks_2samp(plain, shifted).pvalue > 1e-3

@@ -23,7 +23,7 @@ from cvtypical.errors import (
     NonUnitaryInput,
     PairingFailure,
 )
-from cvtypical.haar import SeededStream, _reseat, sample_haar_unitary
+from cvtypical.haar import SeededStream, _reseat
 from cvtypical.harness import (
     FLAG_BUDGET,
     TAIL_LADDER_FACTORS,
@@ -32,7 +32,6 @@ from cvtypical.harness import (
     concentration_sweep,
     format_trials_csv,
     json_text,
-    lipschitz_bound,
     read_trials_csv,
     run_ensemble,
     run_trial,
@@ -43,22 +42,17 @@ from cvtypical.harness import (
     write_trials_csv,
 )
 from cvtypical.moments import (
+    _exact,
+    _fourth_moment,
+    _second_moment,
     expected_f_exact,
-    fourth_moment_trace_exact,
     moment_inputs_from_spectrum,
-    second_moment_trace_exact,
 )
-from cvtypical.profiles import (
-    ScalingConfig,
-    constant_profile,
-    microcanonical_profile,
-    parse_profile,
-)
+from cvtypical.profiles import ScalingConfig, constant_profile, parse_profile
 from cvtypical.symplectic import (
     NOT_FINITE_SYMMETRIC,
     NOT_POSITIVE_DEFINITE,
     SymplecticSpectrum,
-    average_energy,
     reduced_covariance_from_rows,
     symplectic_spectrum,
 )
@@ -68,6 +62,7 @@ from oracles import (
     entropy_G,
     eta_embed,
     fiducial_covariance,
+    lipschitz_bound,
     lipschitz_probe,
     read_summary_json,
     reduce_covariance,
@@ -101,14 +96,15 @@ def test_trial_matches_full_state_path(n, k):
     reduced state through the full-state composition."""
     z = np.linspace(1.0, 4.0, n)
     rec = run_trial(z, k, SeededStream(61, n), trial_id=n)
-    V = sample_haar_unitary(n, SeededStream(61, n), k).T  # the rows the trial drew
+    # the rows the trial drew
+    V = oracles._reference_haar_rows(n, SeededStream(61, n).generator(), k).T
     U = np.vstack([V, null_space(V).conj().T])
     M = rotate_covariance(fiducial_covariance(z), eta_embed(U))
-    assert np.max(np.abs(symplectic_spectrum(M).lambdas - 1.0)) <= 1e-10
+    assert np.max(np.abs(symplectic_spectrum(M[None])[0].lambdas - 1.0)) <= 1e-10
     M_red = reduce_covariance(M, k)
-    lambdas = symplectic_spectrum(M_red).lambdas
+    lambdas = symplectic_spectrum(M_red[None])[0].lambdas[0]
     assert np.max(np.abs(np.array(rec.symplectic_spectrum) - lambdas)) <= 1e-12 * lambdas.max()
-    lam_bar = average_energy(z)
+    lam_bar = oracles.average_energy(z)
     assert rec.f_value == pytest.approx(concentration_f(M_red, lam_bar), abs=1e-10 * lam_bar**4)
     assert 0.0 <= rec.purity_residual <= 1e-13
 
@@ -118,6 +114,11 @@ def test_trial_rejects_bad_subsystem():
         run_trial(np.ones(3), 0, SeededStream(0))
     with pytest.raises(InvalidSubsystem):
         run_trial(np.ones(3), 4, SeededStream(0))
+
+
+def test_trial_rejects_a_spectrum_that_is_not_a_vector():
+    with pytest.raises(DomainError, match="nonempty vector"):
+        run_trial(np.ones((1, 3)), 1, SeededStream(0))
 
 
 def test_trial_invariants_hold_in_bulk():
@@ -161,7 +162,7 @@ def test_two_mode_splitter_respects_energy_ceiling():
             [np.sin(theta), np.cos(theta)],
         ])
         M = rotate_covariance(fiducial, eta_embed(U))
-        lam1 = symplectic_spectrum(reduce_covariance(M, 1)).lambdas[0]
+        lam1 = symplectic_spectrum(reduce_covariance(M, 1)[None])[0].lambdas[0, 0]
         assert 1.0 - 1e-12 <= lam1 <= ceiling + 1e-12
         seen.append(lam1)
     balanced = 0.5 * (np.sqrt(z) + 1.0 / np.sqrt(z))
@@ -169,9 +170,9 @@ def test_two_mode_splitter_respects_energy_ceiling():
     # complex rotations obey the same ceiling
     gen = SeededStream(32).generator()
     for _ in range(300):
-        U = sample_haar_unitary(2, gen)
+        U = oracles._reference_haar_rows(2, gen, 2)
         M = rotate_covariance(fiducial, eta_embed(U))
-        lam1 = symplectic_spectrum(reduce_covariance(M, 1)).lambdas[0]
+        lam1 = symplectic_spectrum(reduce_covariance(M, 1)[None])[0].lambdas[0, 0]
         assert 1.0 - 1e-12 <= lam1 <= ceiling + 1e-12
 
 
@@ -192,8 +193,8 @@ def test_ensemble_mean_matches_exact_moments():
     mi = moment_inputs_from_spectrum((3, 1, 1, 1), 1)
     summary, _ = run_ensemble(z, 1, 4000, seed=17)
     for mean, se, exact in (
-        (summary.mean_tr_jm2, summary.se_tr_jm2, second_moment_trace_exact(mi)),
-        (summary.mean_tr_jm4, summary.se_tr_jm4, fourth_moment_trace_exact(mi)),
+        (summary.mean_tr_jm2, summary.se_tr_jm2, _exact(mi, _second_moment)),
+        (summary.mean_tr_jm4, summary.se_tr_jm4, _exact(mi, _fourth_moment)),
         (summary.mean_f, summary.se_f, expected_f_exact(mi)),
     ):
         assert abs(mean - float(exact)) < 5.0 * se
@@ -202,9 +203,9 @@ def test_ensemble_mean_matches_exact_moments():
 def test_worker_count_is_invisible(monkeypatch):
     monkeypatch.setattr(harness, "_cpu_count", lambda: 4)  # three threads on any host
     shapes = [
-        (microcanonical_profile(16.0, 3), 2, 40),
+        (parse_profile("micro:16.0", n=3), 2, 40),
         # blocks of 16 trials at one worker, so every worker takes several
-        (microcanonical_profile(600.0, 256), 16, 100),
+        (parse_profile("micro:600.0", n=256), 16, 100),
     ]
     for spec, k, samples in shapes:
         s1, r1 = run_ensemble(spec, k, samples, seed=5, workers=1)
@@ -222,7 +223,7 @@ def test_workers_are_threads_in_this_process(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(harness, "_cpu_count", lambda: 4)
-    spec = microcanonical_profile(600.0, 256)
+    spec = parse_profile("micro:600.0", n=256)
     before = threading.active_count()
     run_ensemble(spec, 16, 60, seed=2, workers=3)
     assert threading.active_count() == before
@@ -257,7 +258,7 @@ def test_thread_count_follows_the_cpus_and_the_block(monkeypatch, n, k, cpus, wo
         sizes.append(block[4] - block[3])
         return real_block(block)
 
-    spec = microcanonical_profile(600.0, n)
+    spec = parse_profile("micro:600.0", n=n)
     _, expected = run_ensemble(spec, k, 300, seed=4)
     monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(harness, "_run_block", recording_block)
@@ -375,8 +376,8 @@ def test_cholesky_spectrum_matches_the_eigvals_route(profile, n, k):
     for t in range(16):
         gen = SeededStream(5, t).generator()
         z = oracles.sample_profile(spec, gen)
-        rows = sample_haar_unitary(spec.n, gen, k).T
-        stack.append(reduced_covariance_from_rows(rows, z)[0])
+        rows = oracles._reference_haar_rows(spec.n, gen, k).T
+        stack.append(reduced_covariance_from_rows(rows[None], z)[0][0])
     spectrum, _codes = symplectic_spectrum(np.array(stack))
     for M, lambdas in zip(stack, spectrum.lambdas):
         expected, _residual = oracles.eigvals_spectrum(M)
@@ -484,7 +485,7 @@ _POISONS = {
 def test_block_raises_the_first_failing_trials_error(monkeypatch, first, second):
     """Two trials of one block fail; the error is the earlier trial's, as a
     trial-by-trial loop would raise it, whatever stage each fails in."""
-    spec = microcanonical_profile(12.0, 4)
+    spec = parse_profile("micro:12.0", n=4)
     assert harness._block_size(4, 1) > 20
     _POISONS[second](monkeypatch, 11)
     _POISONS[first](monkeypatch, 4)
@@ -503,7 +504,7 @@ def test_a_failing_block_runs_each_stage_once(monkeypatch):
             harness, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
         )
     with pytest.raises(InvalidCovariance, match="^trial 11: "):
-        run_ensemble(microcanonical_profile(12.0, 4), 1, 20, seed=8)
+        run_ensemble(parse_profile("micro:12.0", n=4), 1, 20, seed=8)
     assert sorted(calls) == ["reduced_covariance_from_rows", "symplectic_spectrum"]
 
 
@@ -527,7 +528,7 @@ def test_first_failing_block_raises_whatever_the_thread_timing(monkeypatch, work
     """Trials 20 and 45 fail in different blocks; the block holding 20
     fails last in time, yet its error is the one raised."""
     monkeypatch.setattr(harness, "_cpu_count", lambda: 4)
-    spec = microcanonical_profile(600.0, 256)
+    spec = parse_profile("micro:600.0", n=256)
     assert harness._block_size(256, 16) == 16
     _poison_trial_ids(monkeypatch, {20, 45}, slow={20})
     with pytest.raises(DomainError, match=r"^trial 20: lambda_bar = inf "):
@@ -553,7 +554,7 @@ def _poison_entropy(monkeypatch, trial):
 def test_block_raises_an_entropy_error_in_trial_order(monkeypatch, entropy_first, other):
     """A trial whose entropy fails and a trial failing in any other stage:
     the earlier one's error is raised, as a trial-by-trial loop would."""
-    spec = microcanonical_profile(12.0, 4)
+    spec = parse_profile("micro:12.0", n=4)
     first, second = (4, 11) if entropy_first else (11, 4)
     _POISONS[other](monkeypatch, second)
     _poison_entropy(monkeypatch, first)

@@ -11,15 +11,16 @@ import cvtypical.moments as moments
 from cvtypical.errors import DimensionTooSmall, DomainError, InvalidSubsystem
 from cvtypical.moments import (
     MomentInputs,
-    average_energy_exact,
+    _average_energy,
+    _exact,
+    _fourth_moment,
+    _second_moment,
+    _tilde_lambda_squared,
     compute_moment_report,
     expected_f_exact,
-    fourth_moment_trace_exact,
     moment_inputs_from_spectrum,
-    second_moment_trace_exact,
-    tilde_lambda_squared_exact,
 )
-from cvtypical.symplectic import average_energy
+from cvtypical.symplectic import average_energies
 from oracles import reference_moments
 
 
@@ -29,28 +30,28 @@ def spiked(n):
 
 def test_pinned_exact_values_n4():
     mi = spiked(4)
-    assert average_energy_exact(mi) == Fraction(7, 6)
-    assert tilde_lambda_squared_exact(mi) == Fraction(6, 5)
-    assert second_moment_trace_exact(mi) == Fraction(-12, 5)
-    assert fourth_moment_trace_exact(mi) == Fraction(914, 315)
+    assert _exact(mi, _average_energy) == Fraction(7, 6)
+    assert _exact(mi, _tilde_lambda_squared) == Fraction(6, 5)
+    assert _exact(mi, _second_moment) == Fraction(-12, 5)
+    assert _exact(mi, _fourth_moment) == Fraction(914, 315)
     assert expected_f_exact(mi) == Fraction(1667, 22680)
 
 
 def test_pinned_exact_values_n5():
     mi = spiked(5)
-    assert second_moment_trace_exact(mi) == Fraction(-106, 45)
-    assert fourth_moment_trace_exact(mi) == Fraction(2642, 945)
+    assert _exact(mi, _second_moment) == Fraction(-106, 45)
+    assert _exact(mi, _fourth_moment) == Fraction(2642, 945)
     assert expected_f_exact(mi) == Fraction(15664, 354375)
 
 
 def test_pinned_exact_values_flat():
     mi = moment_inputs_from_spectrum((Fraction(2),) * 5, 1)
-    assert second_moment_trace_exact(mi) == Fraction(-11, 4)
-    assert fourth_moment_trace_exact(mi) == Fraction(977, 256)
+    assert _exact(mi, _second_moment) == Fraction(-11, 4)
+    assert _exact(mi, _fourth_moment) == Fraction(977, 256)
     assert expected_f_exact(mi) == Fraction(27, 256)
     mi = moment_inputs_from_spectrum((Fraction(2),) * 6, 2)
-    assert second_moment_trace_exact(mi) == Fraction(-37, 7)
-    assert fourth_moment_trace_exact(mi) == Fraction(227, 32)
+    assert _exact(mi, _second_moment) == Fraction(-37, 7)
+    assert _exact(mi, _fourth_moment) == Fraction(227, 32)
     assert expected_f_exact(mi) == Fraction(153, 448)
 
 
@@ -66,16 +67,16 @@ def test_two_second_moment_routes_agree():
         k = rng.randint(1, n)
         z = tuple(Fraction(rng.randint(1, 5)) for _ in range(n))
         mi = moment_inputs_from_spectrum(z, k)
-        assert reference_moments(z, k)["table1_second_moment"] == second_moment_trace_exact(mi)
-        assert second_moment_trace_exact(mi) == -2 * k * tilde_lambda_squared_exact(mi)
+        assert reference_moments(z, k)["table1_second_moment"] == _exact(mi, _second_moment)
+        assert _exact(mi, _second_moment) == -2 * k * _exact(mi, _tilde_lambda_squared)
 
 
 def test_vacuum_identities_spot():
     for n, k in ((4, 1), (6, 3), (9, 9)):
         mi = moment_inputs_from_spectrum((1,) * n, k)
-        assert tilde_lambda_squared_exact(mi) == 1
-        assert second_moment_trace_exact(mi) == -2 * k
-        assert fourth_moment_trace_exact(mi) == 2 * k
+        assert _exact(mi, _tilde_lambda_squared) == 1
+        assert _exact(mi, _second_moment) == -2 * k
+        assert _exact(mi, _fourth_moment) == 2 * k
         assert expected_f_exact(mi) == 0
 
 
@@ -90,9 +91,9 @@ def test_full_system_is_pure():
         n = rng.randint(4, 8)
         z = tuple(Fraction(rng.randint(1, 4)) for _ in range(n))
         mi = moment_inputs_from_spectrum(z, n)
-        lam = average_energy_exact(mi)
-        assert second_moment_trace_exact(mi) == -2 * n
-        assert fourth_moment_trace_exact(mi) == 2 * n
+        lam = _exact(mi, _average_energy)
+        assert _exact(mi, _second_moment) == -2 * n
+        assert _exact(mi, _fourth_moment) == 2 * n
         assert expected_f_exact(mi) == 2 * n * (1 - lam * lam) ** 2
 
 
@@ -111,8 +112,8 @@ def test_permutation_invariance():
     for k in (1, 3):
         a = moment_inputs_from_spectrum(z, k)
         b = moment_inputs_from_spectrum(shuffled, k)
-        assert second_moment_trace_exact(a) == second_moment_trace_exact(b)
-        assert fourth_moment_trace_exact(a) == fourth_moment_trace_exact(b)
+        assert _exact(a, _second_moment) == _exact(b, _second_moment)
+        assert _exact(a, _fourth_moment) == _exact(b, _fourth_moment)
         assert expected_f_exact(a) == expected_f_exact(b)
 
 
@@ -144,28 +145,28 @@ def test_expected_f_decay_pins():
 def test_expected_f_alternate_reference():
     mi = spiked(4)
     default = expected_f_exact(mi)
-    explicit = expected_f_exact(mi, lambda_bar=average_energy_exact(mi))
+    explicit = expected_f_exact(mi, lambda_bar=_exact(mi, _average_energy))
     assert default == explicit
     # a shifted reference changes the constant and quadratic terms only
     other = expected_f_exact(mi, lambda_bar=Fraction(2))
-    assert other == fourth_moment_trace_exact(mi) + 8 * second_moment_trace_exact(mi) + 32
+    assert other == _exact(mi, _fourth_moment) + 8 * _exact(mi, _second_moment) + 32
 
 
 def test_float_wrappers_match_exact():
     """The report's floats are the exact values rounded once."""
     mi = spiked(5)
     report = compute_moment_report((3, 1, 1, 1, 1), 1)
-    assert report.second_moment == float(second_moment_trace_exact(mi))
-    assert report.fourth_moment == float(fourth_moment_trace_exact(mi))
+    assert report.second_moment == float(_exact(mi, _second_moment))
+    assert report.fourth_moment == float(_exact(mi, _fourth_moment))
     assert report.expected_f == float(expected_f_exact(mi))
-    assert report.tilde_lambda_sq == float(tilde_lambda_squared_exact(mi))
-    assert report.lambda_bar == float(average_energy_exact(mi))
+    assert report.tilde_lambda_sq == float(_exact(mi, _tilde_lambda_squared))
+    assert report.lambda_bar == float(_exact(mi, _average_energy))
 
 
 def test_average_energy_routes_agree():
     z = (3.0, 1.5, 1.0, 1.0)
     mi = moment_inputs_from_spectrum(z, 1)
-    assert float(average_energy_exact(mi)) == pytest.approx(average_energy(z), rel=1e-12)
+    assert float(_exact(mi, _average_energy)) == pytest.approx(average_energies(z), rel=1e-12)
 
 
 def test_moment_input_validation():
@@ -221,10 +222,10 @@ def test_power_sums_are_built_once_per_instance(monkeypatch):
     monkeypatch.setattr(moments, "_power_sums", lambda mi: calls.append(mi) or build(mi))
     mi = spiked(5)
     expected = expected_f_exact(mi)
-    assert average_energy_exact(mi) == Fraction(17, 15)
-    tilde_lambda_squared_exact(mi)
-    second_moment_trace_exact(mi)
-    fourth_moment_trace_exact(mi)
+    assert _exact(mi, _average_energy) == Fraction(17, 15)
+    _exact(mi, _tilde_lambda_squared)
+    _exact(mi, _second_moment)
+    _exact(mi, _fourth_moment)
     assert expected_f_exact(mi) == expected
     assert calls == [mi]
     # the report settles every value on intervals and builds no exact sums
@@ -235,7 +236,7 @@ def test_power_sums_are_built_once_per_instance(monkeypatch):
 def test_fourth_moment_needs_room():
     # the denominators vanish below n = 4
     with pytest.raises(DimensionTooSmall):
-        fourth_moment_trace_exact(moment_inputs_from_spectrum((2, 2, 2), 1))
+        _exact(moment_inputs_from_spectrum((2, 2, 2), 1), _fourth_moment)
 
 
 def test_float_wrappers_leave_the_float_range_cleanly():
@@ -249,8 +250,8 @@ def test_float_wrappers_leave_the_float_range_cleanly():
     with pytest.raises(DomainError, match="E f has"):
         compute_moment_report((2e80,) * 4, 4)
     # the exact values exist all the same
-    assert tilde_lambda_squared_exact(moment_inputs_from_spectrum((1e200,) * 4, 1)) > 10**399
-    assert fourth_moment_trace_exact(moment_inputs_from_spectrum((1e100,) * 4, 1)) > 10**398
+    assert _exact(moment_inputs_from_spectrum((1e200,) * 4, 1), _tilde_lambda_squared) > 10**399
+    assert _exact(moment_inputs_from_spectrum((1e100,) * 4, 1), _fourth_moment) > 10**398
     assert expected_f_exact(moment_inputs_from_spectrum((2e80,) * 4, 4)) > 10**320
 
 
@@ -287,16 +288,16 @@ def spectra(draw):
 @example(case=([1.0000000000000002, 3.0, 1.5, 2.75], 2), lambda_bar=None)
 @example(case=([Fraction(3, 2), Fraction(7, 5), 2, 2.5, 1], 5), lambda_bar=Fraction(4, 3))
 def test_exact_moments_equal_the_fraction_reference(case, lambda_bar):
-    """Every *_exact value equals the running-Fraction reference exactly, and
+    """Every exact value equals the running-Fraction reference exactly, and
     every value of the report is float() of it, bit for bit."""
     z, k = case
     mi = moment_inputs_from_spectrum(z, k)
     ref = reference_moments(z, k, lambda_bar)
-    assert average_energy_exact(mi) == ref["average_energy"]
+    assert _exact(mi, _average_energy) == ref["average_energy"]
     checks = {
-        "tilde_lambda_sq": (tilde_lambda_squared_exact, 2),
-        "second_moment": (second_moment_trace_exact, 2),
-        "fourth_moment": (fourth_moment_trace_exact, 4),
+        "tilde_lambda_sq": (lambda m: _exact(m, _tilde_lambda_squared), 2),
+        "second_moment": (lambda m: _exact(m, _second_moment), 2),
+        "fourth_moment": (lambda m: _exact(m, _fourth_moment), 4),
         "expected_f": (lambda m: expected_f_exact(m, lambda_bar), 4),
     }
     for name, (exact_fn, min_n) in checks.items():
@@ -341,11 +342,11 @@ def test_undecided_intervals_fall_back_to_the_exact_route(monkeypatch):
     report = compute_moment_report(z, 3)
     assert len(calls) == 1
     assert repr(report) == repr(expected)
-    assert report.tilde_lambda_sq == float(tilde_lambda_squared_exact(mi))
-    assert report.second_moment == float(second_moment_trace_exact(mi))
-    assert report.fourth_moment == float(fourth_moment_trace_exact(mi))
+    assert report.tilde_lambda_sq == float(_exact(mi, _tilde_lambda_squared))
+    assert report.second_moment == float(_exact(mi, _second_moment))
+    assert report.fourth_moment == float(_exact(mi, _fourth_moment))
     assert report.expected_f == float(expected_f_exact(mi))
-    assert report.lambda_bar == float(average_energy_exact(mi))
+    assert report.lambda_bar == float(_exact(mi, _average_energy))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -395,10 +396,10 @@ def test_run_length_modes_equal_the_fraction_reference():
     mi = moment_inputs_from_spectrum(z, k)
     assert len(mi.modes) == 3 and sum(m for _, _, m in mi.modes) == 4096
     ref = reference_moments(z, k)
-    assert average_energy_exact(mi) == ref["average_energy"]
-    assert tilde_lambda_squared_exact(mi) == ref["tilde_lambda_sq"]
-    assert second_moment_trace_exact(mi) == ref["second_moment"]
-    assert fourth_moment_trace_exact(mi) == ref["fourth_moment"]
+    assert _exact(mi, _average_energy) == ref["average_energy"]
+    assert _exact(mi, _tilde_lambda_squared) == ref["tilde_lambda_sq"]
+    assert _exact(mi, _second_moment) == ref["second_moment"]
+    assert _exact(mi, _fourth_moment) == ref["fourth_moment"]
     assert expected_f_exact(mi) == ref["expected_f"]
     assert repr(compute_moment_report(z, k)) == repr(exact_report(z, k))
 

@@ -11,11 +11,9 @@ from cvtypical.haar import SeededStream
 from cvtypical.profiles import (
     ProfileSpec,
     ScalingConfig,
-    canonical_profile,
     constant_profile,
     exponential_count,
     fixed_profile,
-    microcanonical_profile,
     parse_profile,
     profile_to_string,
     sample_profile,
@@ -69,22 +67,22 @@ def test_parse_rejects_garbage():
 
 def test_energy_floors():
     with pytest.raises(EnergyTooSmall):
-        microcanonical_profile(7.9, 4)
+        ProfileSpec(kind="microcanonical", n=4, energy=7.9)
     with pytest.raises(EnergyTooSmall):
         parse_profile("micro:6", n=4)
     with pytest.raises(EnergyTooSmall):
-        canonical_profile(0.0, 4)
+        ProfileSpec(kind="canonical", n=4, energy=0.0)
     with pytest.raises(InvalidSpec):
-        canonical_profile(8.0, 4, temperature=-1.0)
+        ProfileSpec(kind="canonical", n=4, energy=8.0, temperature=-1.0)
 
 
 def test_profile_string_round_trips():
     specs = [
         fixed_profile((3.0, 1.25, 1.0)),
         constant_profile(2.0, 5),
-        microcanonical_profile(14.0, 4),
-        canonical_profile(8.0, 4),
-        canonical_profile(8.0, 4, temperature=0.75),
+        ProfileSpec(kind="microcanonical", n=4, energy=14.0),
+        ProfileSpec(kind="canonical", n=4, energy=8.0),
+        ProfileSpec(kind="canonical", n=4, energy=8.0, temperature=0.75),
     ]
     for spec in specs:
         assert parse_profile(profile_to_string(spec), n=spec.n) == spec
@@ -104,16 +102,19 @@ def profile_specs(draw):
     if kind == "constant":
         return constant_profile(draw(AT_LEAST_ONE), n)
     if kind == "micro":
-        return microcanonical_profile(draw(st.floats(min_value=2.0 * n, allow_infinity=False)), n)
-    return canonical_profile(draw(POSITIVE), n, temperature=draw(st.none() | POSITIVE))
+        energy = draw(st.floats(min_value=2.0 * n, allow_infinity=False))
+        return ProfileSpec(kind="microcanonical", n=n, energy=energy)
+    energy = draw(POSITIVE)
+    temperature = draw(st.none() | POSITIVE)
+    return ProfileSpec(kind="canonical", n=n, energy=energy, temperature=temperature)
 
 
 @settings(max_examples=300, deadline=None)
 @given(spec=profile_specs())
 @example(spec=fixed_profile((1.0000000000000002, 1.0, 1e308)))
 @example(spec=constant_profile(1.0000000000000002, 3))
-@example(spec=microcanonical_profile(8.000000000000002, 4))
-@example(spec=canonical_profile(5e-324, 2, temperature=2.2250738585072014e-308))
+@example(spec=ProfileSpec(kind="microcanonical", n=4, energy=8.000000000000002))
+@example(spec=ProfileSpec(kind="canonical", n=2, energy=5e-324, temperature=2.2250738585072014e-308))
 def test_profile_string_round_trip_property(spec):
     """parse_profile inverts profile_to_string for every kind and every float
     the string can carry, and the string is stable under the round trip."""
@@ -125,13 +126,13 @@ def test_profile_string_round_trip_property(spec):
 
 def test_micro_ground_state_edge():
     """E = 2n leaves no free energy: every draw is exactly the vacuum."""
-    spec = microcanonical_profile(8.0, 4)
+    spec = ProfileSpec(kind="microcanonical", n=4, energy=8.0)
     for seed in (0, 1, 2):
         assert np.array_equal(draw(spec, seed), np.ones(4))
 
 
 def test_micro_draw_invariants():
-    spec = microcanonical_profile(14.0, 4)
+    spec = ProfileSpec(kind="microcanonical", n=4, energy=14.0)
     gen = SeededStream(5).generator()
     for _ in range(2000):
         z = sample_profile(spec, gen)
@@ -144,7 +145,7 @@ def test_micro_draw_invariants():
 
 def test_energy_round_trip_through_sampler():
     """Squeezing back to energies must reproduce the sampled simplex point."""
-    spec = microcanonical_profile(30.0, 3)
+    spec = ProfileSpec(kind="microcanonical", n=3, energy=30.0)
     gen = SeededStream(6).generator()
     for _ in range(200):
         z = sample_profile(spec, gen)
@@ -154,7 +155,7 @@ def test_energy_round_trip_through_sampler():
 
 def test_micro_mean_total_energy():
     # E[sum E_j] = 2n + (E - 2n) n/(n+1)
-    spec = microcanonical_profile(12.0, 3)
+    spec = ProfileSpec(kind="microcanonical", n=3, energy=12.0)
     gen = SeededStream(7).generator()
     trials = 20000
     totals = np.empty(trials)
@@ -168,8 +169,8 @@ def test_micro_mean_total_energy():
 def test_canonical_mean_energy():
     gen = SeededStream(8).generator()
     for temperature, spec in (
-        (2.0, canonical_profile(8.0, 4)),
-        (0.5, canonical_profile(8.0, 4, temperature=0.5)),
+        (2.0, ProfileSpec(kind="canonical", n=4, energy=8.0)),
+        (0.5, ProfileSpec(kind="canonical", n=4, energy=8.0, temperature=0.5)),
     ):
         values = np.concatenate([
             [mode_energy_from_squeezing(v) for v in sample_profile(spec, gen)]
@@ -180,7 +181,7 @@ def test_canonical_mean_energy():
 
 
 def test_sampling_is_stream_deterministic():
-    spec = canonical_profile(8.0, 4)
+    spec = ProfileSpec(kind="canonical", n=4, energy=8.0)
     assert np.array_equal(draw(spec, 3, 1), draw(spec, 3, 1))
     assert not np.array_equal(draw(spec, 3, 1), draw(spec, 3, 2))
 
@@ -194,7 +195,7 @@ def test_deterministic_kinds_ignore_generator():
 
 def test_fixed_spectrum_guard():
     with pytest.raises(DomainError):
-        microcanonical_profile(20.0, 3).fixed_spectrum()
+        ProfileSpec(kind="microcanonical", n=3, energy=20.0).fixed_spectrum()
     with pytest.raises(DomainError):
         constant_profile(2.0, 3).mean_temperature()
 
@@ -246,10 +247,10 @@ def random_profiles(draw):
                 floor, np.nextafter(floor, math.inf), floor * (1.0 + 1e-12), 3.0 * n, 1e200,
             ])
         )
-        return microcanonical_profile(energy, n)
+        return ProfileSpec(kind="microcanonical", n=n, energy=float(energy))
     energy = draw(st.sampled_from([1e-300, 0.5 * n, 3.0 * n, 1e200]))
     temperature = draw(st.sampled_from([None, 1e-9, 2.0]))
-    return canonical_profile(energy, n, temperature)
+    return ProfileSpec(kind="canonical", n=n, energy=float(energy), temperature=temperature)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,0 +1,62 @@
+"""Every public function and class in the package has a caller.
+
+A public name defined at the top of a module in src/cvtypical must be
+referenced in code, as a name or an attribute, somewhere in the package
+outside its own definition, or in the benchmark under perfbench/, which
+drives the package from outside.  Mentions in strings, comments, docstrings,
+``__all__`` lists and import lines do not count: a name only tests or demos
+call belongs in tests/ or goes.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cvtypical"
+
+
+def _references(tree, skip=None) -> set:
+    """The names loaded and the attributes read anywhere in tree, outside
+    the node skip."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _trees(directory: Path) -> dict:
+    return {path: ast.parse(path.read_text()) for path in sorted(directory.glob("*.py"))}
+
+
+SOURCES = _trees(PACKAGE)
+OUTSIDE = set().union(*map(_references, _trees(ROOT / "perfbench").values()))
+PUBLIC = [
+    (path, node)
+    for path, tree in SOURCES.items()
+    for node in tree.body
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+]
+
+
+def test_the_package_defines_public_names():
+    assert len(PUBLIC) > 20
+
+
+@pytest.mark.parametrize(
+    "path, node", PUBLIC, ids=[f"{path.stem}.{node.name}" for path, node in PUBLIC]
+)
+def test_public_name_has_a_caller(path, node):
+    used = set(OUTSIDE)
+    for other, tree in SOURCES.items():
+        used |= _references(tree, skip=node if other == path else None)
+    assert node.name in used, f"{path.name}: {node.name} has no caller in src/ or perfbench/"

@@ -15,12 +15,16 @@ from cvtypical.errors import (
     PairingFailure,
 )
 from cvtypical.cli import main
-from cvtypical.haar import SeededStream, sample_haar_unitary
+from cvtypical.haar import SeededStream
 from cvtypical.harness import PURITY_TOL, read_trials_csv
 from cvtypical.symplectic import (
+    BELOW_ONE,
+    NOT_FINITE_SYMMETRIC,
+    NOT_POSITIVE_DEFINITE,
     PURE_CLAMP,
     UNITARITY_TOL,
-    average_energy,
+    SymplecticSpectrum,
+    average_energies,
     entropy_error,
     gaussian_entropies,
     reduced_covariance_from_rows,
@@ -28,9 +32,11 @@ from cvtypical.symplectic import (
     spectrum_error,
     symplectic_form,
     symplectic_spectrum,
+    unitarity_error,
 )
 import oracles
 from oracles import (
+    _reference_haar_rows,
     concentration_f,
     entropy_G,
     entropy_g,
@@ -44,6 +50,13 @@ from oracles import (
     squeezing_from_energy,
     validate_covariance,
 )
+
+
+def spectrum_of(M):
+    """symplectic_spectrum on a stack of one: the matrix's spectrum, each
+    field without the stack axis, and its failure code."""
+    spectrum, (code,) = symplectic_spectrum(np.asarray(M)[None])
+    return SymplecticSpectrum(*(field[0] for field in spectrum)), code
 
 
 def test_symplectic_form_square():
@@ -63,7 +76,7 @@ def test_eta_embed_is_orthogonal_symplectic():
     """The unitary embedding must land in Sp(2n) and O(2n) simultaneously."""
     gen = SeededStream(11).generator()
     for n in (1, 3, 6):
-        U = sample_haar_unitary(n, gen)
+        U = _reference_haar_rows(n, gen, n)
         O = eta_embed(U)
         J = symplectic_form(n)
         assert np.allclose(O.T @ O, np.eye(2 * n), atol=1e-12)
@@ -72,8 +85,8 @@ def test_eta_embed_is_orthogonal_symplectic():
 
 def test_eta_embed_is_a_homomorphism():
     gen = SeededStream(12).generator()
-    U = sample_haar_unitary(4, gen)
-    V = sample_haar_unitary(4, gen)
+    U = _reference_haar_rows(4, gen, 4)
+    V = _reference_haar_rows(4, gen, 4)
     assert np.allclose(eta_embed(U @ V), eta_embed(U) @ eta_embed(V), atol=1e-12)
 
 
@@ -96,7 +109,7 @@ def test_rotate_covariance_preserves_symmetry_and_spectrum():
     gen = SeededStream(13).generator()
     z = np.array([3.0, 1.5, 1.0])
     M = fiducial_covariance(z)
-    O = eta_embed(sample_haar_unitary(3, gen))
+    O = eta_embed(_reference_haar_rows(3, gen, 3))
     M2 = rotate_covariance(M, O)
     assert np.allclose(M2, M2.T, atol=1e-12)
     # orthogonal conjugation keeps the ordinary eigenvalues
@@ -115,7 +128,7 @@ def test_reduce_covariance_picks_leading_modes():
     gen = SeededStream(14).generator()
     M = rotate_covariance(
         fiducial_covariance([2.0, 1.5, 1.25, 1.0]),
-        eta_embed(sample_haar_unitary(n, gen)),
+        eta_embed(_reference_haar_rows(n, gen, n)),
     )
     idx = list(range(k)) + list(range(n, n + k))
     assert np.array_equal(reduce_covariance(M, k), M[np.ix_(idx, idx)])
@@ -152,30 +165,37 @@ def test_row_reduction_matches_full_state_path(n, k, profile):
     symplectic spectrum of every rotated state must be flat at 1.
     """
     z = PROFILES[profile](n)
-    U = sample_haar_unitary(n, SeededStream(n, k))
+    U = _reference_haar_rows(n, SeededStream(n, k).generator(), n)
     M = rotate_covariance(fiducial_covariance(z), eta_embed(U))
-    assert np.max(np.abs(symplectic_spectrum(M).lambdas - 1.0)) <= PURITY_TOL
+    assert np.max(np.abs(spectrum_of(M)[0].lambdas - 1.0)) <= PURITY_TOL
     expected = reduce_covariance(M, k)
 
-    M_red, residual = reduced_covariance_from_rows(U[:k], z)
+    (M_red,), (residual,) = reduced_covariance_from_rows(U[None, :k], z)
     assert residual <= UNITARITY_TOL
     assert np.array_equal(M_red, M_red.T)
     assert np.max(np.abs(M_red - expected)) <= 1e-12 * np.max(np.abs(expected))
-    lambdas = symplectic_spectrum(M_red).lambdas
-    expected_lambdas = symplectic_spectrum(expected).lambdas
+    lambdas = spectrum_of(M_red)[0].lambdas
+    expected_lambdas = spectrum_of(expected)[0].lambdas
     assert np.max(np.abs(lambdas - expected_lambdas)) <= 1e-12 * expected_lambdas.max()
 
 
 def test_row_reduction_rejects_bad_rows():
+    """Rows that are not orthonormal come back with their residual, for the
+    caller to raise on; a lone row set is not a stack."""
     z = [2.0, 1.0, 1.0]
-    with pytest.raises(NonUnitaryInput):
-        reduced_covariance_from_rows(2.0 * np.eye(3)[:1], z)
+    _M_red, (residual,) = reduced_covariance_from_rows(2.0 * np.eye(3)[None, :1], z)
+    assert residual > UNITARITY_TOL
+    assert isinstance(unitarity_error(residual), NonUnitaryInput)
     with pytest.raises(DimensionMismatch):
-        reduced_covariance_from_rows(np.eye(4)[:2], z)
+        reduced_covariance_from_rows(np.eye(4)[None, :2], z)
+    with pytest.raises(DimensionMismatch):
+        reduced_covariance_from_rows(np.eye(3)[:1], z)
     with pytest.raises(DimensionMismatch):
         reduced_covariance_from_rows(np.ones(3), z)
+    with pytest.raises(DimensionMismatch):
+        reduced_covariance_from_rows(np.eye(3)[None, :1], [z, z])
     with pytest.raises(DomainError):
-        reduced_covariance_from_rows(np.eye(3)[:1], [0.5, 1.0, 1.0])
+        reduced_covariance_from_rows(np.eye(3)[None, :1], [0.5, 1.0, 1.0])
 
 
 def test_validate_covariance_accepts_physical_states():
@@ -199,15 +219,16 @@ def test_validate_covariance_rejects_asymmetric():
 def test_symplectic_spectrum_pure_state_is_flat():
     gen = SeededStream(15).generator()
     z = np.array([6.0, 2.0, 1.0, 1.0])
-    M = rotate_covariance(fiducial_covariance(z), eta_embed(sample_haar_unitary(4, gen)))
-    spec = symplectic_spectrum(M)
+    M = rotate_covariance(fiducial_covariance(z), eta_embed(_reference_haar_rows(4, gen, 4)))
+    spec, code = spectrum_of(M)
+    assert code == 0
     assert spec.lambdas.shape == (4,)
     assert np.max(np.abs(spec.lambdas - 1.0)) < 1e-10
     assert spec.pair_gap < 1e-10
 
 
 def test_symplectic_spectrum_thermal_state():
-    assert np.allclose(symplectic_spectrum(2.5 * np.eye(6)).lambdas, 2.5)
+    assert np.allclose(spectrum_of(2.5 * np.eye(6))[0].lambdas, 2.5)
 
 
 def test_symplectic_spectrum_sorted_descending():
@@ -217,7 +238,7 @@ def test_symplectic_spectrum_sorted_descending():
     big[np.ix_([0, 3], [0, 3])] = M[np.ix_([0, 2], [0, 2])]
     big[np.ix_([1, 4], [1, 4])] = M[np.ix_([1, 3], [1, 3])]
     big[2, 2] = big[5, 5] = 3.0
-    lam = symplectic_spectrum(big).lambdas
+    lam = spectrum_of(big)[0].lambdas
     assert list(lam) == sorted(lam, reverse=True)
     assert np.allclose(np.sort(lam), [1.0, 1.0, 3.0], atol=1e-10)
 
@@ -225,22 +246,26 @@ def test_symplectic_spectrum_sorted_descending():
 def test_symplectic_spectrum_rejects_unpaired_matrix():
     # symmetric but not positive definite: J M has the real pair +-1 in
     # place of +-i*lambda, and the Cholesky factorization fails
+    spectrum, code = spectrum_of(np.diag([1.0, 1.0, -1.0, 1.0]))
+    assert code == NOT_POSITIVE_DEFINITE
     with pytest.raises(PairingFailure, match="not positive definite"):
-        symplectic_spectrum(np.diag([1.0, 1.0, -1.0, 1.0]))
+        raise spectrum_error(code, spectrum.lambdas)
 
 
 def test_symplectic_spectrum_rejects_asymmetric_matrix():
     # the factorization reads one triangle, so the other must agree with it
     M = 2.0 * np.eye(4)
     M[0, 1] = 1e-9
+    spectrum, code = spectrum_of(M)
+    assert code == NOT_FINITE_SYMMETRIC
     with pytest.raises(InvalidCovariance, match="not finite and symmetric"):
-        symplectic_spectrum(M)
+        raise spectrum_error(code, spectrum.lambdas)
 
 
 def test_stacked_spectrum_flags_only_the_failing_matrices():
     """A failed factorization fails the stacked Cholesky as a whole; each
-    matrix still gets the outcome its lone call would: a failing one the
-    code of the error that call raises, a good one its spectrum."""
+    matrix still gets the outcome it gets on a stack of one: a failing one
+    its code, a good one its spectrum."""
     good = fiducial_covariance([3.0, 1.0])
     not_finite = good.copy()
     not_finite[2, 2] = np.nan
@@ -251,27 +276,37 @@ def test_stacked_spectrum_flags_only_the_failing_matrices():
     spectrum, codes = symplectic_spectrum(stack)
     assert isinstance(spectrum_error(codes[1], spectrum.lambdas[1]), PairingFailure)
     assert isinstance(spectrum_error(codes[2], spectrum.lambdas[2]), InvalidCovariance)
+    assert list(codes) == [
+        0, NOT_POSITIVE_DEFINITE, BELOW_ONE, NOT_FINITE_SYMMETRIC, NOT_FINITE_SYMMETRIC, 0
+    ]
     for i in (1, 2, 3, 4):
         error = spectrum_error(codes[i], spectrum.lambdas[i])
-        with pytest.raises(type(error)) as lone:
-            symplectic_spectrum(stack[i])
-        assert type(lone.value) is type(error) and str(lone.value) == str(error)
+        alone, code = spectrum_of(stack[i])
+        assert code == codes[i]
+        assert str(spectrum_error(code, alone.lambdas)) == str(error)
     for i in (0, 5):
-        assert codes[i] == 0
-        assert np.array_equal(spectrum.lambdas[i], symplectic_spectrum(good).lambdas)
+        assert np.array_equal(spectrum.lambdas[i], spectrum_of(good)[0].lambdas)
         assert np.allclose(spectrum.squares[i], spectrum.lambdas[i] ** 2, rtol=1e-15)
 
 
 def test_symplectic_spectrum_rejects_unphysical_state():
-    with pytest.raises(InvalidCovariance):
-        symplectic_spectrum(0.5 * np.eye(4))
+    spectrum, code = spectrum_of(0.5 * np.eye(4))
+    assert code == BELOW_ONE
+    assert isinstance(spectrum_error(code, spectrum.lambdas), InvalidCovariance)
+
+
+def test_symplectic_spectrum_takes_stacks_only():
+    for M in (np.eye(4), np.eye(4)[None, :3], np.ones((1, 3, 3)), np.eye(2)[None, None]):
+        with pytest.raises(DimensionMismatch):
+            symplectic_spectrum(M)
 
 
 def test_average_energy_flat_trace():
     z = np.array([3.0, 1.0, 1.0, 1.0])
     M = fiducial_covariance(z)
-    assert average_energy(z) == pytest.approx(np.trace(M) / 8.0, rel=1e-14)
-    assert average_energy([1.0, 1.0]) == 1.0
+    assert average_energies(z[None])[0] == pytest.approx(np.trace(M) / 8.0, rel=1e-14)
+    assert average_energies(z) == average_energies(z[None])[0]
+    assert average_energies([1.0, 1.0]) == 1.0
 
 
 def test_mode_energy_round_trip():
@@ -298,7 +333,7 @@ def test_total_energy_invariant_under_rotation():
     total = sum(mode_energy_from_squeezing(v) for v in z)
     assert np.trace(M) == pytest.approx(total, rel=1e-12)
     for _ in range(3):
-        O = eta_embed(sample_haar_unitary(3, gen))
+        O = eta_embed(_reference_haar_rows(3, gen, 3))
         assert np.trace(rotate_covariance(M, O)) == pytest.approx(total, rel=1e-12)
 
 
@@ -399,8 +434,8 @@ def test_gaussian_entropy_additive_over_modes():
     lams = np.array([3.0, 2.0, 1.0])
     expected = sum(entropy_G(v) for v in lams)
     assert gaussian_entropies(lams[None])[0][0] == pytest.approx(expected, rel=1e-14)
-    spec = symplectic_spectrum(np.diag([3.0, 3.0]))
-    assert gaussian_entropies(spec.lambdas[None])[0][0] == pytest.approx(entropy_G(3.0), rel=1e-14)
+    spec, _codes = symplectic_spectrum(np.diag([3.0, 3.0])[None])
+    assert gaussian_entropies(spec.lambdas)[0][0] == pytest.approx(entropy_G(3.0), rel=1e-14)
 
 
 def test_concentration_f_single_thermal_mode():
@@ -415,11 +450,11 @@ def test_concentration_f_single_thermal_mode():
 def test_concentration_f_matches_deviation_delta():
     gen = SeededStream(17).generator()
     z = np.array([4.0, 2.0, 1.0, 1.0, 1.0])
-    lam_bar = average_energy(z)
-    M = rotate_covariance(fiducial_covariance(z), eta_embed(sample_haar_unitary(5, gen)))
+    lam_bar = float(average_energies(z))
+    M = rotate_covariance(fiducial_covariance(z), eta_embed(_reference_haar_rows(5, gen, 5)))
     M_red = reduce_covariance(M, 2)
     f = concentration_f(M_red, lam_bar)
-    (delta,) = spectral_deviation_deltas(symplectic_spectrum(M_red).squares[None], [lam_bar])
+    (delta,) = spectral_deviation_deltas(symplectic_spectrum(M_red[None])[0].squares, [lam_bar])
     assert f == pytest.approx(2.0 * delta**2, rel=1e-10)
 
 
