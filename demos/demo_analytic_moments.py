@@ -28,7 +28,7 @@ SEED = 314
 def main():
     for z, k in CASES:
         report = compute_moment_report(z, k)
-        summary, _records = run_ensemble(tuple(float(v) for v in z), k, TRIALS, seed=SEED)
+        summary, _table = run_ensemble(tuple(float(v) for v in z), k, TRIALS, seed=SEED)
         print(f"z = {z}, k = {k}")
         print(f"  mean energy        = {report.lambda_bar:.6f}")
         print(f"  E tr (J M)^2 exact = {report.second_moment:+.6f}"

@@ -44,7 +44,6 @@ from .harness import (
     json_text,
     run_ensemble,
     summary_to_jsonable,
-    write_trials_csv,
     _atomic_write_text,
 )
 from .moments import compute_moment_report
@@ -72,7 +71,7 @@ class RunConfig:
     base_profile: str = "constant"
 
 
-# Philox is keyed with the seed as one exact 64-bit half (haar._reseat), so
+# Philox is keyed with the seed as one exact 64-bit half (haar._stream_keys), so
 # a seed must fit in 64 bits, as must every sweep row's seed + i.
 SEED_LIMIT = 2**64
 
@@ -224,7 +223,8 @@ def _build_parser():
     return parser, subparsers
 
 
-def _load_config_file(path: str) -> dict:
+def _config_file_defaults(path: str, sub: str) -> dict:
+    """The config file's values by dest.  Null values count as absent."""
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -234,12 +234,6 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    return data
-
-
-def _config_file_defaults(path: str, sub: str) -> dict:
-    """The config file's values by dest.  Null values count as absent."""
-    data = _load_config_file(path)
     allowed = ("subcommand",) + _dests(sub)
     for key in data:
         if key not in allowed:
@@ -339,20 +333,12 @@ def config_digest(cfg: RunConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _provenance_line(cfg: RunConfig) -> str:
-    return (
-        f"cvtypical {__version__} seed={cfg.seed} "
-        f"config=sha256:{config_digest(cfg)} unit=nats"
-    )
-
-
-def _provenance_dict(cfg: RunConfig) -> dict:
-    return {
-        "version": __version__,
-        "seed": cfg.seed,
-        "config_sha256": config_digest(cfg),
-        "entropy_unit": "nats",
-    }
+def _provenance(cfg: RunConfig) -> tuple:
+    """The provenance dict of the JSON outputs and the '#' line of the CSV
+    ones, from one config digest."""
+    digest = config_digest(cfg)
+    line = f"cvtypical {__version__} seed={cfg.seed} config=sha256:{digest} unit=nats"
+    return {"version": __version__, "seed": cfg.seed, "config_sha256": digest, "entropy_unit": "nats"}, line
 
 
 @contextlib.contextmanager
@@ -387,7 +373,7 @@ def _run_moments(cfg: RunConfig) -> int:
     z = cfg.z_profile.fixed_spectrum()
     report = compute_moment_report(z, cfg.k)
     payload = {
-        "provenance": _provenance_dict(cfg),
+        "provenance": _provenance(cfg)[0],
         "n": cfg.z_profile.n,
         "k": cfg.k,
         "z_profile": profile_to_string(cfg.z_profile),
@@ -400,13 +386,12 @@ def _run_moments(cfg: RunConfig) -> int:
 def _run_concentration(cfg: RunConfig) -> int:
     with _writing(cfg.output_dir):
         os.makedirs(cfg.output_dir, exist_ok=True)
-    provenance_line = _provenance_line(cfg)
+    provenance, provenance_line = _provenance(cfg)
     written = []
 
-    def sink(n, summary, records):
+    def sink(n, summary, table):
         path = os.path.join(cfg.output_dir, f"trials_n{n}.csv")
-        with _writing(path):
-            write_trials_csv(path, records, provenance_line)
+        _emit_text(format_trials_csv(table, provenance_line), path)
         written.append(path)
 
     results = concentration_sweep(
@@ -420,7 +405,7 @@ def _run_concentration(cfg: RunConfig) -> int:
         record_sink=sink,
     )
     payload = {
-        "provenance": _provenance_dict(cfg),
+        "provenance": provenance,
         "rows": [summary_to_jsonable(summary) for _n, summary in results],
     }
     summary_path = os.path.join(cfg.output_dir, "sweep_summary.json")
@@ -433,7 +418,7 @@ def _run_concentration(cfg: RunConfig) -> int:
 
 def _run_weingarten_check(cfg: RunConfig) -> int:
     lo, hi = cfg.n_range
-    lines = ["# " + _provenance_line(cfg), "n,cycle_type,character_sum,gram_oracle,delta"]
+    lines = ["# " + _provenance(cfg)[1], "n,cycle_type,character_sum,gram_oracle,delta"]
     mismatches = 0
     for n in range(lo, hi + 1):
         oracle = gram_weingarten_oracle(n, cfg.p)
@@ -459,9 +444,10 @@ def _run_profile_sample(cfg: RunConfig) -> int:
             spectra.append(sample_profile(spec, SeededStream(cfg.seed, i)))
         except DomainError as exc:
             raise DomainError(f"sample {i}: {exc}") from None
+    provenance, provenance_line = _provenance(cfg)
     if cfg.format == "json":
         payload = {
-            "provenance": _provenance_dict(cfg),
+            "provenance": provenance,
             "n": spec.n,
             "z_profile": profile_to_string(spec),
             "spectra": [[float(z) for z in zs] for zs in spectra],
@@ -469,7 +455,7 @@ def _run_profile_sample(cfg: RunConfig) -> int:
         text = json_text(payload)
     else:
         header = "sample_id," + ",".join(f"z_{j}" for j in range(1, spec.n + 1))
-        lines = ["# " + _provenance_line(cfg), header]
+        lines = ["# " + provenance_line, header]
         for i, zs in enumerate(spectra):
             lines.append(",".join([str(i)] + [repr(float(z)) for z in zs]))
         text = "\n".join(lines) + "\n"
@@ -478,12 +464,13 @@ def _run_profile_sample(cfg: RunConfig) -> int:
 
 
 def _run_trial_dump(cfg: RunConfig) -> int:
-    summary, records = run_ensemble(
+    summary, table = run_ensemble(
         cfg.z_profile, cfg.k, cfg.samples, cfg.seed, workers=cfg.workers
     )
-    csv_text = format_trials_csv(records, _provenance_line(cfg))
+    provenance, provenance_line = _provenance(cfg)
+    csv_text = format_trials_csv(table, provenance_line)
     _emit_text(csv_text, cfg.output_path)
-    summary_payload = summary_to_jsonable(summary, _provenance_dict(cfg))
+    summary_payload = summary_to_jsonable(summary, provenance)
     # without --summary-output the summary goes to stdout, unless the CSV did
     if cfg.summary_output is not None or cfg.output_path is not None:
         _emit_text(json_text(summary_payload), cfg.summary_output)

@@ -18,7 +18,6 @@ from .errors import DomainError
 __all__ = ["SeededStream", "haar_columns"]
 
 _MASK64 = (1 << 64) - 1
-_ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -29,28 +28,20 @@ class SeededStream:
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        return _reseat(np.random.Generator(np.random.Philox(key=0)), self.seed, self.stream_id)
+        return np.random.Generator(np.random.Philox(key=_stream_keys(self.seed, [self.stream_id])[0]))
 
 
-def _reseat(gen: np.random.Generator, seed: int, stream_id: int) -> np.random.Generator:
-    """Point gen, a Philox-backed generator, at the start of stream
-    (seed, stream_id), the one place a stream is keyed.
-
-    Key, counter 0 and an empty output buffer are the whole state of a fresh
-    Philox, so gen then draws exactly what a new generator keyed with the
-    two exact 64-bit halves [seed, stream_id] mod 2^64 would, at a fraction
-    of the cost of building one.
-    """
-    key = np.array([seed & _MASK64, stream_id & _MASK64], dtype=np.uint64)
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO4, "key": key},
-        "buffer": _ZERO4,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return gen
+def _stream_keys(seed: int, stream_ids) -> np.ndarray:
+    """The Philox keys of the streams (seed, t) for t in stream_ids, the one
+    place a stream is keyed: a (B, 2) uint64 array of the two exact 64-bit
+    halves [seed, t] mod 2^64.  Key, counter 0 and an empty output buffer are
+    the whole state of a fresh Philox, so a generator given a fresh one's
+    state with the key replaced by a row draws what a new generator keyed
+    with the row would, at a fraction of the cost of building one."""
+    keys = np.empty((len(stream_ids), 2), dtype=np.uint64)
+    keys[:, 0] = seed & _MASK64
+    keys[:, 1] = [t & _MASK64 for t in stream_ids]
+    return keys
 
 
 def _as_generator(rng) -> np.random.Generator:

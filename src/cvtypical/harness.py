@@ -4,10 +4,11 @@ One trial: draw a squeezing spectrum, draw the k rows of a Haar-random
 passive unitary that the first k modes see, build their reduced covariance
 straight from those rows, and record its symplectic spectrum, its entropy,
 the flatness functional f, and numerical-quality diagnostics.  Ensembles
-run trials over independent counter-based streams keyed by
-(seed, trial_id), so results are identical for any worker count, and
-aggregate into a RunSummary.  CSV/JSON emission lives here too so the
-formats stay pinned next to the records they serialize.
+run in blocks over independent counter-based streams keyed by
+(seed, trial_id), so results are identical for any worker count; a block's
+TrialTable of columns joins the ensemble's, which is summarized into a
+RunSummary and written as CSV column by column, with no per-trial objects.
+CSV/JSON emission lives here too, next to the tables it serializes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, InvalidSubsystem, PairingFailure
-from .haar import SeededStream, _as_generator, _reseat, haar_columns
+from .haar import SeededStream, _as_generator, _stream_keys, haar_columns
 from .profiles import ProfileSpec, ScalingConfig, constant_profile, fixed_profile
 from .profiles import exponential_count, spectra_from_exponentials
 from .symplectic import (
@@ -54,7 +55,7 @@ PURITY_TOL = 1e-8
 
 # run_ensemble runs trials in blocks of BLOCK_TRIALS, fewer when n is large
 # enough that a block's stacked Ginibre draws would pass BLOCK_ENTRIES
-# complex entries; the records do not depend on the block size.
+# complex entries; the trials' rows do not depend on the block size.
 BLOCK_TRIALS = 256
 BLOCK_ENTRIES = 1 << 16
 
@@ -103,6 +104,42 @@ class TrialRecord:
     flagged: bool = False
 
 
+@dataclass(frozen=True, eq=False)
+class TrialTable:
+    """The trials of a block or an ensemble in trial order: n and k, and one
+    array per other TrialRecord field, symplectic_spectrum (B, k) and the
+    rest (B,).  records() builds the rows; compare those, as tables compare
+    by identity."""
+
+    n: int
+    k: int
+    trial_id: np.ndarray
+    lambda_bar: np.ndarray
+    symplectic_spectrum: np.ndarray
+    entropy: np.ndarray
+    f_value: np.ndarray
+    delta: np.ndarray
+    purity_residual: np.ndarray
+    tr_jm2: np.ndarray
+    tr_jm4: np.ndarray
+    flagged: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.trial_id)
+
+    def records(self) -> list:
+        """One TrialRecord per row, in order."""
+        size = len(self)
+        return list(map(
+            TrialRecord, self.trial_id.tolist(), itertools.repeat(self.n, size), itertools.repeat(self.k, size),
+            self.lambda_bar.tolist(), map(tuple, self.symplectic_spectrum.tolist()),
+            *(getattr(self, name).tolist() for name in _TABLE_COLUMNS[3:]),  # entropy .. flagged
+        ))
+
+
+_TABLE_COLUMNS = tuple(field.name for field in fields(TrialTable))[2:]  # all but n and k
+
+
 @dataclass(frozen=True)
 class RunSummary:
     """Aggregates over the unflagged trials of one ensemble.
@@ -149,27 +186,25 @@ def run_trial(z, k: int, rng, trial_id: int = 0) -> TrialRecord:
     # on a stack of one, a z that is not a vector is a DomainError
     lam_bars = average_energies(z[None]).tolist()
     draws = gen.standard_normal((1, 2, n, k))
-    return _block_records(z, lam_bars, draws, k, [trial_id])[0]
+    return _block_records(z, lam_bars, draws, k, [trial_id]).records()[0]
 
 
-def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
-    """The records of a block of trials, in trial order.
+def _block_records(z, lam_bars, draws, k: int, trial_ids) -> TrialTable:
+    """The TrialTable of a block of trials, in trial order.
 
     z is one spectrum (n,) shared by the block or one per trial (B, n),
-    lam_bars the per-trial average energy, draws (B, 2, n, k) the Ginibre
-    blocks' real and imaginary parts.  Every stage runs once on the whole
-    stack and computes each value as it would be alone, so a record does not
-    depend on its block.  The stages mark the trials they fail instead of
+    lam_bars the (B,) per-trial average energies, draws (B, 2, n, k) the
+    Ginibre blocks' real and imaginary parts.  Every stage runs once on the
+    whole stack and computes each value as it would be alone, so a row does
+    not depend on its block.  The stages mark the trials they fail instead of
     raising, and the error raised is that of the first failing trial, the
     one a trial-by-trial loop would meet first.  Within a trial the checks
     go: spectrum finite, lambda_bar**4 in the float range, rows unitary,
     reduced spectrum (a matrix that is not positive definite flags the
     trial instead), f finite, then entropy.
     """
-    if not trial_ids:
-        return []
     n = draws.shape[2]
-    bars = np.array(lam_bars)
+    bars = np.asarray(lam_bars, dtype=float)
     # the first k columns of a Haar U are the first k rows of the Haar U^T
     V = np.swapaxes(haar_columns(draws[:, 0] + 1j * draws[:, 1]), -1, -2)
     # a trial out of range, or past it on the way, runs on inf and NaN and
@@ -192,14 +227,14 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
     nonunitary = residuals > UNITARITY_TOL
     nonfinite_f = ~(np.isfinite(f_values) | flagged)
     failing = nonfinite_z | huge | nonunitary | ((codes != 0) & ~flagged) | nonfinite_f | low
-    bad = int(np.argmax(failing)) if failing.any() else len(trial_ids)
-    if bad < len(trial_ids):
+    bad = int(np.argmax(failing)) if failing.any() else len(bars)
+    if bad < len(bars):
         # the first check the trial fails, in a lone trial's order
         if nonfinite_z[bad]:
             error = DomainError("squeezing spectrum is not finite")
         elif huge[bad]:
             error = DomainError(
-                f"lambda_bar = {lam_bars[bad]!r} puts lambda_bar**4 beyond the float range"
+                f"lambda_bar = {bars[bad].item()!r} puts lambda_bar**4 beyond the float range"
             )
         elif nonunitary[bad]:
             error = unitarity_error(residuals[bad])
@@ -208,19 +243,16 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> list:
         elif nonfinite_f[bad]:
             error = DomainError(
                 f"f = {f_values[bad].item()!r} is not finite"
-                f" (lambda_bar = {lam_bars[bad]!r}, tr(JM)^4 = {tr_jm4[bad].item()!r})"
+                f" (lambda_bar = {bars[bad].item()!r}, tr(JM)^4 = {tr_jm4[bad].item()!r})"
             )
         else:
             error = entropy_error(lams[bad])
         raise type(error)(f"trial {trial_ids[bad]}: {error}") from None
-    deltas = spectral_deviation_deltas(squares, lam_bars)
+    deltas = spectral_deviation_deltas(squares, bars)
     for column in (f_values, residuals, tr_jm2, tr_jm4):
         column[flagged] = np.nan
     columns = (entropies, f_values, deltas, residuals, tr_jm2, tr_jm4, flagged)
-    return list(map(
-        TrialRecord, trial_ids, itertools.repeat(n), itertools.repeat(k), lam_bars,
-        map(tuple, lams.tolist()), *(column.tolist() for column in columns),
-    ))
+    return TrialTable(n, k, np.asarray(trial_ids), bars, lams, *columns)
 
 
 def validate_trial_record(rec: TrialRecord) -> None:
@@ -251,19 +283,23 @@ def _as_profile(profile) -> ProfileSpec:
     return fixed_profile(profile)
 
 
-def _run_block(args) -> list:
-    """The records of trials start..stop-1, each drawn from its own
-    (seed, trial_id) stream: one Philox, re-seated per trial."""
+def _run_block(args) -> TrialTable:
+    """The TrialTable of trials start..stop-1, each drawn from its own
+    (seed, trial_id) stream: one Philox, re-keyed per trial from the
+    block's prebuilt keys through one state dict, a fresh Philox's."""
     spec, k, seed, start, stop = args
     n = spec.n
-    trial_ids = list(range(start, stop))
+    trial_ids = range(start, stop)
+    keys = _stream_keys(seed, trial_ids)
     gen = SeededStream(seed, start).generator()
+    state = gen.bit_generator.state  # a fresh Philox's: key, counter 0, empty buffer
     draws = np.empty((len(trial_ids), 2, n, k))
     exponentials = None
     if not spec.is_deterministic:
         exponentials = np.empty((len(trial_ids), exponential_count(spec)))
-    for b, t in enumerate(trial_ids):
-        _reseat(gen, seed, t)
+    for b, key in enumerate(keys):
+        state["state"]["key"] = key
+        gen.bit_generator.state = state
         if exponentials is not None:
             # profile draws come off the trial's stream, before the unitary
             gen.standard_exponential(out=exponentials[b])
@@ -272,14 +308,14 @@ def _run_block(args) -> list:
         gen.standard_normal(out=draws[b])
     if exponentials is None:
         z = spec.fixed_spectrum()
-        lam_bars = [float(average_energies(z))] * len(trial_ids)
+        lam_bars = np.full(len(trial_ids), average_energies(z))
     else:
         # a huge energy squares to inf in the profile transform; the block
         # check reports the trial as out of range instead
         with np.errstate(over="ignore"):
             z = spectra_from_exponentials(spec, exponentials)
-            lam_bars = average_energies(z).tolist()
-    return _block_records(z, lam_bars, draws, k, trial_ids)
+            lam_bars = average_energies(z)
+    return _block_records(z, lam_bars, draws, k, np.arange(start, stop))
 
 
 def _block_size(n: int, k: int) -> int:
@@ -313,46 +349,44 @@ def _mean_se(values: np.ndarray) -> tuple:
     return mean, _rescaled(np.std, values, ddof=1) / math.sqrt(count)
 
 
-def summarize_records(records, seed: int, profile: ProfileSpec | None = None) -> RunSummary:
-    """Reduce a trial list to a RunSummary (order-insensitive aggregation).
+def summarize_records(table: TrialTable, seed: int, profile: ProfileSpec | None = None) -> RunSummary:
+    """Reduce a TrialTable to a RunSummary (order-insensitive aggregation)
+    over its unflagged rows.
 
     Raises PairingFailure when the tail fractions grow with the threshold or
-    beat the Markov bound set by mean_f, which consistent records cannot do.
+    beat the Markov bound set by mean_f, which consistent trials cannot do.
     """
-    if not records:
-        raise DomainError("cannot summarize an empty trial list")
-    live = [r for r in records if not r.flagged]
-    flagged = len(records) - len(live)
-    first = records[0]
+    if not len(table):
+        raise DomainError("cannot summarize an empty trial table")
+    live = ~table.flagged
+    live_count = int(live.sum())
     if profile is not None and profile.is_deterministic:
         lambda_ref = float(average_energies(profile.fixed_spectrum()))
-    elif live:
-        lambda_ref = float(np.mean([r.lambda_bar for r in live]))
+    elif live_count:
+        lambda_ref = float(np.mean(table.lambda_bar[live]))
     else:
-        # flagged records still carry their profile's lambda_bar; NaN
+        # flagged trials still carry their profile's lambda_bar; NaN
         # thresholds would be five distinct keys that JSON cannot tell apart
-        finite = [r.lambda_bar for r in records if math.isfinite(r.lambda_bar)]
-        lambda_ref = float(np.mean(finite)) if finite else float("nan")
+        finite = table.lambda_bar[np.isfinite(table.lambda_bar)]
+        lambda_ref = float(np.mean(finite)) if finite.size else float("nan")
 
-    f_vals = np.array([r.f_value for r in live])
-    tr2 = np.array([r.tr_jm2 for r in live])
-    tr4 = np.array([r.tr_jm4 for r in live])
-    entropy = np.array([r.entropy for r in live])
-    delta_sq = np.array([r.delta * r.delta for r in live])
+    entropy, delta = table.entropy[live], table.delta[live]
+    with np.errstate(over="ignore"):  # a square past the float range is inf
+        delta_sq = delta * delta
 
-    mean_f, se_f = _mean_se(f_vals)
-    mean_tr2, se_tr2 = _mean_se(tr2)
-    mean_tr4, se_tr4 = _mean_se(tr4)
+    mean_f, se_f = _mean_se(table.f_value[live])
+    mean_tr2, se_tr2 = _mean_se(table.tr_jm2[live])
+    mean_tr4, se_tr4 = _mean_se(table.tr_jm4[live])
     mean_s, se_s = _mean_se(entropy)
     std_s = _rescaled(np.std, entropy, ddof=1) if entropy.size >= 2 else float("nan")
 
     scale = lambda_ref ** 4
-    tail_counts = {}
-    for factor in TAIL_LADDER_FACTORS:
-        eps = factor * scale
-        tail_counts[eps] = float(np.mean(delta_sq > eps)) if live else float("nan")
+    tail_counts = {
+        f * scale: float(np.mean(delta_sq > f * scale)) if live_count else float("nan")
+        for f in TAIL_LADDER_FACTORS
+    }
 
-    if live:
+    if live_count:
         fractions = [tail_counts[f * scale] for f in TAIL_LADDER_FACTORS]
         if not all(a >= b for a, b in zip(fractions, fractions[1:])):
             raise PairingFailure("tail fractions must not increase with the threshold")
@@ -367,31 +401,18 @@ def summarize_records(records, seed: int, profile: ProfileSpec | None = None) ->
                         raise PairingFailure(f"tail fraction {q} at eps={eps} beats Markov")
 
     return RunSummary(
-        samples=len(records),
-        n=first.n,
-        k=first.k,
-        lambda_bar=lambda_ref,
-        seed=seed,
-        flagged=flagged,
-        mean_f=mean_f,
-        se_f=se_f,
-        mean_tr_jm2=mean_tr2,
-        se_tr_jm2=se_tr2,
-        mean_tr_jm4=mean_tr4,
-        se_tr_jm4=se_tr4,
-        mean_entropy=mean_s,
-        se_entropy=se_s,
-        std_entropy=std_s,
-        tail_counts=tail_counts,
+        len(table), table.n, table.k, lambda_ref, seed, len(table) - live_count,
+        mean_f, se_f, mean_tr2, se_tr2, mean_tr4, se_tr4, mean_s, se_s, std_s, tail_counts,
     )
 
 
 def run_ensemble(profile, k: int, samples: int, seed: int, workers: int = 1):
     """Run `samples` independent trials and aggregate.
 
-    Returns (RunSummary, list of TrialRecord in trial_id order).  The trial
-    stream for trial t is keyed (seed, t), so any worker count reproduces the
-    same records bit for bit.  Trials run in contiguous blocks of ids.
+    Returns (RunSummary, TrialTable in trial_id order).  The trial stream
+    for trial t is keyed (seed, t), so any worker count reproduces the same
+    table bit for bit.  Trials run in contiguous blocks of ids, whose tables
+    are joined column by column; a run of one block keeps that block's.
     Threads pay off only where the stacked LAPACK calls, which release the
     GIL, dominate a block, so only blocks that BLOCK_ENTRIES shrinks below
     BLOCK_TRIALS (n k > 256) go to w = min(workers, usable CPUs) threads,
@@ -416,18 +437,21 @@ def run_ensemble(profile, k: int, samples: int, seed: int, workers: int = 1):
         (spec, k, seed, start, min(start + size, samples)) for start in range(0, samples, size)
     ]
     if threads == 1:
-        records = [rec for block in blocks for rec in _run_block(block)]
+        tables = list(map(_run_block, blocks))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = [rec for part in pool.map(_run_block, blocks) for rec in part]
+            tables = list(pool.map(_run_block, blocks))
+    table = tables[0] if len(tables) == 1 else TrialTable(tables[0].n, tables[0].k, *(
+        np.concatenate([getattr(part, column) for part in tables]) for column in _TABLE_COLUMNS
+    ))
 
-    flagged = sum(1 for r in records if r.flagged)
+    flagged = int(table.flagged.sum())
     if flagged > FLAG_BUDGET * samples:
         raise PairingFailure(
             f"{flagged} of {samples} trials failed the Cholesky factorization "
             f"(budget {FLAG_BUDGET:.1%})"
         )
-    return summarize_records(records, seed=seed, profile=spec), records
+    return summarize_records(table, seed=seed, profile=spec), table
 
 
 def concentration_sweep(
@@ -446,7 +470,7 @@ def concentration_sweep(
     vacuum when base_profile="vacuum".  Every row has k modes when k is
     given, else scaling.k_of(n).  Each n gets its own base seed
     (seed + index) so rows stay independent.  record_sink, when given,
-    receives (n, summary, records) per row.
+    receives (n, summary, table) per row.
     """
     results = []
     for index, n in enumerate(n_list):
@@ -460,9 +484,9 @@ def concentration_sweep(
         else:
             raise DomainError(f"unknown base profile {base_profile!r}")
         k_n = scaling.k_of(n) if k is None else k
-        summary, records = run_ensemble(spec, k_n, samples, seed + index, workers)
+        summary, table = run_ensemble(spec, k_n, samples, seed + index, workers)
         if record_sink is not None:
-            record_sink(n, summary, records)
+            record_sink(n, summary, table)
         results.append((n, summary))
     return results
 
@@ -474,6 +498,10 @@ def _atomic_write_text(path, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp makes the file 0600; give it the mode open(path, "w") would
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -488,30 +516,29 @@ def trial_csv_header(k: int) -> str:
     return ",".join(TRIAL_CSV_FIXED_COLUMNS + tuple(lambdas))
 
 
-def format_trials_csv(records, provenance: str | None = None) -> str:
-    """Render records as CSV text.  Floats use repr so parsing the file back
-    reproduces them exactly; a leading '#' line carries provenance."""
-    if not records:
-        raise DomainError("refusing to format an empty trial list")
-    k = records[0].k
+def format_trials_csv(table: TrialTable, provenance: str | None = None) -> str:
+    """Render a TrialTable as CSV text.  Floats use repr so parsing the file
+    back reproduces them exactly; a leading '#' line carries provenance."""
+    if not len(table):
+        raise DomainError("refusing to format an empty trial table")
     lines = []
     if provenance:
         lines.append("# " + provenance)
-    lines.append(trial_csv_header(k))
-    for r in records:
-        if r.k != k:
-            raise DomainError("records in one CSV must share k")
-        # _TRIAL_CSV_SCHEMA's columns in its order, each cell repr(parse(value))
-        lines.append(
-            f"{int(r.trial_id)!r},{int(r.n)!r},{int(r.k)!r},{float(r.lambda_bar)!r},"
-            f"{float(r.entropy)!r},{float(r.f_value)!r},{float(r.delta)!r},"
-            f"{float(r.purity_residual)!r},{','.join(map(repr, r.symplectic_spectrum))}"
-        )
+    lines.append(trial_csv_header(table.k))
+    bars, bits = table.lambda_bar, table.lambda_bar.view(np.uint64)
+    if (bits == bits[0]).all():
+        bars = bars[:1]  # one bit pattern, as a deterministic profile gives
+    # _TRIAL_CSV_SCHEMA's columns in its order, then the spectrum's; each
+    # cell is repr(value) of a value its parser returns unchanged, and a
+    # column of one value (n, k, maybe lambda_bar) takes it once
+    columns = [
+        table.trial_id.tolist(), [table.n], [table.k], bars.tolist(),
+        *(getattr(table, field).tolist() for _, field, _ in _TRIAL_CSV_SCHEMA[4:]),
+        *table.symplectic_spectrum.T.tolist(),
+    ]
+    cells = (itertools.repeat(repr(c[0]), len(table)) if len(c) == 1 else map(repr, c) for c in columns)
+    lines += map(",".join, zip(*cells))
     return "\n".join(lines) + "\n"
-
-
-def write_trials_csv(path, records, provenance: str | None = None) -> None:
-    _atomic_write_text(path, format_trials_csv(records, provenance))
 
 
 def read_trials_csv(path):
@@ -545,15 +572,11 @@ def read_trials_csv(path):
         values = {
             field: parse(cell) for (_column, field, parse), cell in zip(_TRIAL_CSV_SCHEMA, cells)
         }
-        records.append(
-            TrialRecord(
-                **values,
-                symplectic_spectrum=tuple(float(c) for c in cells[len(fixed):]),
-                tr_jm2=float("nan"),
-                tr_jm4=float("nan"),
-                flagged=math.isnan(values["f_value"]),
-            )
-        )
+        spectrum = tuple(float(c) for c in cells[len(fixed):])
+        records.append(TrialRecord(
+            **values, symplectic_spectrum=spectrum, tr_jm2=math.nan, tr_jm4=math.nan,
+            flagged=math.isnan(values["f_value"]),
+        ))
     return records, provenance
 
 

@@ -189,10 +189,7 @@ def weingarten(n: int, sigma: tuple[int, ...]) -> Fraction:
     for lam in partitions(p):
         dim_sp = _chi(lam, identity)
         total += Fraction(dim_sp * dim_sp * _chi(lam, sigma), unitary_irrep_dimension(lam, n))
-    fact = 1
-    for i in range(2, p + 1):
-        fact *= i
-    return total / (fact * fact)
+    return total / math.factorial(p) ** 2
 
 
 def _gram_solution(n: int, p: int) -> dict[tuple[int, ...], Fraction]:

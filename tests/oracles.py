@@ -45,6 +45,12 @@ Acceptance criterion 8 runs the scipy-based ``lipschitz_probe`` against
 ``lipschitz_bound``, the proved ceiling it checks.  ``eigvals_spectrum`` keeps the earlier symplectic
 spectrum route, from the eigenvalues of the non-symmetric J*M, as a
 cross-check of the package's Cholesky route.
+
+The record-by-record output routes are the references of the package's
+columnar ones: ``reference_format_trials_csv`` writes the trial CSV one
+TrialRecord at a time and ``reference_summarize_records`` builds each
+summary column from a list of records; ``table_from_records`` stacks
+records into a TrialTable for the package's routes.
 """
 
 from __future__ import annotations
@@ -70,13 +76,23 @@ from cvtypical.errors import (
     SingularGram,
 )
 from cvtypical.haar import SeededStream, _as_generator
-from cvtypical.harness import RunSummary, TrialRecord
+from cvtypical.harness import (
+    TAIL_LADDER_FACTORS,
+    RunSummary,
+    TrialRecord,
+    TrialTable,
+    _TABLE_COLUMNS,
+    _mean_se,
+    _rescaled,
+    trial_csv_header,
+)
 from cvtypical.moments import _fourth_moment_rows
 from cvtypical.symplectic import (
     PURE_CLAMP,
     UNITARITY_TOL,
     WILLIAMSON_TOL,
     SymplecticSpectrum,
+    average_energies,
     symplectic_form,
 )
 from cvtypical.weingarten import compose, cycle_type, gram_weingarten_oracle, inverse
@@ -707,3 +723,96 @@ def read_summary_json(path):
     with open(path) as handle:
         payload = json.load(handle)
     return summary_from_jsonable(payload), payload.get("provenance")
+
+
+def table_from_records(records) -> TrialTable:
+    """The TrialTable whose rows are records, which share n and k."""
+    first = records[0]
+    columns = (np.array([getattr(rec, name) for rec in records]) for name in _TABLE_COLUMNS)
+    return TrialTable(first.n, first.k, *columns)
+
+
+def reference_format_trials_csv(records, provenance: str | None = None) -> str:
+    """The trial CSV text of a list of records, written row by row."""
+    if not records:
+        raise DomainError("refusing to format an empty trial list")
+    k = records[0].k
+    lines = []
+    if provenance:
+        lines.append("# " + provenance)
+    lines.append(trial_csv_header(k))
+    for r in records:
+        if r.k != k:
+            raise DomainError("records in one CSV must share k")
+        # _TRIAL_CSV_SCHEMA's columns in its order, each cell repr(parse(value))
+        lines.append(
+            f"{int(r.trial_id)!r},{int(r.n)!r},{int(r.k)!r},{float(r.lambda_bar)!r},"
+            f"{float(r.entropy)!r},{float(r.f_value)!r},{float(r.delta)!r},"
+            f"{float(r.purity_residual)!r},{','.join(map(repr, r.symplectic_spectrum))}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_summarize_records(records, seed: int, profile=None) -> RunSummary:
+    """The RunSummary of a list of records, each column gathered record by
+    record; the same checks as harness.summarize_records."""
+    if not records:
+        raise DomainError("cannot summarize an empty trial list")
+    live = [r for r in records if not r.flagged]
+    flagged = len(records) - len(live)
+    first = records[0]
+    if profile is not None and profile.is_deterministic:
+        lambda_ref = float(average_energies(profile.fixed_spectrum()))
+    elif live:
+        lambda_ref = float(np.mean([r.lambda_bar for r in live]))
+    else:
+        finite = [r.lambda_bar for r in records if math.isfinite(r.lambda_bar)]
+        lambda_ref = float(np.mean(finite)) if finite else float("nan")
+
+    f_vals = np.array([r.f_value for r in live])
+    tr2 = np.array([r.tr_jm2 for r in live])
+    tr4 = np.array([r.tr_jm4 for r in live])
+    entropy = np.array([r.entropy for r in live])
+    delta_sq = np.array([r.delta * r.delta for r in live])
+
+    mean_f, se_f = _mean_se(f_vals)
+    mean_tr2, se_tr2 = _mean_se(tr2)
+    mean_tr4, se_tr4 = _mean_se(tr4)
+    mean_s, se_s = _mean_se(entropy)
+    std_s = _rescaled(np.std, entropy, ddof=1) if entropy.size >= 2 else float("nan")
+
+    scale = lambda_ref ** 4
+    tail_counts = {}
+    for factor in TAIL_LADDER_FACTORS:
+        eps = factor * scale
+        tail_counts[eps] = float(np.mean(delta_sq > eps)) if live else float("nan")
+
+    if live:
+        fractions = [tail_counts[f * scale] for f in TAIL_LADDER_FACTORS]
+        if not all(a >= b for a, b in zip(fractions, fractions[1:])):
+            raise PairingFailure("tail fractions must not increase with the threshold")
+        if math.isfinite(mean_f):
+            for eps, q in tail_counts.items():
+                if eps > 0.0:
+                    bound = (max(mean_f, 0.0) / (2.0 * eps)) * (1.0 + 1e-9) + 1e-15
+                    if not q <= bound:
+                        raise PairingFailure(f"tail fraction {q} at eps={eps} beats Markov")
+
+    return RunSummary(
+        samples=len(records),
+        n=first.n,
+        k=first.k,
+        lambda_bar=lambda_ref,
+        seed=seed,
+        flagged=flagged,
+        mean_f=mean_f,
+        se_f=se_f,
+        mean_tr_jm2=mean_tr2,
+        se_tr_jm2=se_tr2,
+        mean_tr_jm4=mean_tr4,
+        se_tr_jm4=se_tr4,
+        mean_entropy=mean_s,
+        se_entropy=se_s,
+        std_entropy=std_s,
+        tail_counts=tail_counts,
+    )

@@ -80,8 +80,8 @@ def moment_ensembles():
     suites = {}
     for n, k, seed in MOMENT_SUITES:
         z = (3.0,) + (1.0,) * (n - 1)
-        summary, records = run_ensemble(z, k, 100_000, seed=seed)
-        suites[(n, k)] = (summary, audit_records(records))
+        summary, table = run_ensemble(z, k, 100_000, seed=seed)
+        suites[(n, k)] = (summary, audit_records(table.records()))
     return suites
 
 
@@ -89,8 +89,8 @@ def moment_ensembles():
 def scaling_sweep():
     audits = {}
 
-    def sink(n, summary, records):
-        audits[n] = audit_records(records)
+    def sink(n, summary, table):
+        audits[n] = audit_records(table.records())
 
     rows = concentration_sweep(
         ScalingConfig(),  # constant z = 2, k = 1
@@ -294,7 +294,7 @@ def test_criterion_10_reproducibility(tmp_path):
     s1, r1 = run_ensemble(spec, 2, 2000, seed=55, workers=1)
     s2, r2 = run_ensemble(spec, 2, 2000, seed=55, workers=2)
     assert s1 == s2
-    assert r1 == r2
+    assert r1.records() == r2.records()
     blob1 = format_trials_csv(r1, provenance="acceptance")
     blob2 = format_trials_csv(r2, provenance="acceptance")
     assert blob1 == blob2

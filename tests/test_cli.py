@@ -3,6 +3,7 @@ import json
 import os
 import random
 import shutil
+import stat
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import cvtypical
+import cvtypical.cli
 from cvtypical import __version__
 from cvtypical.cli import RunConfig, config_digest, main, parse_config
 from cvtypical.errors import UsageError
@@ -348,11 +350,11 @@ def test_trial_dump_round_trip(tmp_path, capsys):
     assert provenance.startswith("cvtypical")
     assert "seed=3" in provenance
     summary, _ = read_summary_json(summary_path)
-    expected_summary, expected_records = run_ensemble(
+    expected_summary, expected_table = run_ensemble(
         parse_profile("fixed:3,1,1,1"), 1, 12, seed=3
     )
     assert summary == expected_summary
-    assert [r.f_value for r in records] == [r.f_value for r in expected_records]
+    assert [r.f_value for r in records] == [r.f_value for r in expected_table.records()]
 
 
 def test_trial_dump_summary_on_stdout(tmp_path, capsys):
@@ -407,6 +409,49 @@ def test_concentration_rerun_is_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     for name, blob in blobs.items():
         assert (out_dir / name).read_bytes() == blob
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+def test_output_files_get_the_mode_open_would_give(tmp_path, capsys, umask):
+    """Every file output, new or replacing one, has mode 0o666 & ~umask."""
+    existing = tmp_path / "t.csv"
+    existing.write_text("old\n")
+    os.chmod(existing, 0o640)
+    calls = [
+        ["trial-dump", "--n", "4", "--k", "1", "--z-profile", "fixed:3,1,1,1", "--samples", "5",
+         "--output", str(existing), "--summary-output", str(tmp_path / "t.json")],
+        ["concentration", "--n-list", "4", "--samples", "5", "--k", "1",
+         "--output-dir", str(tmp_path / "c")],
+        ["moments", "--k", "1", "--z-profile", "fixed:3,1,1,1", "--output", str(tmp_path / "m.json")],
+        ["profile-sample", "--z-profile", "micro:14", "--n", "4", "--samples", "2",
+         "--output", str(tmp_path / "p.json")],
+    ]
+    saved = os.umask(umask)
+    try:
+        assert [main(argv) for argv in calls] == [0, 0, 0, 0]
+    finally:
+        os.umask(saved)
+    capsys.readouterr()
+    outputs = ["t.csv", "t.json", "c/trials_n4.csv", "c/sweep_summary.json", "m.json", "p.json"]
+    modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in outputs}
+    assert modes == dict.fromkeys(outputs, 0o666 & ~umask)
+    assert existing.read_text() != "old\n"
+
+
+@pytest.mark.parametrize("command", ["trial-dump", "concentration"])
+def test_a_run_digests_its_config_once(tmp_path, monkeypatch, capsys, command):
+    calls = []
+    monkeypatch.setattr(cvtypical.cli, "config_digest", lambda cfg: calls.append(cfg) or "0" * 16)
+    argv = {
+        "trial-dump": ["trial-dump", "--n", "4", "--k", "1", "--z-profile", "fixed:3,1,1,1",
+                       "--samples", "5", "--output", str(tmp_path / "t.csv"),
+                       "--summary-output", str(tmp_path / "t.json")],
+        "concentration": ["concentration", "--n-list", "4,5", "--samples", "5", "--k", "1",
+                          "--output-dir", str(tmp_path / "c")],
+    }[command]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

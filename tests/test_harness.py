@@ -23,12 +23,13 @@ from cvtypical.errors import (
     NonUnitaryInput,
     PairingFailure,
 )
-from cvtypical.haar import SeededStream, _reseat
+from cvtypical.haar import SeededStream, _stream_keys
 from cvtypical.harness import (
     FLAG_BUDGET,
     TAIL_LADDER_FACTORS,
     RunSummary,
     TrialRecord,
+    TrialTable,
     concentration_sweep,
     format_trials_csv,
     json_text,
@@ -39,7 +40,6 @@ from cvtypical.harness import (
     summary_to_jsonable,
     trial_csv_header,
     validate_trial_record,
-    write_trials_csv,
 )
 from cvtypical.moments import (
     _exact,
@@ -66,9 +66,12 @@ from oracles import (
     lipschitz_probe,
     read_summary_json,
     reduce_covariance,
+    reference_format_trials_csv,
     reference_run_one,
+    reference_summarize_records,
     rotate_covariance,
     summary_from_jsonable,
+    table_from_records,
 )
 
 
@@ -211,7 +214,7 @@ def test_worker_count_is_invisible(monkeypatch):
         s1, r1 = run_ensemble(spec, k, samples, seed=5, workers=1)
         for workers in (2, 3):
             s2, r2 = run_ensemble(spec, k, samples, seed=5, workers=workers)
-            assert r1 == r2
+            assert r1.records() == r2.records()
             assert s1 == s2
 
 
@@ -263,10 +266,10 @@ def test_thread_count_follows_the_cpus_and_the_block(monkeypatch, n, k, cpus, wo
     monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(harness, "_run_block", recording_block)
     monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
-    _, records = run_ensemble(spec, k, 300, seed=4, workers=workers)
+    _, table = run_ensemble(spec, k, 300, seed=4, workers=workers)
     assert made == ([] if threads == 1 else [threads])
     assert max(sizes) == -(-harness._block_size(n, k) // threads)
-    assert records == expected
+    assert table.records() == expected.records()
 
 
 def test_cpu_count_is_the_affinity_mask(monkeypatch):
@@ -323,7 +326,8 @@ def test_flag_budget_enforced(monkeypatch):
 
 def test_flagged_trials_are_reported_not_dropped(monkeypatch):
     monkeypatch.setattr(harness, "symplectic_spectrum", poisoned_spectrum({0, 1}))
-    summary, records = run_ensemble(constant_profile(1.0, 2), 1, 2000, seed=3)
+    summary, table = run_ensemble(constant_profile(1.0, 2), 1, 2000, seed=3)
+    records = table.records()
     assert summary.flagged == 2 == int(FLAG_BUDGET * 2000)
     assert summary.samples == 2000
     assert records[0].flagged and records[1].flagged
@@ -358,13 +362,51 @@ def test_block_kernel_matches_trial_by_trial_reference(monkeypatch, profile, n, 
     monkeypatch.setattr(harness, "FLAG_BUDGET", 1.0)  # the poisoned trial is over budget
     for seed in (0, 77, 2**41 + 9):
         monkeypatch.setattr(harness, "symplectic_spectrum", poisoned_spectrum({POISONED_TRIAL}))
-        _, records = run_ensemble(spec, k, samples, seed)
+        _, table = run_ensemble(spec, k, samples, seed)
+        records = table.records()
         monkeypatch.setattr(
             oracles, "_reference_spectrum", poisoned_reference({POISONED_TRIAL})
         )
         reference = [reference_run_one((spec, k, seed, t)) for t in range(samples)]
         assert records[POISONED_TRIAL].flagged
         assert repr(records) == repr(reference)
+
+
+@pytest.mark.parametrize("seed", [2**64 - 1, 2**63])
+def test_block_keys_at_the_seed_edge(seed):
+    """The block's prebuilt uint64 keys hold the exact seed and trial ids at
+    the top of the seed range, and a full block and a partial one drawn from
+    them give the rows of the per-trial SeededStream reference."""
+    spec, k = parse_profile("micro:50", n=16), 4
+    samples = harness._block_size(spec.n, k) + 3
+    keys = _stream_keys(seed, range(samples))
+    assert keys.dtype == np.uint64 and keys.shape == (samples, 2)
+    assert keys[:, 0].tolist() == [seed] * samples
+    assert keys[:, 1].tolist() == list(range(samples))
+    _, table = run_ensemble(spec, k, samples, seed)
+    reference = [reference_run_one((spec, k, seed, t)) for t in range(samples)]
+    assert repr(table.records()) == repr(reference)
+
+
+def _assert_same_table(got, expected):
+    """Same n and k, and every column of the same dtype, shape and bytes."""
+    assert (got.n, got.k) == (expected.n, expected.k)
+    for name in harness._TABLE_COLUMNS:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@pytest.mark.parametrize("profile, n, k", [("fixed:3,1,1,1", None, 1), ("micro:50", 16, 4)])
+def test_joined_blocks_equal_one_block(monkeypatch, profile, n, k):
+    """The table run_ensemble joins from blocks of every size, so of every
+    fill of the last block, is the table of one block of all the trials."""
+    spec = parse_profile(profile, n=n)
+    samples = 23
+    whole = harness._run_block((spec, k, 6, 0, samples))
+    for size in range(1, samples + 1):
+        monkeypatch.setattr(harness, "_block_size", lambda n, k: size)
+        _, table = run_ensemble(spec, k, samples, seed=6)
+        _assert_same_table(table, whole)
 
 
 @pytest.mark.parametrize("profile, n, k", KERNEL_GRID)
@@ -417,11 +459,14 @@ def test_reseated_stream_draws_what_a_fresh_one_does(seed):
     gen = SeededStream(99, 99).generator()
     gen.standard_normal(7)  # leave it mid-buffer
     mask = (1 << 64) - 1
+    state = SeededStream(0).generator().bit_generator.state  # reused, as a block does
     for stream_id in (0, 1, 2**33, -1):
         key = np.array([seed & mask, stream_id & mask], dtype=np.uint64)
         fresh = np.random.Generator(np.random.Philox(key=key))
         stream = SeededStream(seed, stream_id).generator()
-        reseated = _reseat(gen, seed, stream_id)
+        state["state"]["key"] = _stream_keys(seed, [stream_id])[0]
+        gen.bit_generator.state = state
+        reseated = gen
         for draw in ("standard_normal", "standard_exponential", "random"):
             expected = getattr(fresh, draw)(5)
             assert np.array_equal(getattr(reseated, draw)(5), expected)
@@ -567,13 +612,17 @@ def test_block_raises_an_entropy_error_in_trial_order(monkeypatch, entropy_first
 
 
 def test_summarize_rejects_empty():
+    empty = {
+        name: np.empty((0, 1) if name == "symplectic_spectrum" else 0)
+        for name in harness._TABLE_COLUMNS
+    }
     with pytest.raises(DomainError):
-        summarize_records([], seed=0)
+        summarize_records(TrialTable(n=2, k=1, **empty), seed=0)
 
 
 def test_single_record_has_nan_errors():
     rec = run_trial(np.ones(3), 1, SeededStream(2))
-    summary = summarize_records([rec], seed=0)
+    summary = summarize_records(table_from_records([rec]), seed=0)
     assert summary.samples == 1
     assert math.isnan(summary.se_f)
     assert math.isnan(summary.std_entropy)
@@ -588,15 +637,17 @@ def test_summarize_rejects_tails_beyond_markov():
     )
     records = [TrialRecord(trial_id=t, **fields) for t in range(3)]
     with pytest.raises(PairingFailure, match="Markov"):
-        summarize_records(records, seed=0)
+        summarize_records(table_from_records(records), seed=0)
 
     code = (
         "assert False, 'this run must strip asserts'\n"
         "from cvtypical.harness import TrialRecord, summarize_records\n"
+        "from oracles import table_from_records\n"
         f"records = [TrialRecord(trial_id=t, **{fields!r}) for t in range(3)]\n"
-        "summarize_records(records, seed=0)\n"
+        "summarize_records(table_from_records(records), seed=0)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(cvtypical.__file__).resolve().parents[1]))
+    path = os.pathsep.join([str(Path(cvtypical.__file__).resolve().parents[1]), str(Path(__file__).parent)])
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
@@ -620,15 +671,16 @@ def _summaries(draw):
 
 
 @st.composite
-def _csv_records(draw):
+def _csv_tables(draw):
     k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 10**6))
     records = []
     for trial_id in range(draw(st.integers(1, 4))):
         f_value = draw(st.floats())
         records.append(
             TrialRecord(
                 trial_id=trial_id,
-                n=draw(st.integers(k, 10**6)),
+                n=n,
                 k=k,
                 lambda_bar=draw(st.floats()),
                 symplectic_spectrum=tuple(draw(st.floats()) for _ in range(k)),
@@ -642,20 +694,74 @@ def _csv_records(draw):
                 flagged=math.isnan(f_value),
             )
         )
-    return records
+    return table_from_records(records)
 
 
 @settings(max_examples=200, deadline=None)
-@given(summary=_summaries(), records=_csv_records())
-def test_serialization_round_trips_every_value(tmp_path_factory, summary, records):
+@given(summary=_summaries(), table=_csv_tables())
+def test_serialization_round_trips_every_value(tmp_path_factory, summary, table):
     text = json.dumps(summary_to_jsonable(summary))
     assert repr(summary_from_jsonable(json.loads(text))) == repr(summary)
 
     path = tmp_path_factory.getbasetemp() / "property_trials.csv"
-    path.write_text(format_trials_csv(records, provenance="property"))
+    path.write_text(format_trials_csv(table, provenance="property"))
     back, provenance = read_trials_csv(path)
     assert provenance == "property"
-    assert repr(back) == repr(records)
+    assert repr(back) == repr(table.records())
+
+
+# row values of a random table: any float, signed zeros, and values whose
+# squares overflow, which sends the summary through _rescaled
+_CELLS = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0]), st.floats(1e153, 1e156), st.floats(-1e156, -1e153)
+)
+
+
+@st.composite
+def _tables(draw):
+    """A TrialTable as the kernel could build it: flagged rows NaN but for
+    lambda_bar, live rows with f = 2 delta^2 or any f, lambda_bar shared by
+    every row or drawn per row."""
+    k = draw(st.integers(1, 4))
+    nan = float("nan")
+    every_flagged = draw(st.booleans())
+    shared = draw(st.one_of(st.none(), st.floats(1.0, 1e3), st.sampled_from([0.0, -0.0])))
+    records = []
+    for trial_id in range(draw(st.integers(1, 6))):
+        lambda_bar = shared if shared is not None else draw(st.one_of(st.floats(1.0, 1e3), _CELLS))
+        if every_flagged or draw(st.booleans()):
+            records.append(TrialRecord(
+                trial_id, k + 2, k, lambda_bar, (nan,) * k, nan, nan, nan, nan, nan, nan, True
+            ))
+            continue
+        delta = draw(st.one_of(st.floats(-1e3, 1e3), st.floats(1e76, 1e78), _CELLS))
+        f_value = draw(st.one_of(st.just(2.0 * delta * delta), _CELLS))
+        records.append(TrialRecord(
+            trial_id, k + 2, k, lambda_bar, tuple(draw(_CELLS) for _ in range(k)),
+            draw(_CELLS), f_value, delta, draw(_CELLS), draw(_CELLS), draw(_CELLS), False,
+        ))
+    return table_from_records(records)
+
+
+def _outcome(function, *args):
+    """repr of function(*args), or the type and text of what it raised."""
+    try:
+        return repr(function(*args))
+    except Exception as exc:  # the two routes must fail alike
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables())
+def test_columnar_outputs_match_the_record_references(table):
+    """The columnar CSV writer and summary give what the record-by-record
+    references give on the table's records: the same text, and a
+    repr-equal RunSummary or the same error."""
+    records = table.records()
+    assert format_trials_csv(table, "p") == reference_format_trials_csv(records, "p")
+    assert _outcome(summarize_records, table, 3) == _outcome(
+        reference_summarize_records, records, 3
+    )
 
 
 def test_trial_csv_header_pinned():
@@ -665,9 +771,10 @@ def test_trial_csv_header_pinned():
 
 
 def test_trial_csv_round_trip(tmp_path):
-    _, records = run_ensemble((2.0, 1.5, 1.0), 2, 25, seed=4)
+    _, table = run_ensemble((2.0, 1.5, 1.0), 2, 25, seed=4)
+    records = table.records()
     path = tmp_path / "trials.csv"
-    write_trials_csv(path, records, provenance="unit test run")
+    path.write_text(format_trials_csv(table, provenance="unit test run"))
     back, provenance = read_trials_csv(path)
     assert provenance == "unit test run"
     assert len(back) == len(records)
@@ -680,9 +787,9 @@ def test_trial_csv_round_trip(tmp_path):
         assert mine.purity_residual == theirs.purity_residual
         assert mine.symplectic_spectrum == theirs.symplectic_spectrum
         assert math.isnan(theirs.tr_jm2) and math.isnan(theirs.tr_jm4)
-    # a second pass through format produces identical bytes
-    assert format_trials_csv(back, provenance="unit test run") == format_trials_csv(
-        records, provenance="unit test run"
+    # formatting the records read back produces identical bytes
+    assert reference_format_trials_csv(back, provenance="unit test run") == format_trials_csv(
+        table, provenance="unit test run"
     )
 
 
@@ -705,7 +812,7 @@ def test_flagged_rows_survive_csv(tmp_path):
     )
     live = run_trial(np.ones(2), 1, SeededStream(6), trial_id=1)
     path = tmp_path / "mixed.csv"
-    write_trials_csv(path, [flagged, live])
+    path.write_text(format_trials_csv(table_from_records([flagged, live])))
     back, _ = read_trials_csv(path)
     assert back[0].flagged and not back[1].flagged
 
@@ -731,7 +838,7 @@ def test_all_flagged_summary_round_trips():
         entropy=nan, f_value=nan, delta=nan, purity_residual=nan,
         tr_jm2=nan, tr_jm4=nan, flagged=True,
     )
-    summary = summarize_records([flagged], seed=0)
+    summary = summarize_records(table_from_records([flagged]), seed=0)
     assert summary.flagged == 1
     assert sorted(summary.tail_counts) == [f * 1.5**4 for f in TAIL_LADDER_FACTORS]
     back = summary_from_jsonable(json.loads(json.dumps(summary_to_jsonable(summary))))
@@ -740,7 +847,7 @@ def test_all_flagged_summary_round_trips():
 
 def test_summary_jsonable_handles_nan():
     rec = run_trial(np.ones(2), 1, SeededStream(9))
-    summary = summarize_records([rec], seed=0)
+    summary = summarize_records(table_from_records([rec]), seed=0)
     payload = summary_to_jsonable(summary)
     back = summary_from_jsonable(payload)
     assert math.isnan(back.se_f)
@@ -767,7 +874,7 @@ def test_concentration_sweep_vacuum_and_hooks():
         seed=13,
         k=2,
         base_profile="vacuum",
-        record_sink=lambda n, summary, records: sunk.append((n, len(records))),
+        record_sink=lambda n, summary, table: sunk.append((n, len(table))),
     )
     assert sunk == [(4, 10), (5, 10)]
     for _, summary in rows:
