@@ -28,6 +28,8 @@ import sys
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import __version__
 from .errors import (
     CvTypicalError,
@@ -36,10 +38,11 @@ from .errors import (
     InvalidSpec,
     UsageError,
 )
-from .haar import SeededStream
 from .harness import (
+    BLOCK_TRIALS,
     SWEEP_MIN_N,
     concentration_sweep,
+    draw_block,
     format_trials_csv,
     json_text,
     run_ensemble,
@@ -48,7 +51,6 @@ from .harness import (
 )
 from .moments import compute_moment_report
 from .profiles import ProfileSpec, ScalingConfig, parse_profile, profile_to_string
-from .profiles import sample_profile
 from .weingarten import gram_weingarten_oracle, partitions, weingarten
 
 @dataclass(frozen=True)
@@ -70,6 +72,9 @@ class RunConfig:
     summary_output: str | None = None
     base_profile: str = "constant"
 
+
+# concentration's files in --output-dir: a trial CSV per --n-list entry, a summary
+_SWEEP_TRIALS, _SWEEP_SUMMARY = "trials_n{}.csv", "sweep_summary.json"
 
 # Philox is keyed with the seed as one exact 64-bit half (haar._stream_keys), so
 # a seed must fit in 64 bits, as must every sweep row's seed + i.
@@ -252,12 +257,13 @@ def parse_config(argv) -> RunConfig:
     value then passes its option's check, whichever source it came from.
     Unknown config keys, missing required options, cross-field
     inconsistencies and a file output that cannot be written (see
-    _check_output_path) raise UsageError, before anything runs.
+    _check_output_path), concentration's in an existing --output-dir too,
+    raise UsageError, before anything runs.
     """
     parser, subparsers = _build_parser()
     ns = parser.parse_args(argv)
     sub = ns.subcommand
-    if ns.config:
+    if ns.config is not None:
         defaults = _config_file_defaults(ns.config, sub)
         subparsers[sub].set_defaults(**defaults)
         try:
@@ -309,6 +315,9 @@ def parse_config(argv) -> RunConfig:
         _check_output_path(path)
     if len(outputs) == 2 and os.path.realpath(outputs[0]) == os.path.realpath(outputs[1]):
         raise UsageError(f"--output and --summary-output both name {outputs[0]}")
+    if sub == "concentration" and os.path.isdir(cfg.output_dir):
+        for name in [*map(_SWEEP_TRIALS.format, cfg.n_list), _SWEEP_SUMMARY]:
+            _check_output_path(os.path.join(cfg.output_dir, name))
     return cfg
 
 
@@ -351,10 +360,12 @@ def _writing(path: str):
 
 
 def _check_output_path(path: str) -> None:
-    """Find a file output whose directory is missing, or that is itself a
-    directory, before the run, with the error its write would give."""
+    """Find a file output that is empty, whose directory is missing, or that is
+    itself a directory, before the run, with the error its write would give."""
     directory = os.path.dirname(os.path.abspath(path))
     with _writing(path):
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
         if not stat.S_ISDIR(os.stat(directory).st_mode):
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
         if os.path.isdir(path):
@@ -390,7 +401,7 @@ def _run_concentration(cfg: RunConfig) -> int:
     written = []
 
     def sink(n, summary, table):
-        path = os.path.join(cfg.output_dir, f"trials_n{n}.csv")
+        path = os.path.join(cfg.output_dir, _SWEEP_TRIALS.format(n))
         _emit_text(format_trials_csv(table, provenance_line), path)
         written.append(path)
 
@@ -408,7 +419,7 @@ def _run_concentration(cfg: RunConfig) -> int:
         "provenance": provenance,
         "rows": [summary_to_jsonable(summary) for _n, summary in results],
     }
-    summary_path = os.path.join(cfg.output_dir, "sweep_summary.json")
+    summary_path = os.path.join(cfg.output_dir, _SWEEP_SUMMARY)
     _emit_text(json_text(payload), summary_path)
     written.append(summary_path)
     for path in written:
@@ -439,25 +450,28 @@ def _run_weingarten_check(cfg: RunConfig) -> int:
 def _run_profile_sample(cfg: RunConfig) -> int:
     spec = cfg.z_profile
     spectra = []
-    for i in range(cfg.samples):
-        try:
-            spectra.append(sample_profile(spec, SeededStream(cfg.seed, i)))
-        except DomainError as exc:
-            raise DomainError(f"sample {i}: {exc}") from None
+    # sample i is the spectrum trial i of an ensemble at this seed draws
+    for start in range(0, cfg.samples, BLOCK_TRIALS):
+        z, draws = draw_block(spec, 0, cfg.seed, start, min(start + BLOCK_TRIALS, cfg.samples))
+        z = np.broadcast_to(z, (len(draws), spec.n))
+        bad = ~np.isfinite(z).all(axis=1)
+        if bad.any():
+            raise DomainError(f"sample {start + int(np.argmax(bad))}: squeezing spectrum is not finite")
+        spectra += z.tolist()
     provenance, provenance_line = _provenance(cfg)
     if cfg.format == "json":
         payload = {
             "provenance": provenance,
             "n": spec.n,
             "z_profile": profile_to_string(spec),
-            "spectra": [[float(z) for z in zs] for zs in spectra],
+            "spectra": spectra,
         }
         text = json_text(payload)
     else:
         header = "sample_id," + ",".join(f"z_{j}" for j in range(1, spec.n + 1))
         lines = ["# " + provenance_line, header]
         for i, zs in enumerate(spectra):
-            lines.append(",".join([str(i)] + [repr(float(z)) for z in zs]))
+            lines.append(",".join([str(i)] + [repr(z) for z in zs]))
         text = "\n".join(lines) + "\n"
     _emit_text(text, cfg.output_path)
     return 0

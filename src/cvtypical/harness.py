@@ -5,10 +5,13 @@ passive unitary that the first k modes see, build their reduced covariance
 straight from those rows, and record its symplectic spectrum, its entropy,
 the flatness functional f, and numerical-quality diagnostics.  Ensembles
 run in blocks over independent counter-based streams keyed by
-(seed, trial_id), so results are identical for any worker count; a block's
-TrialTable of columns joins the ensemble's, which is summarized into a
-RunSummary and written as CSV column by column, with no per-trial objects.
-CSV/JSON emission lives here too, next to the tables it serializes.
+(seed, trial_id), so results are identical for any worker count.
+draw_block is the one place a stream's draws are laid out, for the trials
+and for profile-sample, which prints the spectra the trials draw.  A
+block's TrialTable of columns joins the ensemble's, which is summarized
+into a RunSummary and written as CSV column by column, with no per-trial
+objects.  CSV/JSON emission lives here too, next to the tables it
+serializes.
 """
 
 from __future__ import annotations
@@ -198,10 +201,9 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> TrialTable:
     whole stack and computes each value as it would be alone, so a row does
     not depend on its block.  The stages mark the trials they fail instead of
     raising, and the error raised is that of the first failing trial, the
-    one a trial-by-trial loop would meet first.  Within a trial the checks
-    go: spectrum finite, lambda_bar**4 in the float range, rows unitary,
-    reduced spectrum (a matrix that is not positive definite flags the
-    trial instead), f finite, then entropy.
+    one a trial-by-trial loop would meet first: within a trial, the first
+    check it fails in the order of the checks table below.  A reduced
+    matrix that is not positive definite flags the trial instead.
     """
     n = draws.shape[2]
     bars = np.asarray(lam_bars, dtype=float)
@@ -223,30 +225,24 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> TrialTable:
         tr_jm4 = np.trace(P @ P, axis1=1, axis2=2)
         f_values = tr_jm4 + 2.0 * c * tr_jm2 + 2.0 * k * c * c
         huge = ~np.isfinite(bars**4)
-    nonfinite_z = np.broadcast_to(~np.isfinite(z).all(axis=-1), flagged.shape)
-    nonunitary = residuals > UNITARITY_TOL
-    nonfinite_f = ~(np.isfinite(f_values) | flagged)
-    failing = nonfinite_z | huge | nonunitary | ((codes != 0) & ~flagged) | nonfinite_f | low
-    bad = int(np.argmax(failing)) if failing.any() else len(bars)
-    if bad < len(bars):
-        # the first check the trial fails, in a lone trial's order
-        if nonfinite_z[bad]:
-            error = DomainError("squeezing spectrum is not finite")
-        elif huge[bad]:
-            error = DomainError(
-                f"lambda_bar = {bars[bad].item()!r} puts lambda_bar**4 beyond the float range"
-            )
-        elif nonunitary[bad]:
-            error = unitarity_error(residuals[bad])
-        elif codes[bad]:
-            error = spectrum_error(codes[bad], lams[bad])
-        elif nonfinite_f[bad]:
-            error = DomainError(
-                f"f = {f_values[bad].item()!r} is not finite"
-                f" (lambda_bar = {bars[bad].item()!r}, tr(JM)^4 = {tr_jm4[bad].item()!r})"
-            )
-        else:
-            error = entropy_error(lams[bad])
+    # each check as (mask of the trials failing it, error of trial b), in a
+    # lone trial's order; a trial raises the error of the first it fails
+    checks = (
+        (np.broadcast_to(~np.isfinite(z).all(axis=-1), flagged.shape),
+         lambda b: DomainError("squeezing spectrum is not finite")),
+        (huge, lambda b: DomainError(
+            f"lambda_bar = {bars[b].item()!r} puts lambda_bar**4 beyond the float range")),
+        (residuals > UNITARITY_TOL, lambda b: unitarity_error(residuals[b])),
+        ((codes != 0) & ~flagged, lambda b: spectrum_error(codes[b], lams[b])),
+        (~(np.isfinite(f_values) | flagged), lambda b: DomainError(
+            f"f = {f_values[b].item()!r} is not finite"
+            f" (lambda_bar = {bars[b].item()!r}, tr(JM)^4 = {tr_jm4[b].item()!r})")),
+        (low, lambda b: entropy_error(lams[b])),
+    )
+    failing = np.logical_or.reduce([mask for mask, _make in checks])
+    if failing.any():
+        bad = int(np.argmax(failing))
+        error = next(make(bad) for mask, make in checks if mask[bad])
         raise type(error)(f"trial {trial_ids[bad]}: {error}") from None
     deltas = spectral_deviation_deltas(squares, bars)
     for column in (f_values, residuals, tr_jm2, tr_jm4):
@@ -277,44 +273,45 @@ def validate_trial_record(rec: TrialRecord) -> None:
         )
 
 
-def _as_profile(profile) -> ProfileSpec:
-    if isinstance(profile, ProfileSpec):
-        return profile
-    return fixed_profile(profile)
+def draw_block(spec: ProfileSpec, k: int, seed: int, start: int, stop: int) -> tuple:
+    """The draws of trials start..stop-1, each off its own (seed, trial_id)
+    stream, laid out as nowhere else: a random profile's unit exponentials
+    first, then the real and the imaginary parts of the trial's n x k
+    Ginibre block, in C order.  One Philox is re-keyed per trial from the
+    block's prebuilt keys through one state dict, a fresh Philox's.
 
-
-def _run_block(args) -> TrialTable:
-    """The TrialTable of trials start..stop-1, each drawn from its own
-    (seed, trial_id) stream: one Philox, re-keyed per trial from the
-    block's prebuilt keys through one state dict, a fresh Philox's."""
-    spec, k, seed, start, stop = args
-    n = spec.n
+    Returns (z, draws): z is the profile's one spectrum (n,) when it is
+    deterministic, else the trials' spectra (B, n), inf where an energy
+    squares past the float range; draws is (B, 2, n, k).  At k = 0 a trial
+    draws its spectrum only, as profile-sample prints it.
+    """
     trial_ids = range(start, stop)
-    keys = _stream_keys(seed, trial_ids)
     gen = SeededStream(seed, start).generator()
     state = gen.bit_generator.state  # a fresh Philox's: key, counter 0, empty buffer
-    draws = np.empty((len(trial_ids), 2, n, k))
+    draws = np.empty((len(trial_ids), 2, spec.n, k))
     exponentials = None
     if not spec.is_deterministic:
         exponentials = np.empty((len(trial_ids), exponential_count(spec)))
-    for b, key in enumerate(keys):
+    for b, key in enumerate(_stream_keys(seed, trial_ids)):
         state["state"]["key"] = key
         gen.bit_generator.state = state
         if exponentials is not None:
-            # profile draws come off the trial's stream, before the unitary
             gen.standard_exponential(out=exponentials[b])
-        # the real parts, then the imaginary parts of the n x k Ginibre
-        # block, in C order
         gen.standard_normal(out=draws[b])
     if exponentials is None:
-        z = spec.fixed_spectrum()
-        lam_bars = np.full(len(trial_ids), average_energies(z))
-    else:
-        # a huge energy squares to inf in the profile transform; the block
-        # check reports the trial as out of range instead
-        with np.errstate(over="ignore"):
-            z = spectra_from_exponentials(spec, exponentials)
-            lam_bars = average_energies(z)
+        return spec.fixed_spectrum(), draws
+    with np.errstate(over="ignore"):
+        return spectra_from_exponentials(spec, exponentials), draws
+
+
+def _run_block(args) -> TrialTable:
+    """The TrialTable of trials start..stop-1, from draw_block's draws."""
+    spec, k, seed, start, stop = args
+    z, draws = draw_block(spec, k, seed, start, stop)
+    # a huge spectrum's average may overflow; the block check reports the
+    # trial as out of range instead
+    with np.errstate(over="ignore"):
+        lam_bars = np.full(stop - start, average_energies(z))
     return _block_records(z, lam_bars, draws, k, np.arange(start, stop))
 
 
@@ -422,7 +419,7 @@ def run_ensemble(profile, k: int, samples: int, seed: int, workers: int = 1):
     with its error, that of the lowest failing trial id whatever the worker
     count.
     """
-    spec = _as_profile(profile)
+    spec = profile if isinstance(profile, ProfileSpec) else fixed_profile(profile)
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples}")
     if workers < 1:

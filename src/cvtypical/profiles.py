@@ -4,7 +4,9 @@ Deterministic profiles (an explicit list, or one value repeated) and two
 random ensembles over per-mode energies: uniform on the constrained simplex
 {E_j >= 2, sum E_j <= E}, and a product of shifted exponentials (Boltzmann
 weight exp(-(E_j - 2)/T) per mode).  Energies map to squeezing values via
-z = (E + sqrt(E^2 - 4))/2.
+z = (E + sqrt(E^2 - 4))/2.  This module turns unit exponentials into
+spectra; the exponentials come off each trial's stream in
+harness.draw_block, the one place a stream's draws are laid out.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EnergyTooSmall, InvalidSpec
-from .haar import _as_generator
 
 DETERMINISTIC_KINDS = frozenset({"fixed", "constant"})
 RANDOM_KINDS = frozenset({"microcanonical", "canonical"})
@@ -191,24 +192,6 @@ def profile_to_string(spec: ProfileSpec) -> str:
     if spec.temperature is not None:
         return f"canonical:{spec.energy!r}:{spec.temperature!r}"
     return f"canonical:{spec.energy!r}"
-
-
-def sample_profile(spec: ProfileSpec, rng) -> np.ndarray:
-    """Draw one squeezing spectrum (shape (n,), every entry >= 1);
-    deterministic kinds ignore the generator.  Raises DomainError when an
-    energy is so large that the spectrum is not finite.
-
-    The one-draw route of ``profile-sample``; a trial's stream draws the
-    same spectrum first, through spectra_from_exponentials on its block."""
-    if spec.is_deterministic:
-        return spec.fixed_spectrum()
-    g = _as_generator(rng).standard_exponential((1, exponential_count(spec)))
-    # an energy past about 1e154 squares to inf in the transform
-    with np.errstate(over="ignore"):
-        z = spectra_from_exponentials(spec, g)[0]
-    if not np.isfinite(z).all():
-        raise DomainError("squeezing spectrum is not finite")
-    return z
 
 
 def exponential_count(spec: ProfileSpec) -> int:

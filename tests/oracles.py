@@ -51,6 +51,10 @@ columnar ones: ``reference_format_trials_csv`` writes the trial CSV one
 TrialRecord at a time and ``reference_summarize_records`` builds each
 summary column from a list of records; ``table_from_records`` stacks
 records into a TrialTable for the package's routes.
+
+``sample_profile`` draws one squeezing spectrum off a generator in place,
+the bits a trial's stream draws first; ``delta_squared_cdf_one_mode`` is
+the exact law of delta^2 at k = 1 for a constant spectrum.
 """
 
 from __future__ import annotations
@@ -534,6 +538,18 @@ def sample_profile(spec, rng) -> np.ndarray:
         energies = 2.0 + gen.standard_exponential(n) * spec.mean_temperature()
     z = 0.5 * (energies + np.sqrt(energies * energies - 4.0))
     return np.maximum(z, 1.0)
+
+
+def delta_squared_cdf_one_mode(eps, z: float, n: int):
+    """Exact P[delta^2 <= eps] at k = 1 for the constant spectrum z on n modes.
+
+    With a = (z - 1/z)/2 and v the trial's Haar row, delta^2 = a^4 |v^T v|^4,
+    and 1 - |v^T v|^2 is Mauchly's sphericity statistic of the 2 x 2 real
+    Wishart matrix of (Re v, Im v) (Ann. Math. Stat. 11, 204 (1940)), which
+    is Beta((n-1)/2, 1); so P[delta^2 > eps] = (1 - sqrt(eps)/a^2)_+^((n-1)/2).
+    """
+    a = (z - 1.0 / z) / 2.0
+    return 1.0 - np.maximum(1.0 - np.sqrt(eps) / (a * a), 0.0) ** ((n - 1) / 2.0)
 
 
 def _reference_haar_rows(n: int, gen, k: int) -> np.ndarray:

@@ -33,7 +33,6 @@ from cvtypical.moments import (
 from cvtypical.profiles import (
     ProfileSpec,
     ScalingConfig,
-    sample_profile,
 )
 from cvtypical.weingarten import (
     gram_weingarten_oracle,
@@ -46,6 +45,7 @@ from oracles import (
     haar_average_BB_minus_AA,
     lipschitz_bound,
     lipschitz_probe,
+    sample_profile,
 )
 
 MOMENT_SUITES = ((4, 1, 1004), (5, 1, 1005), (8, 2, 1008))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import shlex
 import shutil
 import stat
 import subprocess
@@ -10,15 +11,18 @@ from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cvtypical
 import cvtypical.cli
+import cvtypical.harness
 from cvtypical import __version__
 from cvtypical.cli import RunConfig, config_digest, main, parse_config
 from cvtypical.errors import UsageError
 from cvtypical.harness import read_trials_csv, run_ensemble
 from cvtypical.profiles import ScalingConfig, parse_profile
+from cvtypical.symplectic import average_energies
 from oracles import read_summary_json
 
 
@@ -287,7 +291,62 @@ def test_profile_sample_huge_energy_is_an_error(capsys, profile):
     assert err == "error: sample 0: squeezing spectrum is not finite\n"
 
 
+# 700 samples run past one block of draws; the digests were taken before
+# profile-sample drew through the trial kernel's block route.
+PROFILE_SAMPLE_PINS = [
+    (
+        "micro:14 --n 4",
+        "52591708da174b6cfc8f8f29926992e59a4ba138265c1aa924995db5abd73c67",
+        "52a95e75b6547120b14d5298f45a9e04fcb9783627b4022c868c742daea8f522",
+    ),
+    (
+        "canonical:8:0.5 --n 16",
+        "4b00b2a2aaee0653402192aa4eeee4a504eb13ce6013be4969d2d424af02f7a8",
+        "1513c94ba1ee631b9d350b4d5c72b00991ab906ce3b34a7641a3ed86cb73154f",
+    ),
+    (
+        "constant:2x5",
+        "8d1221315b5e43045af95d5969b527d49635c5a505908c87fa34db8ffb6d30df",
+        "f20191e5d9719a4d574db5d4203cd5b1759d5d3ddc0e61797b5dd1b8e40acea5",
+    ),
+]
+
+
+@pytest.mark.parametrize("profile, csv_digest, json_digest", PROFILE_SAMPLE_PINS)
+def test_profile_sample_bytes_are_pinned(tmp_path, capsys, profile, csv_digest, json_digest):
+    for fmt, digest in (("csv", csv_digest), ("json", json_digest)):
+        path = tmp_path / f"spectra.{fmt}"
+        argv = f"profile-sample --z-profile {profile} --samples 700 --seed 3 --format {fmt}".split()
+        rc, _, err = run_main(capsys, argv + ["--output", str(path)])
+        assert rc == 0 and err == ""
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "profile, n, k, samples",
+    [("micro:50", 16, 4, 300), ("canonical:400", 128, 11, 60)],
+)
+def test_profile_sample_draws_each_trials_spectrum(capsys, profile, n, k, samples):
+    """Sample i of profile-sample --seed s is the spectrum trial i of an
+    ensemble at seed s draws: their average energies agree bit for bit."""
+    argv = f"profile-sample --z-profile {profile} --n {n} --samples {samples} --seed 21 --format json"
+    rc, out, _ = run_main(capsys, argv.split())
+    assert rc == 0
+    spectra = np.array(json.loads(out)["spectra"])
+    _summary, table = run_ensemble(parse_profile(profile, n=n), k, samples, seed=21)
+    assert average_energies(spectra).tobytes() == table.lambda_bar.tobytes()
+
+
 TRIAL_DUMP = "trial-dump --n 4 --k 1 --z-profile constant:2x4 --samples 2"
+
+
+def _forbid_runs(monkeypatch):
+    """Make any ensemble run fail the test."""
+    def run_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble ran")
+
+    monkeypatch.setattr(cvtypical.cli, "run_ensemble", run_ensemble)
+    monkeypatch.setattr(cvtypical.harness, "run_ensemble", run_ensemble)
 
 
 @pytest.mark.parametrize(
@@ -299,21 +358,38 @@ TRIAL_DUMP = "trial-dump --n 4 --k 1 --z-profile constant:2x4 --samples 2"
         (TRIAL_DUMP + " --summary-output {file}/out", "{file}/out"),
         ("moments --k 1 --z-profile constant:2x4 --output {missing}", "{missing}"),
         ("concentration --n-list 4 --samples 2 --output-dir {file}", "{file}"),
+        (TRIAL_DUMP + " --output ''", ""),
+        (TRIAL_DUMP + " --summary-output ''", ""),
     ],
     ids=[
         "trial_dump_output", "trial_dump_summary_output", "trial_dump_output_in_file",
         "trial_dump_summary_output_in_file", "moments_output", "concentration_output_dir",
+        "trial_dump_empty_output", "trial_dump_empty_summary_output",
     ],
 )
-def test_unwritable_output_is_one_error_line(tmp_path, capsys, command, target):
-    """Found before the run: nothing reaches stdout, not even the CSV that
-    precedes a --summary-output."""
+def test_unwritable_output_is_one_error_line(tmp_path, monkeypatch, capsys, command, target):
+    """Found before the run: no ensemble runs and nothing reaches stdout, not
+    even the CSV that precedes a --summary-output."""
+    _forbid_runs(monkeypatch)
     paths = {"missing": tmp_path / "missing" / "out", "file": tmp_path / "file"}
     paths["file"].write_text("")
-    rc, out, err = run_main(capsys, command.format(**paths).split())
+    rc, out, err = run_main(capsys, shlex.split(command.format(**paths)))
     assert (rc, out) == (2, "")
     assert err.startswith(f"error: cannot write {target.format(**paths)}: ") and err.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == [paths["file"]]
+
+
+@pytest.mark.parametrize("blocked", ["trials_n8.csv", "sweep_summary.json"])
+def test_concentration_files_are_checked_before_the_first_row(tmp_path, monkeypatch, capsys, blocked):
+    """A sweep output that is a directory stops the run before any row, so
+    no earlier row's CSV is left behind."""
+    _forbid_runs(monkeypatch)
+    (tmp_path / blocked).mkdir()
+    argv = ["concentration", "--n-list", "4,8", "--samples", "5", "--k", "1", "--output-dir", str(tmp_path)]
+    rc, out, err = run_main(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: cannot write {tmp_path / blocked}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / blocked]
 
 
 @pytest.mark.parametrize("flag", ["--output", "--summary-output"])
@@ -462,6 +538,15 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     rc, out, _ = run_main(capsys, ["moments", "--config", str(config), "--k", "2"])
     assert rc == 0
     assert json.loads(out)["k"] == 2  # the flag wins over the file
+
+
+def test_empty_config_path_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """--config "" names no file to read; it is not the same as no --config."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["moments", "--config", "", "--n", "4", "--k", "1", "--z-profile", "fixed:3,1,1,1"]
+    rc, out, err = run_main(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: cannot read config file : ") and err.count("\n") == 1
 
 
 def test_config_file_unknown_key(tmp_path, capsys):

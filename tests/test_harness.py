@@ -23,7 +23,7 @@ from cvtypical.errors import (
     NonUnitaryInput,
     PairingFailure,
 )
-from cvtypical.haar import SeededStream, _stream_keys
+from cvtypical.haar import SeededStream, _stream_keys, haar_columns
 from cvtypical.harness import (
     FLAG_BUDGET,
     TAIL_LADDER_FACTORS,
@@ -914,3 +914,34 @@ def test_lipschitz_probe_guards():
         lipschitz_probe((2.0, 1.0), 1, pairs=0, rng=SeededStream(0))
     with pytest.raises(InvalidSubsystem):
         lipschitz_probe((2.0, 1.0), 3, pairs=5, rng=SeededStream(0))
+
+
+@pytest.mark.parametrize("n, k, z", [(8, 3, 2.0), (16, 5, 3.7), (32, 16, 1.3), (6, 6, 2.5)])
+def test_constant_spectrum_squares_follow_the_rows(n, k, z):
+    """For a constant spectrum, lambda_j^2 = b^2 - a^2 s_j^2 with
+    a = (z - 1/z)/2, b = (z + 1/z)/2 and s_j the singular values of V V^T,
+    V the k Haar rows the trial drew, re-drawn here from its own stream."""
+    seed, trials = 1919, 200
+    _, table = run_ensemble(constant_profile(z, n), k, trials, seed)
+    draws = np.stack([SeededStream(seed, t).generator().standard_normal((2, n, k)) for t in range(trials)])
+    V = np.swapaxes(haar_columns(draws[:, 0] + 1j * draws[:, 1]), -1, -2)
+    s = np.linalg.svd(V @ np.swapaxes(V, -1, -2), compute_uv=False)
+    a, b = (z - 1.0 / z) / 2.0, (z + 1.0 / z) / 2.0
+    predicted = np.sort(b * b - a * a * s * s, axis=1)
+    squares = np.sort(table.symplectic_spectrum**2, axis=1)
+    assert np.all(np.abs(squares - predicted) <= 1e-12 * squares)
+
+
+# seeds fixed before the first run; a failure is a finding, not a reason to re-seed
+@pytest.mark.parametrize(
+    "n, z, seed", [(4, 2.0, 1901), (16, 2.0, 1902), (64, 2.0, 1903), (32, 5.0, 1904)]
+)
+def test_one_mode_delta_squared_follows_the_exact_law(n, z, seed):
+    """At k = 1 the kernel's delta^2 passes a Kolmogorov-Smirnov test
+    against its exact law at the 1% level: KS sqrt(N) < 1.63."""
+    trials = 20_000
+    _, table = run_ensemble(constant_profile(z, n), 1, trials, seed)
+    cdf = oracles.delta_squared_cdf_one_mode(np.sort(table.delta**2), z, n)
+    ranks = np.arange(1, trials + 1) / trials
+    ks = max((ranks - cdf).max(), (cdf - (ranks - 1.0 / trials)).max())
+    assert ks * math.sqrt(trials) < 1.63

@@ -475,3 +475,13 @@ def test_report_equals_the_exact_route(case):
         assert type(info.value) is type(exc) and str(info.value) == str(exc)
     else:
         assert repr(compute_moment_report(z, k)) == repr(expected)
+
+
+def test_one_mode_expected_f_is_the_beta_law_mean():
+    """At k = 1 the exact E f of a constant spectrum is 16 a^4/((n+1)(n+3)),
+    a = (z - 1/z)/2: the mean of 2 delta^2 under its Beta law."""
+    for z in (Fraction(2), Fraction(37, 10), Fraction(13, 10), Fraction(5)):
+        a = (z - 1 / z) / 2
+        for n in range(4, 70):
+            mi = moment_inputs_from_spectrum((z,) * n, 1)
+            assert expected_f_exact(mi) == 16 * a**4 / ((n + 1) * (n + 3))

@@ -10,13 +10,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from cvtypical.haar import SeededStream
-from cvtypical.moments import _exact, _fourth_moment, _second_moment, moment_inputs_from_spectrum
+from cvtypical.moments import (
+    _exact,
+    _fourth_moment,
+    _second_moment,
+    expected_f_exact,
+    moment_inputs_from_spectrum,
+)
 from cvtypical.symplectic import symplectic_form
 from oracles import (
     _reference_haar_rows,
     block_matrix_V,
+    delta_squared_cdf_one_mode,
     eta_embed,
     expected_trace_power,
     fiducial_covariance,
@@ -58,3 +66,17 @@ def test_integrator_vacuum():
     z = (1,) * 5
     assert expected_trace_power(z, 2, 2) == -4
     assert expected_trace_power(z, 2, 4) == 4
+
+
+@pytest.mark.parametrize("z, n", [(2, 4), (2, 16), (5, 32), (1.3, 69)])
+def test_one_mode_delta_law_has_the_exact_mean(z, n):
+    """E delta^2, the integral of P[delta^2 > eps] over [0, a^4] (taken in
+    u = sqrt(eps)/a^2, where the integrand is smooth), is half of the
+    package's exact E f = 16 a^4/((n+1)(n+3))."""
+    a4 = ((z - 1.0 / z) / 2.0) ** 4
+    assert delta_squared_cdf_one_mode(0.0, z, n) == 0.0
+    assert delta_squared_cdf_one_mode(a4, z, n) == 1.0
+    tail = lambda u: 1.0 - delta_squared_cdf_one_mode(a4 * u * u, z, n)
+    mean, _error = quad(lambda u: 2.0 * a4 * u * tail(u), 0.0, 1.0)
+    exact = expected_f_exact(moment_inputs_from_spectrum((Fraction(z),) * n, 1))
+    assert 2.0 * mean == pytest.approx(float(exact), rel=1e-9)

@@ -16,12 +16,11 @@ from cvtypical.profiles import (
     fixed_profile,
     parse_profile,
     profile_to_string,
-    sample_profile,
     spectra_from_exponentials,
 )
 from cvtypical.symplectic import average_energies
 import oracles
-from oracles import mode_energy_from_squeezing
+from oracles import mode_energy_from_squeezing, sample_profile
 
 
 def draw(spec, seed=0, stream=0):
