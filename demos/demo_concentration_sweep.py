@@ -19,13 +19,15 @@ SEED = 99
 
 
 def main():
-    rows = concentration_sweep(ScalingConfig(), NS, samples=SAMPLES, seed=SEED)
     print(f"{'n':>4}  {'mean_f':>12}  {'rms':>10}  {'entropy gap':>12}  {'entropy std':>12}")
     (target,), _low = gaussian_entropies([[1.25]])  # lambda for z = 2 at one retained mode
-    for n, summary in rows:
+    rows = []
+    # each row prints as soon as its ensemble finishes
+    for n, summary, _table in concentration_sweep(ScalingConfig(), NS, samples=SAMPLES, seed=SEED):
         gap = abs(summary.mean_entropy - target)
         print(f"{n:>4}  {summary.mean_f:>12.6f}  {math.sqrt(summary.mean_f):>10.5f}"
               f"  {gap:>12.3e}  {summary.std_entropy:>12.3e}")
+        rows.append((n, summary))
 
     print("\nper-doubling ratios of mean_f:")
     for (n1, s1), (n2, s2) in zip(rows, rows[1:]):

@@ -399,13 +399,8 @@ def _run_concentration(cfg: RunConfig) -> int:
         os.makedirs(cfg.output_dir, exist_ok=True)
     provenance, provenance_line = _provenance(cfg)
     written = []
-
-    def sink(n, summary, table):
-        path = os.path.join(cfg.output_dir, _SWEEP_TRIALS.format(n))
-        _emit_text(format_trials_csv(table, provenance_line), path)
-        written.append(path)
-
-    results = concentration_sweep(
+    rows = []
+    for n, summary, table in concentration_sweep(
         cfg.scaling,
         cfg.n_list,
         cfg.samples,
@@ -413,11 +408,14 @@ def _run_concentration(cfg: RunConfig) -> int:
         k=cfg.k,
         base_profile=cfg.base_profile,
         workers=cfg.workers,
-        record_sink=sink,
-    )
+    ):
+        path = os.path.join(cfg.output_dir, _SWEEP_TRIALS.format(n))
+        _emit_text(format_trials_csv(table, provenance_line), path)
+        written.append(path)
+        rows.append(summary_to_jsonable(summary))
     payload = {
         "provenance": provenance,
-        "rows": [summary_to_jsonable(summary) for _n, summary in results],
+        "rows": rows,
     }
     summary_path = os.path.join(cfg.output_dir, _SWEEP_SUMMARY)
     _emit_text(json_text(payload), summary_path)

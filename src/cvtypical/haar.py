@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-
 __all__ = ["SeededStream", "haar_columns"]
 
 _MASK64 = (1 << 64) - 1
@@ -42,14 +40,6 @@ def _stream_keys(seed: int, stream_ids) -> np.ndarray:
     keys[:, 0] = seed & _MASK64
     keys[:, 1] = [t & _MASK64 for t in stream_ids]
     return keys
-
-
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, SeededStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise DomainError(f"expected SeededStream or numpy Generator, got {type(rng).__name__}")
 
 
 def haar_columns(ginibre: np.ndarray) -> np.ndarray:

@@ -6,12 +6,12 @@ straight from those rows, and record its symplectic spectrum, its entropy,
 the flatness functional f, and numerical-quality diagnostics.  Ensembles
 run in blocks over independent counter-based streams keyed by
 (seed, trial_id), so results are identical for any worker count.
-draw_block is the one place a stream's draws are laid out, for the trials
-and for profile-sample, which prints the spectra the trials draw.  A
-block's TrialTable of columns joins the ensemble's, which is summarized
-into a RunSummary and written as CSV column by column, with no per-trial
-objects.  CSV/JSON emission lives here too, next to the tables it
-serializes.
+draw_block is the one place a stream's draws are laid out, for every
+trial (run_trial's lone one is a block of one) and for profile-sample,
+which prints the spectra the trials draw.  A block's TrialTable of columns
+joins the ensemble's, which is summarized into a RunSummary and written as
+CSV column by column, with no per-trial objects.  CSV/JSON emission lives
+here too, next to the tables it serializes.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
 from .errors import DomainError, InvalidSubsystem, PairingFailure
-from .haar import SeededStream, _as_generator, _stream_keys, haar_columns
+from .haar import SeededStream, _stream_keys, haar_columns
 from .profiles import ProfileSpec, ScalingConfig, constant_profile, fixed_profile
 from .profiles import exponential_count, spectra_from_exponentials
 from .symplectic import (
@@ -171,25 +172,34 @@ class RunSummary:
     tail_counts: dict
 
 
-def run_trial(z, k: int, rng, trial_id: int = 0) -> TrialRecord:
-    """Run the pipeline once and record everything.
+def run_trial(z, k: int, stream: SeededStream) -> TrialRecord:
+    """Trial stream.stream_id of the ensemble of fixed_profile(z) at seed
+    stream.seed: the record run_ensemble's table holds for it, run as a
+    block of one through _run_block.
 
     Kept for perfbench, whose per-layer trace wraps it and whose self-test
-    calls it.  A block of one: the k Haar rows come off rng (a
-    SeededStream, or a Generator consumed in place), then _block_records
-    does the rest.  A reduced covariance that is not positive definite
-    yields a flagged record with NaN fields rather than an exception, so
-    downstream tallies see every trial.
+    calls it.  A reduced covariance that is not positive definite yields a
+    flagged record with NaN fields rather than an exception.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    n = z.size
+    if not isinstance(stream, SeededStream):
+        raise DomainError(f"expected a SeededStream, got {type(stream).__name__}")
+    spec = fixed_profile(z)
+    k, seed = _checked_k_and_seed(k, stream.seed, spec.n)
+    t = stream.stream_id
+    return _run_block((spec, k, seed, t, t + 1)).records()[0]
+
+
+def _checked_k_and_seed(k, seed, n: int) -> tuple:
+    """(k, seed) as Python ints, k in 1..n: a numpy integer would be written
+    as np.int64(1) in the CSV, fail the JSON encoder, and overflow the
+    stream keys."""
+    if not isinstance(k, Integral):
+        raise InvalidSubsystem(f"need an integer k, got k={k!r}")
     if not 1 <= k <= n:
         raise InvalidSubsystem(f"k={k} outside 1..{n}")
-    gen = _as_generator(rng)
-    # on a stack of one, a z that is not a vector is a DomainError
-    lam_bars = average_energies(z[None]).tolist()
-    draws = gen.standard_normal((1, 2, n, k))
-    return _block_records(z, lam_bars, draws, k, [trial_id]).records()[0]
+    if not isinstance(seed, Integral):
+        raise DomainError(f"need an integer seed, got seed={seed!r}")
+    return int(k), int(seed)
 
 
 def _block_records(z, lam_bars, draws, k: int, trial_ids) -> TrialTable:
@@ -350,8 +360,8 @@ def summarize_records(table: TrialTable, seed: int, profile: ProfileSpec | None 
     """Reduce a TrialTable to a RunSummary (order-insensitive aggregation)
     over its unflagged rows.
 
-    Raises PairingFailure when the tail fractions grow with the threshold or
-    beat the Markov bound set by mean_f, which consistent trials cannot do.
+    Raises PairingFailure when a tail fraction beats the Markov bound set by
+    mean_f, which consistent trials cannot do.
     """
     if not len(table):
         raise DomainError("cannot summarize an empty trial table")
@@ -383,19 +393,15 @@ def summarize_records(table: TrialTable, seed: int, profile: ProfileSpec | None 
         for f in TAIL_LADDER_FACTORS
     }
 
-    if live_count:
-        fractions = [tail_counts[f * scale] for f in TAIL_LADDER_FACTORS]
-        if not all(a >= b for a, b in zip(fractions, fractions[1:])):
-            raise PairingFailure("tail fractions must not increase with the threshold")
-        if math.isfinite(mean_f):
-            for eps, q in tail_counts.items():
-                if eps > 0.0:
-                    # empirical Markov bound; cushion covers the two float
-                    # routes to mean(delta^2), and the clamp covers vacuum
-                    # runs where the trace route leaves mean_f at -1e-17
-                    bound = (max(mean_f, 0.0) / (2.0 * eps)) * (1.0 + 1e-9) + 1e-15
-                    if not q <= bound:
-                        raise PairingFailure(f"tail fraction {q} at eps={eps} beats Markov")
+    if live_count and math.isfinite(mean_f):
+        for eps, q in tail_counts.items():
+            if eps > 0.0:
+                # empirical Markov bound; cushion covers the two float
+                # routes to mean(delta^2), and the clamp covers vacuum
+                # runs where the trace route leaves mean_f at -1e-17
+                bound = (max(mean_f, 0.0) / (2.0 * eps)) * (1.0 + 1e-9) + 1e-15
+                if not q <= bound:
+                    raise PairingFailure(f"tail fraction {q} at eps={eps} beats Markov")
 
     return RunSummary(
         len(table), table.n, table.k, lambda_ref, seed, len(table) - live_count,
@@ -424,8 +430,7 @@ def run_ensemble(profile, k: int, samples: int, seed: int, workers: int = 1):
         raise DomainError(f"need samples >= 1, got {samples}")
     if workers < 1:
         raise DomainError(f"need workers >= 1, got {workers}")
-    if not 1 <= k <= spec.n:
-        raise InvalidSubsystem(f"k={k} outside 1..{spec.n}")
+    k, seed = _checked_k_and_seed(k, seed, spec.n)
 
     size = _block_size(spec.n, k)
     threads = min(workers, _cpu_count()) if size < BLOCK_TRIALS else 1
@@ -459,17 +464,15 @@ def concentration_sweep(
     k: int | None = None,
     base_profile: str = "constant",
     workers: int = 1,
-    record_sink=None,
 ):
-    """Run one ensemble per n and collect (n, RunSummary) pairs.
+    """Run one ensemble per n and yield (n, RunSummary, TrialTable) as each
+    row finishes.
 
     The profile at each n is constant with z = scaling.z_value(n), or the
     vacuum when base_profile="vacuum".  Every row has k modes when k is
     given, else scaling.k_of(n).  Each n gets its own base seed
-    (seed + index) so rows stay independent.  record_sink, when given,
-    receives (n, summary, table) per row.
+    (seed + index) so rows stay independent.
     """
-    results = []
     for index, n in enumerate(n_list):
         n = int(n)
         if n < SWEEP_MIN_N:
@@ -481,11 +484,7 @@ def concentration_sweep(
         else:
             raise DomainError(f"unknown base profile {base_profile!r}")
         k_n = scaling.k_of(n) if k is None else k
-        summary, table = run_ensemble(spec, k_n, samples, seed + index, workers)
-        if record_sink is not None:
-            record_sink(n, summary, table)
-        results.append((n, summary))
-    return results
+        yield (n, *run_ensemble(spec, k_n, samples, seed + index, workers))
 
 
 def _atomic_write_text(path, text: str) -> None:

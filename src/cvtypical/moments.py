@@ -258,14 +258,10 @@ def _fourth_moment(mi: MomentInputs, sums) -> tuple[int, int, int]:
     return _sum_terms(D, [(num * mono[key], den, 4) for num, den, key in rows])
 
 
-def _expected_f(mi: MomentInputs, sums, lambda_bar, fourth=None, tl=None) -> tuple[int, int, int]:
+def _expected_f(mi: MomentInputs, sums, fourth=None, tl=None) -> tuple[int, int, int]:
     """E[f] = E[tr((JM)^4)] + 2*lb^2*E[tr((JM)^2)] + 2k*lb^4, with
-    E[tr((JM)^2)] = -2k * tilde_lambda^2."""
-    if lambda_bar is None:
-        p, r, g = _average_energy(mi, sums)
-    else:
-        lb = Fraction(lambda_bar) if isinstance(lambda_bar, Rational) else Fraction(float(lambda_bar))
-        p, r, g = lb.numerator, lb.denominator, 0
+    E[tr((JM)^2)] = -2k * tilde_lambda^2 and lb the average energy tr(B)/n."""
+    p, r, g = _average_energy(mi, sums)
     fourth = fourth or _fourth_moment(mi, sums)
     t, t_den, t_g = tl or _tilde_lambda_squared(mi, sums)
     p2, r2, k = p * p, r * r, mi.k
@@ -274,13 +270,10 @@ def _expected_f(mi: MomentInputs, sums, lambda_bar, fourth=None, tl=None) -> tup
     ])
 
 
-def expected_f_exact(mi: MomentInputs, lambda_bar=None) -> Fraction:
-    """Exact E[f] = E[tr((JM)^4)] + 2*lb^2*E[tr((JM)^2)] + 2k*lb^4.
-
-    lambda_bar defaults to the exact average energy tr(B)/n; a supplied value
-    is rationalized exactly.
-    """
-    return _exact(mi, _expected_f, lambda_bar)
+def expected_f_exact(mi: MomentInputs) -> Fraction:
+    """Exact E[f] = E[tr((JM)^4)] + 2*lb^2*E[tr((JM)^2)] + 2k*lb^4, with lb
+    the exact average energy tr(B)/n."""
+    return _exact(mi, _expected_f)
 
 
 # The interval route of compute_moment_report: the formula functions above,
@@ -365,7 +358,7 @@ def _report(mi, sums, to_float) -> MomentReport:
         tilde_lambda_sq=to_float(sums, tl, "tilde_lambda^2"),
         second_moment=to_float(sums, _second_moment(mi, sums, tl), "E tr((JM)^2)"),
         fourth_moment=to_float(sums, fourth, "E tr((JM)^4)"),
-        expected_f=to_float(sums, _expected_f(mi, sums, None, fourth, tl), "E f"),
+        expected_f=to_float(sums, _expected_f(mi, sums, fourth, tl), "E f"),
         lambda_bar=to_float(sums, _average_energy(mi, sums), "lambda_bar"),
     )
 

@@ -99,8 +99,10 @@ class ProfileSpec:
 
 
 def fixed_profile(z_values) -> ProfileSpec:
-    zs = tuple(float(z) for z in np.atleast_1d(np.asarray(z_values, dtype=float)))
-    return ProfileSpec(kind="fixed", n=len(zs), z_values=zs)
+    z = np.atleast_1d(np.asarray(z_values, dtype=float))
+    if z.ndim != 1 or not z.size:
+        raise DomainError("squeezing spectrum must be a nonempty vector")
+    return ProfileSpec(kind="fixed", n=z.size, z_values=tuple(z.tolist()))
 
 
 def constant_profile(z: float, n: int) -> ProfileSpec:

@@ -79,7 +79,7 @@ from cvtypical.errors import (
     PairingFailure,
     SingularGram,
 )
-from cvtypical.haar import SeededStream, _as_generator
+from cvtypical.haar import SeededStream
 from cvtypical.harness import (
     TAIL_LADDER_FACTORS,
     RunSummary,
@@ -226,13 +226,13 @@ def block_matrix_V(U: np.ndarray, z, k: int) -> np.ndarray:
     )
 
 
-def reference_moments(z, k: int, lambda_bar=None) -> dict[str, Fraction]:
+def reference_moments(z, k: int) -> dict[str, Fraction]:
     """Every exact moment of cvtypical.moments, on running Fraction sums of
     the diagonals a, b of z (``_ab_vectors``, not the package's mode table).
 
     Keys: average_energy, tilde_lambda_sq (n >= 2), second_moment (n >= 2),
     table1_second_moment (n >= 2), fourth_moment (n >= 4) and expected_f
-    (n >= 4, at lambda_bar, default the average energy). The fourth moment
+    (n >= 4, at the average energy). The fourth moment
     shares the coefficient table with the package; expected_trace_power
     audits that table independently."""
     a, b = _ab_vectors(z)
@@ -277,13 +277,7 @@ def reference_moments(z, k: int, lambda_bar=None) -> dict[str, Fraction]:
     for num, den, key in _fourth_moment_rows(n, k):
         fourth += Fraction(num, den) * mono[key]
     out["fourth_moment"] = fourth
-    if lambda_bar is None:
-        lb = out["average_energy"]
-    elif isinstance(lambda_bar, Rational):
-        lb = Fraction(lambda_bar)
-    else:
-        lb = Fraction(float(lambda_bar))
-    lb2 = lb * lb
+    lb2 = out["average_energy"] ** 2
     out["expected_f"] = fourth + 2 * lb2 * out["second_moment"] + 2 * k * lb2 * lb2
     return out
 
@@ -524,6 +518,16 @@ def spectral_deviation_delta(squares, lambda_bar: float) -> float:
         squares = squares.squares
     squares = np.atleast_1d(np.asarray(squares, dtype=float))
     return float(math.sqrt(((lambda_bar * lambda_bar - squares) ** 2).sum()))
+
+
+def _as_generator(rng) -> np.random.Generator:
+    """rng as a Generator: a SeededStream's fresh one, or a Generator itself,
+    consumed in place."""
+    if isinstance(rng, SeededStream):
+        return rng.generator()
+    if isinstance(rng, np.random.Generator):
+        return rng
+    raise DomainError(f"expected SeededStream or numpy Generator, got {type(rng).__name__}")
 
 
 def sample_profile(spec, rng) -> np.ndarray:

@@ -87,18 +87,15 @@ def moment_ensembles():
 
 @pytest.fixture(scope="module")
 def scaling_sweep():
-    audits = {}
-
-    def sink(n, summary, table):
-        audits[n] = audit_records(table.records())
-
-    rows = concentration_sweep(
+    rows, audits = [], {}
+    for n, summary, table in concentration_sweep(
         ScalingConfig(),  # constant z = 2, k = 1
         SWEEP_NS,
         samples=SWEEP_SAMPLES,
         seed=SWEEP_SEED,
-        record_sink=sink,
-    )
+    ):
+        rows.append((n, summary))
+        audits[n] = audit_records(table.records())
     return rows, audits
 
 

@@ -88,8 +88,8 @@ def test_vacuum_trial_is_exactly_boring():
 
 
 def test_trial_is_bit_reproducible():
-    a = run_trial([3.0, 1.0, 1.0, 1.0], 1, SeededStream(12, 5), trial_id=5)
-    b = run_trial([3.0, 1.0, 1.0, 1.0], 1, SeededStream(12, 5), trial_id=5)
+    a = run_trial([3.0, 1.0, 1.0, 1.0], 1, SeededStream(12, 5))
+    b = run_trial([3.0, 1.0, 1.0, 1.0], 1, SeededStream(12, 5))
     assert a == b
 
 
@@ -98,7 +98,7 @@ def test_trial_matches_full_state_path(n, k):
     """run_trial's k Haar rows, completed to a full unitary, give the same
     reduced state through the full-state composition."""
     z = np.linspace(1.0, 4.0, n)
-    rec = run_trial(z, k, SeededStream(61, n), trial_id=n)
+    rec = run_trial(z, k, SeededStream(61, n))
     # the rows the trial drew
     V = oracles._reference_haar_rows(n, SeededStream(61, n).generator(), k).T
     U = np.vstack([V, null_space(V).conj().T])
@@ -124,12 +124,40 @@ def test_trial_rejects_a_spectrum_that_is_not_a_vector():
         run_trial(np.ones((1, 3)), 1, SeededStream(0))
 
 
+@pytest.mark.parametrize("z", [np.ones((1, 3)), np.ones((3, 1)), []])
+def test_ensemble_rejects_a_spectrum_that_is_not_a_vector(z):
+    with pytest.raises(DomainError, match="nonempty vector"):
+        run_ensemble(z, 1, 3, 0)
+
+
+def test_numpy_integer_k_and_seed_act_as_ints():
+    """A numpy k or seed gives the bytes the Python ints give: no np.int64(1)
+    cell in the CSV, a summary JSON can encode, and stream keys that do not
+    overflow."""
+    z = [2.0, 1.0, 1.0]
+    summary, table = run_ensemble(z, 1, 2, 3)
+    np_summary, np_table = run_ensemble(z, np.int64(1), 2, np.int64(3))
+    assert format_trials_csv(np_table) == format_trials_csv(table)
+    assert json_text(summary_to_jsonable(np_summary)) == json_text(summary_to_jsonable(summary))
+    rec = run_trial(z, np.int64(1), SeededStream(np.int64(3), 1))
+    assert repr(rec) == repr(table.records()[1])
+
+
+def test_k_and_seed_must_be_integers():
+    for k in (1.0, 0.5, "1"):
+        with pytest.raises(InvalidSubsystem, match="need an integer k"):
+            run_ensemble([2.0, 1.0, 1.0], k, 2, 0)
+        with pytest.raises(InvalidSubsystem, match="need an integer k"):
+            run_trial([2.0, 1.0, 1.0], k, SeededStream(0))
+    with pytest.raises(DomainError, match="need an integer seed"):
+        run_ensemble([2.0, 1.0, 1.0], 1, 2, 3.0)
+
+
 def test_trial_invariants_hold_in_bulk():
     z = np.array([3.0, 2.0, 1.0, 1.0, 1.0])
-    gen = SeededStream(31).generator()
     cap = 2 * entropy_G(3.0)  # k modes, each eigenvalue at most max(z)
     for t in range(200):
-        rec = run_trial(z, 2, gen, trial_id=t)
+        rec = run_trial(z, 2, SeededStream(31, t))
         validate_trial_record(rec)
         assert 0.0 <= rec.entropy <= cap + 1e-12
         assert all(lam >= 1.0 - 1e-10 for lam in rec.symplectic_spectrum)
@@ -444,12 +472,20 @@ def poisoned_reference(poison):
 
 def test_run_trial_matches_reference():
     z = [3.0, 1.5, 1.0, 1.0, 1.0]
-    gen, ref_gen = SeededStream(40, 2).generator(), SeededStream(40, 2).generator()
     for t in range(20):
-        # both consume their generator in place, trial after trial
-        assert repr(run_trial(z, 2, gen, trial_id=t)) == repr(
-            oracles.reference_run_trial(z, 2, ref_gen, trial_id=t)
+        assert repr(run_trial(z, 2, SeededStream(40, t))) == repr(
+            oracles.reference_run_trial(z, 2, SeededStream(40, t), trial_id=t)
         )
+
+
+@pytest.mark.parametrize("seed", [0, 40, 2**63 + 7])
+def test_run_trial_is_its_row_of_the_ensemble(seed):
+    """run_trial(z, k, SeededStream(s, t)) is trial t of the ensemble at
+    seed s, drawn by the same blocks."""
+    for z, k in (([3.0, 1.5, 1.0, 1.0, 1.0], 2), (np.linspace(1.0, 4.0, 9), 9)):
+        table = run_ensemble(z, k, 6, seed=seed)[1]
+        for t in (0, 1, 5):
+            assert repr(run_trial(z, k, SeededStream(seed, t))) == repr(table.records()[t])
 
 
 @pytest.mark.parametrize("seed", [0, 12, -3, 2**40 + 1, 2**64 + 5])
@@ -810,7 +846,7 @@ def test_flagged_rows_survive_csv(tmp_path):
         entropy=nan, f_value=nan, delta=nan, purity_residual=nan,
         tr_jm2=nan, tr_jm4=nan, flagged=True,
     )
-    live = run_trial(np.ones(2), 1, SeededStream(6), trial_id=1)
+    live = run_trial(np.ones(2), 1, SeededStream(6, 1))
     path = tmp_path / "mixed.csv"
     path.write_text(format_trials_csv(table_from_records([flagged, live])))
     back, _ = read_trials_csv(path)
@@ -856,17 +892,21 @@ def test_summary_jsonable_handles_nan():
 
 def test_concentration_sweep_rows():
     scaling = ScalingConfig()
-    rows = concentration_sweep(scaling, (4, 6), samples=30, seed=11)
-    assert [n for n, _ in rows] == [4, 6]
-    for index, (n, summary) in enumerate(rows):
+    rows = list(concentration_sweep(scaling, (4, 6), samples=30, seed=11))
+    assert [n for n, _, _ in rows] == [4, 6]
+    for index, (n, summary, table) in enumerate(rows):
+        assert len(table) == 30
         assert summary.n == n
         assert summary.k == 1
         assert summary.samples == 30
         assert summary.seed == 11 + index  # rows draw from disjoint streams
 
 
-def test_concentration_sweep_vacuum_and_hooks():
-    sunk = []
+def test_concentration_sweep_vacuum_and_hooks(monkeypatch):
+    """Each row is yielded as it finishes, before the next one runs."""
+    ran = []
+    real = harness.run_ensemble
+    monkeypatch.setattr(harness, "run_ensemble", lambda spec, *args: ran.append(spec.n) or real(spec, *args))
     rows = concentration_sweep(
         ScalingConfig(),
         (4, 5),
@@ -874,20 +914,22 @@ def test_concentration_sweep_vacuum_and_hooks():
         seed=13,
         k=2,
         base_profile="vacuum",
-        record_sink=lambda n, summary, table: sunk.append((n, len(table))),
     )
-    assert sunk == [(4, 10), (5, 10)]
-    for _, summary in rows:
+    sunk = []
+    for n, summary, table in rows:
+        assert ran == [4, 5][: len(sunk) + 1]
+        sunk.append((n, len(table)))
         assert summary.k == 2
         assert abs(summary.mean_f) < 1e-12
         assert summary.std_entropy == 0.0
+    assert sunk == [(4, 10), (5, 10)]
 
 
 def test_concentration_sweep_guards():
     with pytest.raises(DomainError):
-        concentration_sweep(ScalingConfig(), (3,), samples=5, seed=0)
+        list(concentration_sweep(ScalingConfig(), (3,), samples=5, seed=0))
     with pytest.raises(DomainError):
-        concentration_sweep(ScalingConfig(), (4,), samples=5, seed=0, base_profile="weird")
+        list(concentration_sweep(ScalingConfig(), (4,), samples=5, seed=0, base_profile="weird"))
 
 
 def test_lipschitz_bound_value():

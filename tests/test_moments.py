@@ -142,16 +142,6 @@ def test_expected_f_decay_pins():
         assert Fraction(1, 4) < ratio < Fraction(1, 3)
 
 
-def test_expected_f_alternate_reference():
-    mi = spiked(4)
-    default = expected_f_exact(mi)
-    explicit = expected_f_exact(mi, lambda_bar=_exact(mi, _average_energy))
-    assert default == explicit
-    # a shifted reference changes the constant and quadratic terms only
-    other = expected_f_exact(mi, lambda_bar=Fraction(2))
-    assert other == _exact(mi, _fourth_moment) + 8 * _exact(mi, _second_moment) + 32
-
-
 def test_float_wrappers_match_exact():
     """The report's floats are the exact values rounded once."""
     mi = spiked(5)
@@ -281,24 +271,21 @@ def spectra(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    case=spectra(),
-    lambda_bar=st.one_of(st.none(), st.floats(0.5, 10.0), st.fractions(1, 10, max_denominator=40)),
-)
-@example(case=([1.0000000000000002, 3.0, 1.5, 2.75], 2), lambda_bar=None)
-@example(case=([Fraction(3, 2), Fraction(7, 5), 2, 2.5, 1], 5), lambda_bar=Fraction(4, 3))
-def test_exact_moments_equal_the_fraction_reference(case, lambda_bar):
+@given(case=spectra())
+@example(case=([1.0000000000000002, 3.0, 1.5, 2.75], 2))
+@example(case=([Fraction(3, 2), Fraction(7, 5), 2, 2.5, 1], 5))
+def test_exact_moments_equal_the_fraction_reference(case):
     """Every exact value equals the running-Fraction reference exactly, and
     every value of the report is float() of it, bit for bit."""
     z, k = case
     mi = moment_inputs_from_spectrum(z, k)
-    ref = reference_moments(z, k, lambda_bar)
+    ref = reference_moments(z, k)
     assert _exact(mi, _average_energy) == ref["average_energy"]
     checks = {
         "tilde_lambda_sq": (lambda m: _exact(m, _tilde_lambda_squared), 2),
         "second_moment": (lambda m: _exact(m, _second_moment), 2),
         "fourth_moment": (lambda m: _exact(m, _fourth_moment), 4),
-        "expected_f": (lambda m: expected_f_exact(m, lambda_bar), 4),
+        "expected_f": (expected_f_exact, 4),
     }
     for name, (exact_fn, min_n) in checks.items():
         if mi.n < min_n:
@@ -309,12 +296,11 @@ def test_exact_moments_equal_the_fraction_reference(case, lambda_bar):
         assert exact_fn(mi) == ref[name], name
     if mi.n >= 4:
         report = compute_moment_report(z, k)
-        default = reference_moments(z, k) if lambda_bar is not None else ref
-        assert report.lambda_bar == float(default["average_energy"])
-        assert report.tilde_lambda_sq == float(default["tilde_lambda_sq"])
-        assert report.second_moment == float(default["second_moment"])
-        assert report.fourth_moment == float(default["fourth_moment"])
-        assert report.expected_f == float(default["expected_f"])
+        assert report.lambda_bar == float(ref["average_energy"])
+        assert report.tilde_lambda_sq == float(ref["tilde_lambda_sq"])
+        assert report.second_moment == float(ref["second_moment"])
+        assert report.fourth_moment == float(ref["fourth_moment"])
+        assert report.expected_f == float(ref["expected_f"])
 
 
 def exact_report(z, k):

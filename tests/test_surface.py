@@ -60,3 +60,31 @@ def test_public_name_has_a_caller(path, node):
     for other, tree in SOURCES.items():
         used |= _references(tree, skip=node if other == path else None)
     assert node.name in used, f"{path.name}: {node.name} has no caller in src/ or perfbench/"
+
+
+DRAWS = {"standard_normal", "standard_exponential"}
+
+
+def _draw_sites(tree, scope="") -> set:
+    """The (scope, method) of every call of a DRAWS method in tree, scope
+    the dotted name of the innermost enclosing function or class."""
+    sites = set()
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in DRAWS:
+            sites.add((scope, node.func.attr))
+        sites |= _draw_sites(node, inner)
+    return sites
+
+
+def test_draws_are_laid_out_in_draw_block_only():
+    """A stream's Gaussian and exponential draws are taken in one place, so
+    every trial and profile sample of a seed draws the same bits."""
+    sites = {
+        (f"{path.stem}.{scope}", method)
+        for path, tree in SOURCES.items()
+        for scope, method in _draw_sites(tree)
+    }
+    assert sites == {("harness.draw_block", method) for method in DRAWS}
