@@ -25,7 +25,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -383,11 +383,13 @@ def _emit_text(text: str, path: str | None) -> None:
 def _run_moments(cfg: RunConfig) -> int:
     z = cfg.z_profile.fixed_spectrum()
     report = compute_moment_report(z, cfg.k)
+    # rendered once: the digest takes a profile string as it stands
+    profile = profile_to_string(cfg.z_profile)
     payload = {
-        "provenance": _provenance(cfg)[0],
+        "provenance": _provenance(replace(cfg, z_profile=profile))[0],
         "n": cfg.z_profile.n,
         "k": cfg.k,
-        "z_profile": profile_to_string(cfg.z_profile),
+        "z_profile": profile,
         **asdict(report),
     }
     _emit_text(json_text(payload), cfg.output_path)

@@ -189,17 +189,21 @@ def run_trial(z, k: int, stream: SeededStream) -> TrialRecord:
     return _run_block((spec, k, seed, t, t + 1)).records()[0]
 
 
+def _as_int(name: str, value, error=DomainError) -> int:
+    """value as a Python int: a float count would be truncated or fail in
+    numpy, and a numpy integer would be written as np.int64(1) in the CSV,
+    fail the JSON encoder, and overflow the stream keys."""
+    if not isinstance(value, Integral):
+        raise error(f"need an integer {name}, got {name}={value!r}")
+    return int(value)
+
+
 def _checked_k_and_seed(k, seed, n: int) -> tuple:
-    """(k, seed) as Python ints, k in 1..n: a numpy integer would be written
-    as np.int64(1) in the CSV, fail the JSON encoder, and overflow the
-    stream keys."""
-    if not isinstance(k, Integral):
-        raise InvalidSubsystem(f"need an integer k, got k={k!r}")
+    """(k, seed) as Python ints, k in 1..n."""
+    k = _as_int("k", k, InvalidSubsystem)
     if not 1 <= k <= n:
         raise InvalidSubsystem(f"k={k} outside 1..{n}")
-    if not isinstance(seed, Integral):
-        raise DomainError(f"need an integer seed, got seed={seed!r}")
-    return int(k), int(seed)
+    return k, _as_int("seed", seed)
 
 
 def _block_records(z, lam_bars, draws, k: int, trial_ids) -> TrialTable:
@@ -426,6 +430,7 @@ def run_ensemble(profile, k: int, samples: int, seed: int, workers: int = 1):
     count.
     """
     spec = profile if isinstance(profile, ProfileSpec) else fixed_profile(profile)
+    samples, workers = _as_int("samples", samples), _as_int("workers", workers)
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples}")
     if workers < 1:
@@ -474,7 +479,7 @@ def concentration_sweep(
     (seed + index) so rows stay independent.
     """
     for index, n in enumerate(n_list):
-        n = int(n)
+        n = _as_int("n", n)
         if n < SWEEP_MIN_N:
             raise DomainError(f"sweep rows need n >= {SWEEP_MIN_N}, got {n}")
         if base_profile == "constant":

@@ -20,18 +20,18 @@ n = 1024 and 33 ms at n = 65536, against 7 ms and 0.75 s with one leaf per
 mode (2-core Xeon, Python 3.11).
 
 ``compute_moment_report`` needs only five floats, so it first runs the same
-formula functions on integer intervals at scale 2**-192 (``_Interval``): a
-power sum's bounds add the floor and the ceiling of each distinct mode's
-terms, and every product rounds its bounds outwards, so each value's
-interval holds the exact value. Rounding to nearest is monotone: when both
-bounds round to the same float (Python's int division rounds correctly), the
-exact value rounds to it too, and the report has the bytes the exact route
-would give. When a bound cannot settle the rounding, or lies beyond the
-float range, the whole report comes from the exact tree, with its errors. None
-of 3000 random float spectra tried needed that fallback. On a 2-core Xeon
-(Python 3.11) a random spectrum at n = 1024 takes about 18 ms instead of
-190 ms. A constant one takes 1.5 ms, and 1.2 ms on the exact tree, whose
-one leaf is its one mode.
+formula functions on integer intervals at scale 2**-192 (``_Interval``). Each
+distinct mode brackets a and b once, by their floor and ceiling; products of
+those brackets, summed with weights m in whole-array passes over the mode
+table and rounded outwards, bracket the power sums, and every later product
+rounds outwards too, so each value's interval holds the exact value. Rounding to
+nearest is monotone: when both bounds round to the same float (Python's int
+division rounds correctly), the exact value rounds to it too, and the report
+has the bytes the exact route would give. When a bound cannot settle the
+rounding, or lies beyond the float range, the whole report comes from the
+exact tree, with its errors. On a 2-core Xeon (Python 3.11, numpy 2.4) a
+random spectrum at n = 1024 takes 6-8 ms (115-190 ms on the exact tree), one
+at n = 256 2-3 ms, and a constant one or the vacuum 0.5-1 ms.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from numbers import Integral, Rational
+
+import numpy as np
 
 from .errors import DimensionTooSmall, DomainError, InvalidSubsystem
 
@@ -101,6 +103,8 @@ class MomentReport:
 def _ratio(x) -> tuple[int, int]:
     """x = p/q exactly, in lowest terms with q > 0, as Python ints; a value
     that is not a Rational is taken as its float, which converts losslessly."""
+    if isinstance(x, float):  # numpy floats too, before the slower ABC check
+        return x.as_integer_ratio()
     if isinstance(x, Rational):
         x = Fraction(x)
         return int(x.numerator), int(x.denominator)  # numpy integers too
@@ -278,9 +282,10 @@ def expected_f_exact(mi: MomentInputs) -> Fraction:
 
 # The interval route of compute_moment_report: the formula functions above,
 # run with D = 1 on power sums bracketed at scale 2**-_PRECISION. At 192 bits
-# none of 3000 random float spectra (n = 4..300) needed the exact route; at
-# 64 bits 161 of 1000 (n = 4..64) did.
+# 1 of 12000 random float spectra (n = 4..300) needed the exact route; at 64
+# bits 176 of 1000 uniform in [1, 3) (n = 4..64) did.
 _PRECISION = 192
+_CHUNK = 64  # modes per pass of _interval_sums: bounds its live big integers
 
 
 class _Undecided(Exception):
@@ -324,15 +329,22 @@ class _Interval:
 
 def _interval_sums(modes) -> tuple[int, dict]:
     """(1, intervals): the power sums bracketed, D = 1. Each distinct mode
-    adds the floor and the ceiling of its m a^i b^j."""
+    brackets a = x/d and b = y/d once at scale 2**-_PRECISION; as a, b >= 0,
+    the m-weighted sums of products of lower and of upper ends, rounded
+    outwards, bracket the power sums. Passes over _CHUNK modes at a time."""
     lo, hi = [0] * len(_POWER_SUMS), [0] * len(_POWER_SUMS)
-    for p, q, m in modes:
-        d, terms = _mode_terms(p, q, m)
-        for s, (_, i, j) in enumerate(_POWER_SUMS):
-            floor, rest = divmod(terms[s] << _PRECISION, d ** (i + j))
-            lo[s] += floor
-            hi[s] += floor + (rest != 0)
-    return 1, {name: _Interval(l, h) for (name, _, _), l, h in zip(_POWER_SUMS, lo, hi)}
+    for start in range(0, len(modes), _CHUNK):
+        p, q, m = np.array(modes[start:start + _CHUNK], dtype=object).T
+        d = 2 * p * q
+        x, y = (p * p - q * q) << _PRECISION, (p * p + q * q) << _PRECISION
+        for sums, a, b in ((lo, x // d, y // d), (hi, -(-x // d), -(-y // d))):
+            a2, b2 = a * a, b * b
+            for s, power in enumerate((b, b2, b2 * b, b2 * b2, a2, a2 * a2, a2 * b2, a2 * b)):
+                sums[s] += power.dot(m)  # in _POWER_SUMS order, at scale 2**-(g * _PRECISION)
+    return 1, {
+        name: _Interval(l >> (i + j - 1) * _PRECISION, -(-h >> (i + j - 1) * _PRECISION))
+        for (name, i, j), l, h in zip(_POWER_SUMS, lo, hi)
+    }
 
 
 def _interval_to_float(_sums, value: tuple[_Interval, int, int], name: str) -> float:
@@ -365,21 +377,12 @@ def _report(mi, sums, to_float) -> MomentReport:
 
 def compute_moment_report(z, k: int) -> MomentReport:
     """Evaluate all moment expectations for a squeezing spectrum, with
-    lambda_bar fixed to the exact average energy of z.
-
-    Each value is the correctly rounded float of its exact value, as
-    float() of its part's exact Fraction (see _exact) gives. The mode table
-    of z is built once, and the formula functions first run on intervals
-    read from it
-    (see _Interval), one division per distinct mode and power sum; a float
-    that both ends of its interval round to is the exact value's float too,
-    since rounding to nearest is monotone. If any of the five is left
-    undecided, or lies past the float range, the whole report comes from
-    the exact power sums of the same table instead, one tree leaf per
-    distinct mode, with their errors. A random float spectrum at n = 1024
-    takes about 18 ms so, against 190 ms on the exact power sums; a
-    constant one, a single mode, about 1.5 ms on either (2-core Xeon,
-    Python 3.11)."""
+    lambda_bar fixed to the exact average energy of z. Each value is the
+    correctly rounded float of its exact value (float() of its part's
+    Fraction, see _exact): the formula functions run first on intervals
+    around the power sums of z's mode table (_interval_sums), and if any of
+    the five is left undecided, or lies past the float range, on the exact
+    power sums of the same table, with their errors."""
     mi = moment_inputs_from_spectrum(z, k)
     try:
         return _report(mi, _interval_sums(mi.modes), _interval_to_float)

@@ -153,6 +153,36 @@ def test_k_and_seed_must_be_integers():
         run_ensemble([2.0, 1.0, 1.0], 1, 2, 3.0)
 
 
+def test_sweep_n_must_be_an_integer():
+    """n = 4.9 is an error, not a silent row at n = 4."""
+    with pytest.raises(DomainError, match="need an integer n, got n=4.9"):
+        next(concentration_sweep(ScalingConfig(), [4.9], 3, 0))
+
+
+def test_samples_must_be_an_integer():
+    with pytest.raises(DomainError, match="need an integer samples, got samples=2.5"):
+        run_ensemble([2.0, 1, 1], 1, 2.5, 0)
+
+
+def test_workers_must_be_an_integer():
+    with pytest.raises(DomainError, match="need an integer workers, got workers=1.5"):
+        run_ensemble([2.0, 1, 1], 1, 2, 0, workers=1.5)
+
+
+def test_numpy_integer_counts_act_as_ints():
+    """numpy samples, workers and sweep n run as the Python ints would, and
+    the sweep yields a Python int n."""
+    z = [2.0, 1.0, 1.0]
+    summary, table = run_ensemble(z, 1, 3, 0, workers=2)
+    np_summary, np_table = run_ensemble(z, 1, np.int64(3), 0, workers=np.int64(2))
+    assert format_trials_csv(np_table) == format_trials_csv(table)
+    assert json_text(summary_to_jsonable(np_summary)) == json_text(summary_to_jsonable(summary))
+    (n, row, _), = concentration_sweep(ScalingConfig(), [np.int64(4)], np.int64(3), 0)
+    (_, expected, _), = concentration_sweep(ScalingConfig(), [4], 3, 0)
+    assert type(n) is int and n == 4
+    assert json_text(summary_to_jsonable(row)) == json_text(summary_to_jsonable(expected))
+
+
 def test_trial_invariants_hold_in_bulk():
     z = np.array([3.0, 2.0, 1.0, 1.0, 1.0])
     cap = 2 * entropy_G(3.0)  # k modes, each eigenvalue at most max(z)

@@ -463,6 +463,44 @@ def test_report_equals_the_exact_route(case):
         assert repr(compute_moment_report(z, k)) == repr(expected)
 
 
+def assert_brackets_hold(mi):
+    """Every bracket _interval_sums gives holds its exact power sum
+    num / D**g, compared in integers: lo * D**g <= num * 2**P <= hi * D**g."""
+    D, exact = mi._sums
+    _, brackets = moments._interval_sums(mi.modes)
+    for name, i, j in moments._POWER_SUMS:
+        scale, scaled = D ** (i + j), exact[name] << moments._PRECISION
+        assert brackets[name].lo * scale <= scaled <= brackets[name].hi * scale, name
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(spectra(), wide_spectra()))
+@example(case=([1] * 5, 1))
+@example(case=([1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51, 1.0 + 2.0**-52], 1))
+@example(case=([Fraction(7, 3), Fraction(11, 9), Fraction(13, 5), Fraction(7, 3), 1e150], 2))
+def test_interval_sums_bracket_the_exact_power_sums(case):
+    """z = 1 exactly (a = 0), a few ulps above 1, fractions with odd
+    denominators, repeats (m > 1) and twenty decades of squeezing."""
+    z, k = case
+    assert_brackets_hold(moment_inputs_from_spectrum(z, k))
+
+
+@pytest.mark.parametrize("size", [1, moments._CHUNK - 1, moments._CHUNK, moments._CHUNK + 1, 3 * moments._CHUNK])
+def test_brackets_hold_at_chunk_boundaries(size):
+    """Mode tables that end one short of, at and one past a chunk boundary,
+    with z = 1, a value an ulp above 1, odd-denominator fractions and
+    repeated values among their modes; the report stays the exact route's."""
+    rng = random.Random(size)
+    edges = [1, 1.0 + 2.0**-52, Fraction(5, 3), Fraction(22, 7)][:size]
+    values = edges + [1.0 + 2.0 * rng.random() for _ in range(size - len(edges))]
+    z = values + values[::3] + values[:1] * 4
+    mi = moment_inputs_from_spectrum(z, 1)
+    assert len(mi.modes) == size and max(m for _, _, m in mi.modes) > 1
+    assert_brackets_hold(mi)
+    if mi.n >= 4:
+        assert repr(compute_moment_report(z, 1)) == repr(exact_report(z, 1))
+
+
 def test_one_mode_expected_f_is_the_beta_law_mean():
     """At k = 1 the exact E f of a constant spectrum is 16 a^4/((n+1)(n+3)),
     a = (z - 1/z)/2: the mean of 2 delta^2 under its Beta law."""
