@@ -8,35 +8,34 @@ value. The coefficient tables cancel heavily at large n, which float
 evaluation would corrupt.
 
 A spectrum enters as one mode table, ``MomentInputs``: each distinct
-z_j = p/q once, with its multiplicity m. Both routes below read it, so a
-repeated value costs one mode however often it occurs.
+z_j = p/q once, with its multiplicity m. Each mode has a = (p^2 - q^2)/2pq
+and b = (p^2 + q^2)/2pq, so b^2 - a^2 = 1: both routes below sum m b^g for
+g = 1..4 only, and the sums of a follow from those (``_with_a_sums``).
 
 The exact route runs on plain integers: a binary-splitting tree with one
-leaf per distinct mode sums m times its powers over D = lcm of the
-denominators 2pq, and each moment formula, homogeneous in those power sums,
-is one integer over (small integer) * D**g. ``expected_f_exact`` builds one
-``Fraction`` from it. The exact E f of a constant spectrum takes 0.6 ms at
-n = 1024 and 33 ms at n = 65536, against 7 ms and 0.75 s with one leaf per
-mode (2-core Xeon, Python 3.11).
+leaf per distinct mode sums over D**g, D the lcm of the denominators 2pq,
+and each moment formula, homogeneous in the power sums, is one integer over
+(small integer) * D**g, from which ``expected_f_exact`` builds a Fraction.
 
 ``compute_moment_report`` needs only five floats, so it first runs the same
 formula functions on integer intervals at scale 2**-192 (``_Interval``). Each
-distinct mode brackets a and b once, by their floor and ceiling; products of
-those brackets, summed with weights m in whole-array passes over the mode
-table and rounded outwards, bracket the power sums, and every later product
-rounds outwards too, so each value's interval holds the exact value. Rounding to
-nearest is monotone: when both bounds round to the same float (Python's int
-division rounds correctly), the exact value rounds to it too, and the report
-has the bytes the exact route would give. When a bound cannot settle the
-rounding, or lies beyond the float range, the whole report comes from the
-exact tree, with its errors. On a 2-core Xeon (Python 3.11, numpy 2.4) a
-random spectrum at n = 1024 takes 6-8 ms (115-190 ms on the exact tree), one
-at n = 256 2-3 ms, and a constant one or the vacuum 0.5-1 ms.
+distinct mode floors b once, and its ceiling is one unit more unless the
+division was exact; sums over both ends, in whole-array passes over the mode
+table and rounded outwards, bracket every power sum, and every later product
+rounds outwards too, so each value's interval holds the exact value. Rounding
+to nearest is monotone: when both bounds round to the same float (Python's
+int division rounds correctly), the exact value rounds to it too, and the
+report has the bytes the exact route would give. Otherwise, or past the
+float range, the whole report comes from the exact tree, with its errors. On
+a 2-core Xeon (Python 3.11, numpy 2.4) a random spectrum at n = 1024 takes
+3-5.5 ms (76-145 ms on the exact tree), one at n = 256 0.8-1.6 ms, and a
+constant one or the vacuum 0.4-1.2 ms.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,23 +66,31 @@ class MomentInputs:
     modes: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if not self.modes:
+        modes, count, index = [], 0, operator.index
+        for p, q, m in self.modes:
+            try:
+                p, q, m = index(p), index(q), index(m)
+            except TypeError:
+                raise DomainError(f"need integer (p, q, m) modes, got {(p, q, m)!r}") from None
+            if q < 1:
+                raise DomainError("need denominators q >= 1")
+            if p < q:
+                raise DomainError("squeezing parameters must be >= 1")
+            if m < 1:
+                raise DomainError("need multiplicities m >= 1")
+            modes.append((p, q, m))
+            count += m
+        if not modes:
             raise DomainError("squeezing spectrum must be nonempty")
-        if any(q < 1 for _, q, _ in self.modes):
-            raise DomainError("need denominators q >= 1")
-        if any(p < q for p, q, _ in self.modes):
-            raise DomainError("squeezing parameters must be >= 1")
-        if any(m < 1 for _, _, m in self.modes):
-            raise DomainError("need multiplicities m >= 1")
-        count = sum(m for _, _, m in self.modes)
         if count != self.n:
             raise DimensionTooSmall(f"need {self.n} modes, got {count}")
         if not isinstance(self.k, Integral):
             raise InvalidSubsystem(f"need an integer k, got k={self.k!r}")
         if not 1 <= self.k <= self.n:
             raise InvalidSubsystem(f"need 1 <= k <= {self.n}, got k={self.k}")
-        # numpy integers would overflow in the coefficient tables
+        # numpy integers would wrap in the power sums and the coefficient tables
         object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "modes", tuple(modes))
 
     @cached_property
     def _sums(self) -> tuple[int, dict]:
@@ -101,13 +108,12 @@ class MomentReport:
 
 
 def _ratio(x) -> tuple[int, int]:
-    """x = p/q exactly, in lowest terms with q > 0, as Python ints; a value
-    that is not a Rational is taken as its float, which converts losslessly."""
+    """x = p/q exactly, in lowest terms with q > 0; a value that is not a
+    Rational is taken as its float, which converts losslessly."""
     if isinstance(x, float):  # numpy floats too, before the slower ABC check
         return x.as_integer_ratio()
     if isinstance(x, Rational):
-        x = Fraction(x)
-        return int(x.numerator), int(x.denominator)  # numpy integers too
+        return Fraction(x).as_integer_ratio()
     return float(x).as_integer_ratio()
 
 
@@ -118,33 +124,35 @@ def moment_inputs_from_spectrum(z, k: int) -> MomentInputs:
     equal values share one entry, so a repeated value costs one mode.
     """
     counts = Counter(_ratio(x) for x in z)
-    modes = tuple((p, q, m) for (p, q), m in counts.items())
-    return MomentInputs(n=sum(counts.values()), k=k, modes=modes)
+    return MomentInputs(n=sum(counts.values()), k=k, modes=((p, q, m) for (p, q), m in counts.items()))
 
 
-# (name, power of a, power of b) of the power sums the moment tables use
-_POWER_SUMS = (
-    ("trB", 0, 1), ("trB2", 0, 2), ("trB3", 0, 3), ("trB4", 0, 4),
-    ("trA2", 2, 0), ("trA4", 4, 0), ("trA2B2", 2, 2), ("trA2B", 2, 1),
-)
+# The power sums both routes build; the degree of each sum the formulas read
+_POWER_SUMS = ("trB", "trB2", "trB3", "trB4")
+_DEGREES = dict(zip(_POWER_SUMS, range(1, 5)), trA2=2, trA4=4, trA2B2=4, trA2B=3)
+
+
+def _with_a_sums(n: int, D: int, b_sums: list[int]) -> tuple[int, dict]:
+    """(D, numerators over D**g) of b's power sums and, as a^2 = b^2 - 1 in
+    every mode, of the four sums of a the formulas read."""
+    trB, trB2, trB3, trB4 = b_sums
+    D2 = D * D
+    return D, dict(zip(_POWER_SUMS, b_sums), trA2=trB2 - n * D2, trA4=trB4 - 2 * D2 * trB2 + n * D2 * D2,
+                   trA2B2=trB4 - D2 * trB2, trA2B=trB3 - D2 * trB)
 
 
 def _mode_terms(p: int, q: int, m: int) -> tuple[int, list[int]]:
-    """(d, [m a^i b^j d^(i+j)] over _POWER_SUMS) of the mode z = p/q with
-    multiplicity m, whose a = (p^2 - q^2) / d and b = (p^2 + q^2) / d share
-    d = 2pq."""
-    x, y = p * p - q * q, p * p + q * q
-    return 2 * p * q, [m * x**i * y**j for _, i, j in _POWER_SUMS]
+    """(d, [m (b d)^g for g = 1..4]) of the mode z = p/q, m times: b = (p^2 + q^2) / d, d = 2pq."""
+    y = p * p + q * q
+    return 2 * p * q, [m * y**g for g in range(1, 5)]
 
 
 def _merge(left: tuple[int, list[int]], right: tuple[int, list[int]]) -> tuple[int, list[int]]:
     """Add two (D, numerators) nodes over the lcm of their denominators."""
     (d1, n1), (d2, n2) = left, right
     g = math.gcd(d1, d2)
-    p1, p2 = [(d2 // g) ** e for e in range(5)], [(d1 // g) ** e for e in range(5)]
-    return d1 * p1[1], [
-        u * p1[i + j] + v * p2[i + j] for u, v, (_, i, j) in zip(n1, n2, _POWER_SUMS)
-    ]
+    f1, f2 = d2 // g, d1 // g
+    return d1 * f1, [u * f1**e + v * f2**e for e, (u, v) in enumerate(zip(n1, n2), 1)]
 
 
 def _power_sums(mi: MomentInputs) -> tuple[int, dict]:
@@ -156,8 +164,7 @@ def _power_sums(mi: MomentInputs) -> tuple[int, dict]:
     while len(nodes) > 1:
         merged = [_merge(nodes[i], nodes[i + 1]) for i in range(0, len(nodes) - 1, 2)]
         nodes = merged + nodes[2 * len(merged):]
-    denominator, numerators = nodes[0]
-    return denominator, {name: num for (name, _, _), num in zip(_POWER_SUMS, numerators)}
+    return _with_a_sums(mi.n, *nodes[0])
 
 
 # An exact value in the making is a triple (num, den, g) that stands for
@@ -202,7 +209,7 @@ def _tilde_lambda_squared(mi: MomentInputs, sums) -> tuple[int, int, int]:
     n, k = mi.n, mi.k
     D, ps = sums
     return _sum_terms(D, [
-        ((n - k) * ps["trB"] ** 2, n * (n * n - 1), 2),
+        ((n - k) * ps["trB"] * ps["trB"], n * (n * n - 1), 2),
         (-(k + 1) * ps["trA2"], n * (n + 1), 2),
         ((k * n - 1) * ps["trB2"], n * (n * n - 1), 2),
     ])
@@ -275,22 +282,20 @@ def _expected_f(mi: MomentInputs, sums, fourth=None, tl=None) -> tuple[int, int,
 
 
 def expected_f_exact(mi: MomentInputs) -> Fraction:
-    """Exact E[f] = E[tr((JM)^4)] + 2*lb^2*E[tr((JM)^2)] + 2k*lb^4, with lb
-    the exact average energy tr(B)/n."""
+    """Exact E[f] (see _expected_f), lb the exact average energy tr(B)/n."""
     return _exact(mi, _expected_f)
 
 
 # The interval route of compute_moment_report: the formula functions above,
 # run with D = 1 on power sums bracketed at scale 2**-_PRECISION. At 192 bits
-# 1 of 12000 random float spectra (n = 4..300) needed the exact route; at 64
-# bits 176 of 1000 uniform in [1, 3) (n = 4..64) did.
+# 0 to 1 of 12000 random float spectra (n = 4..300) need the exact route; at
+# 64 bits about 200 of 1000 uniform in [1, 3) (n = 4..64) do.
 _PRECISION = 192
 _CHUNK = 64  # modes per pass of _interval_sums: bounds its live big integers
 
 
 class _Undecided(Exception):
-    """An interval whose ends round to different floats, or past the float
-    range."""
+    """An interval whose ends round to different floats, or past the float range."""
 
 
 class _Interval:
@@ -320,30 +325,28 @@ class _Interval:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        power = self
-        for _ in range(exponent - 1):
-            power = power * self
-        return power
 
-
-def _interval_sums(modes) -> tuple[int, dict]:
-    """(1, intervals): the power sums bracketed, D = 1. Each distinct mode
-    brackets a = x/d and b = y/d once at scale 2**-_PRECISION; as a, b >= 0,
-    the m-weighted sums of products of lower and of upper ends, rounded
-    outwards, bracket the power sums. Passes over _CHUNK modes at a time."""
-    lo, hi = [0] * len(_POWER_SUMS), [0] * len(_POWER_SUMS)
-    for start in range(0, len(modes), _CHUNK):
-        p, q, m = np.array(modes[start:start + _CHUNK], dtype=object).T
-        d = 2 * p * q
-        x, y = (p * p - q * q) << _PRECISION, (p * p + q * q) << _PRECISION
-        for sums, a, b in ((lo, x // d, y // d), (hi, -(-x // d), -(-y // d))):
-            a2, b2 = a * a, b * b
-            for s, power in enumerate((b, b2, b2 * b, b2 * b2, a2, a2 * a2, a2 * b2, a2 * b)):
-                sums[s] += power.dot(m)  # in _POWER_SUMS order, at scale 2**-(g * _PRECISION)
+def _interval_sums(mi: MomentInputs) -> tuple[int, dict]:
+    """(1, intervals): the power sums bracketed, D = 1. Each mode floors b =
+    y/d at scale 2**-_PRECISION to c, with e = 0 if b = c and 1 if not. Every
+    summand grows with b >= 1, so its sums over c and over c + e, rounded
+    outwards, bracket each power sum: (c + e)**g = c**g + e * sum_{i<g} C(g, i) c**i."""
+    lo, up = [0] * 4, [0] * 4  # sum m c**g for g = 1..4, sum m e c**i for i = 0..3
+    for start in range(0, len(mi.modes), _CHUNK):
+        p, q, m = np.array(mi.modes[start:start + _CHUNK], dtype=object).T
+        y, d = (p * p + q * q) << _PRECISION, 2 * p * q
+        c = y // d
+        me, c2 = m * (c * d != y), c * c
+        up[0] += me.sum()
+        for g, power in enumerate((c, c2, c2 * c, c2 * c2)):
+            lo[g] += power.dot(m)
+            if g < 3:
+                up[g + 1] += power.dot(me)
+    hi = [low + sum(math.comb(g, i) * up[i] for i in range(g)) for g, low in enumerate(lo, 1)]
+    (_, lower), (_, upper) = (_with_a_sums(mi.n, 1 << _PRECISION, sums) for sums in (lo, hi))
     return 1, {
-        name: _Interval(l >> (i + j - 1) * _PRECISION, -(-h >> (i + j - 1) * _PRECISION))
-        for (name, i, j), l, h in zip(_POWER_SUMS, lo, hi)
+        name: _Interval(lower[name] >> (g - 1) * _PRECISION, -(-upper[name] >> (g - 1) * _PRECISION))
+        for name, g in _DEGREES.items()
     }
 
 
@@ -377,15 +380,12 @@ def _report(mi, sums, to_float) -> MomentReport:
 
 def compute_moment_report(z, k: int) -> MomentReport:
     """Evaluate all moment expectations for a squeezing spectrum, with
-    lambda_bar fixed to the exact average energy of z. Each value is the
-    correctly rounded float of its exact value (float() of its part's
-    Fraction, see _exact): the formula functions run first on intervals
-    around the power sums of z's mode table (_interval_sums), and if any of
-    the five is left undecided, or lies past the float range, on the exact
-    power sums of the same table, with their errors."""
+    lambda_bar the exact average energy of z. Each value is float() of its
+    part's exact Fraction (see _exact): from the interval sums if all five
+    are decided, from the exact sums, with their errors, if not."""
     mi = moment_inputs_from_spectrum(z, k)
     try:
-        return _report(mi, _interval_sums(mi.modes), _interval_to_float)
+        return _report(mi, _interval_sums(mi), _interval_to_float)
     except _Undecided:
         pass
     return _report(mi, mi._sums, _to_float)

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from cvtypical.moments import (
     moment_inputs_from_spectrum,
 )
 from cvtypical.symplectic import average_energies
-from oracles import reference_moments
+from oracles import _ab_vectors, reference_moments
 
 
 def spiked(n):
@@ -179,14 +180,33 @@ def test_moment_input_validation():
         (3, 1, ((2, 1, 1), (3, 1, 1)), DimensionTooSmall, "need 3 modes, got 2"),
         (2, 3, ((2, 1, 1), (3, 1, 1)), InvalidSubsystem, "need 1 <= k <= 2, got k=3"),
         (2, 0, ((2, 1, 1), (3, 1, 1)), InvalidSubsystem, "need 1 <= k <= 2, got k=0"),
+        (2, 1, ((2, 1, 1), (3.0, 1, 1)), DomainError, r"need integer \(p, q, m\) modes, got \(3.0, 1, 1\)"),
+        (2, 1, ((2, 1, 1), (3, 1, 1.0)), DomainError, r"need integer \(p, q, m\) modes, got \(3, 1, 1.0\)"),
     ],
-    ids=["p_below_q", "q_below_one", "m_below_one", "multiplicities_not_n", "k_above_n", "k_below_one"],
+    ids=[
+        "p_below_q", "q_below_one", "m_below_one", "multiplicities_not_n", "k_above_n", "k_below_one",
+        "float_p", "float_m",
+    ],
 )
 def test_hand_built_inputs_are_rejected(n, k, modes, error, message):
     good = MomentInputs(n=2, k=1, modes=((2, 1, 1), (3, 1, 1)))
     assert good == moment_inputs_from_spectrum((2, 3), 1)
     with pytest.raises(error, match=message):
         MomentInputs(n=n, k=k, modes=modes)
+
+
+def test_numpy_integer_modes_act_as_ints():
+    """numpy integers in a hand-built table are Python ints on both routes:
+    3e9**4 would wrap in int64."""
+    mi = MomentInputs(n=4, k=1, modes=((np.int64(3000000000), np.int64(1), np.int64(4)),))
+    assert mi.modes == ((3000000000, 1, 4),)
+    assert all(type(entry) is int for mode in mi.modes for entry in mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = float(expected_f_exact(mi))
+        certified = moments._report(mi, moments._interval_sums(mi), moments._interval_to_float)
+    assert repr(exact) == repr(certified.expected_f) == "2.3142857142857143e+36"
+    assert repr(compute_moment_report([3e9] * 4, 1)) == repr(certified)
 
 
 def test_subsystem_size_must_be_an_integer():
@@ -355,6 +375,30 @@ def test_benchmark_shapes_need_no_exact_sums(monkeypatch, seed):
         assert repr(report) == repr(exact_report(z, k))
 
 
+@pytest.mark.parametrize(
+    "z, k",
+    [
+        (np.full(1024, 2.0), 2),
+        (np.full(1024, 4.0), 1),
+        (np.array([1.0, 2.0, 4.0] * 341 + [1.0]), 3),
+    ],
+    ids=["constant_2", "constant_4", "three_exact_modes"],
+)
+def test_exact_b_modes_keep_zero_width_brackets(monkeypatch, z, k):
+    """z = 1, 2, 4 have b = 1, 5/4, 17/8 exactly at scale 2**-_PRECISION:
+    their brackets have zero width, the report needs no exact sums and
+    equals the exact route's, alone and beside inexact modes."""
+    mi = moment_inputs_from_spectrum(z, k)
+    _, brackets = moments._interval_sums(mi)
+    assert all(bracket.lo == bracket.hi for bracket in brackets.values())
+    mixed = np.concatenate([z, [1.0 + 2.0 * random.Random(k).random() for _ in range(64)]])
+    calls = spy_on_exact_sums(monkeypatch)
+    reports = [compute_moment_report(z, k), compute_moment_report(mixed, k)]
+    assert calls == []
+    assert repr(reports[0]) == repr(exact_report(z, k))
+    assert repr(reports[1]) == repr(exact_report(mixed, k))
+
+
 def test_a_repeated_value_is_one_mode(monkeypatch):
     """A constant spectrum is one (p, q, m) entry, and its exact tree one
     leaf with nothing to merge."""
@@ -418,15 +462,15 @@ def contains(interval, x: Fraction) -> bool:
     c=st.integers(-(10**30), 10**30),
 )
 def test_interval_arithmetic_brackets_the_exact_value(x, y, c):
-    """Sums, integer and interval products and powers of brackets bracket
-    the exact results, whatever the signs."""
+    """Sums, integer and interval products and repeated products of
+    brackets bracket the exact results, whatever the signs."""
     X, Y = bracket(x), bracket(y)
     assert contains(X + Y, x + y)
     assert contains(sum([X, Y]), x + y)
     assert contains(X + c, x + c)
     assert contains(c * X, c * x) and contains(X * c, c * x)
     assert contains(X * Y, x * y)
-    assert contains(X**3, x**3)
+    assert contains(X * X * X, x**3)
 
 
 NEAR_ONE = (1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-40, 1.0 + 2.0**-26, 1.5)
@@ -463,14 +507,28 @@ def test_report_equals_the_exact_route(case):
         assert repr(compute_moment_report(z, k)) == repr(expected)
 
 
-def assert_brackets_hold(mi):
-    """Every bracket _interval_sums gives holds its exact power sum
-    num / D**g, compared in integers: lo * D**g <= num * 2**P <= hi * D**g."""
-    D, exact = mi._sums
-    _, brackets = moments._interval_sums(mi.modes)
-    for name, i, j in moments._POWER_SUMS:
-        scale, scaled = D ** (i + j), exact[name] << moments._PRECISION
-        assert brackets[name].lo * scale <= scaled <= brackets[name].hi * scale, name
+# (name, power of a, power of b) of every power sum the formulas read
+FORMULA_SUMS = (
+    ("trB", 0, 1), ("trB2", 0, 2), ("trB3", 0, 3), ("trB4", 0, 4),
+    ("trA2", 2, 0), ("trA4", 4, 0), ("trA2B2", 2, 2), ("trA2B", 2, 1),
+)
+
+
+def direct_sums(z):
+    """Each power sum of FORMULA_SUMS as a Fraction, summed term by term
+    over the diagonals a, b of z (the oracle's, not the package's)."""
+    a, b = _ab_vectors(z)
+    return {name: sum(x**i * y**j for x, y in zip(a, b)) for name, i, j in FORMULA_SUMS}
+
+
+def assert_brackets_hold(z, k):
+    """Every bracket _interval_sums gives, b's four and the four of a it
+    derives, holds the power sum summed directly from a_j and b_j:
+    lo <= sum * 2**P <= hi."""
+    _, brackets = moments._interval_sums(moment_inputs_from_spectrum(z, k))
+    for name, exact in direct_sums(z).items():
+        scaled = exact * 2**moments._PRECISION
+        assert brackets[name].lo <= scaled <= brackets[name].hi, name
 
 
 @settings(max_examples=150, deadline=None)
@@ -482,7 +540,22 @@ def test_interval_sums_bracket_the_exact_power_sums(case):
     """z = 1 exactly (a = 0), a few ulps above 1, fractions with odd
     denominators, repeats (m > 1) and twenty decades of squeezing."""
     z, k = case
-    assert_brackets_hold(moment_inputs_from_spectrum(z, k))
+    assert_brackets_hold(z, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(spectra(), wide_spectra()))
+@example(case=([1] * 5, 1))
+@example(case=([1.0 + 2.0**-52, 1e150, Fraction(7, 3), Fraction(7, 3)], 2))
+def test_exact_power_sums_equal_the_direct_sums(case):
+    """The exact tree's numerators over D**g, b's four and the four of a
+    derived from them, equal the sums built term by term from a_j and b_j."""
+    z, k = case
+    D, numerators = moment_inputs_from_spectrum(z, k)._sums
+    direct = direct_sums(z)
+    assert numerators.keys() == direct.keys()
+    for name, i, j in FORMULA_SUMS:
+        assert Fraction(numerators[name], D ** (i + j)) == direct[name], name
 
 
 @pytest.mark.parametrize("size", [1, moments._CHUNK - 1, moments._CHUNK, moments._CHUNK + 1, 3 * moments._CHUNK])
@@ -496,7 +569,7 @@ def test_brackets_hold_at_chunk_boundaries(size):
     z = values + values[::3] + values[:1] * 4
     mi = moment_inputs_from_spectrum(z, 1)
     assert len(mi.modes) == size and max(m for _, _, m in mi.modes) > 1
-    assert_brackets_hold(mi)
+    assert_brackets_hold(z, 1)
     if mi.n >= 4:
         assert repr(compute_moment_report(z, 1)) == repr(exact_report(z, 1))
 
