@@ -51,7 +51,7 @@ from .harness import (
 )
 from .moments import compute_moment_report
 from .profiles import ProfileSpec, ScalingConfig, parse_profile, profile_to_string
-from .weingarten import gram_weingarten_oracle, partitions, weingarten
+from .weingarten import gram_weingarten_oracle, weingarten
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -431,10 +431,8 @@ def _run_weingarten_check(cfg: RunConfig) -> int:
     lo, hi = cfg.n_range
     lines = ["# " + _provenance(cfg)[1], "n,cycle_type,character_sum,gram_oracle,delta"]
     mismatches = 0
-    for n in range(lo, hi + 1):
-        oracle = gram_weingarten_oracle(n, cfg.p)
-        for ct in partitions(cfg.p):
-            wg = weingarten(n, ct)
+    for n, oracle in gram_weingarten_oracle(range(lo, hi + 1), cfg.p).items():
+        for ct, wg in weingarten(n, cfg.p).items():
             delta = wg - oracle[ct]
             if delta != 0:
                 mismatches += 1

@@ -8,16 +8,21 @@ Conventions used throughout:
 - all exact values are returned as ``fractions.Fraction``.
 
 Two routes give the Weingarten function and share no code beyond this
-bookkeeping: ``weingarten`` sums characters over the irreps of S_p, and
-``gram_weingarten_oracle`` inverts the Gram matrix n^(#cycles(sigma^-1 tau))
-(Collins & Sniady, Commun. Math. Phys. 264, 773 (2006)), solved exactly on
-the class functions of S_p as a |partitions(p)|-square integer system.
+bookkeeping, and each gives every cycle type of S_p at once: ``weingarten``
+sums characters over the irreps of S_p, with one table of U(n) irrep
+dimensions per n, and ``gram_weingarten_oracle`` inverts the Gram matrix
+n^(#cycles(sigma^-1 tau)) (Collins & Sniady, Commun. Math. Phys. 264, 773
+(2006)), solved exactly on the class functions of S_p as a
+|partitions(p)|-square integer system, tallied in one walk over S_p for
+every n of a call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 
@@ -30,7 +35,6 @@ from .errors import (
 )
 
 __all__ = [
-    "compose",
     "inverse",
     "cycle_type",
     "partitions",
@@ -44,13 +48,6 @@ GRAM_MAX_ORDER = 6  # the oracle's pass over all p! permutations is tested up to
 
 # ---------------------------------------------------------------------------
 # permutations
-
-
-def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Composition p∘q, i.e. the permutation x -> p[q[x]]."""
-    if len(p) != len(q):
-        raise SizeMismatch(f"cannot compose permutations of sizes {len(p)} and {len(q)}")
-    return tuple(p[qi] for qi in q)
 
 
 def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -173,37 +170,40 @@ def unitary_irrep_dimension(lam: tuple[int, ...], n: int) -> int:
 # Weingarten function
 
 
-def weingarten(n: int, sigma: tuple[int, ...]) -> Fraction:
-    """Exact Weingarten function Wg(n, sigma) for a cycle type sigma of S_p.
+def weingarten(n: int, p: int) -> dict[tuple[int, ...], Fraction]:
+    """Exact Weingarten function Wg(n, sigma) for every cycle type sigma of S_p.
 
-    Requires n >= p; the character sum runs over all partitions of p, each
-    weighted by the squared dimension of the S_p irrep and divided by the
-    dimension of the corresponding U(n) irrep.
+    Requires n >= p. Wg(n, sigma) sums, over the partitions lam of p, the
+    squared dimension of the S_p irrep lam times its character at sigma,
+    divided by the dimension d_lam of the U(n) irrep lam, over p!^2. The d_lam
+    are computed once, and each value is one Fraction over lcm(d_lam) p!^2.
     """
-    sigma = _check_partition(sigma, "sigma")
-    p = sum(sigma)
     if n < p:
         raise DimensionTooSmall(f"need n >= p, got n={n}, p={p}")
-    identity = (1,) * p
-    total = Fraction(0)
-    for lam in partitions(p):
-        dim_sp = _chi(lam, identity)
-        total += Fraction(dim_sp * dim_sp * _chi(lam, sigma), unitary_irrep_dimension(lam, n))
-    return total / math.factorial(p) ** 2
+    classes = partitions(p)
+    terms = [(lam, _chi(lam, (1,) * p) ** 2, unitary_irrep_dimension(lam, n)) for lam in classes]
+    common = math.lcm(*(dim for _, _, dim in terms))
+    den = common * math.factorial(p) ** 2
+    return {sigma: Fraction(sum(sq * (common // dim) * _chi(lam, sigma) for lam, sq, dim in terms), den)
+            for sigma in classes}
 
 
-def _gram_solution(n: int, p: int) -> dict[tuple[int, ...], Fraction]:
+def _gram_solution(ns, p: int) -> dict[int, dict[tuple[int, ...], Fraction]]:
     """Solve G x = e_id over the rationals for the S_p Gram matrix
-    G(sigma, tau) = n^(#cycles(sigma^-1 tau)); returns x by cycle type.
+    G(sigma, tau) = n^(#cycles(sigma^-1 tau)) at each n of ns; returns x by
+    cycle type, for each n.
 
     G is unchanged by conjugating both arguments and e_id is a class
     function, so for n >= p, where G is invertible, x is a class function
     and the system can be solved on the class indicators alone. Row lambda
     is G's row at the canonical representative sigma_lambda summed over each
-    class mu, C[lambda][mu] = sum over tau in mu of
-    n^(#cycles(sigma_lambda^-1 tau)), built in one pass over S_p: a
-    |partitions(p)|-square system (7 x 7 at p = 5) in place of the p! x p!
-    one. No characters enter, so the route stays independent of weingarten().
+    class mu, C[lambda][mu] = sum_c count[lambda][mu][c] n^c, count the number
+    of tau in mu with c cycles in sigma_lambda^-1 tau: a |partitions(p)|-square
+    system (7 x 7 at p = 5) in place of the p! x p! one. The counts do not
+    depend on n, so one walk over S_p, taking each cycle type once, tallies
+    them for every n; tau sigma_lambda^-1 is conjugate to sigma_lambda^-1 tau,
+    so its cycles are looked up. No characters enter: the route stays
+    independent of weingarten().
 
     Forward elimination runs on integer rows of the augmented matrix [C | e_id]:
     each update is row <- (pivot/g) row - (entry/g) pivot_row, g their gcd,
@@ -212,53 +212,56 @@ def _gram_solution(n: int, p: int) -> dict[tuple[int, ...], Fraction]:
     classes = partitions(p)
     size = len(classes)
     column = {ct: c for c, ct in enumerate(classes)}
-    npow = [n**c for c in range(p + 1)]
-    rep_inverses = [inverse(permutation_with_cycle_type(ct)) for ct in classes]
-    rows = [[0] * size + [int(ct == (1,) * p)] for ct in classes]
-    for tau in itertools.permutations(range(p)):
-        c = column[cycle_type(tau)]
-        for row, rep_inv in zip(rows, rep_inverses):
-            row[c] += npow[len(cycle_type(compose(rep_inv, tau)))]
-
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if piv is None:
-            raise SingularGram(f"zero pivot at column {col} (n={n}, p={p})")
-        if piv != col:
+    key = operator.itemgetter(*range(p))  # a permutation as the getters below give it: a scalar at p = 1
+    types = [(tau, cycle_type(tau)) for tau in itertools.permutations(range(p))]
+    cycles = {key(tau): len(ct) for tau, ct in types}
+    walk = [(tau, column[ct]) for tau, ct in types]
+    times_rep_inv = [operator.itemgetter(*inverse(permutation_with_cycle_type(ct))) for ct in classes]
+    tallies = [Counter((mu, cycles[get(tau)]) for tau, mu in walk) for get in times_rep_inv]
+    solutions = {}
+    for n in ns:
+        rows = [[0] * size + [int(ct == (1,) * p)] for ct in classes]
+        for row, tally in zip(rows, tallies):
+            for (mu, c), count in tally.items():
+                row[mu] += count * n**c
+        for col in range(size):
+            piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
+            if piv is None:
+                raise SingularGram(f"zero pivot at column {col} (n={n}, p={p})")
             rows[col], rows[piv] = rows[piv], rows[col]
-        pivot_row = rows[col]
-        pivot = pivot_row[col]
-        for r in range(col + 1, size):
-            entry = rows[r][col]
-            if entry == 0:
-                continue
-            g = math.gcd(pivot, entry)
-            ps, es = pivot // g, entry // g
-            tail = zip(rows[r][col + 1 :], pivot_row[col + 1 :])
-            row = [0] * (col + 1) + [ps * x - es * y for x, y in tail]
-            content = math.gcd(*row)
-            rows[r] = [x // content for x in row] if content > 1 else row
-    x = [Fraction(0)] * size
-    for r in range(size - 1, -1, -1):
-        row = rows[r]
-        acc = Fraction(row[size])
-        for c in range(r + 1, size):
-            acc -= row[c] * x[c]
-        x[r] = acc / row[r]
-    return dict(zip(classes, x))
+            pivot_row, pivot = rows[col], rows[col][col]
+            for r in range(col + 1, size):
+                entry = rows[r][col]
+                if entry == 0:
+                    continue
+                g = math.gcd(pivot, entry)
+                ps, es = pivot // g, entry // g
+                tail = zip(rows[r][col + 1 :], pivot_row[col + 1 :])
+                row = [0] * (col + 1) + [ps * x - es * y for x, y in tail]
+                content = math.gcd(*row)
+                rows[r] = [x // content for x in row] if content > 1 else row
+        x = [Fraction(0)] * size
+        for r in range(size - 1, -1, -1):
+            row = rows[r]
+            acc = Fraction(row[size])
+            for c in range(r + 1, size):
+                acc -= row[c] * x[c]
+            x[r] = acc / row[r]
+        solutions[n] = dict(zip(classes, x))
+    return solutions
 
 
-def gram_weingarten_oracle(n: int, p: int) -> dict[tuple[int, ...], Fraction]:
+def gram_weingarten_oracle(ns, p: int) -> dict[int, dict[tuple[int, ...], Fraction]]:
     """Independent Weingarten oracle: invert the S_p Gram matrix exactly.
 
     Solves G x = e_id for G(sigma, tau) = n^(#cycles(sigma^-1 tau)) over the
-    rationals, on class functions (see _gram_solution), and returns the
-    solution by cycle type.
+    rationals at each n of the sequence ns, on class functions (see
+    _gram_solution), and returns the solution by cycle type for each n.
     """
     if p < 1:
         raise DomainError(f"need p >= 1, got p={p}")
     if p > GRAM_MAX_ORDER:
         raise DomainError(f"gram oracle supports p <= {GRAM_MAX_ORDER}, got p={p}")
-    if n < p:
-        raise DimensionTooSmall(f"need n >= p, got n={n}, p={p}")
-    return _gram_solution(n, p)
+    if min(ns, default=p) < p:
+        raise DimensionTooSmall(f"need n >= p, got n={min(ns)}, p={p}")
+    return _gram_solution(ns, p)

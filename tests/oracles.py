@@ -21,8 +21,10 @@ is a Fraction (the imaginary part must cancel to zero, which is asserted).
 The module also keeps the plain-Fraction references of the package's integer
 fast paths: the moment formulas evaluated on Fraction power sums
 (``reference_moments``) and the Fraction Gram elimination
-(``gram_solution_reference``), plus the float closed form of the averaged
+(``gram_solution_reference``, with ``compose`` the permutation product it
+and the trace-power oracle use), plus the float closed form of the averaged
 matrix that acceptance criterion 2 checks (``haar_average_BB_minus_AA``),
+the mode table built one conversion per entry (``reference_mode_inputs``),
 and the helpers only tests call (``validate_covariance``,
 ``inverse_temperature_beta``, ``squeezing_from_energy``,
 ``mode_energy_from_squeezing``, and ``read_summary_json`` with
@@ -62,6 +64,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from numbers import Rational
 from typing import get_type_hints
@@ -78,6 +81,7 @@ from cvtypical.errors import (
     NonUnitaryInput,
     PairingFailure,
     SingularGram,
+    SizeMismatch,
 )
 from cvtypical.haar import SeededStream
 from cvtypical.harness import (
@@ -90,7 +94,7 @@ from cvtypical.harness import (
     _rescaled,
     trial_csv_header,
 )
-from cvtypical.moments import _fourth_moment_rows
+from cvtypical.moments import MomentInputs, _fourth_moment_rows, _ratio
 from cvtypical.symplectic import (
     PURE_CLAMP,
     UNITARITY_TOL,
@@ -99,7 +103,7 @@ from cvtypical.symplectic import (
     average_energies,
     symplectic_form,
 )
-from cvtypical.weingarten import compose, cycle_type, gram_weingarten_oracle, inverse
+from cvtypical.weingarten import cycle_type, gram_weingarten_oracle, inverse
 
 # block (row, col) -> (power of i, weight vector name, conj of slot1, conj of slot2)
 _BLOCKS = {
@@ -119,6 +123,13 @@ def _ab_vectors(z):
     a = [Fraction(x - 1 / Fraction(x), 2) for x in zq]
     b = [Fraction(x + 1 / Fraction(x), 2) for x in zq]
     return a, b
+
+
+def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Composition p∘q, i.e. the permutation x -> p[q[x]]."""
+    if len(p) != len(q):
+        raise SizeMismatch(f"cannot compose permutations of sizes {len(p)} and {len(q)}")
+    return tuple(p[qi] for qi in q)
 
 
 class _UnionFind:
@@ -144,7 +155,7 @@ def expected_trace_power(z, k: int, m: int) -> Fraction:
     n = len(a)
     pi = [Fraction(1)] * k + [Fraction(0)] * (n - k)
     weights = {"a": a, "b": b}
-    wg = gram_weingarten_oracle(n, m)
+    wg = gram_weingarten_oracle([n], m)[n]
     perms = list(itertools.permutations(range(m)))
     wg_of_pair = {
         (alpha, beta): wg[cycle_type(compose(inverse(alpha), beta))]
@@ -280,6 +291,13 @@ def reference_moments(z, k: int) -> dict[str, Fraction]:
     lb2 = out["average_energy"] ** 2
     out["expected_f"] = fourth + 2 * lb2 * out["second_moment"] + 2 * k * lb2 * lb2
     return out
+
+
+def reference_mode_inputs(z, k: int) -> MomentInputs:
+    """The mode table of z with one ``_ratio`` per entry, counted by value:
+    the reference of the package's one conversion per distinct value."""
+    counts = Counter(_ratio(x) for x in z)
+    return MomentInputs(n=sum(counts.values()), k=k, modes=((p, q, m) for (p, q), m in counts.items()))
 
 
 def gram_solution_reference(n: int, p: int) -> dict[tuple[int, ...], Fraction]:

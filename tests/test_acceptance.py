@@ -102,12 +102,12 @@ def scaling_sweep():
 def test_criterion_01_weingarten_exact():
     """Character sums equal closed forms and the Gram oracle, exactly."""
     for n in range(4, 9):
-        assert weingarten(n, (1, 1)) == Fraction(1, n * n - 1)
-        assert weingarten(n, (2,)) == Fraction(-1, n * (n * n - 1))
+        assert weingarten(n, 2)[(1, 1)] == Fraction(1, n * n - 1)
+        assert weingarten(n, 2)[(2,)] == Fraction(-1, n * (n * n - 1))
         for p in range(1, 5):
-            oracle = gram_weingarten_oracle(n, p)
+            oracle = gram_weingarten_oracle([n], p)[n]
             for ct in partitions(p):
-                assert weingarten(n, ct) == oracle[ct]
+                assert weingarten(n, p)[ct] == oracle[ct]
     print("ACCEPTANCE 1 PASS: Weingarten values exact for p in 1..4, n in 4..8")
 
 

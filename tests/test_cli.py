@@ -243,6 +243,20 @@ def test_weingarten_check_order_six(capsys):
     assert all(cells[-1] == "0" for cells in body)
 
 
+# taken before the Gram oracle walked S_p once per call for the whole range
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("--p 5 --n-range 5:9", "e09d46d28019c9c161f828e283a7f6c6c8174e9143d998efb1ba5eea73f975bc"),
+        ("--p 6 --n-range 6:8", "79a8e78bdf0b20df052c00d9f54ec8e4f888d16ad5e1ffb4ec3d353521d91b05"),
+    ],
+)
+def test_weingarten_check_bytes_are_pinned(capsys, argv, digest):
+    rc, out, err = run_main(capsys, ["weingarten-check", *argv.split()])
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_weingarten_check_dimension_failure(capsys):
     # n below the moment order cannot support the Gram oracle
     rc, _, err = run_main(capsys, ["weingarten-check", "--p", "4", "--n-range", "2:3"])

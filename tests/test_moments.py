@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from cvtypical.moments import (
     moment_inputs_from_spectrum,
 )
 from cvtypical.symplectic import average_energies
-from oracles import _ab_vectors, reference_moments
+from oracles import _ab_vectors, reference_mode_inputs, reference_moments
 
 
 def spiked(n):
@@ -582,3 +583,102 @@ def test_one_mode_expected_f_is_the_beta_law_mean():
         for n in range(4, 70):
             mi = moment_inputs_from_spectrum((z,) * n, 1)
             assert expected_f_exact(mi) == 16 * a**4 / ((n + 1) * (n + 3))
+
+
+# one entry type per numeric route into _ratio
+ENTRY_TYPES = [int, float, Fraction, np.float64, np.float32]
+
+
+@st.composite
+def typed_spectra(draw):
+    """(z, k): a few values, each entry one of them as an int (when
+    integral), float, Fraction, numpy float64 or float32, so equal values
+    recur as different types; z is a list, or a float32 or float64 array."""
+    pool = draw(st.lists(st.one_of(Z_FLOATS, Z_INTEGERS, Z_FRACTIONS), min_size=1, max_size=4))
+    z = []
+    for _ in range(draw(st.integers(1, 40))):
+        value, kind = draw(st.sampled_from(pool)), draw(st.sampled_from(ENTRY_TYPES))
+        z.append(kind(value) if kind is not int or value == int(value) else value)
+    container = draw(st.sampled_from(["list", "float32", "float64"]))
+    if container != "list":
+        z = np.array([float(x) for x in z], dtype=container)
+    return z, draw(st.integers(1, len(z)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=typed_spectra())
+@example(case=([2, 2.0, Fraction(2), np.float64(2.0), np.float32(2.0), 3], 1))
+@example(case=([np.float32(1.1), 1.1, Fraction(11, 10), np.float32(1.1)], 2))
+@example(case=([Fraction(2), np.longdouble(2), 3, 2], 1))  # equal values a Counter keeps apart
+def test_mode_table_equals_one_conversion_per_entry(case):
+    """Counting raw values before converting gives the modes, in the same
+    order, that one conversion per entry gives."""
+    z, k = case
+    assert moment_inputs_from_spectrum(z, k) == reference_mode_inputs(z, k)
+
+
+def test_a_constant_spectrum_takes_one_conversion(monkeypatch):
+    calls = []
+    ratio = moments._ratio
+    monkeypatch.setattr(moments, "_ratio", lambda x: calls.append(x) or ratio(x))
+    mi = moment_inputs_from_spectrum(np.full(1024, 2.0), 1)
+    assert calls == [2.0] and mi.modes == ((2, 1, 1024),)
+
+
+@pytest.mark.parametrize(
+    "z, entry",
+    [
+        ([float("nan"), 1, 1, 1], "nan"),
+        ([float("inf"), 1, 1, 1], "inf"),
+        ([None, 1, 1, 1], "None"),
+        (["2", 1, 1, 1], "'2'"),
+        (np.array([1.0, 1.0, -np.inf, 1.0]), "-inf"),
+    ],
+    ids=["nan", "inf", "None", "str", "array_minus_inf"],
+)
+def test_bad_spectrum_entries_are_domain_errors(z, entry):
+    """Each bad entry is a DomainError that names it, not a bare ValueError,
+    OverflowError or TypeError, and a string is not read as a number."""
+    with pytest.raises(DomainError, match=re.escape(f"got {entry}")):
+        compute_moment_report(z, 1)
+
+
+@st.composite
+def rational_spectra(draw):
+    return draw(st.lists(st.one_of(Z_FRACTIONS, Z_INTEGERS), min_size=2, max_size=64))
+
+
+def deviation_moments(z):
+    """{k: (E sum_j (lambda_j^2 - 1), E sum_j (lambda_j^2 - 1)^2)} for k = 1..n-1,
+    exactly: E sum lambda_j^2 = k tilde_lambda^2 = -E tr((JM)^2) / 2 and
+    E sum lambda_j^4 = E tr((JM)^4) / 2; the second is None below n = 4."""
+    modes = moment_inputs_from_spectrum(z, 1).modes
+    n = len(z)
+    out = {}
+    for k in range(1, n):
+        mi = MomentInputs(n=n, k=k, modes=modes)
+        first = k * (_exact(mi, _tilde_lambda_squared) - 1)
+        second = _exact(mi, _fourth_moment) / 2 + _exact(mi, _second_moment) + k if n >= 4 else None
+        out[k] = first, second
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(z=rational_spectra())
+@example(z=[Fraction(3), 1, 1, 1])
+@example(z=[Fraction(2)] * 64)
+def test_complement_shares_the_deviation_moments(z):
+    """The global state is pure, so the reductions to k and to n - k modes
+    share their symplectic eigenvalues above 1: both deviation moments agree
+    at k and n - k, exactly, on the moment tables."""
+    n = len(z)
+    table = deviation_moments(z)
+    for k in range(1, n):
+        assert table[k] == table[n - k], k
+
+
+def test_complement_float_spectrum():
+    """The same identity on an 8-mode float spectrum, at every k."""
+    z = [1.0, 1.25, 1.5, 2.0, 2.5, 3.75, 1.0 + 2.0**-40, 17.3]
+    table = deviation_moments(z)
+    assert all(table[k] == table[8 - k] for k in range(1, 8))

@@ -6,12 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cvtypical.weingarten as weingarten_module
 from cvtypical.errors import DimensionTooSmall, DomainError, RowOverflow, SizeMismatch
 from cvtypical.haar import SeededStream
 from cvtypical.weingarten import (
     _chi,
     _gram_solution,
-    compose,
     cycle_type,
     gram_weingarten_oracle,
     inverse,
@@ -20,7 +20,7 @@ from cvtypical.weingarten import (
     unitary_irrep_dimension,
     weingarten,
 )
-from oracles import _reference_haar_rows, gram_solution_reference
+from oracles import _reference_haar_rows, compose, gram_solution_reference
 
 
 def all_permutations(p):
@@ -115,37 +115,38 @@ def test_unitary_irrep_dimension_row_overflow():
 
 def test_weingarten_order_two_closed_forms():
     for n in range(2, 9):
-        assert weingarten(n, (1, 1)) == Fraction(1, n * n - 1)
-        assert weingarten(n, (2,)) == Fraction(-1, n * (n * n - 1))
+        assert weingarten(n, 2) == {(2,): Fraction(-1, n * (n * n - 1)), (1, 1): Fraction(1, n * n - 1)}
 
 
 def test_weingarten_order_one():
     for n in (1, 2, 5):
-        assert weingarten(n, (1,)) == Fraction(1, n)
+        assert weingarten(n, 1) == {(1,): Fraction(1, n)}
 
 
 def test_weingarten_depends_only_on_cycle_type():
+    wg = weingarten(5, 4)
+    assert list(wg) == partitions(4)
     for g in all_permutations(4):
-        assert weingarten(5, cycle_type(g)) == weingarten(5, cycle_type(inverse(g)))
+        assert wg[cycle_type(g)] == wg[cycle_type(inverse(g))]
 
 
 def test_weingarten_dimension_too_small():
     with pytest.raises(DimensionTooSmall):
-        weingarten(2, (1, 1, 1))
+        weingarten(2, 3)
 
 
 def test_gram_oracle_pinned_order_two():
-    oracle = gram_weingarten_oracle(5, 2)
+    (oracle,) = gram_weingarten_oracle([5], 2).values()
     assert oracle[(1, 1)] == Fraction(1, 24)
     assert oracle[(2,)] == Fraction(-1, 120)
 
 
 def test_gram_oracle_matches_character_sum():
     for n, p in ((4, 1), (4, 2), (4, 3), (6, 3), (5, 4), (6, 6), (7, 6)):
-        oracle = gram_weingarten_oracle(n, p)
-        assert set(oracle) == set(partitions(p))
-        for ct, value in oracle.items():
-            assert weingarten(n, ct) == value
+        oracle = gram_weingarten_oracle([n], p)
+        assert list(oracle) == [n]
+        assert oracle[n] == weingarten(n, p)
+        assert list(oracle[n]) == partitions(p)
 
 
 @pytest.mark.parametrize(
@@ -156,19 +157,39 @@ def test_integer_gram_elimination_matches_fraction_reference(p, n):
     solve's exact value on every permutation: the full solution is constant
     on classes and equals the class solution there."""
     reference = gram_solution_reference(n, p)
-    solution = _gram_solution(n, p)
+    solution = _gram_solution([n], p)[n]
     assert set(solution) == set(partitions(p))
     for perm, value in reference.items():
         assert value == solution[cycle_type(perm)]
 
 
+@pytest.mark.parametrize("p, ns", [(5, range(5, 10)), (6, range(6, 9))], ids=["p5_n5-9", "p6_n6-8"])
+def test_one_walk_serves_every_n(monkeypatch, p, ns):
+    """One call over a range of n walks S_p once, taking each of the p!
+    cycle types once, and gives the single-n solutions and the character
+    sums; at p = 5 also the full p! x p! Fraction solve."""
+    calls = []
+    monkeypatch.setattr(weingarten_module, "cycle_type", lambda perm: calls.append(perm) or cycle_type(perm))
+    solutions = gram_weingarten_oracle(ns, p)
+    assert len(calls) == len(set(calls)) == math.factorial(p)
+    monkeypatch.undo()
+    assert list(solutions) == list(ns)
+    for n in ns:
+        assert solutions[n] == _gram_solution([n], p)[n] == weingarten(n, p)
+        if p == 5:
+            for perm, value in gram_solution_reference(n, p).items():
+                assert value == solutions[n][cycle_type(perm)]
+
+
 def test_gram_oracle_order_bounds():
     with pytest.raises(DomainError):
-        gram_weingarten_oracle(8, 7)
+        gram_weingarten_oracle([8], 7)
     with pytest.raises(DomainError):
-        gram_weingarten_oracle(8, 0)
+        gram_weingarten_oracle([8], 0)
     with pytest.raises(DimensionTooSmall):
-        gram_weingarten_oracle(3, 4)
+        gram_weingarten_oracle([3], 4)
+    with pytest.raises(DimensionTooSmall):
+        gram_weingarten_oracle([5, 3, 6], 4)
 
 
 def test_biorthogonality_with_gram_matrix():
@@ -179,10 +200,11 @@ def test_biorthogonality_with_gram_matrix():
     """
     for p, n in ((3, 5), (4, 6)):
         perms = all_permutations(p)
+        wg = weingarten(n, p)
         for tau in perms:
             tau_inv = inverse(tau)
             total = sum(
-                weingarten(n, cycle_type(compose(sigma, tau_inv)))
+                wg[cycle_type(compose(sigma, tau_inv))]
                 * Fraction(n) ** len(cycle_type(sigma))
                 for sigma in perms
             )
