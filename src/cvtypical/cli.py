@@ -381,13 +381,13 @@ def _emit_text(text: str, path: str | None) -> None:
 
 
 def _run_moments(cfg: RunConfig) -> int:
-    z = cfg.z_profile.fixed_spectrum()
-    report = compute_moment_report(z, cfg.k)
+    spec = cfg.z_profile  # the parsed floats, which the moments convert once per distinct value
+    report = compute_moment_report(spec.z_values if spec.kind == "fixed" else [spec.z] * spec.n, cfg.k)
     # rendered once: the digest takes a profile string as it stands
-    profile = profile_to_string(cfg.z_profile)
+    profile = profile_to_string(spec)
     payload = {
         "provenance": _provenance(replace(cfg, z_profile=profile))[0],
-        "n": cfg.z_profile.n,
+        "n": spec.n,
         "k": cfg.k,
         "z_profile": profile,
         **asdict(report),

@@ -391,6 +391,8 @@ def summarize_records(table: TrialTable, seed: int, profile: ProfileSpec | None 
     mean_s, se_s = _mean_se(entropy)
     std_s = _rescaled(np.std, entropy, ddof=1) if entropy.size >= 2 else float("nan")
 
+    if live_count and math.isnan(lambda_ref):  # five NaN thresholds, which JSON would collapse
+        raise DomainError("live trials need a lambda_bar that is a number, got nan")
     scale = lambda_ref ** 4
     tail_counts = {
         f * scale: float(np.mean(delta_sq > f * scale)) if live_count else float("nan")

@@ -18,18 +18,17 @@ and each moment formula, homogeneous in the power sums, is one integer over
 (small integer) * D**g, from which ``expected_f_exact`` builds a Fraction.
 
 ``compute_moment_report`` needs only five floats, so it first runs the same
-formula functions on integer intervals at scale 2**-192 (``_Interval``). Each
-distinct mode floors b once, and its ceiling is one unit more unless the
-division was exact; sums over both ends, in whole-array passes over the mode
-table and rounded outwards, bracket every power sum, and every later product
-rounds outwards too, so each value's interval holds the exact value. Rounding
-to nearest is monotone: when both bounds round to the same float (Python's
-int division rounds correctly), the exact value rounds to it too, and the
-report has the bytes the exact route would give. Otherwise, or past the
-float range, the whole report comes from the exact tree, with its errors. On
-a 2-core Xeon (Python 3.11, numpy 2.4) a random spectrum at n = 1024 takes
-3-5.5 ms (76-145 ms on the exact tree), one at n = 256 0.8-1.8 ms, and a
-constant one or the vacuum, one conversion for its one value, 0.4-0.5 ms.
+formula functions on integer intervals at scale 2**-192 (``_Interval``; why
+192 bits: see _PRECISION). One plain loop over the distinct modes floors each
+b once, by one integer division, with a ceiling one unit more unless it was
+exact; sums over both ends, rounded outwards, bracket every power sum, and
+every later product rounds outwards too, so each interval holds its exact
+value. Rounding to nearest is monotone: when both bounds round to the same
+float (int / int rounds correctly), so does the exact value, and the report
+has the exact route's bytes; if not, or past the float range, the whole
+report comes from the exact tree, with its errors. On a 2-core Xeon (Python
+3.11) a random spectrum at n = 1024 takes 2.3-3.7 ms (76-145 ms on the exact
+tree), one at n = 256 0.7-1.1 ms, and a constant one or the vacuum 0.2-0.3 ms.
 """
 
 from __future__ import annotations
@@ -111,7 +110,7 @@ def _ratio(x) -> tuple[int, int]:
     """x = p/q exactly, in lowest terms with q > 0; a Real that is not a
     Rational is taken as its float, which converts losslessly."""
     try:
-        if isinstance(x, float):  # numpy floats too, before the slower ABC checks
+        if isinstance(x, float) or isinstance(x, np.floating):  # exact, longdouble too; before the slower ABC checks
             return x.as_integer_ratio()
         if isinstance(x, Rational):
             return Fraction(x).as_integer_ratio()
@@ -129,7 +128,11 @@ def moment_inputs_from_spectrum(z, k: int) -> MomentInputs:
     values are counted first and converted once, so a repeated value costs
     one conversion and one mode.
     """
-    counts, modes = Counter(z.tolist() if isinstance(z, np.ndarray) else z), {}
+    try:
+        counts, modes = Counter(z := z.tolist() if isinstance(z, np.ndarray) else list(z)), {}
+    except TypeError:  # an unhashable entry, as a row of a 2-d array: _ratio names it
+        list(map(_ratio, z))
+        raise
     for x, m in counts.items():  # equal values the Counter keeps apart, as Fraction(2) and np.longdouble(2), merge
         ratio = _ratio(x)
         modes[ratio] = modes.get(ratio, 0) + m
@@ -188,7 +191,7 @@ def _sum_terms(D: int, terms) -> tuple[int, int, int]:
     """One unnormalised (num, den, g) triple for the sum of the terms."""
     den = math.lcm(*(d for _, d, _ in terms))
     g = max(t[2] for t in terms)
-    return sum(num * (den // d) * D ** (g - gt) for num, d, gt in terms), den, g
+    return sum(num * ((den // d) * D ** (g - gt)) for num, d, gt in terms), den, g
 
 
 def _exact(mi: MomentInputs, part, *args) -> Fraction:
@@ -297,10 +300,10 @@ def expected_f_exact(mi: MomentInputs) -> Fraction:
 
 # The interval route of compute_moment_report: the formula functions above,
 # run with D = 1 on power sums bracketed at scale 2**-_PRECISION. At 192 bits
-# 0 to 1 of 12000 random float spectra (n = 4..300) need the exact route; at
-# 64 bits about 200 of 1000 uniform in [1, 3) (n = 4..64) do.
+# 0 to 1 of 12000 random float spectra (n = 4..300) need the exact route, at 64
+# about 200 of 1000 uniform in [1, 3) (n = 4..64); at 128 the mode loop takes a
+# fifth less time, but 217, not 131, of 300 spectra within 2**-j of 1 need it.
 _PRECISION = 192
-_CHUNK = 64  # modes per pass of _interval_sums: bounds its live big integers
 
 
 class _Undecided(Exception):
@@ -326,6 +329,8 @@ class _Interval:
 
     def __mul__(self, other):
         if isinstance(other, _Interval):
+            if self.lo >= 0 and other.lo >= 0:  # the power sums and their products
+                return _Interval(self.lo * other.lo >> _PRECISION, -(-(self.hi * other.hi) >> _PRECISION))
             ends = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
             return _Interval(min(ends) >> _PRECISION, -(-max(ends) >> _PRECISION))
         if other < 0:
@@ -340,19 +345,19 @@ def _interval_sums(mi: MomentInputs) -> tuple[int, dict]:
     y/d at scale 2**-_PRECISION to c, with e = 0 if b = c and 1 if not. Every
     summand grows with b >= 1, so its sums over c and over c + e, rounded
     outwards, bracket each power sum: (c + e)**g = c**g + e * sum_{i<g} C(g, i) c**i."""
-    lo, up = [0] * 4, [0] * 4  # sum m c**g for g = 1..4, sum m e c**i for i = 0..3
-    for start in range(0, len(mi.modes), _CHUNK):
-        p, q, m = np.array(mi.modes[start:start + _CHUNK], dtype=object).T
-        y, d = (p * p + q * q) << _PRECISION, 2 * p * q
-        c = y // d
-        me, c2 = m * (c * d != y), c * c
-        up[0] += me.sum()
-        for g, power in enumerate((c, c2, c2 * c, c2 * c2)):
-            lo[g] += power.dot(m)
-            if g < 3:
-                up[g + 1] += power.dot(me)
-    hi = [low + sum(math.comb(g, i) * up[i] for i in range(g)) for g, low in enumerate(lo, 1)]
-    (_, lower), (_, upper) = (_with_a_sums(mi.n, 1 << _PRECISION, sums) for sums in (lo, hi))
+    lo1 = lo2 = lo3 = lo4 = ex0 = ex1 = ex2 = ex3 = 0  # sum m c**g, g = 1..4; sum m c**i, i = 0..3, where e = 0
+    for p, q, m in mi.modes:
+        c, r = divmod((p * p + q * q) << _PRECISION, 2 * p * q)
+        c2 = c * c
+        c3, c4 = c2 * c, c2 * c2
+        if m != 1:
+            c, c2, c3, c4 = m * c, m * c2, m * c3, m * c4
+        lo1, lo2, lo3, lo4 = lo1 + c, lo2 + c2, lo3 + c3, lo4 + c4
+        if not r:
+            ex0, ex1, ex2, ex3 = ex0 + m, ex1 + c, ex2 + c2, ex3 + c3
+    up0, up1, up2, up3 = mi.n - ex0, lo1 - ex1, lo2 - ex2, lo3 - ex3  # sum m e c**i, i = 0..3
+    hi = (lo1 + up0, lo2 + 2 * up1 + up0, lo3 + 3 * (up2 + up1) + up0, lo4 + 4 * (up3 + up1) + 6 * up2 + up0)
+    (_, lower), (_, upper) = (_with_a_sums(mi.n, 1 << _PRECISION, sums) for sums in ((lo1, lo2, lo3, lo4), hi))
     return 1, {
         name: _Interval(lower[name] >> (g - 1) * _PRECISION, -(-upper[name] >> (g - 1) * _PRECISION))
         for name, g in _DEGREES.items()

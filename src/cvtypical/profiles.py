@@ -52,7 +52,7 @@ class ProfileSpec:
                 raise InvalidSpec(
                     f"fixed profile has {len(self.z_values)} values for n={self.n}"
                 )
-            if any(not math.isfinite(z) or z < 1.0 for z in self.z_values):
+            if not all(map(math.isfinite, self.z_values)) or min(self.z_values) < 1.0:
                 raise InvalidSpec("fixed profile needs finite z >= 1 in every mode")
         elif self.kind == "constant":
             if not math.isfinite(self.z) or self.z < 1.0:
@@ -146,8 +146,11 @@ def parse_profile(text: str, n: int | None = None) -> ProfileSpec:
         raise InvalidSpec(f"profile {text!r} is missing its arguments")
 
     if kind == "fixed":
-        zs = tuple(_parse_number(p, "squeezing value") for p in args.split(","))
-        spec = ProfileSpec(kind="fixed", n=len(zs), z_values=zs)
+        parts = args.split(",")
+        try:
+            spec = ProfileSpec(kind="fixed", n=len(parts), z_values=tuple(map(float, parts)))
+        except (ValueError, InvalidSpec):  # the per-token parse words the first bad token's error
+            spec = ProfileSpec(kind="fixed", n=len(parts), z_values=tuple(_parse_number(p, "squeezing value") for p in parts))
     elif kind == "constant":
         m = _CONSTANT_RE.match(args)
         if m is None:
@@ -186,7 +189,7 @@ def parse_profile(text: str, n: int | None = None) -> ProfileSpec:
 def profile_to_string(spec: ProfileSpec) -> str:
     """Inverse of parse_profile, used for provenance records."""
     if spec.kind == "fixed":
-        return "fixed:" + ",".join(repr(z) for z in spec.z_values)
+        return "fixed:" + ",".join(map(repr, spec.z_values))
     if spec.kind == "constant":
         return f"constant:{spec.z!r}x{spec.n}"
     if spec.kind == "microcanonical":

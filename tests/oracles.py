@@ -819,6 +819,8 @@ def reference_summarize_records(records, seed: int, profile=None) -> RunSummary:
     mean_s, se_s = _mean_se(entropy)
     std_s = _rescaled(np.std, entropy, ddof=1) if entropy.size >= 2 else float("nan")
 
+    if live and math.isnan(lambda_ref):
+        raise DomainError("live trials need a lambda_bar that is a number, got nan")
     scale = lambda_ref ** 4
     tail_counts = {}
     for factor in TAIL_LADDER_FACTORS:

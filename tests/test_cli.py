@@ -17,6 +17,7 @@ import pytest
 import cvtypical
 import cvtypical.cli
 import cvtypical.harness
+import cvtypical.moments
 from cvtypical import __version__
 from cvtypical.cli import RunConfig, config_digest, main, parse_config
 from cvtypical.errors import UsageError
@@ -132,6 +133,41 @@ def test_moments_json_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "758337ae6ce5088fd8e1a368918df2a821169fd695617910c8e210c088a64909"
     )
+
+
+def _near_one_profile():
+    rng = random.Random(44)
+    return "fixed:" + ",".join(repr(1.0 + 2.0**-44 * rng.random()) for _ in range(64))
+
+
+def _repeats_profile():
+    rng = random.Random(7)
+    pool = [1.0, 2.0, 4.0] + [1.0 + 2.0 * rng.random() for _ in range(5)]
+    return "fixed:" + ",".join(repr(rng.choice(pool)) for _ in range(256))
+
+
+# sha256 of each moments stdout, taken at 0.3.0 with the interval sums in
+# numpy object-array chunks: a spectrum within 2**-44 of 1, whose E f the
+# intervals leave undecided, so it comes from the exact sums; 256 draws from
+# z = 1, 2, 4 (exact divisions) and five random values, so every mode has
+# m > 1; and a constant spectrum, one mode of 1024.
+MOMENT_PINS = [
+    (_near_one_profile, 3, True, "a4ec10218c21a6794fcbeaf342dda17934d9d4212d1fea1d68bb3ce7d89007f5"),
+    (_repeats_profile, 5, False, "126f049cddc1e1ed75a899e7cd17b9e09c4b49d0287ce7d5205be7648c833530"),
+    (lambda: "constant:2.718281828459045x1024", 2, False,
+     "a9e465045feca660412fd4d6797daa59a116b8acf4d0d8c13fa6416d35a8ae91"),
+]
+
+
+@pytest.mark.parametrize("profile, k, exact, digest", MOMENT_PINS, ids=["near_one", "repeats", "constant"])
+def test_moments_bytes_are_pinned_on_every_route(monkeypatch, capsys, profile, k, exact, digest):
+    calls = []
+    build = cvtypical.moments._power_sums
+    monkeypatch.setattr(cvtypical.moments, "_power_sums", lambda mi: calls.append(mi) or build(mi))
+    rc, out, err = run_main(capsys, ["moments", "--k", str(k), "--z-profile", profile()])
+    assert rc == 0 and err == ""
+    assert len(calls) == exact  # the near-1 spectrum takes the exact fallback
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # The benchmark's four trial-dump shapes and one concentration sweep; each

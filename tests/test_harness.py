@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
@@ -817,8 +817,13 @@ def _outcome(function, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
+# a live row whose lambda_bar is NaN: five NaN tail thresholds
+_NAN_BAR_TABLE = table_from_records([TrialRecord(0, 3, 1, float("nan"), (0.0,), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False)])
+
+
 @settings(max_examples=300, deadline=None)
 @given(table=_tables())
+@example(table=_NAN_BAR_TABLE)
 def test_columnar_outputs_match_the_record_references(table):
     """The columnar CSV writer and summary give what the record-by-record
     references give on the table's records: the same text, and a
@@ -828,6 +833,17 @@ def test_columnar_outputs_match_the_record_references(table):
     assert _outcome(summarize_records, table, 3) == _outcome(
         reference_summarize_records, records, 3
     )
+
+
+def test_a_live_nan_lambda_bar_is_a_domain_error():
+    """Tail thresholds are multiples of lambda_bar**4: a live trial whose
+    lambda_bar is NaN would key all five by NaN, which JSON cannot tell
+    apart, so both summary routes refuse it alike."""
+    message = "live trials need a lambda_bar that is a number, got nan"
+    with pytest.raises(DomainError, match=message):
+        summarize_records(_NAN_BAR_TABLE, seed=3)
+    with pytest.raises(DomainError, match=message):
+        reference_summarize_records(_NAN_BAR_TABLE.records(), 3)
 
 
 def test_trial_csv_header_pinned():

@@ -474,6 +474,19 @@ def test_interval_arithmetic_brackets_the_exact_value(x, y, c):
     assert contains(X * X * X, x**3)
 
 
+@settings(max_examples=200, deadline=None)
+@given(ends=st.lists(st.integers(0, 2**800), min_size=4, max_size=4))
+def test_non_negative_brackets_multiply_by_two_ends(ends):
+    """Brackets with both lower ends >= 0, as every power sum has, multiply
+    to what the four-end products give."""
+    a, b, c, d = ends
+    x, y = moments._Interval(min(a, b), max(a, b)), moments._Interval(min(c, d), max(c, d))
+    products = [u * v for u in (x.lo, x.hi) for v in (y.lo, y.hi)]
+    product = x * y
+    assert product.lo == min(products) >> moments._PRECISION
+    assert product.hi == -(-max(products) >> moments._PRECISION)
+
+
 NEAR_ONE = (1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-40, 1.0 + 2.0**-26, 1.5)
 WIDE_FLOATS = st.one_of(st.floats(min_value=1.0, max_value=1e150), st.sampled_from(NEAR_ONE))
 
@@ -559,11 +572,12 @@ def test_exact_power_sums_equal_the_direct_sums(case):
         assert Fraction(numerators[name], D ** (i + j)) == direct[name], name
 
 
-@pytest.mark.parametrize("size", [1, moments._CHUNK - 1, moments._CHUNK, moments._CHUNK + 1, 3 * moments._CHUNK])
+@pytest.mark.parametrize("size", [1, 63, 64, 65, 192])
 def test_brackets_hold_at_chunk_boundaries(size):
-    """Mode tables that end one short of, at and one past a chunk boundary,
-    with z = 1, a value an ulp above 1, odd-denominator fractions and
-    repeated values among their modes; the report stays the exact route's."""
+    """Mode tables of 1 to 192 distinct modes (the sizes around the 64-mode
+    chunks the interval sums once took), with z = 1, a value an ulp above 1,
+    odd-denominator fractions and repeated values among their modes; the
+    report stays the exact route's."""
     rng = random.Random(size)
     edges = [1, 1.0 + 2.0**-52, Fraction(5, 3), Fraction(22, 7)][:size]
     values = edges + [1.0 + 2.0 * rng.random() for _ in range(size - len(edges))]
@@ -633,14 +647,32 @@ def test_a_constant_spectrum_takes_one_conversion(monkeypatch):
         ([None, 1, 1, 1], "None"),
         (["2", 1, 1, 1], "'2'"),
         (np.array([1.0, 1.0, -np.inf, 1.0]), "-inf"),
+        ([[2.0], 1, 1, 1], "[2.0]"),
+        ([1, 1, 1, np.array([2.0, 1.0])], "array([2., 1.])"),
+        (np.full((4, 2), 2.0), "[2.0, 2.0]"),
+        ((x for x in [[2.0], 1, 1, 1]), "[2.0]"),
     ],
-    ids=["nan", "inf", "None", "str", "array_minus_inf"],
+    ids=["nan", "inf", "None", "str", "array_minus_inf", "nested_list", "array_entry", "two_dim_array", "generator"],
 )
 def test_bad_spectrum_entries_are_domain_errors(z, entry):
     """Each bad entry is a DomainError that names it, not a bare ValueError,
-    OverflowError or TypeError, and a string is not read as a number."""
+    OverflowError or TypeError, and a string is not read as a number; so is
+    an entry the raw-value count cannot hash (a list, an array, the row of a
+    2-d array)."""
     with pytest.raises(DomainError, match=re.escape(f"got {entry}")):
         compute_moment_report(z, 1)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="longdouble is a double here")
+def test_longdouble_entries_convert_exactly():
+    """A longdouble keeps the bits a double would drop: 1 + 2**-60 is its own
+    value, above 1, and the report is the exact route's on that value."""
+    x = np.longdouble(1) + np.longdouble(2) ** -60
+    assert x > 1 and moments._ratio(x) == (2**60 + 1, 2**60)
+    z = np.array([x, 2, 3, 1], dtype=np.longdouble)
+    mi = moment_inputs_from_spectrum(z, 1)
+    assert (2**60 + 1, 2**60, 1) in mi.modes
+    assert repr(compute_moment_report(z, 1)) == repr(exact_report(z, 1))
 
 
 @st.composite

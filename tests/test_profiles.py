@@ -64,6 +64,27 @@ def test_parse_rejects_garbage():
             parse_profile(text, n=4)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("fixed:1,x,2", "could not parse squeezing value from 'x'"),
+        ("fixed:1,,2", "could not parse squeezing value from ''"),
+        ("fixed:1,inf,2", "squeezing value must be finite, got 'inf'"),
+        ("fixed:nan", "squeezing value must be finite, got 'nan'"),
+        ("fixed:0.5,1", "fixed profile needs finite z >= 1 in every mode"),
+        ("fixed:-inf,x", "squeezing value must be finite, got '-inf'"),
+        ("fixed:1,1e400", "squeezing value must be finite, got '1e400'"),
+    ],
+)
+def test_a_fixed_profile_names_its_first_bad_token(text, message):
+    """The whole-list parse of a fixed profile words its error as the
+    per-token parse does, naming the first bad token; texts pinned as
+    0.3.0 printed them."""
+    with pytest.raises(InvalidSpec) as info:
+        parse_profile(text)
+    assert str(info.value) == message
+
+
 def test_energy_floors():
     with pytest.raises(EnergyTooSmall):
         ProfileSpec(kind="microcanonical", n=4, energy=7.9)
