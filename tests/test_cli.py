@@ -170,9 +170,10 @@ def test_moments_bytes_are_pinned_on_every_route(monkeypatch, capsys, profile, k
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# The benchmark's four trial-dump shapes and one concentration sweep; each
-# output's sha256 was taken at 0.3.0 (Cholesky spectrum, log1p entropy),
-# with 1, 2 and 3 workers giving the same bytes.
+# The benchmark's four trial-dump shapes and one concentration sweep, and the
+# vacuum sweep (z = 1 at every n); each output's sha256 was taken at 0.3.0
+# (Cholesky spectrum, log1p entropy), with 1, 2 and 3 workers giving the same
+# bytes.
 TRIAL_PINS = [
     (
         "trial-dump --k 1 --z-profile fixed:3,1,1,1 --samples 300 --seed 11",
@@ -210,6 +211,14 @@ TRIAL_PINS = [
             "trials_n64.csv": "bd26e04226d75c76bab1773df96861d4a3d5d12831847781b4780569608de4f2",
         },
     ),
+    (
+        "concentration --n-list 4,8 --samples 50 --seed 3 --scale-z 1",
+        {
+            "sweep_summary.json": "1da8b40ba04f6397b3cdebe6d7c083005808c463cadb7299ef9aa60d49d47871",
+            "trials_n4.csv": "c57596d6aea34e55dc9f6661ac1dc7ab739458de9f04cd2fee1fe38435f7c041",
+            "trials_n8.csv": "911cfb807f900bb1354888e33565886352f4ab33717f58699d957c9ac893fccc",
+        },
+    ),
 ]
 
 
@@ -228,6 +237,22 @@ def test_trial_dump_bytes_are_pinned(tmp_path, capsys, command, digests, workers
     assert rc == 0 and err == ""
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
     assert written == digests
+
+
+def test_scale_z_one_sweep_equals_the_base_profile_vacuum_sweep(tmp_path, capsys):
+    """--scale-z 1 writes the rows of --base-profile vacuum; only the config
+    digest in each provenance line differs."""
+    base = "concentration --n-list 4,8 --samples 50 --seed 3 --output-dir".split()
+    assert main(base + [str(tmp_path / "z1"), "--scale-z", "1"]) == 0
+    assert main(base + [str(tmp_path / "vacuum"), "--base-profile", "vacuum"]) == 0
+    capsys.readouterr()
+    for name in ("trials_n4.csv", "trials_n8.csv"):
+        z1, vacuum = ((tmp_path / d / name).read_text().splitlines() for d in ("z1", "vacuum"))
+        assert z1[0] != vacuum[0] and z1[0].startswith("# cvtypical")
+        assert z1[1:] == vacuum[1:]
+    z1, vacuum = (json.loads((tmp_path / d / "sweep_summary.json").read_text()) for d in ("z1", "vacuum"))
+    assert z1.pop("provenance") != vacuum.pop("provenance")
+    assert z1 == vacuum
 
 
 def test_moments_rejects_underfilled_energy(capsys):
