@@ -70,7 +70,6 @@ class RunConfig:
     n_range: tuple | None = None
     output_dir: str = "."
     summary_output: str | None = None
-    base_profile: str = "constant"
 
 
 # concentration's files in --output-dir: a trial CSV per --n-list entry, a summary
@@ -184,9 +183,6 @@ _OPTIONS = {
     "scale_z": _Option("--scale-z", _number, "squeezing prefactor", type=float),
     "scale_k": _Option("--scale-k", _number, "subsystem prefactor", type=float),
     "output_dir": _Option("--output-dir", _text),
-    "base_profile": _Option(
-        "--base-profile", _choice, "spectrum family used at each n", choices=("constant", "vacuum")
-    ),
     "p": _Option("--p", _integer(1), "moment order", type=int),
     "n_range": _Option("--n-range", _parse_n_range, "inclusive range a:b of dimensions"),
 }
@@ -293,12 +289,11 @@ def parse_config(argv) -> RunConfig:
                 f" reaches 2^64 = {SEED_LIMIT}"
             )
         rule = values["scaling"]
-        if values.get("base_profile", "constant") == "constant":
-            for n in n_list:
-                if not math.isfinite(rule.z_value(n)):
-                    raise UsageError(
-                        f"--zeta {rule.zeta!r}, --scale-z {rule.scale_z!r}: z overflows at --n-list entry {n}"
-                    )
+        for n in n_list:
+            if not math.isfinite(rule.z_value(n)):
+                raise UsageError(
+                    f"--zeta {rule.zeta!r}, --scale-z {rule.scale_z!r}: z overflows at --n-list entry {n}"
+                )
         if n_list and values.get("k", 0) > min(n_list):
             raise UsageError(f"--k {values['k']} exceeds the smallest --n-list entry {min(n_list)}")
     for dest in _SUBCOMMANDS[sub].required:
@@ -326,9 +321,10 @@ _UNHASHED = ("workers", "output_path", "output_dir", "summary_output")
 
 
 def config_digest(cfg: RunConfig) -> str:
-    """Digest of every RunConfig field but _UNHASHED that is set; a profile
-    enters as its string and a scaling rule as its four values."""
-    semantic = {}
+    """Digest of every RunConfig field but _UNHASHED that is set, and of the retired
+    base_profile; a profile enters as its string and a scaling rule as its four values."""
+    # every 0.3.0 digest hashed this former RunConfig default; 0.4.0 drops it
+    semantic = {"base_profile": "constant"}
     for field in fields(RunConfig):
         value = getattr(cfg, field.name)
         if field.name in _UNHASHED or value is None:
@@ -408,7 +404,6 @@ def _run_concentration(cfg: RunConfig) -> int:
         cfg.samples,
         cfg.seed,
         k=cfg.k,
-        base_profile=cfg.base_profile,
         workers=cfg.workers,
     ):
         path = os.path.join(cfg.output_dir, _SWEEP_TRIALS.format(n))
@@ -498,7 +493,7 @@ _SUBCOMMANDS = {
     ),
     "concentration": _Subcommand(
         "ensemble sweep over a list of n",
-        ("n_list", "k", "samples", *_SCALING_KEYS, "output_dir", "base_profile"),
+        ("n_list", "k", "samples", *_SCALING_KEYS, "output_dir"),
         ("n_list", "samples"),
         _run_concentration,
     ),

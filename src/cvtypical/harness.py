@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidSubsystem, PairingFailure
 from .haar import SeededStream, _stream_keys, haar_columns
-from .profiles import ProfileSpec, ScalingConfig, constant_profile, fixed_profile
+from .profiles import ProfileSpec, ScalingConfig, fixed_profile
 from .profiles import exponential_count, spectra_from_exponentials
 from .symplectic import (
     NOT_POSITIVE_DEFINITE,
@@ -382,8 +382,9 @@ def summarize_records(table: TrialTable, seed: int, profile: ProfileSpec | None 
         lambda_ref = float(np.mean(finite)) if finite.size else float("nan")
 
     entropy, delta = table.entropy[live], table.delta[live]
-    with np.errstate(over="ignore"):  # a square past the float range is inf
+    with np.errstate(over="ignore"):  # a power past the float range is inf
         delta_sq = delta * delta
+        scale = float(np.float64(lambda_ref) ** 4)
 
     mean_f, se_f = _mean_se(table.f_value[live])
     mean_tr2, se_tr2 = _mean_se(table.tr_jm2[live])
@@ -393,7 +394,8 @@ def summarize_records(table: TrialTable, seed: int, profile: ProfileSpec | None 
 
     if live_count and math.isnan(lambda_ref):  # five NaN thresholds, which JSON would collapse
         raise DomainError("live trials need a lambda_bar that is a number, got nan")
-    scale = lambda_ref ** 4
+    if math.isinf(scale):  # five inf thresholds, which a dict would collapse
+        raise DomainError(f"lambda_bar {lambda_ref!r} has a fourth power past the float range")
     tail_counts = {
         f * scale: float(np.mean(delta_sq > f * scale)) if live_count else float("nan")
         for f in TAIL_LADDER_FACTORS
@@ -469,29 +471,22 @@ def concentration_sweep(
     samples: int,
     seed: int,
     k: int | None = None,
-    base_profile: str = "constant",
     workers: int = 1,
 ):
     """Run one ensemble per n and yield (n, RunSummary, TrialTable) as each
     row finishes.
 
-    The profile at each n is constant with z = scaling.z_value(n), or the
-    vacuum when base_profile="vacuum".  Every row has k modes when k is
-    given, else scaling.k_of(n).  Each n gets its own base seed
-    (seed + index) so rows stay independent.
+    The profile at each n is scaling.profile_for(n), constant with
+    z = scaling.z_value(n); the vacuum is ScalingConfig(scale_z=1.0).  Every
+    row has k modes when k is given, else scaling.k_of(n).  Each n gets its
+    own base seed (seed + index) so rows stay independent.
     """
     for index, n in enumerate(n_list):
         n = _as_int("n", n)
         if n < SWEEP_MIN_N:
             raise DomainError(f"sweep rows need n >= {SWEEP_MIN_N}, got {n}")
-        if base_profile == "constant":
-            spec = scaling.profile_for(n)
-        elif base_profile == "vacuum":
-            spec = constant_profile(1.0, n)
-        else:
-            raise DomainError(f"unknown base profile {base_profile!r}")
         k_n = scaling.k_of(n) if k is None else k
-        yield (n, *run_ensemble(spec, k_n, samples, seed + index, workers))
+        yield (n, *run_ensemble(scaling.profile_for(n), k_n, samples, seed + index, workers))
 
 
 def _atomic_write_text(path, text: str) -> None:

@@ -821,7 +821,12 @@ def reference_summarize_records(records, seed: int, profile=None) -> RunSummary:
 
     if live and math.isnan(lambda_ref):
         raise DomainError("live trials need a lambda_bar that is a number, got nan")
-    scale = lambda_ref ** 4
+    try:
+        scale = lambda_ref ** 4
+    except OverflowError:
+        scale = math.inf
+    if math.isinf(scale):
+        raise DomainError(f"lambda_bar {lambda_ref!r} has a fourth power past the float range")
     tail_counts = {}
     for factor in TAIL_LADDER_FACTORS:
         eps = factor * scale

@@ -239,22 +239,6 @@ def test_trial_dump_bytes_are_pinned(tmp_path, capsys, command, digests, workers
     assert written == digests
 
 
-def test_scale_z_one_sweep_equals_the_base_profile_vacuum_sweep(tmp_path, capsys):
-    """--scale-z 1 writes the rows of --base-profile vacuum; only the config
-    digest in each provenance line differs."""
-    base = "concentration --n-list 4,8 --samples 50 --seed 3 --output-dir".split()
-    assert main(base + [str(tmp_path / "z1"), "--scale-z", "1"]) == 0
-    assert main(base + [str(tmp_path / "vacuum"), "--base-profile", "vacuum"]) == 0
-    capsys.readouterr()
-    for name in ("trials_n4.csv", "trials_n8.csv"):
-        z1, vacuum = ((tmp_path / d / name).read_text().splitlines() for d in ("z1", "vacuum"))
-        assert z1[0] != vacuum[0] and z1[0].startswith("# cvtypical")
-        assert z1[1:] == vacuum[1:]
-    z1, vacuum = (json.loads((tmp_path / d / "sweep_summary.json").read_text()) for d in ("z1", "vacuum"))
-    assert z1.pop("provenance") != vacuum.pop("provenance")
-    assert z1 == vacuum
-
-
 def test_moments_rejects_underfilled_energy(capsys):
     # micro:6 with four modes sits below the 2n ground-state floor
     rc, _, err = run_main(capsys, ["moments", "--n", "4", "--k", "1", "--z-profile", "micro:6"])
@@ -647,7 +631,6 @@ def test_config_file_subcommand_mismatch(tmp_path, capsys):
             {"z_profile": "micro:14", "n": 4, "samples": 2, "format": "xml"},
             "--format",
         ),
-        (["concentration"], {"n_list": [4], "samples": 2, "base_profile": "bogus"}, "--base-profile"),
         (["concentration"], {"n_list": [4], "samples": 2, "output_dir": 5}, "--output-dir"),
         (["concentration"], {"n_list": [4], "samples": 2, "zeta": True}, "--zeta"),
         (["concentration"], {"n_list": [4], "samples": 2, "scale_k": float("inf")}, "--scale-k"),
@@ -667,7 +650,7 @@ def test_config_file_subcommand_mismatch(tmp_path, capsys):
         (["weingarten-check"], {"p": 2, "n_range": [True, 2]}, "--n-range"),
     ],
     ids=[
-        "format", "base_profile", "output_dir", "scaling_zeta", "scale_k_inf", "scale_z_nan", "n_list_3",
+        "format", "output_dir", "scaling_zeta", "scale_k_inf", "scale_z_nan", "n_list_3",
         "zeta_400", "k_6", "scaling_object", "seed_2_64", "row_seed_2_64", "n_list_float",
         "n_list_repeat", "n_range_float", "n_range_bool",
     ],
@@ -714,6 +697,27 @@ def test_concentration_flag_values_are_usage_errors(tmp_path, monkeypatch, capsy
     assert err.startswith("error:") and flag in err
     assert out == ""
     assert list(tmp_path.iterdir()) == []  # nothing was written
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_base_profile_is_gone(tmp_path, monkeypatch, capsys, source):
+    """The vacuum sweep is --scale-z 1; neither the flag nor the config key
+    that once chose it is accepted."""
+    monkeypatch.chdir(tmp_path)
+    argv = ["concentration", "--n-list", "4", "--samples", "2"]
+    if source == "flag":
+        argv += ["--base-profile", "vacuum"]
+    else:
+        (tmp_path / "run.json").write_text(json.dumps({"base_profile": "vacuum"}))
+        argv += ["--config", "run.json"]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects an unknown flag itself
+        rc = exc.code
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert "unrecognized arguments: --base-profile" in err or "config key 'base_profile'" in err
+    assert [p.name for p in tmp_path.iterdir()] == (["run.json"] if source == "config" else [])
 
 
 def test_concentration_k_saturates_at_n(tmp_path, capsys):
@@ -791,12 +795,11 @@ def test_config_digest_ignores_workers_and_paths(tmp_path):
         subcommand="trial-dump", seed=1, workers=1, n=4, k=1, samples=2,
         z_profile=parse_profile("constant:2x4"), scaling=ScalingConfig(), output_path="a.csv",
         format="csv", n_list=(4, 6), p=2, n_range=(1, 2), output_dir="d", summary_output="s.json",
-        base_profile="constant",
     )
     hashed = {
         "subcommand": "moments", "seed": 2, "n": 5, "k": 2, "samples": 3,
         "z_profile": parse_profile("constant:3x4"), "scaling": ScalingConfig(kappa=0.5),
-        "format": "json", "n_list": (4, 8), "p": 3, "n_range": (1, 3), "base_profile": "vacuum",
+        "format": "json", "n_list": (4, 8), "p": 3, "n_range": (1, 3),
     }
     unhashed = {"workers": 4, "output_path": "b.csv", "output_dir": "e", "summary_output": "t.json"}
     assert hashed.keys() | unhashed.keys() == {field.name for field in fields(RunConfig)}

@@ -817,13 +817,21 @@ def _outcome(function, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _one_live_row(lambda_bar):
+    return table_from_records([TrialRecord(0, 3, 1, lambda_bar, (0.0,), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False)])
+
+
 # a live row whose lambda_bar is NaN: five NaN tail thresholds
-_NAN_BAR_TABLE = table_from_records([TrialRecord(0, 3, 1, float("nan"), (0.0,), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False)])
+_NAN_BAR_TABLE = _one_live_row(float("nan"))
+# live rows whose lambda_bar**4 is past the float range: five inf thresholds
+_HUGE_BAR_TABLES = [_one_live_row(1e100), _one_live_row(float("inf"))]
 
 
 @settings(max_examples=300, deadline=None)
 @given(table=_tables())
 @example(table=_NAN_BAR_TABLE)
+@example(table=_HUGE_BAR_TABLES[0])
+@example(table=_HUGE_BAR_TABLES[1])
 def test_columnar_outputs_match_the_record_references(table):
     """The columnar CSV writer and summary give what the record-by-record
     references give on the table's records: the same text, and a
@@ -844,6 +852,18 @@ def test_a_live_nan_lambda_bar_is_a_domain_error():
         summarize_records(_NAN_BAR_TABLE, seed=3)
     with pytest.raises(DomainError, match=message):
         reference_summarize_records(_NAN_BAR_TABLE.records(), 3)
+
+
+@pytest.mark.parametrize("table", _HUGE_BAR_TABLES, ids=["1e100", "inf"])
+def test_a_live_lambda_bar_with_an_infinite_fourth_power_is_a_domain_error(table):
+    """A lambda_bar of 1e100 overflowed lambda_bar**4 with a bare
+    OverflowError, and inf keyed all five tail thresholds by inf; both
+    summary routes refuse either alike."""
+    message = "has a fourth power past the float range"
+    with pytest.raises(DomainError, match=message):
+        summarize_records(table, seed=3)
+    with pytest.raises(DomainError, match=message):
+        reference_summarize_records(table.records(), 3)
 
 
 def test_trial_csv_header_pinned():
@@ -954,12 +974,11 @@ def test_concentration_sweep_vacuum_and_hooks(monkeypatch):
     real = harness.run_ensemble
     monkeypatch.setattr(harness, "run_ensemble", lambda spec, *args: ran.append(spec.n) or real(spec, *args))
     rows = concentration_sweep(
-        ScalingConfig(),
+        ScalingConfig(scale_z=1.0),
         (4, 5),
         samples=10,
         seed=13,
         k=2,
-        base_profile="vacuum",
     )
     sunk = []
     for n, summary, table in rows:
@@ -974,8 +993,6 @@ def test_concentration_sweep_vacuum_and_hooks(monkeypatch):
 def test_concentration_sweep_guards():
     with pytest.raises(DomainError):
         list(concentration_sweep(ScalingConfig(), (3,), samples=5, seed=0))
-    with pytest.raises(DomainError):
-        list(concentration_sweep(ScalingConfig(), (4,), samples=5, seed=0, base_profile="weird"))
 
 
 def test_lipschitz_bound_value():
