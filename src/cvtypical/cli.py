@@ -123,7 +123,7 @@ def _parse_n_list(value, opt) -> tuple:
         try:
             value = [int(part) for part in value.split(",") if part.strip()]
         except ValueError:
-            raise UsageError(f"{opt.flag} must be a comma list of integers, got {value!r}") from None
+            pass  # the text stays a string, which the list check below refuses
     if not isinstance(value, (list, tuple)):
         raise UsageError(f"{opt.flag} must be a comma list of integers, got {value!r}")
     if not value:

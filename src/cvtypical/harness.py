@@ -66,26 +66,12 @@ BLOCK_ENTRIES = 1 << 16
 # smallest mode count a concentration sweep row may have
 SWEEP_MIN_N = 4
 
-# The trial CSV's fixed columns as (column, TrialRecord field, cell parser).
-# A cell is written as repr(parser(value)), so reading it back is exact.
-_TRIAL_CSV_SCHEMA = (
-    ("trial_id", "trial_id", int),
-    ("n", "n", int),
-    ("k", "k", int),
-    ("lambda_bar", "lambda_bar", float),
-    ("entropy", "entropy", float),
-    ("f", "f_value", float),
-    ("delta", "delta", float),
-    ("purity_residual", "purity_residual", float),
-)
-TRIAL_CSV_FIXED_COLUMNS = tuple(column for column, _field, _parse in _TRIAL_CSV_SCHEMA)
-
-
 @dataclass(frozen=True)
 class TrialRecord:
-    """One realized trial.
+    """One realized trial, and one row of the trial CSV (see
+    TRIAL_CSV_FIXED_COLUMNS).
 
-    f_value and delta satisfy f = 2*delta**2 up to roundoff; purity_residual
+    f and delta satisfy f = 2*delta**2 up to roundoff; purity_residual
     is max |V V^+ - I_k| over the k Haar rows V the trial drew: the n-mode
     state is pure exactly when those rows are orthonormal.
     tr_jm2/tr_jm4 are the raw trace powers feeding the moment comparisons.
@@ -100,7 +86,7 @@ class TrialRecord:
     lambda_bar: float
     symplectic_spectrum: tuple
     entropy: float
-    f_value: float
+    f: float
     delta: float
     purity_residual: float
     tr_jm2: float
@@ -108,12 +94,24 @@ class TrialRecord:
     flagged: bool = False
 
 
+# The trial CSV's fixed columns, each with the type that reads its cells
+# (repr(value)) back exactly: TrialRecord's fields in order but the spectrum,
+# which closes a row as lambda_1..lambda_k, and the three the CSV does not
+# carry (a row whose f is NaN is flagged).  Annotations are strings here.
+_TRIAL_CSV_TYPES = {
+    field.name: {"int": int, "float": float}[field.type]
+    for field in fields(TrialRecord)
+    if field.name not in ("symplectic_spectrum", "tr_jm2", "tr_jm4", "flagged")
+}
+TRIAL_CSV_FIXED_COLUMNS = tuple(_TRIAL_CSV_TYPES)
+
+
 @dataclass(frozen=True, eq=False)
 class TrialTable:
     """The trials of a block or an ensemble in trial order: n and k, and one
-    array per other TrialRecord field, symplectic_spectrum (B, k) and the
-    rest (B,).  records() builds the rows; compare those, as tables compare
-    by identity."""
+    array per other TrialRecord field under its name, symplectic_spectrum
+    (B, k) and the rest (B,).  records() builds the rows; compare those, as
+    tables compare by identity."""
 
     n: int
     k: int
@@ -121,7 +119,7 @@ class TrialTable:
     lambda_bar: np.ndarray
     symplectic_spectrum: np.ndarray
     entropy: np.ndarray
-    f_value: np.ndarray
+    f: np.ndarray
     delta: np.ndarray
     purity_residual: np.ndarray
     tr_jm2: np.ndarray
@@ -237,7 +235,7 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> TrialTable:
         P = jm @ jm
         tr_jm2 = np.trace(P, axis1=1, axis2=2)
         tr_jm4 = np.trace(P @ P, axis1=1, axis2=2)
-        f_values = tr_jm4 + 2.0 * c * tr_jm2 + 2.0 * k * c * c
+        f = tr_jm4 + 2.0 * c * tr_jm2 + 2.0 * k * c * c
         huge = ~np.isfinite(bars**4)
     # each check as (mask of the trials failing it, error of trial b), in a
     # lone trial's order; a trial raises the error of the first it fails
@@ -248,8 +246,8 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> TrialTable:
             f"lambda_bar = {bars[b].item()!r} puts lambda_bar**4 beyond the float range")),
         (residuals > UNITARITY_TOL, lambda b: unitarity_error(residuals[b])),
         ((codes != 0) & ~flagged, lambda b: spectrum_error(codes[b], lams[b])),
-        (~(np.isfinite(f_values) | flagged), lambda b: DomainError(
-            f"f = {f_values[b].item()!r} is not finite"
+        (~(np.isfinite(f) | flagged), lambda b: DomainError(
+            f"f = {f[b].item()!r} is not finite"
             f" (lambda_bar = {bars[b].item()!r}, tr(JM)^4 = {tr_jm4[b].item()!r})")),
         (low, lambda b: entropy_error(lams[b])),
     )
@@ -259,9 +257,9 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> TrialTable:
         error = next(make(bad) for mask, make in checks if mask[bad])
         raise type(error)(f"trial {trial_ids[bad]}: {error}") from None
     deltas = spectral_deviation_deltas(squares, bars)
-    for column in (f_values, residuals, tr_jm2, tr_jm4):
+    for column in (f, residuals, tr_jm2, tr_jm4):
         column[flagged] = np.nan
-    columns = (entropies, f_values, deltas, residuals, tr_jm2, tr_jm4, flagged)
+    columns = (entropies, f, deltas, residuals, tr_jm2, tr_jm4, flagged)
     return TrialTable(n, k, np.asarray(trial_ids), bars, lams, *columns)
 
 
@@ -276,10 +274,10 @@ def validate_trial_record(rec: TrialRecord) -> None:
     if rec.flagged:
         return
     two_delta_sq = 2.0 * rec.delta * rec.delta
-    scale = max(1.0, abs(rec.f_value), two_delta_sq)
-    if abs(rec.f_value - two_delta_sq) > F_IDENTITY_RTOL * scale:
+    scale = max(1.0, abs(rec.f), two_delta_sq)
+    if abs(rec.f - two_delta_sq) > F_IDENTITY_RTOL * scale:
         raise PairingFailure(
-            f"trial {rec.trial_id}: f={rec.f_value!r} vs 2*delta^2={two_delta_sq!r}"
+            f"trial {rec.trial_id}: f={rec.f!r} vs 2*delta^2={two_delta_sq!r}"
         )
     if not rec.purity_residual <= PURITY_TOL:
         raise PairingFailure(
@@ -373,27 +371,22 @@ def summarize_records(table: TrialTable, seed: int, profile: ProfileSpec | None 
     live_count = int(live.sum())
     if profile is not None and profile.is_deterministic:
         lambda_ref = float(average_energies(profile.fixed_spectrum()))
-    elif live_count:
-        lambda_ref = float(np.mean(table.lambda_bar[live]))
-    else:
-        # flagged trials still carry their profile's lambda_bar; NaN
-        # thresholds would be five distinct keys that JSON cannot tell apart
-        finite = table.lambda_bar[np.isfinite(table.lambda_bar)]
-        lambda_ref = float(np.mean(finite)) if finite.size else float("nan")
+    else:  # with no live trial, the flagged ones carry their profile's value
+        lambda_ref = float(np.mean(table.lambda_bar[live] if live_count else table.lambda_bar))
 
     entropy, delta = table.entropy[live], table.delta[live]
     with np.errstate(over="ignore"):  # a power past the float range is inf
         delta_sq = delta * delta
         scale = float(np.float64(lambda_ref) ** 4)
 
-    mean_f, se_f = _mean_se(table.f_value[live])
+    mean_f, se_f = _mean_se(table.f[live])
     mean_tr2, se_tr2 = _mean_se(table.tr_jm2[live])
     mean_tr4, se_tr4 = _mean_se(table.tr_jm4[live])
     mean_s, se_s = _mean_se(entropy)
     std_s = _rescaled(np.std, entropy, ddof=1) if entropy.size >= 2 else float("nan")
 
-    if live_count and math.isnan(lambda_ref):  # five NaN thresholds, which JSON would collapse
-        raise DomainError("live trials need a lambda_bar that is a number, got nan")
+    if math.isnan(lambda_ref):  # five NaN thresholds, which JSON would collapse
+        raise DomainError("trials need a lambda_bar that is a number, got nan")
     if math.isinf(scale):  # five inf thresholds, which a dict would collapse
         raise DomainError(f"lambda_bar {lambda_ref!r} has a fourth power past the float range")
     tail_counts = {
@@ -526,14 +519,12 @@ def format_trials_csv(table: TrialTable, provenance: str | None = None) -> str:
     bars, bits = table.lambda_bar, table.lambda_bar.view(np.uint64)
     if (bits == bits[0]).all():
         bars = bars[:1]  # one bit pattern, as a deterministic profile gives
-    # _TRIAL_CSV_SCHEMA's columns in its order, then the spectrum's; each
-    # cell is repr(value) of a value its parser returns unchanged, and a
+    # the fixed columns in order, then the spectrum's; each cell is
+    # repr(value) of a value its field's type returns unchanged, and a
     # column of one value (n, k, maybe lambda_bar) takes it once
-    columns = [
-        table.trial_id.tolist(), [table.n], [table.k], bars.tolist(),
-        *(getattr(table, field).tolist() for _, field, _ in _TRIAL_CSV_SCHEMA[4:]),
-        *table.symplectic_spectrum.T.tolist(),
-    ]
+    once = {"n": [table.n], "k": [table.k], "lambda_bar": bars.tolist()}
+    columns = [once[name] if name in once else getattr(table, name).tolist() for name in TRIAL_CSV_FIXED_COLUMNS]
+    columns += table.symplectic_spectrum.T.tolist()
     cells = (itertools.repeat(repr(c[0]), len(table)) if len(c) == 1 else map(repr, c) for c in columns)
     lines += map(",".join, zip(*cells))
     return "\n".join(lines) + "\n"
@@ -567,13 +558,11 @@ def read_trials_csv(path):
         cells = row.split(",")
         if len(cells) != len(header):
             raise DomainError(f"{path}: row width {len(cells)} != {len(header)}")
-        values = {
-            field: parse(cell) for (_column, field, parse), cell in zip(_TRIAL_CSV_SCHEMA, cells)
-        }
+        values = {name: parse(cell) for (name, parse), cell in zip(_TRIAL_CSV_TYPES.items(), cells)}
         spectrum = tuple(float(c) for c in cells[len(fixed):])
         records.append(TrialRecord(
             **values, symplectic_spectrum=spectrum, tr_jm2=math.nan, tr_jm4=math.nan,
-            flagged=math.isnan(values["f_value"]),
+            flagged=math.isnan(values["f"]),
         ))
     return records, provenance
 

@@ -81,15 +81,6 @@ class ProfileSpec:
     def is_deterministic(self) -> bool:
         return self.kind in DETERMINISTIC_KINDS
 
-    def mean_temperature(self) -> float:
-        """Per-mode exponential mean for the canonical kind (energy/n unless
-        overridden)."""
-        if self.kind != "canonical":
-            raise DomainError(f"temperature undefined for kind {self.kind!r}")
-        if self.temperature is not None:
-            return self.temperature
-        return self.energy / self.n
-
     def fixed_spectrum(self) -> np.ndarray:
         if self.kind == "fixed":
             return np.array(self.z_values, dtype=float)
@@ -219,7 +210,7 @@ def spectra_from_exponentials(spec: ProfileSpec, g: np.ndarray) -> np.ndarray:
     if spec.kind == "microcanonical":
         energies = 2.0 + (spec.energy - 2.0 * n) * (g[:, :n] / g.sum(axis=1, keepdims=True))
     else:
-        energies = 2.0 + g * spec.mean_temperature()
+        energies = 2.0 + g * (spec.energy / n if spec.temperature is None else spec.temperature)
     # energies >= 2 by construction; the sqrt argument cannot go negative
     # because float squaring is weakly monotone
     z = 0.5 * (energies + np.sqrt(energies * energies - 4.0))

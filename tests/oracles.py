@@ -557,7 +557,8 @@ def sample_profile(spec, rng) -> np.ndarray:
         g = gen.standard_exponential(n + 1)
         energies = 2.0 + (spec.energy - 2.0 * n) * (g[:n] / g.sum())
     else:
-        energies = 2.0 + gen.standard_exponential(n) * spec.mean_temperature()
+        temperature = spec.energy / n if spec.temperature is None else spec.temperature
+        energies = 2.0 + gen.standard_exponential(n) * temperature
     z = 0.5 * (energies + np.sqrt(energies * energies - 4.0))
     return np.maximum(z, 1.0)
 
@@ -657,7 +658,7 @@ def reference_run_trial(z, k: int, rng, trial_id: int = 0) -> TrialRecord:
             lambda_bar=lam_bar,
             symplectic_spectrum=(nan,) * k,
             entropy=nan,
-            f_value=nan,
+            f=nan,
             delta=nan,
             purity_residual=nan,
             tr_jm2=nan,
@@ -669,7 +670,7 @@ def reference_run_trial(z, k: int, rng, trial_id: int = 0) -> TrialRecord:
     tr_jm2 = float(np.trace(P).real)
     tr_jm4 = float(np.trace(P @ P).real)
     c = lam_bar * lam_bar
-    f_value = tr_jm4 + 2.0 * c * tr_jm2 + 2.0 * k * c * c
+    f = tr_jm4 + 2.0 * c * tr_jm2 + 2.0 * k * c * c
     return TrialRecord(
         trial_id=trial_id,
         n=n,
@@ -677,7 +678,7 @@ def reference_run_trial(z, k: int, rng, trial_id: int = 0) -> TrialRecord:
         lambda_bar=lam_bar,
         symplectic_spectrum=tuple(float(x) for x in reduced.lambdas),
         entropy=gaussian_entropy(reduced),
-        f_value=f_value,
+        f=f,
         delta=spectral_deviation_delta(reduced, lam_bar),
         purity_residual=purity_residual,
         tr_jm2=tr_jm2,
@@ -782,10 +783,10 @@ def reference_format_trials_csv(records, provenance: str | None = None) -> str:
     for r in records:
         if r.k != k:
             raise DomainError("records in one CSV must share k")
-        # _TRIAL_CSV_SCHEMA's columns in its order, each cell repr(parse(value))
+        # TRIAL_CSV_FIXED_COLUMNS in order, each cell the repr of its value as its field's type
         lines.append(
             f"{int(r.trial_id)!r},{int(r.n)!r},{int(r.k)!r},{float(r.lambda_bar)!r},"
-            f"{float(r.entropy)!r},{float(r.f_value)!r},{float(r.delta)!r},"
+            f"{float(r.entropy)!r},{float(r.f)!r},{float(r.delta)!r},"
             f"{float(r.purity_residual)!r},{','.join(map(repr, r.symplectic_spectrum))}"
         )
     return "\n".join(lines) + "\n"
@@ -801,13 +802,10 @@ def reference_summarize_records(records, seed: int, profile=None) -> RunSummary:
     first = records[0]
     if profile is not None and profile.is_deterministic:
         lambda_ref = float(average_energies(profile.fixed_spectrum()))
-    elif live:
-        lambda_ref = float(np.mean([r.lambda_bar for r in live]))
     else:
-        finite = [r.lambda_bar for r in records if math.isfinite(r.lambda_bar)]
-        lambda_ref = float(np.mean(finite)) if finite else float("nan")
+        lambda_ref = float(np.mean([r.lambda_bar for r in live or records]))
 
-    f_vals = np.array([r.f_value for r in live])
+    f_vals = np.array([r.f for r in live])
     tr2 = np.array([r.tr_jm2 for r in live])
     tr4 = np.array([r.tr_jm4 for r in live])
     entropy = np.array([r.entropy for r in live])
@@ -819,8 +817,8 @@ def reference_summarize_records(records, seed: int, profile=None) -> RunSummary:
     mean_s, se_s = _mean_se(entropy)
     std_s = _rescaled(np.std, entropy, ddof=1) if entropy.size >= 2 else float("nan")
 
-    if live and math.isnan(lambda_ref):
-        raise DomainError("live trials need a lambda_bar that is a number, got nan")
+    if math.isnan(lambda_ref):
+        raise DomainError("trials need a lambda_bar that is a number, got nan")
     try:
         scale = lambda_ref ** 4
     except OverflowError:

@@ -65,8 +65,8 @@ def audit_records(records):
             continue
         worst_purity = max(worst_purity, rec.purity_residual)
         two_delta_sq = 2.0 * rec.delta * rec.delta
-        scale = max(1.0, abs(rec.f_value), two_delta_sq)
-        worst_f_dev = max(worst_f_dev, abs(rec.f_value - two_delta_sq) / scale)
+        scale = max(1.0, abs(rec.f), two_delta_sq)
+        worst_f_dev = max(worst_f_dev, abs(rec.f - two_delta_sq) / scale)
     return {
         "total": len(records),
         "flagged": flagged,

@@ -489,7 +489,7 @@ def test_trial_dump_round_trip(tmp_path, capsys):
         parse_profile("fixed:3,1,1,1"), 1, 12, seed=3
     )
     assert summary == expected_summary
-    assert [r.f_value for r in records] == [r.f_value for r in expected_table.records()]
+    assert [r.f for r in records] == [r.f for r in expected_table.records()]
 
 
 def test_trial_dump_summary_on_stdout(tmp_path, capsys):
@@ -648,16 +648,22 @@ def test_config_file_subcommand_mismatch(tmp_path, capsys):
         (["concentration"], {"n_list": [4, 8, 4], "samples": 2}, "--n-list repeats 4"),
         (["weingarten-check"], {"p": 2, "n_range": [1.9, 2]}, "--n-range"),
         (["weingarten-check"], {"p": 2, "n_range": [True, 2]}, "--n-range"),
+        (["concentration"], {"n_list": 4, "samples": 2}, "--n-list must be a comma list of integers, got 4"),
+        (["moments", "--k", "5"], {"z_profile": "fixed:2,1,1,1"}, "--k 5 exceeds the profile's n=4"),
+        # a str is the file's text as it stands
+        (["moments"], "{", "is not valid JSON"),
+        (["concentration"], [4], "must hold a JSON object"),
     ],
     ids=[
         "format", "output_dir", "scaling_zeta", "scale_k_inf", "scale_z_nan", "n_list_3",
         "zeta_400", "k_6", "scaling_object", "seed_2_64", "row_seed_2_64", "n_list_float",
-        "n_list_repeat", "n_range_float", "n_range_bool",
+        "n_list_repeat", "n_range_float", "n_range_bool", "n_list_int", "k_5_above_n",
+        "not_json", "json_list",
     ],
 )
 def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, capsys, argv, config, flag):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.json").write_text(json.dumps(config))
+    (tmp_path / "run.json").write_text(config if isinstance(config, str) else json.dumps(config))
     rc, out, err = run_main(capsys, argv + ["--config", "run.json"])
     assert rc == 2
     assert err.startswith("error:") and flag in err
@@ -682,11 +688,15 @@ def test_config_file_values_are_checked_like_flags(tmp_path, monkeypatch, capsys
         (["--n-list", "4,8", "--seed", str(2**64 - 1)], "--seed"),
         # an explicit k runs in every row, so it must fit the smallest
         (["--n-list", "8,4", "--k", "6", "--output-dir", "d"], "--k 6 exceeds the smallest --n-list entry 4"),
+        (["--zeta", "-1"], "bad scaling config: growth exponents must be >= 0"),
+        (["--n-list", "a,b"], "--n-list must be a comma list of integers, got 'a,b'"),
+        (["--n-list", ","], "--n-list is empty"),
     ],
     ids=[
         "scale_k_inf", "kappa_inf", "zeta_nan", "n_list_3", "n_list_8_2", "n_list_repeat", "zeta_400",
         "scale_z_1e308",
-        "seed_2_64", "row_seed_2_64", "k_above_smallest_n",
+        "seed_2_64", "row_seed_2_64", "k_above_smallest_n", "zeta_negative", "n_list_letters",
+        "n_list_empty",
     ],
 )
 def test_concentration_flag_values_are_usage_errors(tmp_path, monkeypatch, capsys, extra, flag):

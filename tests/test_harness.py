@@ -82,7 +82,7 @@ def test_vacuum_trial_is_exactly_boring():
     assert rec.lambda_bar == 1.0
     assert np.max(np.abs(np.array(rec.symplectic_spectrum) - 1.0)) < 1e-12
     assert rec.entropy == 0.0
-    assert abs(rec.f_value) < 1e-12
+    assert abs(rec.f) < 1e-12
     assert rec.delta < 1e-6
     assert rec.purity_residual < 1e-12
 
@@ -108,7 +108,7 @@ def test_trial_matches_full_state_path(n, k):
     lambdas = symplectic_spectrum(M_red[None])[0].lambdas[0]
     assert np.max(np.abs(np.array(rec.symplectic_spectrum) - lambdas)) <= 1e-12 * lambdas.max()
     lam_bar = oracles.average_energy(z)
-    assert rec.f_value == pytest.approx(concentration_f(M_red, lam_bar), abs=1e-10 * lam_bar**4)
+    assert rec.f == pytest.approx(concentration_f(M_red, lam_bar), abs=1e-10 * lam_bar**4)
     assert 0.0 <= rec.purity_residual <= 1e-13
 
 
@@ -162,11 +162,15 @@ def test_sweep_n_must_be_an_integer():
 def test_samples_must_be_an_integer():
     with pytest.raises(DomainError, match="need an integer samples, got samples=2.5"):
         run_ensemble([2.0, 1, 1], 1, 2.5, 0)
+    with pytest.raises(DomainError, match="need samples >= 1, got 0"):
+        run_ensemble([2.0, 1, 1], 1, 0, 0)
 
 
 def test_workers_must_be_an_integer():
     with pytest.raises(DomainError, match="need an integer workers, got workers=1.5"):
         run_ensemble([2.0, 1, 1], 1, 2, 0, workers=1.5)
+    with pytest.raises(DomainError, match="need workers >= 1, got 0"):
+        run_ensemble([2.0, 1, 1], 1, 2, 0, workers=0)
 
 
 def test_numpy_integer_counts_act_as_ints():
@@ -196,7 +200,7 @@ def test_trial_invariants_hold_in_bulk():
 def test_validate_trial_record_flags_violations():
     rec = run_trial(np.ones(3), 1, SeededStream(1))
     validate_trial_record(rec)
-    broken = dataclasses.replace(rec, f_value=rec.f_value + 1.0)
+    broken = dataclasses.replace(rec, f=rec.f + 1.0)
     with pytest.raises(PairingFailure):
         validate_trial_record(broken)
     impure = dataclasses.replace(rec, purity_residual=1e-3)
@@ -389,7 +393,7 @@ def test_flagged_trials_are_reported_not_dropped(monkeypatch):
     assert summary.flagged == 2 == int(FLAG_BUDGET * 2000)
     assert summary.samples == 2000
     assert records[0].flagged and records[1].flagged
-    assert math.isnan(records[0].f_value)
+    assert math.isnan(records[0].f)
     assert math.isnan(records[0].entropy)
     # aggregates come from the live trials only
     assert math.isfinite(summary.mean_f)
@@ -684,6 +688,8 @@ def test_summarize_rejects_empty():
     }
     with pytest.raises(DomainError):
         summarize_records(TrialTable(n=2, k=1, **empty), seed=0)
+    with pytest.raises(DomainError, match="refusing to format an empty trial table"):
+        format_trials_csv(TrialTable(n=2, k=1, **empty))
 
 
 def test_single_record_has_nan_errors():
@@ -699,7 +705,7 @@ def test_summarize_rejects_tails_beyond_markov():
     bound from mean_f forbids; the check must raise, also under python -O."""
     fields = dict(
         n=2, k=1, lambda_bar=1.0, symplectic_spectrum=(1.0,), entropy=0.0,
-        f_value=0.0, delta=10.0, purity_residual=0.0, tr_jm2=0.0, tr_jm4=0.0,
+        f=0.0, delta=10.0, purity_residual=0.0, tr_jm2=0.0, tr_jm4=0.0,
     )
     records = [TrialRecord(trial_id=t, **fields) for t in range(3)]
     with pytest.raises(PairingFailure, match="Markov"):
@@ -742,7 +748,7 @@ def _csv_tables(draw):
     n = draw(st.integers(k, 10**6))
     records = []
     for trial_id in range(draw(st.integers(1, 4))):
-        f_value = draw(st.floats())
+        f = draw(st.floats())
         records.append(
             TrialRecord(
                 trial_id=trial_id,
@@ -751,13 +757,13 @@ def _csv_tables(draw):
                 lambda_bar=draw(st.floats()),
                 symplectic_spectrum=tuple(draw(st.floats()) for _ in range(k)),
                 entropy=draw(st.floats()),
-                f_value=f_value,
+                f=f,
                 delta=draw(st.floats()),
                 purity_residual=draw(st.floats()),
                 # the CSV carries neither trace; a NaN f marks a flagged row
                 tr_jm2=float("nan"),
                 tr_jm4=float("nan"),
-                flagged=math.isnan(f_value),
+                flagged=math.isnan(f),
             )
         )
     return table_from_records(records)
@@ -801,10 +807,10 @@ def _tables(draw):
             ))
             continue
         delta = draw(st.one_of(st.floats(-1e3, 1e3), st.floats(1e76, 1e78), _CELLS))
-        f_value = draw(st.one_of(st.just(2.0 * delta * delta), _CELLS))
+        f = draw(st.one_of(st.just(2.0 * delta * delta), _CELLS))
         records.append(TrialRecord(
             trial_id, k + 2, k, lambda_bar, tuple(draw(_CELLS) for _ in range(k)),
-            draw(_CELLS), f_value, delta, draw(_CELLS), draw(_CELLS), draw(_CELLS), False,
+            draw(_CELLS), f, delta, draw(_CELLS), draw(_CELLS), draw(_CELLS), False,
         ))
     return table_from_records(records)
 
@@ -817,21 +823,28 @@ def _outcome(function, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _one_live_row(lambda_bar):
+def _one_row(lambda_bar, flagged=False):
+    """A one-row table, live or flagged as the kernel flags: NaN but for lambda_bar."""
+    if flagged:
+        nan = float("nan")
+        return table_from_records([TrialRecord(0, 3, 1, lambda_bar, (nan,), nan, nan, nan, nan, nan, nan, True)])
     return table_from_records([TrialRecord(0, 3, 1, lambda_bar, (0.0,), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False)])
 
 
-# a live row whose lambda_bar is NaN: five NaN tail thresholds
-_NAN_BAR_TABLE = _one_live_row(float("nan"))
-# live rows whose lambda_bar**4 is past the float range: five inf thresholds
-_HUGE_BAR_TABLES = [_one_live_row(1e100), _one_live_row(float("inf"))]
+# a row whose lambda_bar is NaN, live or the only one and flagged: five NaN
+# tail thresholds
+_NAN_BAR_TABLES = [_one_row(float("nan")), _one_row(float("nan"), flagged=True)]
+# rows whose lambda_bar**4 is past the float range: five inf thresholds
+_HUGE_BAR_TABLES = [_one_row(1e100), _one_row(float("inf")), _one_row(float("inf"), flagged=True)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(table=_tables())
-@example(table=_NAN_BAR_TABLE)
+@example(table=_NAN_BAR_TABLES[0])
+@example(table=_NAN_BAR_TABLES[1])
 @example(table=_HUGE_BAR_TABLES[0])
 @example(table=_HUGE_BAR_TABLES[1])
+@example(table=_HUGE_BAR_TABLES[2])
 def test_columnar_outputs_match_the_record_references(table):
     """The columnar CSV writer and summary give what the record-by-record
     references give on the table's records: the same text, and a
@@ -846,19 +859,22 @@ def test_columnar_outputs_match_the_record_references(table):
 def test_a_live_nan_lambda_bar_is_a_domain_error():
     """Tail thresholds are multiples of lambda_bar**4: a live trial whose
     lambda_bar is NaN would key all five by NaN, which JSON cannot tell
-    apart, so both summary routes refuse it alike."""
-    message = "live trials need a lambda_bar that is a number, got nan"
-    with pytest.raises(DomainError, match=message):
-        summarize_records(_NAN_BAR_TABLE, seed=3)
-    with pytest.raises(DomainError, match=message):
-        reference_summarize_records(_NAN_BAR_TABLE.records(), 3)
+    apart, so both summary routes refuse it alike; so too when the table's
+    only trial is flagged, whose lambda_bar then sets the thresholds."""
+    message = "trials need a lambda_bar that is a number, got nan"
+    for table in _NAN_BAR_TABLES:
+        with pytest.raises(DomainError, match=message):
+            summarize_records(table, seed=3)
+        with pytest.raises(DomainError, match=message):
+            reference_summarize_records(table.records(), 3)
 
 
-@pytest.mark.parametrize("table", _HUGE_BAR_TABLES, ids=["1e100", "inf"])
+@pytest.mark.parametrize("table", _HUGE_BAR_TABLES, ids=["1e100", "inf", "flagged_inf"])
 def test_a_live_lambda_bar_with_an_infinite_fourth_power_is_a_domain_error(table):
     """A lambda_bar of 1e100 overflowed lambda_bar**4 with a bare
-    OverflowError, and inf keyed all five tail thresholds by inf; both
-    summary routes refuse either alike."""
+    OverflowError, and inf keyed all five tail thresholds by inf (by NaN
+    when the only trial was flagged); both summary routes refuse each
+    alike."""
     message = "has a fourth power past the float range"
     with pytest.raises(DomainError, match=message):
         summarize_records(table, seed=3)
@@ -884,7 +900,7 @@ def test_trial_csv_round_trip(tmp_path):
         assert mine.trial_id == theirs.trial_id
         assert mine.lambda_bar == theirs.lambda_bar  # repr round trip is exact
         assert mine.entropy == theirs.entropy
-        assert mine.f_value == theirs.f_value
+        assert mine.f == theirs.f
         assert mine.delta == theirs.delta
         assert mine.purity_residual == theirs.purity_residual
         assert mine.symplectic_spectrum == theirs.symplectic_spectrum
@@ -903,13 +919,33 @@ def test_trial_csv_rejects_foreign_schema(tmp_path):
     path.write_text(trial_csv_header(2) + "\n0,2,2,1.0,0.0\n")
     with pytest.raises(DomainError):
         read_trials_csv(path)
+    for text in ("", "# provenance only\n\n"):
+        path.write_text(text)
+        with pytest.raises(DomainError, match="has no header row"):
+            read_trials_csv(path)
+    path.write_text(",".join(harness.TRIAL_CSV_FIXED_COLUMNS) + ",lambda_2\n")
+    with pytest.raises(DomainError, match="has malformed spectrum columns"):
+        read_trials_csv(path)
+
+
+def test_a_failed_replace_leaves_no_temporary_file(tmp_path, monkeypatch):
+    """The output is written to a temporary file and moved into place; when
+    the move fails, the temporary file goes and the error propagates."""
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(harness.os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        harness._atomic_write_text(tmp_path / "out.csv", "text\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_flagged_rows_survive_csv(tmp_path):
     nan = float("nan")
     flagged = TrialRecord(
         trial_id=0, n=2, k=1, lambda_bar=1.0, symplectic_spectrum=(nan,),
-        entropy=nan, f_value=nan, delta=nan, purity_residual=nan,
+        entropy=nan, f=nan, delta=nan, purity_residual=nan,
         tr_jm2=nan, tr_jm4=nan, flagged=True,
     )
     live = run_trial(np.ones(2), 1, SeededStream(6, 1))
@@ -937,7 +973,7 @@ def test_all_flagged_summary_round_trips():
     nan = float("nan")
     flagged = TrialRecord(
         trial_id=0, n=4, k=1, lambda_bar=1.5, symplectic_spectrum=(nan,),
-        entropy=nan, f_value=nan, delta=nan, purity_residual=nan,
+        entropy=nan, f=nan, delta=nan, purity_residual=nan,
         tr_jm2=nan, tr_jm4=nan, flagged=True,
     )
     summary = summarize_records(table_from_records([flagged]), seed=0)

@@ -51,15 +51,17 @@ def test_parse_micro_needs_mode_count():
 
 
 def test_parse_canonical_with_temperature_override():
-    spec = parse_profile("canonical:8", n=4)
-    assert spec.mean_temperature() == 2.0
-    spec = parse_profile("canonical:8:0.5", n=4)
-    assert spec.mean_temperature() == 0.5
+    """T is E / n unless given; a unit exponential gives its mode energy 2 + T."""
+    for text, temperature in (("canonical:8", 2.0), ("canonical:8:0.5", 0.5)):
+        z = spectra_from_exponentials(parse_profile(text, n=4), np.ones((1, 4)))
+        assert z + 1.0 / z == pytest.approx(np.full((1, 4), 2.0 + temperature), rel=1e-14)
+    with pytest.raises(InvalidSpec, match="needs the mode count n"):
+        parse_profile("canonical:8")
 
 
 def test_parse_rejects_garbage():
     for text in ("", "fixed", "fixed:", "boltzmann:3", "constant:2", "constant:2x0",
-                 "fixed:3,0.5", "micro:x", "canonical:8:0:1"):
+                 "fixed:3,0.5", "micro:x", "canonical:8:0:1", "fixed:2,1"):
         with pytest.raises((InvalidSpec, EnergyTooSmall)):
             parse_profile(text, n=4)
 
@@ -216,8 +218,6 @@ def test_deterministic_kinds_ignore_generator():
 def test_fixed_spectrum_guard():
     with pytest.raises(DomainError):
         ProfileSpec(kind="microcanonical", n=3, energy=20.0).fixed_spectrum()
-    with pytest.raises(DomainError):
-        constant_profile(2.0, 3).mean_temperature()
 
 
 def test_profile_spec_direct_validation():
@@ -227,6 +227,10 @@ def test_profile_spec_direct_validation():
         ProfileSpec(kind="thermal", n=3)
     with pytest.raises(InvalidSpec):
         ProfileSpec(kind="constant", n=0, z=2.0)
+    with pytest.raises(InvalidSpec, match="constant profile needs z >= 1, got 0.5"):
+        ProfileSpec(kind="constant", n=3, z=0.5)
+    with pytest.raises(InvalidSpec, match="microcanonical profile needs a finite energy"):
+        ProfileSpec(kind="microcanonical", n=3, energy=math.inf)
 
 
 def test_scaling_config_rules():

@@ -323,6 +323,8 @@ def test_energy_domain_errors():
         mode_energy_from_squeezing(0.9)
     with pytest.raises(DomainError):
         squeezing_from_energy(1.9)
+    with pytest.raises(DomainError, match="squeezing spectrum must be a nonempty vector"):
+        average_energies([])
 
 
 def test_total_energy_invariant_under_rotation():
