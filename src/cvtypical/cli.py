@@ -49,9 +49,7 @@ from .harness import (
     summary_to_jsonable,
     _atomic_write_text,
 )
-from .moments import compute_moment_report
 from .profiles import ProfileSpec, ScalingConfig, parse_profile, profile_to_string
-from .weingarten import gram_weingarten_oracle, weingarten
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -377,6 +375,7 @@ def _emit_text(text: str, path: str | None) -> None:
 
 
 def _run_moments(cfg: RunConfig) -> int:
+    from .moments import compute_moment_report  # loaded here, so the trial subcommands never load it
     spec = cfg.z_profile  # the parsed floats, which the moments convert once per distinct value
     report = compute_moment_report(spec.z_values if spec.kind == "fixed" else [spec.z] * spec.n, cfg.k)
     # rendered once: the digest takes a profile string as it stands
@@ -423,6 +422,7 @@ def _run_concentration(cfg: RunConfig) -> int:
 
 
 def _run_weingarten_check(cfg: RunConfig) -> int:
+    from .weingarten import gram_weingarten_oracle, weingarten  # loaded here, as in _run_moments
     lo, hi = cfg.n_range
     lines = ["# " + _provenance(cfg)[1], "n,cycle_type,character_sum,gram_oracle,delta"]
     mismatches = 0

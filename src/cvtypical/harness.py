@@ -21,7 +21,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from numbers import Integral
 
@@ -29,8 +28,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidSubsystem, PairingFailure
 from .haar import SeededStream, _stream_keys, haar_columns
-from .profiles import ProfileSpec, ScalingConfig, fixed_profile
-from .profiles import exponential_count, spectra_from_exponentials
+from .profiles import ProfileSpec, ScalingConfig, exponential_count, fixed_profile, spectra_from_exponentials
 from .symplectic import (
     NOT_POSITIVE_DEFINITE,
     UNITARITY_TOL,
@@ -290,7 +288,8 @@ def draw_block(spec: ProfileSpec, k: int, seed: int, start: int, stop: int) -> t
     stream, laid out as nowhere else: a random profile's unit exponentials
     first, then the real and the imaginary parts of the trial's n x k
     Ginibre block, in C order.  One Philox is re-keyed per trial from the
-    block's prebuilt keys through one state dict, a fresh Philox's.
+    block's prebuilt keys through one state dict, a fresh Philox's held in
+    Python ints, which its setter takes in half the time numpy arrays take.
 
     Returns (z, draws): z is the profile's one spectrum (n,) when it is
     deterministic, else the trials' spectra (B, n), inf where an energy
@@ -300,11 +299,12 @@ def draw_block(spec: ProfileSpec, k: int, seed: int, start: int, stop: int) -> t
     trial_ids = range(start, stop)
     gen = SeededStream(seed, start).generator()
     state = gen.bit_generator.state  # a fresh Philox's: key, counter 0, empty buffer
+    state["state"]["counter"], state["buffer"] = state["state"]["counter"].tolist(), state["buffer"].tolist()
     draws = np.empty((len(trial_ids), 2, spec.n, k))
     exponentials = None
     if not spec.is_deterministic:
         exponentials = np.empty((len(trial_ids), exponential_count(spec)))
-    for b, key in enumerate(_stream_keys(seed, trial_ids)):
+    for b, key in enumerate(_stream_keys(seed, trial_ids).tolist()):
         state["state"]["key"] = key
         gen.bit_generator.state = state
         if exponentials is not None:
@@ -348,14 +348,13 @@ def _rescaled(statistic, values: np.ndarray, **options) -> float:
         return float(np.ldexp(statistic(np.ldexp(values, -exponent), **options), exponent))
 
 
-def _mean_se(values: np.ndarray) -> tuple:
-    count = values.size
-    if count == 0:
-        return float("nan"), float("nan")
-    mean = _rescaled(np.mean, values)
-    if count < 2:
-        return mean, float("nan")
-    return mean, _rescaled(np.std, values, ddof=1) / math.sqrt(count)
+def _mean_se_std(values: np.ndarray) -> tuple:
+    """Mean, standard error and sample std (ddof=1); NaN where too few values."""
+    mean = _rescaled(np.mean, values) if values.size else math.nan
+    if values.size < 2:
+        return mean, math.nan, math.nan
+    std = _rescaled(np.std, values, ddof=1)
+    return mean, std / math.sqrt(values.size), std
 
 
 def summarize_records(table: TrialTable, seed: int, profile: ProfileSpec | None = None) -> RunSummary:
@@ -372,18 +371,18 @@ def summarize_records(table: TrialTable, seed: int, profile: ProfileSpec | None 
     if profile is not None and profile.is_deterministic:
         lambda_ref = float(average_energies(profile.fixed_spectrum()))
     else:  # with no live trial, the flagged ones carry their profile's value
-        lambda_ref = float(np.mean(table.lambda_bar[live] if live_count else table.lambda_bar))
+        with np.errstate(over="ignore", invalid="ignore"):  # a mean past the range is refused below
+            lambda_ref = float(np.mean(table.lambda_bar[live] if live_count else table.lambda_bar))
 
     entropy, delta = table.entropy[live], table.delta[live]
     with np.errstate(over="ignore"):  # a power past the float range is inf
         delta_sq = delta * delta
         scale = float(np.float64(lambda_ref) ** 4)
 
-    mean_f, se_f = _mean_se(table.f[live])
-    mean_tr2, se_tr2 = _mean_se(table.tr_jm2[live])
-    mean_tr4, se_tr4 = _mean_se(table.tr_jm4[live])
-    mean_s, se_s = _mean_se(entropy)
-    std_s = _rescaled(np.std, entropy, ddof=1) if entropy.size >= 2 else float("nan")
+    mean_f, se_f, _ = _mean_se_std(table.f[live])
+    mean_tr2, se_tr2, _ = _mean_se_std(table.tr_jm2[live])
+    mean_tr4, se_tr4, _ = _mean_se_std(table.tr_jm4[live])
+    mean_s, se_s, std_s = _mean_se_std(entropy)
 
     if math.isnan(lambda_ref):  # five NaN thresholds, which JSON would collapse
         raise DomainError("trials need a lambda_bar that is a number, got nan")
@@ -443,6 +442,7 @@ def run_ensemble(profile, k: int, samples: int, seed: int, workers: int = 1):
     if threads == 1:
         tables = list(map(_run_block, blocks))
     else:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only by a threaded run
         with ThreadPoolExecutor(max_workers=threads) as pool:
             tables = list(pool.map(_run_block, blocks))
     table = tables[0] if len(tables) == 1 else TrialTable(tables[0].n, tables[0].k, *(

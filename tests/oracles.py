@@ -90,7 +90,7 @@ from cvtypical.harness import (
     TrialRecord,
     TrialTable,
     _TABLE_COLUMNS,
-    _mean_se,
+    _mean_se_std,
     _rescaled,
     trial_csv_header,
 )
@@ -803,7 +803,8 @@ def reference_summarize_records(records, seed: int, profile=None) -> RunSummary:
     if profile is not None and profile.is_deterministic:
         lambda_ref = float(average_energies(profile.fixed_spectrum()))
     else:
-        lambda_ref = float(np.mean([r.lambda_bar for r in live or records]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lambda_ref = float(np.mean([r.lambda_bar for r in live or records]))
 
     f_vals = np.array([r.f for r in live])
     tr2 = np.array([r.tr_jm2 for r in live])
@@ -811,10 +812,10 @@ def reference_summarize_records(records, seed: int, profile=None) -> RunSummary:
     entropy = np.array([r.entropy for r in live])
     delta_sq = np.array([r.delta * r.delta for r in live])
 
-    mean_f, se_f = _mean_se(f_vals)
-    mean_tr2, se_tr2 = _mean_se(tr2)
-    mean_tr4, se_tr4 = _mean_se(tr4)
-    mean_s, se_s = _mean_se(entropy)
+    mean_f, se_f, _ = _mean_se_std(f_vals)
+    mean_tr2, se_tr2, _ = _mean_se_std(tr2)
+    mean_tr4, se_tr4, _ = _mean_se_std(tr4)
+    mean_s, se_s, _ = _mean_se_std(entropy)
     std_s = _rescaled(np.std, entropy, ddof=1) if entropy.size >= 2 else float("nan")
 
     if math.isnan(lambda_ref):

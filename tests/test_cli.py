@@ -861,3 +861,54 @@ def test_entry_point_version():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"cvtypical {__version__}"
+
+
+# the modules only moments and weingarten-check run (fractions loads decimal),
+# and the thread pool only a threaded ensemble runs
+_NOT_FOR_TRIALS = ("cvtypical.moments", "cvtypical.weingarten", "fractions", "decimal", "concurrent.futures")
+
+
+def _loaded_by_fresh_process(code: str, cwd) -> set:
+    """The _NOT_FOR_TRIALS modules in sys.modules after code ran in a fresh
+    interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cvtypical.__file__).resolve().parents[1]))
+    probe = f"{code}\nimport sys\nprint(*(m for m in {_NOT_FOR_TRIALS!r} if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("trial-dump --k 1 --z-profile fixed:3,1,1,1 --samples 1 --output t.csv --summary-output t.json", set()),
+        ("concentration --n-list 4 --samples 2 --output-dir out", set()),
+        ("profile-sample --z-profile canonical:8 --n 4 --samples 2 --output s.csv", set()),
+        ("moments --z-profile fixed:3,1,1,1 --k 1 --output m.json", {"cvtypical.moments", "fractions", "decimal"}),
+        ("weingarten-check --p 2 --n-range 2:3", {"cvtypical.weingarten", "fractions", "decimal"}),
+    ],
+    ids=["trial-dump", "concentration", "profile-sample", "moments", "weingarten-check"],
+)
+def test_a_subcommand_loads_only_what_it_runs(tmp_path, command, loaded):
+    """A fresh process compiles and runs every module it imports, so the
+    trial subcommands load neither the exact-rational modules nor the thread
+    pool, which only a threaded ensemble needs."""
+    code = f"from cvtypical import cli\nassert cli.main({command.split()!r}) == 0"
+    assert _loaded_by_fresh_process(code, tmp_path) == loaded
+
+
+def test_a_threaded_ensemble_loads_the_pool_and_gives_the_one_thread_table(tmp_path):
+    """n k > 256 on two threads: the pool loads on first use, and the table
+    is the one a single thread gives."""
+    code = (
+        "from cvtypical import harness\n"
+        "from cvtypical.profiles import parse_profile\n"
+        "harness._cpu_count = lambda: 2\n"
+        "spec = parse_profile('micro:600.0', n=256)\n"
+        "one = harness.run_ensemble(spec, 16, 40, seed=2)[1].records()\n"
+        "import sys\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "two = harness.run_ensemble(spec, 16, 40, seed=2, workers=2)[1].records()\n"
+        "assert repr(two) == repr(one)"
+    )
+    assert _loaded_by_fresh_process(code, tmp_path) == {"concurrent.futures"}

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -314,7 +315,7 @@ def test_thread_count_follows_the_cpus_and_the_block(monkeypatch, n, k, cpus, wo
     made, sizes = [], []
     real_block = harness._run_block
 
-    class Recording(harness.ThreadPoolExecutor):
+    class Recording(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             made.append(max_workers)
             super().__init__(max_workers=max_workers)
@@ -325,7 +326,7 @@ def test_thread_count_follows_the_cpus_and_the_block(monkeypatch, n, k, cpus, wo
 
     spec = parse_profile("micro:600.0", n=n)
     _, expected = run_ensemble(spec, k, 300, seed=4)
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(harness, "_run_block", recording_block)
     monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
     _, table = run_ensemble(spec, k, 300, seed=4, workers=workers)
@@ -823,28 +824,39 @@ def _outcome(function, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _one_row(lambda_bar, flagged=False):
-    """A one-row table, live or flagged as the kernel flags: NaN but for lambda_bar."""
+def _rows(*lambda_bars, flagged=False):
+    """A table of one row per lambda_bar, all live or all flagged as the
+    kernel flags: NaN but for lambda_bar."""
     if flagged:
         nan = float("nan")
-        return table_from_records([TrialRecord(0, 3, 1, lambda_bar, (nan,), nan, nan, nan, nan, nan, nan, True)])
-    return table_from_records([TrialRecord(0, 3, 1, lambda_bar, (0.0,), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False)])
+        cells = ((nan,), nan, nan, nan, nan, nan, nan, True)
+    else:
+        cells = ((0.0,), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, False)
+    return table_from_records([TrialRecord(i, 3, 1, bar, *cells) for i, bar in enumerate(lambda_bars)])
 
 
-# a row whose lambda_bar is NaN, live or the only one and flagged: five NaN
-# tail thresholds
-_NAN_BAR_TABLES = [_one_row(float("nan")), _one_row(float("nan"), flagged=True)]
-# rows whose lambda_bar**4 is past the float range: five inf thresholds
-_HUGE_BAR_TABLES = [_one_row(1e100), _one_row(float("inf")), _one_row(float("inf"), flagged=True)]
+# rows whose lambda_bar, or their mean when all are flagged, is NaN: a live
+# NaN, a lone flagged one, and a flagged inf - inf, whose mean numpy warned
+# about before the summary refused it
+_NAN_BAR_TABLES = [
+    _rows(float("nan")), _rows(float("nan"), flagged=True), _rows(float("inf"), -float("inf"), flagged=True)
+]
+# rows whose lambda_bar**4 is past the float range: five inf thresholds; the
+# mean of the flagged 1e308 pair overflows, which numpy warned about too
+_HUGE_BAR_TABLES = [
+    _rows(1e100), _rows(float("inf")), _rows(float("inf"), flagged=True), _rows(1e308, 1e308, flagged=True)
+]
 
 
 @settings(max_examples=300, deadline=None)
 @given(table=_tables())
 @example(table=_NAN_BAR_TABLES[0])
 @example(table=_NAN_BAR_TABLES[1])
+@example(table=_NAN_BAR_TABLES[2])
 @example(table=_HUGE_BAR_TABLES[0])
 @example(table=_HUGE_BAR_TABLES[1])
 @example(table=_HUGE_BAR_TABLES[2])
+@example(table=_HUGE_BAR_TABLES[3])
 def test_columnar_outputs_match_the_record_references(table):
     """The columnar CSV writer and summary give what the record-by-record
     references give on the table's records: the same text, and a
@@ -860,7 +872,9 @@ def test_a_live_nan_lambda_bar_is_a_domain_error():
     """Tail thresholds are multiples of lambda_bar**4: a live trial whose
     lambda_bar is NaN would key all five by NaN, which JSON cannot tell
     apart, so both summary routes refuse it alike; so too when the table's
-    only trial is flagged, whose lambda_bar then sets the thresholds."""
+    only trial is flagged, whose lambda_bar then sets the thresholds, and
+    when the flagged trials' inf and -inf average to NaN, with no warning
+    first."""
     message = "trials need a lambda_bar that is a number, got nan"
     for table in _NAN_BAR_TABLES:
         with pytest.raises(DomainError, match=message):
@@ -869,12 +883,13 @@ def test_a_live_nan_lambda_bar_is_a_domain_error():
             reference_summarize_records(table.records(), 3)
 
 
-@pytest.mark.parametrize("table", _HUGE_BAR_TABLES, ids=["1e100", "inf", "flagged_inf"])
+@pytest.mark.parametrize("table", _HUGE_BAR_TABLES, ids=["1e100", "inf", "flagged_inf", "flagged_1e308_pair"])
 def test_a_live_lambda_bar_with_an_infinite_fourth_power_is_a_domain_error(table):
     """A lambda_bar of 1e100 overflowed lambda_bar**4 with a bare
     OverflowError, and inf keyed all five tail thresholds by inf (by NaN
     when the only trial was flagged); both summary routes refuse each
-    alike."""
+    alike, as they refuse two flagged 1e308, whose mean overflows, with no
+    warning first."""
     message = "has a fourth power past the float range"
     with pytest.raises(DomainError, match=message):
         summarize_records(table, seed=3)

