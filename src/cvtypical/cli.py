@@ -38,6 +38,7 @@ from .errors import (
     InvalidSpec,
     UsageError,
 )
+from .haar import SEED_LIMIT
 from .harness import (
     BLOCK_TRIALS,
     SWEEP_MIN_N,
@@ -72,10 +73,6 @@ class RunConfig:
 
 # concentration's files in --output-dir: a trial CSV per --n-list entry, a summary
 _SWEEP_TRIALS, _SWEEP_SUMMARY = "trials_n{}.csv", "sweep_summary.json"
-
-# Philox is keyed with the seed as one exact 64-bit half (haar._stream_keys), so
-# a seed must fit in 64 bits, as must every sweep row's seed + i.
-SEED_LIMIT = 2**64
 
 
 def _integer(minimum: int):

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SeededStream", "haar_columns"]
-
-_MASK64 = (1 << 64) - 1
+# Philox is keyed with a seed as one exact 64-bit half, so the harness and
+# the CLI take seeds in 0..SEED_LIMIT-1.
+SEED_LIMIT = 2**64
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ def _stream_keys(seed: int, stream_ids) -> np.ndarray:
     state with the key replaced by a row draws what a new generator keyed
     with the row would, at a fraction of the cost of building one."""
     keys = np.empty((len(stream_ids), 2), dtype=np.uint64)
-    keys[:, 0] = seed & _MASK64
-    keys[:, 1] = [t & _MASK64 for t in stream_ids]
+    keys[:, 0] = seed % SEED_LIMIT
+    keys[:, 1] = [t % SEED_LIMIT for t in stream_ids]
     return keys
 
 

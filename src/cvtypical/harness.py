@@ -27,18 +27,18 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DomainError, InvalidSubsystem, PairingFailure
-from .haar import SeededStream, _stream_keys, haar_columns
+from .haar import SEED_LIMIT, SeededStream, _stream_keys, haar_columns
 from .profiles import ProfileSpec, ScalingConfig, exponential_count, fixed_profile, spectra_from_exponentials
 from .symplectic import (
     NOT_POSITIVE_DEFINITE,
     UNITARITY_TOL,
+    _j_times,
     average_energies,
     entropy_error,
     gaussian_entropies,
     reduced_covariance_from_rows,
     spectral_deviation_deltas,
     spectrum_error,
-    symplectic_form,
     symplectic_spectrum,
     unitarity_error,
 )
@@ -173,9 +173,9 @@ def run_trial(z, k: int, stream: SeededStream) -> TrialRecord:
     stream.seed: the record run_ensemble's table holds for it, run as a
     block of one through _run_block.
 
-    Kept for perfbench, whose per-layer trace wraps it and whose self-test
-    calls it.  A reduced covariance that is not positive definite yields a
-    flagged record with NaN fields rather than an exception.
+    Kept for perfbench's self-test and the tests, which call it.  A reduced
+    covariance that is not positive definite yields a flagged record with
+    NaN fields rather than an exception.
     """
     if not isinstance(stream, SeededStream):
         raise DomainError(f"expected a SeededStream, got {type(stream).__name__}")
@@ -195,11 +195,14 @@ def _as_int(name: str, value, error=DomainError) -> int:
 
 
 def _checked_k_and_seed(k, seed, n: int) -> tuple:
-    """(k, seed) as Python ints, k in 1..n."""
+    """(k, seed) as Python ints, k in 1..n and seed in 0..SEED_LIMIT-1."""
     k = _as_int("k", k, InvalidSubsystem)
     if not 1 <= k <= n:
         raise InvalidSubsystem(f"k={k} outside 1..{n}")
-    return k, _as_int("seed", seed)
+    seed = _as_int("seed", seed)
+    if not 0 <= seed < SEED_LIMIT:
+        raise DomainError(f"seed={seed} outside 0..2^64-1")
+    return k, seed
 
 
 def _block_records(z, lam_bars, draws, k: int, trial_ids) -> TrialTable:
@@ -229,7 +232,7 @@ def _block_records(z, lam_bars, draws, k: int, trial_ids) -> TrialTable:
         entropies, low = gaussian_entropies(lams)
         # the scalar formula's operations in its order
         c = bars * bars
-        jm = symplectic_form(k) @ M_red
+        jm = _j_times(M_red)
         P = jm @ jm
         tr_jm2 = np.trace(P, axis1=1, axis2=2)
         tr_jm4 = np.trace(P @ P, axis1=1, axis2=2)
@@ -547,11 +550,10 @@ def read_trials_csv(path):
     if not rows:
         raise DomainError(f"{path} has no header row")
     header = rows[0].split(",")
-    fixed = list(TRIAL_CSV_FIXED_COLUMNS)
-    if header[: len(fixed)] != fixed or len(header) <= len(fixed):
+    fixed = len(TRIAL_CSV_FIXED_COLUMNS)
+    if header[:fixed] != list(TRIAL_CSV_FIXED_COLUMNS) or len(header) <= fixed:
         raise DomainError(f"{path} does not match the trial CSV schema")
-    k = len(header) - len(fixed)
-    if header[len(fixed):] != [f"lambda_{j}" for j in range(1, k + 1)]:
+    if rows[0] != trial_csv_header(len(header) - fixed):
         raise DomainError(f"{path} has malformed spectrum columns")
     records = []
     for row in rows[1:]:
@@ -559,7 +561,7 @@ def read_trials_csv(path):
         if len(cells) != len(header):
             raise DomainError(f"{path}: row width {len(cells)} != {len(header)}")
         values = {name: parse(cell) for (name, parse), cell in zip(_TRIAL_CSV_TYPES.items(), cells)}
-        spectrum = tuple(float(c) for c in cells[len(fixed):])
+        spectrum = tuple(float(c) for c in cells[fixed:])
         records.append(TrialRecord(
             **values, symplectic_spectrum=spectrum, tr_jm2=math.nan, tr_jm4=math.nan,
             flagged=math.isnan(values["f"]),

@@ -45,14 +45,6 @@ import numpy as np
 
 from .errors import DimensionTooSmall, DomainError, InvalidSubsystem
 
-__all__ = [
-    "MomentInputs",
-    "MomentReport",
-    "moment_inputs_from_spectrum",
-    "expected_f_exact",
-    "compute_moment_report",
-]
-
 
 @dataclass(frozen=True)
 class MomentInputs:

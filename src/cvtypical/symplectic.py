@@ -4,7 +4,8 @@ spectral deviation.  Each routine takes a stack of trials, with a leading
 stack axis; a lone matrix is a stack of one.
 
 Matrices are plain numpy arrays in (Q_1..Q_n, P_1..P_n) ordering, so the
-symplectic form is the fixed block matrix J = [[0, -I], [I, 0]]. A squeezing
+symplectic form is the fixed block matrix J = [[0, -I], [I, 0]], applied as
+the signed swap of _j_times and never formed. A squeezing
 spectrum is any length-n array-like with entries z_j >= 1, or a stack (B, n)
 of them.
 """
@@ -24,19 +25,6 @@ from .errors import (
     PairingFailure,
 )
 
-__all__ = [
-    "SymplecticSpectrum",
-    "symplectic_form",
-    "reduced_covariance_from_rows",
-    "unitarity_error",
-    "symplectic_spectrum",
-    "spectrum_error",
-    "average_energies",
-    "gaussian_entropies",
-    "entropy_error",
-    "spectral_deviation_deltas",
-]
-
 UNITARITY_TOL = 1e-10
 WILLIAMSON_TOL = 1e-6  # slack below 1 tolerated before InvalidCovariance
 PURE_CLAMP = 1e-8  # the entropy treats lambda - 1 <= PURE_CLAMP as lambda = 1
@@ -52,14 +40,11 @@ class SymplecticSpectrum(NamedTuple):
     pair_gap: float
 
 
-def symplectic_form(n: int) -> np.ndarray:
-    """The 2n x 2n symplectic form J = [[0, -I], [I, 0]]."""
-    if n < 1:
-        raise DomainError(f"need n >= 1, got n={n}")
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = -np.eye(n)
-    J[n:, :n] = np.eye(n)
-    return J
+def _j_times(X: np.ndarray) -> np.ndarray:
+    """J X for each 2k-row matrix X = [[X_q], [X_p]] in a stack: the signed
+    swap [[-X_p], [X_q]], each entry exactly one +-x of X."""
+    k = X.shape[-2] // 2
+    return np.concatenate([-X[..., k:, :], X[..., :k, :]], axis=-2)
 
 
 def _as_squeezing(z) -> np.ndarray:
@@ -163,7 +148,7 @@ def symplectic_spectrum(M: np.ndarray):
                 L[i] = np.linalg.cholesky(matrix)
             except np.linalg.LinAlgError:
                 L[i], indefinite[i] = np.eye(2 * k), True
-    K = np.swapaxes(L, 1, 2) @ np.concatenate([-L[:, k:], L[:, :k]], axis=1)  # L^T (J L)
+    K = np.swapaxes(L, 1, 2) @ _j_times(L)
     w = np.linalg.eigvalsh(np.swapaxes(K, 1, 2) @ K)[:, ::-1]
     squares = w[:, 0::2]
     lambdas = np.sqrt(np.maximum(squares, 0.0))

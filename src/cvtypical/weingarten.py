@@ -34,15 +34,6 @@ from .errors import (
     SizeMismatch,
 )
 
-__all__ = [
-    "inverse",
-    "cycle_type",
-    "partitions",
-    "unitary_irrep_dimension",
-    "weingarten",
-    "gram_weingarten_oracle",
-]
-
 GRAM_MAX_ORDER = 6  # the oracle's pass over all p! permutations is tested up to here
 
 

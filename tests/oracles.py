@@ -31,11 +31,11 @@ and the helpers only tests call (``validate_covariance``,
 ``summary_from_jsonable``, the readers of the summary JSON).
 
 The full-state composition is the reference of the package's k-row
-reduction: ``fiducial_covariance`` builds the 2n x 2n squeezed state,
-``eta_embed`` the orthogonal symplectic image of a unitary,
-``rotate_covariance`` conjugates by it, ``reduce_covariance`` keeps the
-first k modes, and ``concentration_f`` evaluates f by direct matrix
-arithmetic.
+reduction: ``symplectic_form`` is J as a matrix, ``fiducial_covariance``
+builds the 2n x 2n squeezed state, ``eta_embed`` the orthogonal symplectic
+image of a unitary, ``rotate_covariance`` conjugates by it,
+``reduce_covariance`` keeps the first k modes, and ``concentration_f``
+evaluates f by direct matrix arithmetic.
 
 It keeps the trial-by-trial Monte Carlo pipeline as the reference of the
 package's block kernel (``reference_run_trial``, ``reference_run_one``),
@@ -101,7 +101,6 @@ from cvtypical.symplectic import (
     WILLIAMSON_TOL,
     SymplecticSpectrum,
     average_energies,
-    symplectic_form,
 )
 from cvtypical.weingarten import cycle_type, gram_weingarten_oracle, inverse
 
@@ -415,6 +414,17 @@ def mode_energy_from_squeezing(z: float) -> float:
 
 
 # The full-state composition, one 2n x 2n matrix per call.
+
+
+def symplectic_form(n: int) -> np.ndarray:
+    """The 2n x 2n symplectic form J = [[0, -I], [I, 0]], as a matrix; the
+    package applies it as a signed swap of row halves instead."""
+    if n < 1:
+        raise DomainError(f"need n >= 1, got n={n}")
+    J = np.zeros((2 * n, 2 * n))
+    J[:n, n:] = -np.eye(n)
+    J[n:, :n] = np.eye(n)
+    return J
 
 
 def eta_embed(U: np.ndarray) -> np.ndarray:

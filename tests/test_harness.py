@@ -154,6 +154,27 @@ def test_k_and_seed_must_be_integers():
         run_ensemble([2.0, 1.0, 1.0], 1, 2, 3.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+def test_a_seed_outside_64_bits_is_a_domain_error(seed):
+    """A stream is keyed with its seed mod 2^64, so 2^64 would run seed 0's
+    trials and -1 those of 2^64 - 1; such a seed is refused instead."""
+    z = [3.0, 1.0, 1.0, 1.0]
+    with pytest.raises(DomainError, match=rf"seed={seed} outside 0\.\.2\^64-1"):
+        run_ensemble(z, 1, 4, seed=seed)
+    with pytest.raises(DomainError, match=rf"seed={seed} outside 0\.\.2\^64-1"):
+        run_trial(z, 1, SeededStream(seed, 0))
+
+
+def test_a_sweep_row_seed_past_64_bits_is_a_domain_error():
+    """Row i runs on seed + i: a row that would pass 2^64 is refused, not
+    run on seed 0's streams under a summary that names seed 2^64."""
+    rows = concentration_sweep(ScalingConfig(), [4, 8], 3, 2**64 - 1)
+    n, summary, _table = next(rows)
+    assert (n, summary.seed) == (4, 2**64 - 1)
+    with pytest.raises(DomainError, match=rf"seed={2**64} outside"):
+        next(rows)
+
+
 def test_sweep_n_must_be_an_integer():
     """n = 4.9 is an error, not a silent row at n = 4."""
     with pytest.raises(DomainError, match="need an integer n, got n=4.9"):
@@ -449,6 +470,17 @@ def test_block_keys_at_the_seed_edge(seed):
     _, table = run_ensemble(spec, k, samples, seed)
     reference = [reference_run_one((spec, k, seed, t)) for t in range(samples)]
     assert repr(table.records()) == repr(reference)
+
+
+def test_the_table_lists_the_record_fields_in_order():
+    """records() builds each TrialRecord from the table's columns by
+    position, so after n and k the table holds the record's other fields in
+    the record's order; a field added to one class only would shift every
+    later column."""
+    record = [field.name for field in dataclasses.fields(TrialRecord)]
+    table = [field.name for field in dataclasses.fields(TrialTable)]
+    assert table[:2] == ["n", "k"]
+    assert table[2:] == [name for name in record if name not in ("n", "k")]
 
 
 def _assert_same_table(got, expected):

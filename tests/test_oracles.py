@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cvtypical.errors import DomainError
 from cvtypical.haar import SeededStream
 from cvtypical.moments import (
     _exact,
@@ -20,7 +21,6 @@ from cvtypical.moments import (
     expected_f_exact,
     moment_inputs_from_spectrum,
 )
-from cvtypical.symplectic import symplectic_form
 from oracles import (
     _reference_haar_rows,
     block_matrix_V,
@@ -30,7 +30,21 @@ from oracles import (
     fiducial_covariance,
     reduce_covariance,
     rotate_covariance,
+    symplectic_form,
 )
+
+
+def test_symplectic_form_square():
+    for n in (1, 2, 5):
+        J = symplectic_form(n)
+        assert J.shape == (2 * n, 2 * n)
+        assert np.array_equal(J.T, -J)
+        assert np.array_equal(J @ J, -np.eye(2 * n))
+
+
+def test_symplectic_form_rejects_nonpositive_n():
+    with pytest.raises(DomainError):
+        symplectic_form(0)
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (5, 2)])

@@ -52,6 +52,20 @@ def test_the_package_defines_public_names():
     assert len(PUBLIC) > 20
 
 
+def test_only_the_root_lists_its_names():
+    """A module's public names are those without a leading underscore, as
+    test_public_name_has_a_caller reads them; only __init__ keeps an
+    __all__, its list of re-exports."""
+    listing = [
+        path.name
+        for path, tree in SOURCES.items()
+        for node in tree.body
+        for target in getattr(node, "targets", [getattr(node, "target", None)])
+        if isinstance(target, ast.Name) and target.id == "__all__"
+    ]
+    assert listing == ["__init__.py"]
+
+
 @pytest.mark.parametrize(
     "path, node", PUBLIC, ids=[f"{path.stem}.{node.name}" for path, node in PUBLIC]
 )

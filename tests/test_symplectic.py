@@ -24,13 +24,13 @@ from cvtypical.symplectic import (
     PURE_CLAMP,
     UNITARITY_TOL,
     SymplecticSpectrum,
+    _j_times,
     average_energies,
     entropy_error,
     gaussian_entropies,
     reduced_covariance_from_rows,
     spectral_deviation_deltas,
     spectrum_error,
-    symplectic_form,
     symplectic_spectrum,
     unitarity_error,
 )
@@ -48,6 +48,7 @@ from oracles import (
     reduce_covariance,
     rotate_covariance,
     squeezing_from_energy,
+    symplectic_form,
     validate_covariance,
 )
 
@@ -59,17 +60,14 @@ def spectrum_of(M):
     return SymplecticSpectrum(*(field[0] for field in spectrum)), code
 
 
-def test_symplectic_form_square():
-    for n in (1, 2, 5):
-        J = symplectic_form(n)
-        assert J.shape == (2 * n, 2 * n)
-        assert np.array_equal(J.T, -J)
-        assert np.array_equal(J @ J, -np.eye(2 * n))
-
-
-def test_symplectic_form_rejects_nonpositive_n():
-    with pytest.raises(DomainError):
-        symplectic_form(0)
+@pytest.mark.parametrize("k", range(1, 9))
+def test_j_times_is_the_symplectic_form_product(k):
+    """The signed swap gives J X entry for entry: each entry of the 0/+-1
+    product is a single +-x, so the matrix route rounds nothing either."""
+    gen = SeededStream(30 + k).generator()
+    for B in (1, 3, 7):
+        X = gen.standard_normal((B, 2 * k, 2 * k)) * 2.0 ** gen.integers(-60, 61, (B, 2 * k, 2 * k))
+        assert np.array_equal(_j_times(X), symplectic_form(k) @ X)
 
 
 def test_eta_embed_is_orthogonal_symplectic():
