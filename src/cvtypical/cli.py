@@ -77,6 +77,8 @@ _SWEEP_TRIALS, _SWEEP_SUMMARY = "trials_n{}.csv", "sweep_summary.json"
 
 def _integer(minimum: int):
     def check(value, opt):
+        with contextlib.suppress(ValueError):  # text int() refuses stays a string, refused below
+            value = int(value) if isinstance(value, str) else value
         if isinstance(value, bool) or not isinstance(value, int):
             raise UsageError(f"{opt.flag} must be an integer, got {value!r}")
         if value < minimum:
@@ -94,9 +96,11 @@ def _seed(value, opt) -> int:
 
 
 def _number(value, opt) -> float:
+    with contextlib.suppress(ValueError):  # as in _integer, as float() reads text
+        value = float(value) if isinstance(value, str) else value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise UsageError(f"{opt.flag} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int that float() cannot take
         raise UsageError(f"{opt.flag} must be finite, got {value!r}")
     return float(value)
 
@@ -147,23 +151,21 @@ def _parse_n_range(value, opt) -> tuple:
 
 class _Option(NamedTuple):
     flag: str
-    # check(value, option) -> checked value; raises UsageError.  It runs on the
-    # merged value, whether that came from the flag or from the config file.
+    # check(value, option) -> checked value; raises UsageError.  It is the one
+    # reader of the value: the flag's text or the config file's JSON value.
     check: Callable
     help: str | None = None
-    # how argparse reads the flag's text (and a config-file string value)
-    type: Callable | None = None
     choices: tuple | None = None
 
 
 # One entry per option; the key is the argparse dest, the config-file key,
 # and (except for the four scaling values) the RunConfig field.
 _OPTIONS = {
-    "seed": _Option("--seed", _seed, type=int),
-    "workers": _Option("--workers", _integer(1), "at most this many worker threads (default 1)", type=int),
-    "n": _Option("--n", _integer(1), "mode count", type=int),
-    "k": _Option("--k", _integer(1), "subsystem modes (concentration default: scaling rule)", type=int),
-    "samples": _Option("--samples", _integer(1), type=int),
+    "seed": _Option("--seed", _seed),
+    "workers": _Option("--workers", _integer(1), "at most this many worker threads (default 1)"),
+    "n": _Option("--n", _integer(1), "mode count"),
+    "k": _Option("--k", _integer(1), "subsystem modes (concentration default: scaling rule)"),
+    "samples": _Option("--samples", _integer(1)),
     "z_profile": _Option(
         "--z-profile", _text, "fixed:<csv>, constant:<z>x<n>, micro:<E> or canonical:<E>[:<T>]"
     ),
@@ -173,12 +175,12 @@ _OPTIONS = {
     ),
     "format": _Option("--format", _choice, choices=("csv", "json")),
     "n_list": _Option("--n-list", _parse_n_list, "comma-separated mode counts"),
-    "zeta": _Option("--zeta", _number, "squeezing growth exponent", type=float),
-    "kappa": _Option("--kappa", _number, "subsystem growth exponent", type=float),
-    "scale_z": _Option("--scale-z", _number, "squeezing prefactor", type=float),
-    "scale_k": _Option("--scale-k", _number, "subsystem prefactor", type=float),
+    "zeta": _Option("--zeta", _number, "squeezing growth exponent"),
+    "kappa": _Option("--kappa", _number, "subsystem growth exponent"),
+    "scale_z": _Option("--scale-z", _number, "squeezing prefactor"),
+    "scale_k": _Option("--scale-k", _number, "subsystem prefactor"),
     "output_dir": _Option("--output-dir", _text),
-    "p": _Option("--p", _integer(1), "moment order", type=int),
+    "p": _Option("--p", _integer(1), "moment order"),
     "n_range": _Option("--n-range", _parse_n_range, "inclusive range a:b of dimensions"),
 }
 
@@ -198,28 +200,26 @@ def _dests(sub: str) -> tuple:
 
 @functools.cache
 def _build_parser():
-    """The parser and its subparsers by name, built once per process."""
+    """The parser, built once per process.  It only splits the command line:
+    every value stays the flag's text for its option's check."""
     parser = argparse.ArgumentParser(
         prog="cvtypical",
         description="Typicality experiments for random pure Gaussian states.",
     )
     parser.add_argument("--version", action="version", version=f"cvtypical {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    subparsers = {}
     for sub, spec in _SUBCOMMANDS.items():
-        sp = subparsers[sub] = subs.add_parser(sub, help=spec.help)
+        sp = subs.add_parser(sub, help=spec.help)
         sp.add_argument("--config", help="JSON config file keyed by option dest; flags override it")
         for dest in _dests(sub):
             opt = _OPTIONS[dest]
-            # name the value after the flag, not the dest (--output OUTPUT)
-            metavar = None if opt.choices else opt.flag[2:].replace("-", "_").upper()
-            sp.add_argument(
-                opt.flag, dest=dest, metavar=metavar, type=opt.type, choices=opt.choices, help=opt.help
-            )
-    return parser, subparsers
+            # name the value after the flag, not the dest (--output OUTPUT), or by its choices
+            metavar = "{%s}" % ",".join(opt.choices) if opt.choices else opt.flag[2:].replace("-", "_").upper()
+            sp.add_argument(opt.flag, dest=dest, metavar=metavar, help=opt.help)
+    return parser
 
 
-def _config_file_defaults(path: str, sub: str) -> dict:
+def _config_file_values(path: str, sub: str) -> dict:
     """The config file's values by dest.  Null values count as absent."""
     try:
         with open(path) as handle:
@@ -243,31 +243,19 @@ def _config_file_defaults(path: str, sub: str) -> dict:
 def parse_config(argv) -> RunConfig:
     """Merge argv and the optional --config JSON file into a RunConfig.
 
-    The file's values become the subparser's defaults, so argparse applies
-    the precedence: explicit flag, then config-file key, then default.  Each
-    value then passes its option's check, whichever source it came from.
-    Unknown config keys, missing required options, cross-field
-    inconsistencies and a file output that cannot be written (see
-    _check_output_path), concentration's in an existing --output-dir too,
-    raise UsageError, before anything runs.
+    argv is parsed once, and its flags lie over the file's values: explicit
+    flag, then config-file key, then default.  Each value then passes its
+    option's check, in _dests order, which reads a flag's text and a file's
+    JSON value alike.  Unknown config keys, missing required options,
+    cross-field inconsistencies and a file output that cannot be written
+    (see _check_output_path), concentration's in an existing --output-dir
+    too, raise UsageError, before anything runs.
     """
-    parser, subparsers = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     sub = ns.subcommand
-    if ns.config is not None:
-        defaults = _config_file_defaults(ns.config, sub)
-        subparsers[sub].set_defaults(**defaults)
-        try:
-            ns = parser.parse_args(argv)
-        finally:  # the parser is cached: the next call must not see the file
-            subparsers[sub].set_defaults(**dict.fromkeys(defaults))
-
-    values = {}
-    for dest in _dests(sub):
-        opt = _OPTIONS[dest]
-        value = getattr(ns, dest)
-        if value is not None:
-            values[dest] = opt.check(value, opt)
+    merged = {} if ns.config is None else _config_file_values(ns.config, sub)
+    merged.update((dest, text) for dest in _dests(sub) if (text := getattr(ns, dest)) is not None)
+    values = {dest: _OPTIONS[dest].check(merged[dest], _OPTIONS[dest]) for dest in _dests(sub) if dest in merged}
     if "z_profile" in values:
         values["z_profile"] = parse_profile(values["z_profile"], n=values.get("n"))
     if sub == "concentration":

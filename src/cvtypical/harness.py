@@ -181,7 +181,9 @@ def run_trial(z, k: int, stream: SeededStream) -> TrialRecord:
         raise DomainError(f"expected a SeededStream, got {type(stream).__name__}")
     spec = fixed_profile(z)
     k, seed = _checked_k_and_seed(k, stream.seed, spec.n)
-    t = stream.stream_id
+    t = _as_int("stream_id", stream.stream_id)
+    if not 0 <= t < SEED_LIMIT:  # SeededStream keys it mod 2^64, which would alias another trial
+        raise DomainError(f"stream_id={t} outside 0..2^64-1")
     return _run_block((spec, k, seed, t, t + 1)).records()[0]
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -45,6 +46,9 @@ class ProfileSpec:
     def __post_init__(self):
         if self.kind not in DETERMINISTIC_KINDS | RANDOM_KINDS:
             raise InvalidSpec(f"unknown profile kind {self.kind!r}")
+        if not isinstance(self.n, Integral):  # a float count would be truncated
+            raise InvalidSpec(f"need an integer mode count, got n={self.n!r}")
+        object.__setattr__(self, "n", int(self.n))  # a numpy integer would fail the JSON encoder
         if self.n < 1:
             raise InvalidSpec(f"need at least one mode, got n={self.n}")
         if self.kind == "fixed":
@@ -97,7 +101,7 @@ def fixed_profile(z_values) -> ProfileSpec:
 
 
 def constant_profile(z: float, n: int) -> ProfileSpec:
-    return ProfileSpec(kind="constant", n=int(n), z=float(z))
+    return ProfileSpec(kind="constant", n=n, z=float(z))
 
 
 _CONSTANT_RE = re.compile(r"^(?P<z>[^x]+)x(?P<n>\d+)$")
@@ -154,7 +158,7 @@ def parse_profile(text: str, n: int | None = None) -> ProfileSpec:
         if n is None:
             raise InvalidSpec("micro:<E> needs the mode count n from context")
         spec = ProfileSpec(
-            kind="microcanonical", n=int(n), energy=_parse_number(args, "energy")
+            kind="microcanonical", n=n, energy=_parse_number(args, "energy")
         )
     elif kind == "canonical":
         parts = args.split(":")
@@ -165,14 +169,14 @@ def parse_profile(text: str, n: int | None = None) -> ProfileSpec:
         temperature = _parse_number(parts[1], "temperature") if len(parts) == 2 else None
         spec = ProfileSpec(
             kind="canonical",
-            n=int(n),
+            n=n,
             energy=_parse_number(parts[0], "energy"),
             temperature=temperature,
         )
     else:
         raise InvalidSpec(f"unknown profile kind {kind!r} in {text!r}")
 
-    if n is not None and spec.n != int(n):
+    if n is not None and spec.n != n:
         raise InvalidSpec(f"profile {text!r} has n={spec.n} but n={n} was requested")
     return spec
 

@@ -709,6 +709,65 @@ def test_concentration_flag_values_are_usage_errors(tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []  # nothing was written
 
 
+PROFILE_SAMPLE = "profile-sample --z-profile micro:14 --n 4 --output out.csv"
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        (PROFILE_SAMPLE + " --samples 2 --seed abc", None, "--seed must be an integer, got 'abc'"),
+        (PROFILE_SAMPLE + " --samples 1.5", None, "--samples must be an integer, got '1.5'"),
+        (PROFILE_SAMPLE + " --samples 2 --format xml", None, "--format must be one of csv, json, got 'xml'"),
+        (PROFILE_SAMPLE + " --samples 2", {"seed": "abc"}, "--seed must be an integer, got 'abc'"),
+        (PROFILE_SAMPLE + " --samples 2", {"format": "xml"}, "--format must be one of csv, json, got 'xml'"),
+        # an integer float() cannot take
+        ("concentration --n-list 4 --samples 2 --output-dir d", {"zeta": 10**400}, "--zeta must be finite, got 1000"),
+    ],
+    ids=["seed_flag", "samples_flag", "format_flag", "seed_config", "format_config", "zeta_config_10_400"],
+)
+def test_a_bad_value_is_one_error_line(tmp_path, monkeypatch, capsys, command, config, message):
+    """A flag's text goes through the check a config file's value does, so
+    either gives one line naming the flag, not argparse's usage block, and
+    nothing runs."""
+    monkeypatch.chdir(tmp_path)
+    argv = command.split()
+    if config is not None:
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        argv += ["--config", "run.json"]
+    rc, out, err = run_main(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
+    assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["run.json"])
+
+
+@pytest.mark.parametrize(
+    "command, flag, text, value",
+    [
+        ("trial-dump --n 4 --k 1 --z-profile fixed:3,1,1,1 --samples 3", "--seed", "7", 7),
+        ("trial-dump --n 4 --k 1 --z-profile fixed:3,1,1,1 --samples 3", "--workers", "2", 2),
+        ("trial-dump --n 4 --k 1 --z-profile fixed:3,1,1,1", "--samples", "12", 12),
+        ("concentration --n-list 4,8 --samples 2", "--zeta", "0.25", 0.25),
+        ("profile-sample --z-profile micro:14 --n 4 --samples 2", "--format", "json", "json"),
+        ("concentration --samples 2", "--n-list", "4,8", [4, 8]),
+        ("weingarten-check --p 3", "--n-range", "3:5", [3, 5]),
+    ],
+    ids=["seed", "workers", "samples", "zeta", "format", "n_list", "n_range"],
+)
+def test_a_config_string_reads_as_the_flags_text(tmp_path, monkeypatch, command, flag, text, value):
+    """A config file's string is read as the flag's text is, and gives the
+    config, and so the digest, that the flag or the JSON value gives."""
+    monkeypatch.chdir(tmp_path)
+    dest = {"--n-list": "n_list", "--n-range": "n_range"}.get(flag, flag[2:])
+    by_source = [parse_config(command.split() + [flag, text])]
+    for file_value in (text, value):
+        (tmp_path / "run.json").write_text(json.dumps({dest: file_value}))
+        by_source.append(parse_config(command.split() + ["--config", "run.json"]))
+    assert by_source[1:] == by_source[:1] * 2
+    assert {config_digest(cfg) for cfg in by_source} == {config_digest(by_source[0])}
+    read = tuple(value) if isinstance(value, list) else value
+    assert f"{dest}={read!r}" in repr(by_source[0])  # the value was read, not left at its default
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_base_profile_is_gone(tmp_path, monkeypatch, capsys, source):
     """The vacuum sweep is --scale-z 1; neither the flag nor the config key

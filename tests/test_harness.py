@@ -165,6 +165,19 @@ def test_a_seed_outside_64_bits_is_a_domain_error(seed):
         run_trial(z, 1, SeededStream(seed, 0))
 
 
+@pytest.mark.parametrize("stream_id", [-1, 2**64, 2**64 + 3], ids=["-1", "2^64", "2^64+3"])
+def test_a_stream_id_outside_64_bits_is_a_domain_error(stream_id):
+    """SeededStream keys its id mod 2^64, so run_trial would return trial 0's
+    record labelled 2^64, and trial 2^64 - 1's labelled -1; it refuses them."""
+    z = [3.0, 1.0, 1.0, 1.0]
+    with pytest.raises(DomainError, match=rf"stream_id={stream_id} outside 0\.\.2\^64-1"):
+        run_trial(z, 1, SeededStream(5, stream_id))
+    with pytest.raises(DomainError, match="need an integer stream_id"):
+        run_trial(z, 1, SeededStream(5, 1.0))
+    # the last id in range is trial 2^64 - 1 of the ensemble
+    assert run_trial(z, 1, SeededStream(5, 2**64 - 1)).trial_id == 2**64 - 1
+
+
 def test_a_sweep_row_seed_past_64_bits_is_a_domain_error():
     """Row i runs on seed + i: a row that would pass 2^64 is refused, not
     run on seed 0's streams under a summary that names seed 2^64."""

@@ -233,6 +233,35 @@ def test_profile_spec_direct_validation():
         ProfileSpec(kind="microcanonical", n=3, energy=math.inf)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: parse_profile("micro:14", n=4.7),
+        lambda: parse_profile("canonical:14", n=4.7),
+        lambda: parse_profile("fixed:2,1,1,1", n=4.7),
+        lambda: parse_profile("constant:2x4", n=4.7),
+        lambda: constant_profile(2.0, 4.9),
+        lambda: ScalingConfig().profile_for(4.9),
+        lambda: ProfileSpec(kind="constant", n=4.5, z=2.0),
+        lambda: ProfileSpec(kind="microcanonical", n="4", energy=14.0),
+    ],
+    ids=["micro", "canonical", "fixed", "constant", "constant_profile", "profile_for", "spec", "text"],
+)
+def test_a_mode_count_that_is_not_an_integer_is_refused(build):
+    """A float n is not truncated to the modes below it."""
+    with pytest.raises(InvalidSpec, match="n=4|n='4'"):
+        build()
+
+
+def test_a_numpy_mode_count_is_stored_as_an_int():
+    for spec in (
+        ProfileSpec(kind="constant", n=np.int64(4), z=2.0),
+        constant_profile(2.0, np.int32(4)),
+        parse_profile("micro:14", n=np.int64(4)),
+    ):
+        assert type(spec.n) is int and spec.n == 4
+
+
 def test_scaling_config_rules():
     cfg = ScalingConfig(zeta=0.5, kappa=1.0, scale_z=2.0, scale_k=0.25)
     assert cfg.z_value(16) == pytest.approx(8.0)

@@ -102,3 +102,21 @@ def test_draws_are_laid_out_in_draw_block_only():
         for scope, method in _draw_sites(tree)
     }
     assert sites == {("harness.draw_block", method) for method in DRAWS}
+
+
+def test_the_cli_reads_each_value_in_one_place():
+    """argparse only splits the command line: no add_argument call reads a
+    value (type=) or restricts it (choices=), no set_defaults lays the
+    config file into the parser, and argv is parsed once.  Each value, a
+    flag's text or a config file's JSON value, then has one reader: its
+    option's check."""
+    calls = [
+        node
+        for node in ast.walk(SOURCES[PACKAGE / "cli.py"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    ]
+    methods = [call.func.attr for call in calls]
+    assert "set_defaults" not in methods
+    assert methods.count("parse_args") == 1
+    keywords = {kw.arg for call in calls if call.func.attr == "add_argument" for kw in call.keywords}
+    assert "help" in keywords and not keywords & {"type", "choices"}
