@@ -757,7 +757,7 @@ def test_a_config_string_reads_as_the_flags_text(tmp_path, monkeypatch, command,
     """A config file's string is read as the flag's text is, and gives the
     config, and so the digest, that the flag or the JSON value gives."""
     monkeypatch.chdir(tmp_path)
-    dest = {"--n-list": "n_list", "--n-range": "n_range"}.get(flag, flag[2:])
+    dest = flag[2:].replace("-", "_")
     by_source = [parse_config(command.split() + [flag, text])]
     for file_value in (text, value):
         (tmp_path / "run.json").write_text(json.dumps({dest: file_value}))
