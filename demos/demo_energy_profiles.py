@@ -14,8 +14,8 @@ def main():
         spec = parse_profile(text, n=n)
         print(f"{text:18} -> n = {spec.n}, round trip {profile_to_string(spec)!r}")
 
-    # row i is the spectrum trial i of an ensemble at SEED draws, and what
-    # profile-sample --seed SEED prints as sample i (no Ginibre columns: k = 0)
+    # row i is the spectrum trial i of an ensemble at SEED draws (no Ginibre
+    # columns: k = 0)
     z, _draws = draw_block(parse_profile("micro:12", n=3), 0, SEED, 0, DRAWS)
     totals = (z + 1.0 / z).sum(axis=1)
     print(f"\nmicrocanonical E = 12, n = 3 over {DRAWS} draws:")

@@ -4,7 +4,6 @@ Subcommands:
     moments           exact ensemble moments for a deterministic profile (JSON)
     concentration     sweep ensembles over a list of n (CSV per n + JSON summary)
     weingarten-check  compare the character-sum values against the Gram oracle
-    profile-sample    draw squeezing spectra from a profile (CSV or JSON)
     trial-dump        run one ensemble and emit its trials (CSV) and summary (JSON)
 
 A JSON config file holds option values keyed by dest; explicit flags override it.
@@ -28,8 +27,6 @@ import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     CvTypicalError,
@@ -40,10 +37,8 @@ from .errors import (
 )
 from .haar import SEED_LIMIT
 from .harness import (
-    BLOCK_TRIALS,
     SWEEP_MIN_N,
     concentration_sweep,
-    draw_block,
     format_trials_csv,
     json_text,
     run_ensemble,
@@ -63,7 +58,6 @@ class RunConfig:
     z_profile: ProfileSpec | None = None
     scaling: ScalingConfig | None = None
     output_path: str | None = None
-    format: str = "csv"
     n_list: tuple | None = None
     p: int | None = None
     n_range: tuple | None = None
@@ -111,12 +105,6 @@ def _text(value, opt) -> str:
     return value
 
 
-def _choice(value, opt) -> str:
-    if value not in opt.choices:
-        raise UsageError(f"{opt.flag} must be one of {', '.join(opt.choices)}, got {value!r}")
-    return value
-
-
 def _parse_n_list(value, opt) -> tuple:
     if isinstance(value, str):
         try:
@@ -155,7 +143,6 @@ class _Option(NamedTuple):
     # reader of the value: the flag's text or the config file's JSON value.
     check: Callable
     help: str | None = None
-    choices: tuple | None = None
 
 
 # One entry per option; the key is the argparse dest, the config-file key,
@@ -173,7 +160,6 @@ _OPTIONS = {
     "summary_output": _Option(
         "--summary-output", _text, "summary JSON file (default: stdout when --output is a file)"
     ),
-    "format": _Option("--format", _choice, choices=("csv", "json")),
     "n_list": _Option("--n-list", _parse_n_list, "comma-separated mode counts"),
     "zeta": _Option("--zeta", _number, "squeezing growth exponent"),
     "kappa": _Option("--kappa", _number, "subsystem growth exponent"),
@@ -213,9 +199,8 @@ def _build_parser():
         sp.add_argument("--config", help="JSON config file keyed by option dest; flags override it")
         for dest in _dests(sub):
             opt = _OPTIONS[dest]
-            # name the value after the flag, not the dest (--output OUTPUT), or by its choices
-            metavar = "{%s}" % ",".join(opt.choices) if opt.choices else opt.flag[2:].replace("-", "_").upper()
-            sp.add_argument(opt.flag, dest=dest, metavar=metavar, help=opt.help)
+            # name the value after the flag, not the dest (--output OUTPUT)
+            sp.add_argument(opt.flag, dest=dest, metavar=opt.flag[2:].replace("-", "_").upper(), help=opt.help)
     return parser
 
 
@@ -305,9 +290,9 @@ _UNHASHED = ("workers", "output_path", "output_dir", "summary_output")
 
 def config_digest(cfg: RunConfig) -> str:
     """Digest of every RunConfig field but _UNHASHED that is set, and of the retired
-    base_profile; a profile enters as its string and a scaling rule as its four values."""
-    # every 0.3.0 digest hashed this former RunConfig default; 0.4.0 drops it
-    semantic = {"base_profile": "constant"}
+    base_profile and format; a profile enters as its string and a scaling rule as its four values."""
+    # every 0.3.0 digest hashed these two former RunConfig defaults; 0.4.0 drops them
+    semantic = {"base_profile": "constant", "format": "csv"}
     for field in fields(RunConfig):
         value = getattr(cfg, field.name)
         if field.name in _UNHASHED or value is None:
@@ -425,36 +410,6 @@ def _run_weingarten_check(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_profile_sample(cfg: RunConfig) -> int:
-    spec = cfg.z_profile
-    spectra = []
-    # sample i is the spectrum trial i of an ensemble at this seed draws
-    for start in range(0, cfg.samples, BLOCK_TRIALS):
-        z, draws = draw_block(spec, 0, cfg.seed, start, min(start + BLOCK_TRIALS, cfg.samples))
-        z = np.broadcast_to(z, (len(draws), spec.n))
-        bad = ~np.isfinite(z).all(axis=1)
-        if bad.any():
-            raise DomainError(f"sample {start + int(np.argmax(bad))}: squeezing spectrum is not finite")
-        spectra += z.tolist()
-    provenance, provenance_line = _provenance(cfg)
-    if cfg.format == "json":
-        payload = {
-            "provenance": provenance,
-            "n": spec.n,
-            "z_profile": profile_to_string(spec),
-            "spectra": spectra,
-        }
-        text = json_text(payload)
-    else:
-        header = "sample_id," + ",".join(f"z_{j}" for j in range(1, spec.n + 1))
-        lines = ["# " + provenance_line, header]
-        for i, zs in enumerate(spectra):
-            lines.append(",".join([str(i)] + [repr(z) for z in zs]))
-        text = "\n".join(lines) + "\n"
-    _emit_text(text, cfg.output_path)
-    return 0
-
-
 def _run_trial_dump(cfg: RunConfig) -> int:
     summary, table = run_ensemble(
         cfg.z_profile, cfg.k, cfg.samples, cfg.seed, workers=cfg.workers
@@ -484,12 +439,6 @@ _SUBCOMMANDS = {
     ),
     "weingarten-check": _Subcommand(
         "character sum vs Gram-matrix oracle", ("p", "n_range"), ("p", "n_range"), _run_weingarten_check
-    ),
-    "profile-sample": _Subcommand(
-        "draw squeezing spectra",
-        ("z_profile", "n", "samples", "output_path", "format"),
-        ("z_profile", "samples"),
-        _run_profile_sample,
     ),
     "trial-dump": _Subcommand(
         "run an ensemble, dump trials + summary",

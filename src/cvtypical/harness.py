@@ -7,8 +7,8 @@ the flatness functional f, and numerical-quality diagnostics.  Ensembles
 run in blocks over independent counter-based streams keyed by
 (seed, trial_id), so results are identical for any worker count.
 draw_block is the one place a stream's draws are laid out, for every
-trial (run_trial's lone one is a block of one) and for profile-sample,
-which prints the spectra the trials draw.  A block's TrialTable of columns
+trial (run_trial's lone one is a block of one), and at k = 0 the one route
+to the spectra the trials of a seed draw.  A block's TrialTable of columns
 joins the ensemble's, which is summarized into a RunSummary and written as
 CSV column by column, with no per-trial objects.  CSV/JSON emission lives
 here too, next to the tables it serializes.
@@ -190,8 +190,8 @@ def run_trial(z, k: int, stream: SeededStream) -> TrialRecord:
 def _as_int(name: str, value, error=DomainError) -> int:
     """value as a Python int: a float count would be truncated or fail in
     numpy, and a numpy integer would be written as np.int64(1) in the CSV,
-    fail the JSON encoder, and overflow the stream keys."""
-    if not isinstance(value, Integral):
+    fail the JSON encoder, and overflow the stream keys; a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
         raise error(f"need an integer {name}, got {name}={value!r}")
     return int(value)
 
@@ -299,7 +299,7 @@ def draw_block(spec: ProfileSpec, k: int, seed: int, start: int, stop: int) -> t
     Returns (z, draws): z is the profile's one spectrum (n,) when it is
     deterministic, else the trials' spectra (B, n), inf where an energy
     squares past the float range; draws is (B, 2, n, k).  At k = 0 a trial
-    draws its spectrum only, as profile-sample prints it.
+    draws its spectrum only: row i of z is the spectrum trial i draws.
     """
     trial_ids = range(start, stop)
     gen = SeededStream(seed, start).generator()

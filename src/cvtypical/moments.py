@@ -75,7 +75,7 @@ class MomentInputs:
             raise DomainError("squeezing spectrum must be nonempty")
         if count != self.n:
             raise DimensionTooSmall(f"need {self.n} modes, got {count}")
-        if not isinstance(self.k, Integral):
+        if isinstance(self.k, bool) or not isinstance(self.k, Integral):
             raise InvalidSubsystem(f"need an integer k, got k={self.k!r}")
         if not 1 <= self.k <= self.n:
             raise InvalidSubsystem(f"need 1 <= k <= {self.n}, got k={self.k}")

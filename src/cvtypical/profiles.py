@@ -46,7 +46,7 @@ class ProfileSpec:
     def __post_init__(self):
         if self.kind not in DETERMINISTIC_KINDS | RANDOM_KINDS:
             raise InvalidSpec(f"unknown profile kind {self.kind!r}")
-        if not isinstance(self.n, Integral):  # a float count would be truncated
+        if isinstance(self.n, bool) or not isinstance(self.n, Integral):  # a float count would be truncated
             raise InvalidSpec(f"need an integer mode count, got n={self.n!r}")
         object.__setattr__(self, "n", int(self.n))  # a numpy integer would fail the JSON encoder
         if self.n < 1:
@@ -176,7 +176,7 @@ def parse_profile(text: str, n: int | None = None) -> ProfileSpec:
     else:
         raise InvalidSpec(f"unknown profile kind {kind!r} in {text!r}")
 
-    if n is not None and spec.n != n:
+    if n is not None and (spec.n != n or isinstance(n, bool)):  # True == 1, but is no count
         raise InvalidSpec(f"profile {text!r} has n={spec.n} but n={n} was requested")
     return spec
 

@@ -11,7 +11,6 @@ from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import cvtypical
@@ -23,7 +22,6 @@ from cvtypical.cli import RunConfig, config_digest, main, parse_config
 from cvtypical.errors import UsageError
 from cvtypical.harness import read_trials_csv, run_ensemble
 from cvtypical.profiles import ScalingConfig, parse_profile
-from cvtypical.symplectic import average_energies
 from oracles import read_summary_json
 
 
@@ -314,88 +312,6 @@ def test_weingarten_check_bad_range(capsys):
     assert rc == 2
 
 
-def test_profile_sample_deterministic_bytes(tmp_path, capsys):
-    out_path = tmp_path / "spectra.csv"
-    argv = [
-        "profile-sample", "--z-profile", "micro:14", "--n", "4",
-        "--samples", "6", "--seed", "3", "--output", str(out_path),
-    ]
-    assert main(argv) == 0
-    first = out_path.read_bytes()
-    assert main(argv) == 0
-    assert out_path.read_bytes() == first
-    capsys.readouterr()
-    lines = first.decode().strip().splitlines()
-    assert lines[1] == "sample_id,z_1,z_2,z_3,z_4"
-    assert len(lines) == 8
-
-
-def test_profile_sample_json(capsys):
-    rc, out, _ = run_main(
-        capsys,
-        ["profile-sample", "--z-profile", "canonical:8", "--n", "4", "--samples", "3", "--format", "json"],
-    )
-    assert rc == 0
-    payload = json.loads(out)
-    assert payload["z_profile"] == "canonical:8.0"
-    assert len(payload["spectra"]) == 3
-    assert all(len(row) == 4 and min(row) >= 1.0 for row in payload["spectra"])
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("profile", ["micro:1e200", "canonical:1e200"])
-def test_profile_sample_huge_energy_is_an_error(capsys, profile):
-    rc, out, err = run_main(capsys, ["profile-sample", "--z-profile", profile, "--n", "4", "--samples", "2"])
-    assert rc == 1 and out == ""
-    assert err == "error: sample 0: squeezing spectrum is not finite\n"
-
-
-# 700 samples run past one block of draws; the digests were taken before
-# profile-sample drew through the trial kernel's block route.
-PROFILE_SAMPLE_PINS = [
-    (
-        "micro:14 --n 4",
-        "52591708da174b6cfc8f8f29926992e59a4ba138265c1aa924995db5abd73c67",
-        "52a95e75b6547120b14d5298f45a9e04fcb9783627b4022c868c742daea8f522",
-    ),
-    (
-        "canonical:8:0.5 --n 16",
-        "4b00b2a2aaee0653402192aa4eeee4a504eb13ce6013be4969d2d424af02f7a8",
-        "1513c94ba1ee631b9d350b4d5c72b00991ab906ce3b34a7641a3ed86cb73154f",
-    ),
-    (
-        "constant:2x5",
-        "8d1221315b5e43045af95d5969b527d49635c5a505908c87fa34db8ffb6d30df",
-        "f20191e5d9719a4d574db5d4203cd5b1759d5d3ddc0e61797b5dd1b8e40acea5",
-    ),
-]
-
-
-@pytest.mark.parametrize("profile, csv_digest, json_digest", PROFILE_SAMPLE_PINS)
-def test_profile_sample_bytes_are_pinned(tmp_path, capsys, profile, csv_digest, json_digest):
-    for fmt, digest in (("csv", csv_digest), ("json", json_digest)):
-        path = tmp_path / f"spectra.{fmt}"
-        argv = f"profile-sample --z-profile {profile} --samples 700 --seed 3 --format {fmt}".split()
-        rc, _, err = run_main(capsys, argv + ["--output", str(path)])
-        assert rc == 0 and err == ""
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-
-
-@pytest.mark.parametrize(
-    "profile, n, k, samples",
-    [("micro:50", 16, 4, 300), ("canonical:400", 128, 11, 60)],
-)
-def test_profile_sample_draws_each_trials_spectrum(capsys, profile, n, k, samples):
-    """Sample i of profile-sample --seed s is the spectrum trial i of an
-    ensemble at seed s draws: their average energies agree bit for bit."""
-    argv = f"profile-sample --z-profile {profile} --n {n} --samples {samples} --seed 21 --format json"
-    rc, out, _ = run_main(capsys, argv.split())
-    assert rc == 0
-    spectra = np.array(json.loads(out)["spectra"])
-    _summary, table = run_ensemble(parse_profile(profile, n=n), k, samples, seed=21)
-    assert average_energies(spectra).tobytes() == table.lambda_bar.tobytes()
-
-
 TRIAL_DUMP = "trial-dump --n 4 --k 1 --z-profile constant:2x4 --samples 2"
 
 
@@ -558,16 +474,14 @@ def test_output_files_get_the_mode_open_would_give(tmp_path, capsys, umask):
         ["concentration", "--n-list", "4", "--samples", "5", "--k", "1",
          "--output-dir", str(tmp_path / "c")],
         ["moments", "--k", "1", "--z-profile", "fixed:3,1,1,1", "--output", str(tmp_path / "m.json")],
-        ["profile-sample", "--z-profile", "micro:14", "--n", "4", "--samples", "2",
-         "--output", str(tmp_path / "p.json")],
     ]
     saved = os.umask(umask)
     try:
-        assert [main(argv) for argv in calls] == [0, 0, 0, 0]
+        assert [main(argv) for argv in calls] == [0, 0, 0]
     finally:
         os.umask(saved)
     capsys.readouterr()
-    outputs = ["t.csv", "t.json", "c/trials_n4.csv", "c/sweep_summary.json", "m.json", "p.json"]
+    outputs = ["t.csv", "t.json", "c/trials_n4.csv", "c/sweep_summary.json", "m.json"]
     modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in outputs}
     assert modes == dict.fromkeys(outputs, 0o666 & ~umask)
     assert existing.read_text() != "old\n"
@@ -626,11 +540,6 @@ def test_config_file_subcommand_mismatch(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, config, flag",
     [
-        (
-            ["profile-sample"],
-            {"z_profile": "micro:14", "n": 4, "samples": 2, "format": "xml"},
-            "--format",
-        ),
         (["concentration"], {"n_list": [4], "samples": 2, "output_dir": 5}, "--output-dir"),
         (["concentration"], {"n_list": [4], "samples": 2, "zeta": True}, "--zeta"),
         (["concentration"], {"n_list": [4], "samples": 2, "scale_k": float("inf")}, "--scale-k"),
@@ -655,7 +564,7 @@ def test_config_file_subcommand_mismatch(tmp_path, capsys):
         (["concentration"], [4], "must hold a JSON object"),
     ],
     ids=[
-        "format", "output_dir", "scaling_zeta", "scale_k_inf", "scale_z_nan", "n_list_3",
+        "output_dir", "scaling_zeta", "scale_k_inf", "scale_z_nan", "n_list_3",
         "zeta_400", "k_6", "scaling_object", "seed_2_64", "row_seed_2_64", "n_list_float",
         "n_list_repeat", "n_range_float", "n_range_bool", "n_list_int", "k_5_above_n",
         "not_json", "json_list",
@@ -709,21 +618,19 @@ def test_concentration_flag_values_are_usage_errors(tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []  # nothing was written
 
 
-PROFILE_SAMPLE = "profile-sample --z-profile micro:14 --n 4 --output out.csv"
+TRIAL_DUMP_TO_FILE = "trial-dump --n 4 --k 1 --z-profile constant:2x4 --output out.csv"
 
 
 @pytest.mark.parametrize(
     "command, config, message",
     [
-        (PROFILE_SAMPLE + " --samples 2 --seed abc", None, "--seed must be an integer, got 'abc'"),
-        (PROFILE_SAMPLE + " --samples 1.5", None, "--samples must be an integer, got '1.5'"),
-        (PROFILE_SAMPLE + " --samples 2 --format xml", None, "--format must be one of csv, json, got 'xml'"),
-        (PROFILE_SAMPLE + " --samples 2", {"seed": "abc"}, "--seed must be an integer, got 'abc'"),
-        (PROFILE_SAMPLE + " --samples 2", {"format": "xml"}, "--format must be one of csv, json, got 'xml'"),
+        (TRIAL_DUMP_TO_FILE + " --samples 2 --seed abc", None, "--seed must be an integer, got 'abc'"),
+        (TRIAL_DUMP_TO_FILE + " --samples 1.5", None, "--samples must be an integer, got '1.5'"),
+        (TRIAL_DUMP_TO_FILE + " --samples 2", {"seed": "abc"}, "--seed must be an integer, got 'abc'"),
         # an integer float() cannot take
         ("concentration --n-list 4 --samples 2 --output-dir d", {"zeta": 10**400}, "--zeta must be finite, got 1000"),
     ],
-    ids=["seed_flag", "samples_flag", "format_flag", "seed_config", "format_config", "zeta_config_10_400"],
+    ids=["seed_flag", "samples_flag", "seed_config", "zeta_config_10_400"],
 )
 def test_a_bad_value_is_one_error_line(tmp_path, monkeypatch, capsys, command, config, message):
     """A flag's text goes through the check a config file's value does, so
@@ -747,11 +654,10 @@ def test_a_bad_value_is_one_error_line(tmp_path, monkeypatch, capsys, command, c
         ("trial-dump --n 4 --k 1 --z-profile fixed:3,1,1,1 --samples 3", "--workers", "2", 2),
         ("trial-dump --n 4 --k 1 --z-profile fixed:3,1,1,1", "--samples", "12", 12),
         ("concentration --n-list 4,8 --samples 2", "--zeta", "0.25", 0.25),
-        ("profile-sample --z-profile micro:14 --n 4 --samples 2", "--format", "json", "json"),
         ("concentration --samples 2", "--n-list", "4,8", [4, 8]),
         ("weingarten-check --p 3", "--n-range", "3:5", [3, 5]),
     ],
-    ids=["seed", "workers", "samples", "zeta", "format", "n_list", "n_range"],
+    ids=["seed", "workers", "samples", "zeta", "n_list", "n_range"],
 )
 def test_a_config_string_reads_as_the_flags_text(tmp_path, monkeypatch, command, flag, text, value):
     """A config file's string is read as the flag's text is, and gives the
@@ -810,10 +716,6 @@ def test_concentration_k_saturates_at_n(tmp_path, capsys):
         ("concentration --n-list 16,32 --samples 5 --zeta 0.25 --kappa 0.5", "f511f1aaaceff0ac"),
         ("weingarten-check --p 4 --n-range 6:6", "01c0a6856a2b5cb4"),
         (
-            "profile-sample --z-profile micro:14 --n 4 --samples 6 --seed 3 --format json",
-            "486ce1251aafdc3f",
-        ),
-        (
             "trial-dump --n 4 --k 1 --z-profile fixed:3,1,1,1 --samples 12 --seed 3",
             "b49a93d319ba73bd",
         ),
@@ -863,12 +765,12 @@ def test_config_digest_ignores_workers_and_paths(tmp_path):
     full = RunConfig(
         subcommand="trial-dump", seed=1, workers=1, n=4, k=1, samples=2,
         z_profile=parse_profile("constant:2x4"), scaling=ScalingConfig(), output_path="a.csv",
-        format="csv", n_list=(4, 6), p=2, n_range=(1, 2), output_dir="d", summary_output="s.json",
+        n_list=(4, 6), p=2, n_range=(1, 2), output_dir="d", summary_output="s.json",
     )
     hashed = {
         "subcommand": "moments", "seed": 2, "n": 5, "k": 2, "samples": 3,
         "z_profile": parse_profile("constant:3x4"), "scaling": ScalingConfig(kappa=0.5),
-        "format": "json", "n_list": (4, 8), "p": 3, "n_range": (1, 3),
+        "n_list": (4, 8), "p": 3, "n_range": (1, 3),
     }
     unhashed = {"workers": 4, "output_path": "b.csv", "output_dir": "e", "summary_output": "t.json"}
     assert hashed.keys() | unhashed.keys() == {field.name for field in fields(RunConfig)}
@@ -942,11 +844,10 @@ def _loaded_by_fresh_process(code: str, cwd) -> set:
     [
         ("trial-dump --k 1 --z-profile fixed:3,1,1,1 --samples 1 --output t.csv --summary-output t.json", set()),
         ("concentration --n-list 4 --samples 2 --output-dir out", set()),
-        ("profile-sample --z-profile canonical:8 --n 4 --samples 2 --output s.csv", set()),
         ("moments --z-profile fixed:3,1,1,1 --k 1 --output m.json", {"cvtypical.moments", "fractions", "decimal"}),
         ("weingarten-check --p 2 --n-range 2:3", {"cvtypical.weingarten", "fractions", "decimal"}),
     ],
-    ids=["trial-dump", "concentration", "profile-sample", "moments", "weingarten-check"],
+    ids=["trial-dump", "concentration", "moments", "weingarten-check"],
 )
 def test_a_subcommand_loads_only_what_it_runs(tmp_path, command, loaded):
     """A fresh process compiles and runs every module it imports, so the

@@ -32,6 +32,7 @@ from cvtypical.harness import (
     TrialRecord,
     TrialTable,
     concentration_sweep,
+    draw_block,
     format_trials_csv,
     json_text,
     read_trials_csv,
@@ -54,6 +55,7 @@ from cvtypical.symplectic import (
     NOT_FINITE_SYMMETRIC,
     NOT_POSITIVE_DEFINITE,
     SymplecticSpectrum,
+    average_energies,
     reduced_covariance_from_rows,
     symplectic_spectrum,
 )
@@ -145,13 +147,14 @@ def test_numpy_integer_k_and_seed_act_as_ints():
 
 
 def test_k_and_seed_must_be_integers():
-    for k in (1.0, 0.5, "1"):
+    for k in (1.0, 0.5, "1", True):  # True == 1, but would run k = 1
         with pytest.raises(InvalidSubsystem, match="need an integer k"):
             run_ensemble([2.0, 1.0, 1.0], k, 2, 0)
         with pytest.raises(InvalidSubsystem, match="need an integer k"):
             run_trial([2.0, 1.0, 1.0], k, SeededStream(0))
-    with pytest.raises(DomainError, match="need an integer seed"):
-        run_ensemble([2.0, 1.0, 1.0], 1, 2, 3.0)
+    for seed in (3.0, False):
+        with pytest.raises(DomainError, match="need an integer seed"):
+            run_ensemble([2.0, 1.0, 1.0], 1, 2, seed)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
@@ -172,8 +175,9 @@ def test_a_stream_id_outside_64_bits_is_a_domain_error(stream_id):
     z = [3.0, 1.0, 1.0, 1.0]
     with pytest.raises(DomainError, match=rf"stream_id={stream_id} outside 0\.\.2\^64-1"):
         run_trial(z, 1, SeededStream(5, stream_id))
-    with pytest.raises(DomainError, match="need an integer stream_id"):
-        run_trial(z, 1, SeededStream(5, 1.0))
+    for bad in (1.0, True):
+        with pytest.raises(DomainError, match="need an integer stream_id"):
+            run_trial(z, 1, SeededStream(5, bad))
     # the last id in range is trial 2^64 - 1 of the ensemble
     assert run_trial(z, 1, SeededStream(5, 2**64 - 1)).trial_id == 2**64 - 1
 
@@ -189,14 +193,17 @@ def test_a_sweep_row_seed_past_64_bits_is_a_domain_error():
 
 
 def test_sweep_n_must_be_an_integer():
-    """n = 4.9 is an error, not a silent row at n = 4."""
-    with pytest.raises(DomainError, match="need an integer n, got n=4.9"):
-        next(concentration_sweep(ScalingConfig(), [4.9], 3, 0))
+    """n = 4.9 is an error, not a silent row at n = 4, and so is n = True."""
+    for n in (4.9, True):
+        with pytest.raises(DomainError, match=f"need an integer n, got n={n}"):
+            next(concentration_sweep(ScalingConfig(), [n], 3, 0))
 
 
 def test_samples_must_be_an_integer():
     with pytest.raises(DomainError, match="need an integer samples, got samples=2.5"):
         run_ensemble([2.0, 1, 1], 1, 2.5, 0)
+    with pytest.raises(DomainError, match="need an integer samples, got samples=True"):
+        run_ensemble([2.0, 1, 1], 1, True, 0)
     with pytest.raises(DomainError, match="need samples >= 1, got 0"):
         run_ensemble([2.0, 1, 1], 1, 0, 0)
 
@@ -204,6 +211,8 @@ def test_samples_must_be_an_integer():
 def test_workers_must_be_an_integer():
     with pytest.raises(DomainError, match="need an integer workers, got workers=1.5"):
         run_ensemble([2.0, 1, 1], 1, 2, 0, workers=1.5)
+    with pytest.raises(DomainError, match="need an integer workers, got workers=True"):
+        run_ensemble([2.0, 1, 1], 1, 2, 0, workers=True)
     with pytest.raises(DomainError, match="need workers >= 1, got 0"):
         run_ensemble([2.0, 1, 1], 1, 2, 0, workers=0)
 
@@ -566,6 +575,22 @@ def test_run_trial_is_its_row_of_the_ensemble(seed):
         table = run_ensemble(z, k, 6, seed=seed)[1]
         for t in (0, 1, 5):
             assert repr(run_trial(z, k, SeededStream(seed, t))) == repr(table.records()[t])
+
+
+# 300 trials run as two blocks of BLOCK_TRIALS
+@pytest.mark.parametrize(
+    "profile, n, k, samples",
+    [("micro:50", 16, 4, 300), ("canonical:400", 128, 11, 60)],
+)
+def test_draw_block_gives_each_trials_spectrum(profile, n, k, samples):
+    """Row i of draw_block(spec, 0, s, 0, samples)'s spectra, one call past a
+    block of trials, is the spectrum trial i of an ensemble at seed s draws:
+    their average energies agree bit for bit."""
+    spec = parse_profile(profile, n=n)
+    spectra, draws = draw_block(spec, 0, 21, 0, samples)
+    assert spectra.shape == (samples, n) and draws.shape == (samples, 2, n, 0)
+    _summary, table = run_ensemble(spec, k, samples, seed=21)
+    assert average_energies(spectra).tobytes() == table.lambda_bar.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 12, -3, 2**40 + 1, 2**64 + 5])

@@ -211,8 +211,8 @@ def test_numpy_integer_modes_act_as_ints():
 
 
 def test_subsystem_size_must_be_an_integer():
-    """A float k is refused before any arithmetic; numpy integers work on
-    both routes and are kept as Python ints."""
+    """A float or bool k is refused before any arithmetic; numpy integers
+    work on both routes and are kept as Python ints."""
     rng = random.Random(4)
     z = np.array([1.0 + 2.0 * rng.random() for _ in range(256)])
     with pytest.raises(InvalidSubsystem, match="need an integer k, got k=2.5"):
@@ -221,6 +221,11 @@ def test_subsystem_size_must_be_an_integer():
         compute_moment_report(z, 2.0)
     with pytest.raises(InvalidSubsystem, match="need an integer k, got k=2.0"):
         moment_inputs_from_spectrum(z, 2.0)
+    # True == 1, but it is no k
+    with pytest.raises(InvalidSubsystem, match="need an integer k, got k=True"):
+        moment_inputs_from_spectrum(z, True)
+    with pytest.raises(InvalidSubsystem, match="need an integer k, got k=True"):
+        MomentInputs(n=4, k=True, modes=((2, 1, 1), (1, 1, 3)))
     mi = moment_inputs_from_spectrum(z, np.int64(2))
     assert type(mi.k) is int and mi == moment_inputs_from_spectrum(z, 2)
     assert expected_f_exact(mi) == expected_f_exact(moment_inputs_from_spectrum(z, 2))

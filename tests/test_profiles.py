@@ -244,12 +244,21 @@ def test_profile_spec_direct_validation():
         lambda: ScalingConfig().profile_for(4.9),
         lambda: ProfileSpec(kind="constant", n=4.5, z=2.0),
         lambda: ProfileSpec(kind="microcanonical", n="4", energy=14.0),
+        # True == 1, but it would build a one-mode profile
+        lambda: ProfileSpec(kind="constant", n=True, z=2.0),
+        lambda: constant_profile(2.0, True),
+        lambda: parse_profile("micro:14", n=True),
+        lambda: parse_profile("fixed:2", n=True),
+        lambda: parse_profile("constant:2x1", n=True),
     ],
-    ids=["micro", "canonical", "fixed", "constant", "constant_profile", "profile_for", "spec", "text"],
+    ids=[
+        "micro", "canonical", "fixed", "constant", "constant_profile", "profile_for", "spec", "text",
+        "spec_bool", "constant_profile_bool", "micro_bool", "fixed_bool", "constant_bool",
+    ],
 )
 def test_a_mode_count_that_is_not_an_integer_is_refused(build):
-    """A float n is not truncated to the modes below it."""
-    with pytest.raises(InvalidSpec, match="n=4|n='4'"):
+    """A float n is not truncated to the modes below it, and a bool is no n."""
+    with pytest.raises(InvalidSpec, match="n=4|n='4'|n=True"):
         build()
 
 

@@ -9,9 +9,13 @@ call belongs in tests/ or goes.
 """
 
 import ast
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from cvtypical import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cvtypical"
@@ -95,7 +99,8 @@ def _draw_sites(tree, scope="") -> set:
 
 def test_draws_are_laid_out_in_draw_block_only():
     """A stream's Gaussian and exponential draws are taken in one place, so
-    every trial and profile sample of a seed draws the same bits."""
+    every trial of a seed draws the same bits, and a draw of its spectrum
+    alone (k = 0) the same spectrum."""
     sites = {
         (f"{path.stem}.{scope}", method)
         for path, tree in SOURCES.items()
@@ -120,3 +125,17 @@ def test_the_cli_reads_each_value_in_one_place():
     assert methods.count("parse_args") == 1
     keywords = {kw.arg for call in calls if call.func.attr == "add_argument" for kw in call.keywords}
     assert "help" in keywords and not keywords & {"type", "choices"}
+
+
+def test_every_option_and_subcommand_has_one_home():
+    """Each option is a flag of some subcommand and each RunConfig field but
+    subcommand and scaling (read from the four scaling options) is an
+    option, and README's subcommand table and cli.py's docstring list
+    exactly the subcommands, so a half-done removal leaves nothing behind."""
+    dests = {dest for sub in cli._SUBCOMMANDS for dest in cli._dests(sub)}
+    assert set(cli._OPTIONS) == dests
+    assert {field.name for field in fields(cli.RunConfig)} - {"subcommand", "scaling"} <= set(cli._OPTIONS)
+    docstring = cli.__doc__.split("Subcommands:\n")[1].split("\n\n")[0]
+    assert [line.split()[0] for line in docstring.splitlines()] == list(cli._SUBCOMMANDS)
+    table = re.findall(r"^\| `([a-z-]+)` \|", (ROOT / "README.md").read_text(), re.M)
+    assert table == list(cli._SUBCOMMANDS)
