@@ -175,13 +175,9 @@ _SCALING_KEYS = ("zeta", "kappa", "scale_z", "scale_k")
 
 class _Subcommand(NamedTuple):
     help: str
-    options: tuple  # dests after the shared seed and workers, in flag order
+    options: tuple  # its option dests, in flag order; only the trial subcommands take seed and workers
     required: tuple
     run: Callable  # run(cfg) -> exit code
-
-
-def _dests(sub: str) -> tuple:
-    return ("seed", "workers") + _SUBCOMMANDS[sub].options
 
 
 @functools.cache
@@ -197,7 +193,7 @@ def _build_parser():
     for sub, spec in _SUBCOMMANDS.items():
         sp = subs.add_parser(sub, help=spec.help)
         sp.add_argument("--config", help="JSON config file keyed by option dest; flags override it")
-        for dest in _dests(sub):
+        for dest in spec.options:
             opt = _OPTIONS[dest]
             # name the value after the flag, not the dest (--output OUTPUT)
             sp.add_argument(opt.flag, dest=dest, metavar=opt.flag[2:].replace("-", "_").upper(), help=opt.help)
@@ -215,7 +211,7 @@ def _config_file_values(path: str, sub: str) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    allowed = ("subcommand",) + _dests(sub)
+    allowed = ("subcommand",) + _SUBCOMMANDS[sub].options
     for key in data:
         if key not in allowed:
             raise UsageError(f"config key {key!r} is not valid for subcommand {sub!r}")
@@ -230,17 +226,18 @@ def parse_config(argv) -> RunConfig:
 
     argv is parsed once, and its flags lie over the file's values: explicit
     flag, then config-file key, then default.  Each value then passes its
-    option's check, in _dests order, which reads a flag's text and a file's
-    JSON value alike.  Unknown config keys, missing required options,
-    cross-field inconsistencies and a file output that cannot be written
-    (see _check_output_path), concentration's in an existing --output-dir
-    too, raise UsageError, before anything runs.
+    option's check, in the order of the subcommand's options, which reads a
+    flag's text and a file's JSON value alike.  Unknown config keys, missing
+    required options, cross-field inconsistencies and a file output that
+    cannot be written (see _check_output_path), concentration's in an
+    existing --output-dir too, raise UsageError, before anything runs.
     """
     ns = _build_parser().parse_args(argv)
     sub = ns.subcommand
     merged = {} if ns.config is None else _config_file_values(ns.config, sub)
-    merged.update((dest, text) for dest in _dests(sub) if (text := getattr(ns, dest)) is not None)
-    values = {dest: _OPTIONS[dest].check(merged[dest], _OPTIONS[dest]) for dest in _dests(sub) if dest in merged}
+    options = _SUBCOMMANDS[sub].options
+    merged.update((dest, text) for dest in options if (text := getattr(ns, dest)) is not None)
+    values = {dest: _OPTIONS[dest].check(merged[dest], _OPTIONS[dest]) for dest in options if dest in merged}
     if "z_profile" in values:
         values["z_profile"] = parse_profile(values["z_profile"], n=values.get("n"))
     if sub == "concentration":
@@ -433,7 +430,7 @@ _SUBCOMMANDS = {
     ),
     "concentration": _Subcommand(
         "ensemble sweep over a list of n",
-        ("n_list", "k", "samples", *_SCALING_KEYS, "output_dir"),
+        ("seed", "workers", "n_list", "k", "samples", *_SCALING_KEYS, "output_dir"),
         ("n_list", "samples"),
         _run_concentration,
     ),
@@ -442,7 +439,7 @@ _SUBCOMMANDS = {
     ),
     "trial-dump": _Subcommand(
         "run an ensemble, dump trials + summary",
-        ("n", "k", "z_profile", "samples", "output_path", "summary_output"),
+        ("seed", "workers", "n", "k", "z_profile", "samples", "output_path", "summary_output"),
         ("k", "z_profile", "samples"),
         _run_trial_dump,
     ),

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of an
+integer count, which every module that takes one imports from here."""
+
+from numbers import Integral
 
 
 class CvTypicalError(Exception):
@@ -55,3 +58,12 @@ class InvalidSpec(CvTypicalError):
 
 class UsageError(CvTypicalError):
     """Bad command-line or config-file input."""
+
+
+def as_int(name: str, value, error=DomainError) -> int:
+    """value as a Python int: a float count would be truncated or fail in
+    numpy, and a numpy integer would be written as np.int64(1) in the CSV,
+    fail the JSON encoder, and overflow the stream keys; a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise error(f"need an integer {name}, got {name}={value!r}")
+    return int(value)

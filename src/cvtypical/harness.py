@@ -22,11 +22,10 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, fields
-from numbers import Integral
 
 import numpy as np
 
-from .errors import DomainError, InvalidSubsystem, PairingFailure
+from .errors import DomainError, InvalidSubsystem, PairingFailure, as_int
 from .haar import SEED_LIMIT, SeededStream, _stream_keys, haar_columns
 from .profiles import ProfileSpec, ScalingConfig, exponential_count, fixed_profile, spectra_from_exponentials
 from .symplectic import (
@@ -181,27 +180,18 @@ def run_trial(z, k: int, stream: SeededStream) -> TrialRecord:
         raise DomainError(f"expected a SeededStream, got {type(stream).__name__}")
     spec = fixed_profile(z)
     k, seed = _checked_k_and_seed(k, stream.seed, spec.n)
-    t = _as_int("stream_id", stream.stream_id)
+    t = as_int("stream_id", stream.stream_id)
     if not 0 <= t < SEED_LIMIT:  # SeededStream keys it mod 2^64, which would alias another trial
         raise DomainError(f"stream_id={t} outside 0..2^64-1")
     return _run_block((spec, k, seed, t, t + 1)).records()[0]
 
 
-def _as_int(name: str, value, error=DomainError) -> int:
-    """value as a Python int: a float count would be truncated or fail in
-    numpy, and a numpy integer would be written as np.int64(1) in the CSV,
-    fail the JSON encoder, and overflow the stream keys; a bool is no count."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise error(f"need an integer {name}, got {name}={value!r}")
-    return int(value)
-
-
 def _checked_k_and_seed(k, seed, n: int) -> tuple:
     """(k, seed) as Python ints, k in 1..n and seed in 0..SEED_LIMIT-1."""
-    k = _as_int("k", k, InvalidSubsystem)
+    k = as_int("k", k, InvalidSubsystem)
     if not 1 <= k <= n:
         raise InvalidSubsystem(f"k={k} outside 1..{n}")
-    seed = _as_int("seed", seed)
+    seed = as_int("seed", seed)
     if not 0 <= seed < SEED_LIMIT:
         raise DomainError(f"seed={seed} outside 0..2^64-1")
     return k, seed
@@ -431,7 +421,7 @@ def run_ensemble(profile, k: int, samples: int, seed: int, workers: int = 1):
     count.
     """
     spec = profile if isinstance(profile, ProfileSpec) else fixed_profile(profile)
-    samples, workers = _as_int("samples", samples), _as_int("workers", workers)
+    samples, workers = as_int("samples", samples), as_int("workers", workers)
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples}")
     if workers < 1:
@@ -480,7 +470,7 @@ def concentration_sweep(
     own base seed (seed + index) so rows stay independent.
     """
     for index, n in enumerate(n_list):
-        n = _as_int("n", n)
+        n = as_int("n", n)
         if n < SWEEP_MIN_N:
             raise DomainError(f"sweep rows need n >= {SWEEP_MIN_N}, got {n}")
         k_n = scaling.k_of(n) if k is None else k

@@ -34,16 +34,15 @@ tree), one at n = 256 0.7-1.1 ms, and a constant one or the vacuum 0.2-0.3 ms.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from numbers import Integral, Rational, Real
+from numbers import Rational, Real
 
 import numpy as np
 
-from .errors import DimensionTooSmall, DomainError, InvalidSubsystem
+from .errors import DimensionTooSmall, DomainError, InvalidSubsystem, as_int
 
 
 @dataclass(frozen=True)
@@ -57,11 +56,12 @@ class MomentInputs:
     modes: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        modes, count, index = [], 0, operator.index
+        n = as_int("n", self.n)
+        modes, count = [], 0
         for p, q, m in self.modes:
-            try:
-                p, q, m = index(p), index(q), index(m)
-            except TypeError:
+            try:  # numpy integers would wrap in the power sums and the coefficient tables
+                p, q, m = (as_int("mode entry", entry) for entry in (p, q, m))
+            except DomainError:
                 raise DomainError(f"need integer (p, q, m) modes, got {(p, q, m)!r}") from None
             if q < 1:
                 raise DomainError("need denominators q >= 1")
@@ -73,14 +73,13 @@ class MomentInputs:
             count += m
         if not modes:
             raise DomainError("squeezing spectrum must be nonempty")
-        if count != self.n:
-            raise DimensionTooSmall(f"need {self.n} modes, got {count}")
-        if isinstance(self.k, bool) or not isinstance(self.k, Integral):
-            raise InvalidSubsystem(f"need an integer k, got k={self.k!r}")
-        if not 1 <= self.k <= self.n:
-            raise InvalidSubsystem(f"need 1 <= k <= {self.n}, got k={self.k}")
-        # numpy integers would wrap in the power sums and the coefficient tables
-        object.__setattr__(self, "k", int(self.k))
+        if count != n:
+            raise DimensionTooSmall(f"need {n} modes, got {count}")
+        k = as_int("k", self.k, InvalidSubsystem)
+        if not 1 <= k <= n:
+            raise InvalidSubsystem(f"need 1 <= k <= {n}, got k={k}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "modes", tuple(modes))
 
     @cached_property

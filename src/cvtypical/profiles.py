@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import DomainError, EnergyTooSmall, InvalidSpec
+from .errors import DomainError, EnergyTooSmall, InvalidSpec, as_int
 
 DETERMINISTIC_KINDS = frozenset({"fixed", "constant"})
 RANDOM_KINDS = frozenset({"microcanonical", "canonical"})
@@ -46,9 +45,7 @@ class ProfileSpec:
     def __post_init__(self):
         if self.kind not in DETERMINISTIC_KINDS | RANDOM_KINDS:
             raise InvalidSpec(f"unknown profile kind {self.kind!r}")
-        if isinstance(self.n, bool) or not isinstance(self.n, Integral):  # a float count would be truncated
-            raise InvalidSpec(f"need an integer mode count, got n={self.n!r}")
-        object.__setattr__(self, "n", int(self.n))  # a numpy integer would fail the JSON encoder
+        object.__setattr__(self, "n", as_int("n", self.n, InvalidSpec))
         if self.n < 1:
             raise InvalidSpec(f"need at least one mode, got n={self.n}")
         if self.kind == "fixed":

@@ -695,6 +695,53 @@ def test_base_profile_is_gone(tmp_path, monkeypatch, capsys, source):
     assert [p.name for p in tmp_path.iterdir()] == (["run.json"] if source == "config" else [])
 
 
+EXACT_CALLS = {
+    "moments": "moments --k 1 --z-profile fixed:3,1,1,1",
+    "weingarten-check": "weingarten-check --p 2 --n-range 2:3",
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("dest", ["seed", "workers"])
+@pytest.mark.parametrize("sub", list(EXACT_CALLS))
+def test_exact_subcommands_take_no_seed_or_workers(tmp_path, monkeypatch, capsys, sub, dest, source):
+    """moments and weingarten-check draw nothing and start no thread, so
+    neither --seed nor --workers is theirs, as a flag or as a config key."""
+    monkeypatch.chdir(tmp_path)
+    argv = EXACT_CALLS[sub].split()
+    if source == "flag":
+        argv += [f"--{dest}", "1"]
+    else:
+        (tmp_path / "run.json").write_text(json.dumps({dest: 1}))
+        argv += ["--config", "run.json"]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects an unknown flag itself
+        rc = exc.code
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    if source == "flag":
+        assert f"unrecognized arguments: --{dest} 1" in err
+    else:
+        assert err == f"error: config key {dest!r} is not valid for subcommand {sub!r}\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command", ["trial-dump --k 1 --z-profile fixed:3,1,1,1 --samples 2", "concentration --n-list 4 --samples 2"]
+)
+def test_trial_subcommands_take_seed_and_workers(tmp_path, monkeypatch, command, source):
+    monkeypatch.chdir(tmp_path)
+    argv = command.split()
+    if source == "flag":
+        argv += ["--seed", "7", "--workers", "2"]
+    else:
+        (tmp_path / "run.json").write_text(json.dumps({"seed": 7, "workers": 2}))
+        argv += ["--config", "run.json"]
+    cfg = parse_config(argv)
+    assert (cfg.seed, cfg.workers) == (7, 2)
+
+
 def test_concentration_k_saturates_at_n(tmp_path, capsys):
     # scale_k * 16**400 is past every float; the rule's k is then all 16 modes
     out_dir = tmp_path / "sweep"

@@ -183,10 +183,15 @@ def test_moment_input_validation():
         (2, 0, ((2, 1, 1), (3, 1, 1)), InvalidSubsystem, "need 1 <= k <= 2, got k=0"),
         (2, 1, ((2, 1, 1), (3.0, 1, 1)), DomainError, r"need integer \(p, q, m\) modes, got \(3.0, 1, 1\)"),
         (2, 1, ((2, 1, 1), (3, 1, 1.0)), DomainError, r"need integer \(p, q, m\) modes, got \(3, 1, 1.0\)"),
+        # True == 1, but it is no mode entry and no mode count
+        (4, 1, ((True, 1, 4),), DomainError, r"need integer \(p, q, m\) modes, got \(True, 1, 4\)"),
+        (4, 1, ((3, 1, True), (1, 1, 3)), DomainError, r"need integer \(p, q, m\) modes, got \(3, 1, True\)"),
+        (4.0, 1, ((2, 1, 4),), DomainError, r"need an integer n, got n=4\.0"),
+        (True, 1, ((2, 1, 1),), DomainError, r"need an integer n, got n=True"),
     ],
     ids=[
         "p_below_q", "q_below_one", "m_below_one", "multiplicities_not_n", "k_above_n", "k_below_one",
-        "float_p", "float_m",
+        "float_p", "float_m", "bool_p", "bool_m", "float_n", "bool_n",
     ],
 )
 def test_hand_built_inputs_are_rejected(n, k, modes, error, message):

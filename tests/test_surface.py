@@ -132,7 +132,7 @@ def test_every_option_and_subcommand_has_one_home():
     subcommand and scaling (read from the four scaling options) is an
     option, and README's subcommand table and cli.py's docstring list
     exactly the subcommands, so a half-done removal leaves nothing behind."""
-    dests = {dest for sub in cli._SUBCOMMANDS for dest in cli._dests(sub)}
+    dests = {dest for spec in cli._SUBCOMMANDS.values() for dest in spec.options}
     assert set(cli._OPTIONS) == dests
     assert {field.name for field in fields(cli.RunConfig)} - {"subcommand", "scaling"} <= set(cli._OPTIONS)
     docstring = cli.__doc__.split("Subcommands:\n")[1].split("\n\n")[0]

@@ -15,7 +15,7 @@ from cvtypical.errors import (
     PairingFailure,
 )
 from cvtypical.cli import main
-from cvtypical.haar import SeededStream
+from cvtypical.haar import SeededStream, haar_columns
 from cvtypical.harness import PURITY_TOL, read_trials_csv
 from cvtypical.symplectic import (
     BELOW_ONE,
@@ -194,6 +194,31 @@ def test_row_reduction_rejects_bad_rows():
         reduced_covariance_from_rows(np.eye(3)[None, :1], [z, z])
     with pytest.raises(DomainError):
         reduced_covariance_from_rows(np.eye(3)[None, :1], [0.5, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("n, k", [(5, 1), (6, 5), (8, 3), (12, 6), (32, 5), (32, 16), (64, 20)])
+def test_complement_shares_the_spectrum_on_every_trial(n, k):
+    """The global state is pure, so the reductions onto rows 1..k and onto
+    rows k+1..n of one Haar U share their symplectic eigenvalues above 1
+    and their entropy (Botero & Reznik, PRA 67, 052311 (2003)): exactly, on
+    every trial, not only on average.  50 spectra in [1, 4) per shape."""
+    rng = SeededStream(2003, 1000 * n + k).generator()
+    ginibre = rng.standard_normal((50, n, n)) + 1j * rng.standard_normal((50, n, n))
+    rows = np.swapaxes(haar_columns(ginibre), -1, -2)  # the rows of a Haar U are Haar too
+    z = rng.uniform(1.0, 4.0, (50, n))
+    spectra, entropies = [], []
+    for part in (rows[:, :k], rows[:, k:]):
+        M_red, residual = reduced_covariance_from_rows(part, z)
+        assert (residual <= UNITARITY_TOL).all()
+        spectrum, codes = symplectic_spectrum(M_red)
+        assert not codes.any()
+        spectra.append(spectrum.lambdas)
+        entropies.append(gaussian_entropies(spectrum.lambdas)[0])
+    shared = min(k, n - k)
+    small, large = sorted(spectra, key=lambda lambdas: lambdas.shape[1])  # small has the shared ones only
+    assert np.abs(small / large[:, :shared] - 1.0).max() <= 1e-12
+    assert np.abs(large[:, shared:] - 1.0).max(initial=0.0) <= 1e-12
+    assert np.abs(entropies[0] / entropies[1] - 1.0).max() <= 1e-12
 
 
 def test_validate_covariance_accepts_physical_states():
