@@ -1,10 +1,10 @@
 """Reproducible sampling of Haar-distributed unitaries.
 
 Randomness comes from counter-based Philox streams keyed by (seed, stream_id),
-so trial t of a run with master seed s always sees the same, statistically
-independent stream regardless of scheduling. A block of trials draws its
-Ginibre blocks off those streams, and haar_columns turns the whole stack
-into the first k columns of Haar unitaries at once.
+two exact 64-bit halves, so trial t of a run with master seed s always sees
+the same, statistically independent stream regardless of scheduling. A block
+of trials draws its Ginibre blocks off those streams, and haar_columns turns
+the whole stack into the first k columns of Haar unitaries at once.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Philox is keyed with a seed as one exact 64-bit half, so the harness and
-# the CLI take seeds in 0..SEED_LIMIT-1.
+from .errors import DomainError, as_int
+
+# A seed and a stream id are each an exact 64-bit half of a Philox key:
+# _stream_keys refuses any outside 0..SEED_LIMIT-1, as the CLI's seed flags do.
 SEED_LIMIT = 2**64
 
 
@@ -30,15 +32,18 @@ class SeededStream:
 
 
 def _stream_keys(seed: int, stream_ids) -> np.ndarray:
-    """The Philox keys of the streams (seed, t) for t in stream_ids, the one
-    place a stream is keyed: a (B, 2) uint64 array of the two exact 64-bit
-    halves [seed, t] mod 2^64.  Key, counter 0 and an empty output buffer are
-    the whole state of a fresh Philox, so a generator given a fresh one's
-    state with the key replaced by a row draws what a new generator keyed
-    with the row would, at a fraction of the cost of building one."""
+    """The Philox keys of the streams (seed, t) for t in the ascending
+    stream_ids, the one place a stream is keyed and its range checked: a
+    (B, 2) uint64 array of the exact 64-bit halves [seed, t], a seed or an id
+    outside 0..2^64-1 (the first and last ids bound the rest) a DomainError.
+    A fresh Philox's whole state is key, counter 0 and empty buffer, so that
+    state with a row as key draws what a Philox keyed with it would, cheaply."""
+    for name, value in (("seed", seed), *(("stream_id", t) for t in (*stream_ids[:1], *stream_ids[-1:]))):
+        if not 0 <= as_int(name, value) < SEED_LIMIT:
+            raise DomainError(f"{name}={value} outside 0..2^64-1")
     keys = np.empty((len(stream_ids), 2), dtype=np.uint64)
-    keys[:, 0] = seed % SEED_LIMIT
-    keys[:, 1] = [t % SEED_LIMIT for t in stream_ids]
+    keys[:, 0] = seed
+    keys[:, 1] = stream_ids
     return keys
 
 

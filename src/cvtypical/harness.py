@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, InvalidSubsystem, PairingFailure, as_int
-from .haar import SEED_LIMIT, SeededStream, _stream_keys, haar_columns
+from .haar import SeededStream, _stream_keys, haar_columns
 from .profiles import ProfileSpec, ScalingConfig, exponential_count, fixed_profile, spectra_from_exponentials
 from .symplectic import (
     NOT_POSITIVE_DEFINITE,
@@ -169,32 +169,25 @@ class RunSummary:
 
 def run_trial(z, k: int, stream: SeededStream) -> TrialRecord:
     """Trial stream.stream_id of the ensemble of fixed_profile(z) at seed
-    stream.seed: the record run_ensemble's table holds for it, run as a
-    block of one through _run_block.
-
-    Kept for perfbench's self-test and the tests, which call it.  A reduced
-    covariance that is not positive definite yields a flagged record with
-    NaN fields rather than an exception.
+    stream.seed, the record run_ensemble's table holds for it, run as a
+    block of one through draw_block, which refuses a seed or an id past 64
+    bits.  Kept for perfbench's self-test and the tests, which call it.  A
+    reduced covariance that is not positive definite yields a flagged
+    record with NaN fields rather than an exception.
     """
     if not isinstance(stream, SeededStream):
         raise DomainError(f"expected a SeededStream, got {type(stream).__name__}")
     spec = fixed_profile(z)
-    k, seed = _checked_k_and_seed(k, stream.seed, spec.n)
-    t = as_int("stream_id", stream.stream_id)
-    if not 0 <= t < SEED_LIMIT:  # SeededStream keys it mod 2^64, which would alias another trial
-        raise DomainError(f"stream_id={t} outside 0..2^64-1")
-    return _run_block((spec, k, seed, t, t + 1)).records()[0]
+    t = stream.stream_id
+    return _run_block((spec, _checked_k(k, spec.n), stream.seed, t, t + 1)).records()[0]
 
 
-def _checked_k_and_seed(k, seed, n: int) -> tuple:
-    """(k, seed) as Python ints, k in 1..n and seed in 0..SEED_LIMIT-1."""
+def _checked_k(k, n: int, low: int = 1) -> int:
+    """k as a Python int in low..n."""
     k = as_int("k", k, InvalidSubsystem)
-    if not 1 <= k <= n:
-        raise InvalidSubsystem(f"k={k} outside 1..{n}")
-    seed = as_int("seed", seed)
-    if not 0 <= seed < SEED_LIMIT:
-        raise DomainError(f"seed={seed} outside 0..2^64-1")
-    return k, seed
+    if not low <= k <= n:
+        raise InvalidSubsystem(f"k={k} outside {low}..{n}")
+    return k
 
 
 def _block_records(z, lam_bars, draws, k: int, trial_ids) -> TrialTable:
@@ -289,10 +282,12 @@ def draw_block(spec: ProfileSpec, k: int, seed: int, start: int, stop: int) -> t
     Returns (z, draws): z is the profile's one spectrum (n,) when it is
     deterministic, else the trials' spectra (B, n), inf where an energy
     squares past the float range; draws is (B, 2, n, k).  At k = 0 a trial
-    draws its spectrum only: row i of z is the spectrum trial i draws.
+    draws its spectrum only: row i of z is the spectrum trial i draws.  A k
+    outside 0..n is an InvalidSubsystem, a seed or id past 64 bits a DomainError.
     """
+    k = _checked_k(k, spec.n, 0)
+    gen = SeededStream(seed, start).generator()  # checks seed and start before range() takes them
     trial_ids = range(start, stop)
-    gen = SeededStream(seed, start).generator()
     state = gen.bit_generator.state  # a fresh Philox's: key, counter 0, empty buffer
     state["state"]["counter"], state["buffer"] = state["state"]["counter"].tolist(), state["buffer"].tolist()
     draws = np.empty((len(trial_ids), 2, spec.n, k))
@@ -409,16 +404,16 @@ def run_ensemble(profile, k: int, samples: int, seed: int, workers: int = 1):
 
     Returns (RunSummary, TrialTable in trial_id order).  The trial stream
     for trial t is keyed (seed, t), so any worker count reproduces the same
-    table bit for bit.  Trials run in contiguous blocks of ids, whose tables
-    are joined column by column; a run of one block keeps that block's.
-    Threads pay off only where the stacked LAPACK calls, which release the
-    GIL, dominate a block, so only blocks that BLOCK_ENTRIES shrinks below
-    BLOCK_TRIALS (n k > 256) go to w = min(workers, usable CPUs) threads,
-    each taking whole blocks of at most 1/w of one worker's, so the memory
-    in flight stays one worker's.  Raises PairingFailure when flagged trials
-    exceed FLAG_BUDGET of the run; any other failing trial stops the run
-    with its error, that of the lowest failing trial id whatever the worker
-    count.
+    table bit for bit; a seed past 64 bits is draw_block's DomainError.
+    Trials run in contiguous blocks of ids, whose tables are joined column
+    by column; a run of one block keeps that block's.  Threads pay off only
+    where the stacked LAPACK calls, which release the GIL, dominate a block,
+    so only blocks that BLOCK_ENTRIES shrinks below BLOCK_TRIALS (n k > 256)
+    go to w = min(workers, usable CPUs) threads, each taking whole blocks of
+    at most 1/w of one worker's, so the memory in flight stays one
+    worker's.  Raises PairingFailure when flagged trials exceed FLAG_BUDGET
+    of the run; any other failing trial stops the run with its error, that
+    of the lowest failing trial id whatever the worker count.
     """
     spec = profile if isinstance(profile, ProfileSpec) else fixed_profile(profile)
     samples, workers = as_int("samples", samples), as_int("workers", workers)
@@ -426,7 +421,7 @@ def run_ensemble(profile, k: int, samples: int, seed: int, workers: int = 1):
         raise DomainError(f"need samples >= 1, got {samples}")
     if workers < 1:
         raise DomainError(f"need workers >= 1, got {workers}")
-    k, seed = _checked_k_and_seed(k, seed, spec.n)
+    k, seed = _checked_k(k, spec.n), as_int("seed", seed)
 
     size = _block_size(spec.n, k)
     threads = min(workers, _cpu_count()) if size < BLOCK_TRIALS else 1

@@ -56,7 +56,8 @@ records into a TrialTable for the package's routes.
 
 ``sample_profile`` draws one squeezing spectrum off a generator in place,
 the bits a trial's stream draws first; ``delta_squared_cdf_one_mode`` is
-the exact law of delta^2 at k = 1 for a constant spectrum.
+the exact law of delta^2 at k = 1 for a constant spectrum, and
+``k1_moments`` the exact moments E lambda^(2p) at k = 1 for any spectrum.
 """
 
 from __future__ import annotations
@@ -583,6 +584,54 @@ def delta_squared_cdf_one_mode(eps, z: float, n: int):
     """
     a = (z - 1.0 / z) / 2.0
     return 1.0 - np.maximum(1.0 - np.sqrt(eps) / (a * a), 0.0) ** ((n - 1) / 2.0)
+
+
+def k1_moments(z, p: int) -> Fraction:
+    """Exact E[lambda^(2p)] at k = 1 for the spectrum z, from the power sums
+    of b alone, with no per-mode series.
+
+    A Haar row is v = zeta/|zeta| with zeta a standard complex Gaussian, so
+    lambda^2 = (B^2 - |A|^2)/G^2 with B = sum_j b_j |zeta_j|^2,
+    A = sum_j a_j zeta_j^2 and G = |zeta|^2 ~ Gamma(n), independent of v:
+    E lambda^(2p) = E[(B^2 - |A|^2)^p] / (n (n+1) ... (n+2p-1)).  The moment
+    generating function E exp(s B + Re(conj(t) A)) of (B, A) is
+    prod_j ((1 - s b_j)^2 - (b_j^2 - 1) rho)^(-1/2) with rho = |t|^2, as
+    a_j^2 = b_j^2 - 1.  Its log is
+
+        sum_(i>=1) P_i s^i / i
+          + sum_(r>=1, i>=0) C(2r+i-1, i)/(2r) s^i rho^r sum_j (b_j^2 - 1)^r b_j^i,
+
+    whose last sum expands into the power sums P_g = sum_j b_j^g, g <= 2p at
+    the orders needed.  A's phase is uniform and independent of |A| and B,
+    so E[B^m |A|^(2l)] = m! 4^l (l!)^2 [s^m rho^l] of the exponential, which
+    is taken as a series truncated at weight i + 2r <= 2p.
+    """
+    _a, b = _ab_vectors(z)
+    n, order = len(b), 2 * p
+    sums = [sum(x**g for x in b) for g in range(order + 1)]
+    log = Counter()
+    for r in range(p + 1):
+        for i in range(order - 2 * r + 1):
+            if r == 0 and i > 0:
+                log[i, 0] = sums[i] / i
+            elif r > 0:
+                mixed = sum(math.comb(r, u) * (-1) ** (r - u) * sums[2 * u + i] for u in range(r + 1))
+                log[i, r] = Fraction(math.comb(2 * r + i - 1, i), 2 * r) * mixed
+    mgf, term = Counter({(0, 0): Fraction(1)}), Counter({(0, 0): Fraction(1)})
+    for j in range(1, order + 1):
+        step = Counter()
+        for (i1, r1), c1 in term.items():
+            for (i2, r2), c2 in log.items():
+                if i1 + i2 + 2 * (r1 + r2) <= order:
+                    step[i1 + i2, r1 + r2] += c1 * c2 / j
+        term = step
+        mgf.update(term)
+    moment = sum(
+        math.comb(p, l) * (-1) ** l * math.factorial(order - 2 * l) * 4**l * math.factorial(l) ** 2
+        * mgf[order - 2 * l, l]
+        for l in range(p + 1)
+    )
+    return Fraction(moment) / math.prod(range(n, n + order))
 
 
 def _reference_haar_rows(n: int, gen, k: int) -> np.ndarray:

@@ -593,16 +593,15 @@ def test_draw_block_gives_each_trials_spectrum(profile, n, k, samples):
     assert average_energies(spectra).tobytes() == table.lambda_bar.tobytes()
 
 
-@pytest.mark.parametrize("seed", [0, 12, -3, 2**40 + 1, 2**64 + 5])
+@pytest.mark.parametrize("seed", [0, 12, 2**40 + 1, 2**64 - 1])
 def test_reseated_stream_draws_what_a_fresh_one_does(seed):
     """A re-seated generator and SeededStream.generator() both draw what a
     Philox keyed directly with the two exact uint64 halves draws."""
     gen = SeededStream(99, 99).generator()
     gen.standard_normal(7)  # leave it mid-buffer
-    mask = (1 << 64) - 1
     state = SeededStream(0).generator().bit_generator.state  # reused, as a block does
-    for stream_id in (0, 1, 2**33, -1):
-        key = np.array([seed & mask, stream_id & mask], dtype=np.uint64)
+    for stream_id in (0, 1, 2**33, 2**64 - 1):
+        key = np.array([seed, stream_id], dtype=np.uint64)
         fresh = np.random.Generator(np.random.Philox(key=key))
         stream = SeededStream(seed, stream_id).generator()
         state["state"]["key"] = _stream_keys(seed, [stream_id])[0]
@@ -614,6 +613,52 @@ def test_reseated_stream_draws_what_a_fresh_one_does(seed):
             assert np.array_equal(getattr(stream, draw)(5), expected)
         expected = fresh.integers(2**62)
         assert reseated.integers(2**62) == expected and stream.integers(2**62) == expected
+
+
+@pytest.mark.parametrize(
+    "seed, stream_id, name, value",
+    [(-3, 0, "seed", -3), (2**64 + 5, 0, "seed", 2**64 + 5), (2**64 + 3, 0, "seed", 2**64 + 3),
+     (5, -1, "stream_id", -1), (5, 2**64, "stream_id", 2**64)],
+    ids=["seed-3", "seed2^64+5", "seed2^64+3", "id-1", "id2^64"],
+)
+def test_a_key_half_outside_64_bits_is_refused(seed, stream_id, name, value):
+    """A seed and a stream id are each an exact 64-bit half of the key:
+    one outside 0..2^64-1 would key the stream of its value mod 2^64
+    (2^64 + 3 that of 3, -1 that of 2^64 - 1), so SeededStream and the
+    block keys refuse it."""
+    message = rf"{name}={value} outside 0\.\.2\^64-1"
+    with pytest.raises(DomainError, match=message):
+        SeededStream(seed, stream_id).generator()
+    with pytest.raises(DomainError, match=message):
+        _stream_keys(seed, [stream_id])
+
+
+@pytest.mark.parametrize(
+    "seed, start, stop, message",
+    [(2**64 + 3, 0, 2, rf"seed={2**64 + 3} outside"), (-1, 0, 2, "seed=-1 outside"),
+     (5, -1, 1, "stream_id=-1 outside"), (5, 2**64 - 1, 2**64 + 1, rf"stream_id={2**64} outside")],
+    ids=["seed2^64+3", "seed-1", "start-1", "stop2^64+1"],
+)
+def test_draw_block_refuses_a_key_outside_64_bits(seed, start, stop, message):
+    """draw_block, the demo's route to a seed's spectra, keys its trials
+    through the same check: seed 2^64 + 3 would draw seed 3's trials, and
+    trial -1 trial 2^64 - 1's."""
+    with pytest.raises(DomainError, match=message):
+        draw_block(parse_profile("fixed:3,1,1,1"), 1, seed, start, stop)
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [(-1, r"k=-1 outside 0\.\.4"), (5, r"k=5 outside 0\.\.4"),
+     (1.5, "need an integer k, got k=1.5"), (True, "need an integer k, got k=True")],
+    ids=["negative", "past_n", "float", "bool"],
+)
+def test_draw_block_refuses_a_k_outside_0_to_n(k, message):
+    """draw_block takes k in 0..n, k = 0 drawing the spectra only; any
+    other k is refused through run_ensemble's check of k, not left to
+    numpy's array shape or drawn as a block no trial can use."""
+    with pytest.raises(InvalidSubsystem, match=message):
+        draw_block(parse_profile("fixed:3,1,1,1"), k, 0, 0, 2)
 
 
 def _poison_domain(monkeypatch, trial):

@@ -6,18 +6,23 @@ with the plain covariance pipeline and with the closed-form tables before any
 test leans on them.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cvtypical.errors import DomainError
 from cvtypical.haar import SeededStream
 from cvtypical.moments import (
+    _average_energy,
     _exact,
     _fourth_moment,
     _second_moment,
+    _tilde_lambda_squared,
     expected_f_exact,
     moment_inputs_from_spectrum,
 )
@@ -28,6 +33,7 @@ from oracles import (
     eta_embed,
     expected_trace_power,
     fiducial_covariance,
+    k1_moments,
     reduce_covariance,
     rotate_covariance,
     symplectic_form,
@@ -94,3 +100,37 @@ def test_one_mode_delta_law_has_the_exact_mean(z, n):
     mean, _error = quad(lambda u: 2.0 * a4 * u * tail(u), 0.0, 1.0)
     exact = expected_f_exact(moment_inputs_from_spectrum((Fraction(z),) * n, 1))
     assert 2.0 * mean == pytest.approx(float(exact), rel=1e-9)
+
+
+RATIONAL_Z = st.fractions(min_value=1, max_value=9, max_denominator=13)
+
+
+@given(z=st.lists(RATIONAL_Z, min_size=4, max_size=9))
+@example(z=[3, 1, 1, 1])
+@example(z=[2, 3, Fraction(3, 2), 1, 5])
+def test_k1_moments_equal_the_exact_tables(z):
+    """At k = 1, E lambda^2 is the tables' tilde_lambda^2, 2 E lambda^4 is
+    E tr(JM)^4, and E f = 2 E lambda^4 - 4 lambda_bar^2 E lambda^2
+    + 2 lambda_bar^4, all equal as Fractions: the (B, A) generating function
+    and the Weingarten tables are independent derivations."""
+    mi = moment_inputs_from_spectrum(z, 1)
+    second, fourth = k1_moments(z, 1), k1_moments(z, 2)
+    bar = _exact(mi, _average_energy)
+    assert second == _exact(mi, _tilde_lambda_squared)
+    assert 2 * fourth == _exact(mi, _fourth_moment)
+    assert 2 * fourth - 4 * bar**2 * second + 2 * bar**4 == expected_f_exact(mi)
+
+
+@given(n=st.integers(2, 12), z=RATIONAL_Z)
+@example(n=4, z=Fraction(2))
+@example(n=5, z=Fraction(3))
+@example(n=6, z=Fraction(3, 2))
+def test_k1_moments_follow_the_beta_law_at_constant_spectra(n, z):
+    """For a constant spectrum lambda^2 = 1 + a^2 Y with Y ~ Beta((n-1)/2, 1)
+    (K's law, which delta_squared_cdf_one_mode holds), so
+    E lambda^(2p) = sum_j C(p, j) a^(2j) alpha/(alpha + j), alpha = (n-1)/2,
+    at every order p."""
+    a_sq, alpha = (z - 1 / z) ** 2 / 4, Fraction(n - 1, 2)
+    for p in range(1, 5):
+        beta_law = sum(math.comb(p, j) * a_sq**j * alpha / (alpha + j) for j in range(p + 1))
+        assert k1_moments([z] * n, p) == beta_law

@@ -109,6 +109,33 @@ def test_draws_are_laid_out_in_draw_block_only():
     assert sites == {("harness.draw_block", method) for method in DRAWS}
 
 
+def test_the_64_bit_stream_rule_has_one_home():
+    """A seed and a stream id are each an exact 64-bit half of a Philox
+    key, and haar._stream_keys, which keys every stream, is where the rule
+    is checked: SEED_LIMIT is named only by haar.py and by cli.py, whose
+    seed flags check their own input, and no % folds a value into range,
+    which would key another stream instead of refusing it."""
+    names = {
+        path.name
+        for path, tree in SOURCES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "SEED_LIMIT"
+        or isinstance(node, ast.Attribute) and node.attr == "SEED_LIMIT"
+        or isinstance(node, ast.alias) and node.name == "SEED_LIMIT"
+    }
+    assert names == {"haar.py", "cli.py"}
+    folds = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in SOURCES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+        and "SEED_LIMIT" in {ast.unparse(node.left), ast.unparse(node.right)}
+        or isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod)
+        and ast.unparse(node.value) == "SEED_LIMIT"
+    ]
+    assert folds == []
+
+
 def test_the_cli_reads_each_value_in_one_place():
     """argparse only splits the command line: no add_argument call reads a
     value (type=) or restricts it (choices=), no set_defaults lays the
