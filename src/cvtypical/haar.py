@@ -32,13 +32,13 @@ class SeededStream:
 
 
 def _stream_keys(seed: int, stream_ids) -> np.ndarray:
-    """The Philox keys of the streams (seed, t) for t in the ascending
-    stream_ids, the one place a stream is keyed and its range checked: a
-    (B, 2) uint64 array of the exact 64-bit halves [seed, t], a seed or an id
-    outside 0..2^64-1 (the first and last ids bound the rest) a DomainError.
-    A fresh Philox's whole state is key, counter 0 and empty buffer, so that
-    state with a row as key draws what a Philox keyed with it would, cheaply."""
-    for name, value in (("seed", seed), *(("stream_id", t) for t in (*stream_ids[:1], *stream_ids[-1:]))):
+    """The (B, 2) uint64 Philox keys [seed, t], exact 64-bit halves, of the
+    streams for t in the ascending stream_ids: the one place a stream is
+    keyed, and a seed or an id outside 0..2^64-1 is a DomainError here.  A
+    fresh Philox's state is key, counter 0 and empty buffer, so that state
+    with a row as key draws what a Philox keyed with it would, cheaply."""
+    ends = [*stream_ids[:1], *stream_ids[-1:]]  # ascending, so they bound the rest
+    for name, value in zip(("seed", "stream_id", "stream_id"), (seed, *ends)):
         if not 0 <= as_int(name, value) < SEED_LIMIT:
             raise DomainError(f"{name}={value} outside 0..2^64-1")
     keys = np.empty((len(stream_ids), 2), dtype=np.uint64)

@@ -178,7 +178,7 @@ def run_trial(z, k: int, stream: SeededStream) -> TrialRecord:
     if not isinstance(stream, SeededStream):
         raise DomainError(f"expected a SeededStream, got {type(stream).__name__}")
     spec = fixed_profile(z)
-    t = stream.stream_id
+    t = as_int("stream_id", stream.stream_id)  # an integer before t + 1 is taken
     return _run_block((spec, _checked_k(k, spec.n), stream.seed, t, t + 1)).records()[0]
 
 
