@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one check of an
-integer count, which every module that takes one imports from here."""
+"""Exception types shared across the package, and the one reader of an
+integer argument and its range, which every module that takes one imports
+from here."""
 
 from numbers import Integral
 
@@ -60,10 +61,14 @@ class UsageError(CvTypicalError):
     """Bad command-line or config-file input."""
 
 
-def as_int(name: str, value, error=DomainError) -> int:
-    """value as a Python int: a float count would be truncated or fail in
-    numpy, and a numpy integer would be written as np.int64(1) in the CSV,
-    fail the JSON encoder, and overflow the stream keys; a bool is no count."""
+def as_int(name: str, value, error=DomainError, low=None, high=None) -> int:
+    """value as a Python int in low..high, an end None being open, else an
+    error: a float count would be truncated or fail in numpy, a numpy
+    integer would be written as np.int64(1) in the CSV, fail the JSON
+    encoder, and overflow the stream keys; a bool is no count."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise error(f"need an integer {name}, got {name}={value!r}")
-    return int(value)
+    value = int(value)
+    if low is not None and value < low or high is not None and value > high:
+        raise error(f"{name}={value} outside {'' if low is None else low}..{'' if high is None else high}")
+    return value

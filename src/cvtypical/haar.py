@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, as_int
+from .errors import as_int
 
 # A seed and a stream id are each an exact 64-bit half of a Philox key:
 # _stream_keys refuses any outside 0..SEED_LIMIT-1, as the CLI's seed flags do.
@@ -39,8 +39,7 @@ def _stream_keys(seed: int, stream_ids) -> np.ndarray:
     with a row as key draws what a Philox keyed with it would, cheaply."""
     ends = [*stream_ids[:1], *stream_ids[-1:]]  # ascending, so they bound the rest
     for name, value in zip(("seed", "stream_id", "stream_id"), (seed, *ends)):
-        if not 0 <= as_int(name, value) < SEED_LIMIT:
-            raise DomainError(f"{name}={value} outside 0..2^64-1")
+        as_int(name, value, low=0, high=SEED_LIMIT - 1)
     keys = np.empty((len(stream_ids), 2), dtype=np.uint64)
     keys[:, 0] = seed
     keys[:, 1] = stream_ids

@@ -178,16 +178,9 @@ def run_trial(z, k: int, stream: SeededStream) -> TrialRecord:
     if not isinstance(stream, SeededStream):
         raise DomainError(f"expected a SeededStream, got {type(stream).__name__}")
     spec = fixed_profile(z)
+    k = as_int("k", k, InvalidSubsystem, low=1, high=spec.n)
     t = as_int("stream_id", stream.stream_id)  # an integer before t + 1 is taken
-    return _run_block((spec, _checked_k(k, spec.n), stream.seed, t, t + 1)).records()[0]
-
-
-def _checked_k(k, n: int, low: int = 1) -> int:
-    """k as a Python int in low..n."""
-    k = as_int("k", k, InvalidSubsystem)
-    if not low <= k <= n:
-        raise InvalidSubsystem(f"k={k} outside {low}..{n}")
-    return k
+    return _run_block((spec, k, stream.seed, t, t + 1)).records()[0]
 
 
 def _block_records(z, lam_bars, draws, k: int, trial_ids) -> TrialTable:
@@ -283,11 +276,12 @@ def draw_block(spec: ProfileSpec, k: int, seed: int, start: int, stop: int) -> t
     deterministic, else the trials' spectra (B, n), inf where an energy
     squares past the float range; draws is (B, 2, n, k).  At k = 0 a trial
     draws its spectrum only: row i of z is the spectrum trial i draws.  A k
-    outside 0..n is an InvalidSubsystem, a seed or id past 64 bits a DomainError.
+    outside 0..n is an InvalidSubsystem; a seed or id past 64 bits, or a stop
+    below start, a DomainError.
     """
-    k = _checked_k(k, spec.n, 0)
+    k = as_int("k", k, InvalidSubsystem, low=0, high=spec.n)
     gen = SeededStream(seed, start).generator()  # checks seed and start before range() takes them
-    trial_ids = range(start, stop)
+    trial_ids = range(start, as_int("stop", stop, low=start))
     state = gen.bit_generator.state  # a fresh Philox's: key, counter 0, empty buffer
     state["state"]["counter"], state["buffer"] = state["state"]["counter"].tolist(), state["buffer"].tolist()
     draws = np.empty((len(trial_ids), 2, spec.n, k))
@@ -416,12 +410,8 @@ def run_ensemble(profile, k: int, samples: int, seed: int, workers: int = 1):
     of the lowest failing trial id whatever the worker count.
     """
     spec = profile if isinstance(profile, ProfileSpec) else fixed_profile(profile)
-    samples, workers = as_int("samples", samples), as_int("workers", workers)
-    if samples < 1:
-        raise DomainError(f"need samples >= 1, got {samples}")
-    if workers < 1:
-        raise DomainError(f"need workers >= 1, got {workers}")
-    k, seed = _checked_k(k, spec.n), as_int("seed", seed)
+    samples, workers = as_int("samples", samples, low=1), as_int("workers", workers, low=1)
+    k, seed = as_int("k", k, InvalidSubsystem, low=1, high=spec.n), as_int("seed", seed)
 
     size = _block_size(spec.n, k)
     threads = min(workers, _cpu_count()) if size < BLOCK_TRIALS else 1
@@ -465,9 +455,7 @@ def concentration_sweep(
     own base seed (seed + index) so rows stay independent.
     """
     for index, n in enumerate(n_list):
-        n = as_int("n", n)
-        if n < SWEEP_MIN_N:
-            raise DomainError(f"sweep rows need n >= {SWEEP_MIN_N}, got {n}")
+        n = as_int("n", n, low=SWEEP_MIN_N)
         k_n = scaling.k_of(n) if k is None else k
         yield (n, *run_ensemble(scaling.profile_for(n), k_n, samples, seed + index, workers))
 

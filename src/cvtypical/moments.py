@@ -77,11 +77,8 @@ class MomentInputs:
             raise DomainError("squeezing spectrum must be nonempty")
         if count != n:
             raise DimensionTooSmall(f"need {n} modes, got {count}")
-        k = as_int("k", self.k, InvalidSubsystem)
-        if not 1 <= k <= n:
-            raise InvalidSubsystem(f"need 1 <= k <= {n}, got k={k}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", as_int("k", self.k, InvalidSubsystem, low=1, high=n))
         object.__setattr__(self, "modes", tuple(modes))
 
     @cached_property

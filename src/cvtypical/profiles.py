@@ -45,9 +45,7 @@ class ProfileSpec:
     def __post_init__(self):
         if self.kind not in DETERMINISTIC_KINDS | RANDOM_KINDS:
             raise InvalidSpec(f"unknown profile kind {self.kind!r}")
-        object.__setattr__(self, "n", as_int("n", self.n, InvalidSpec))
-        if self.n < 1:
-            raise InvalidSpec(f"need at least one mode, got n={self.n}")
+        object.__setattr__(self, "n", as_int("n", self.n, InvalidSpec, low=1))
         if self.kind == "fixed":
             if len(self.z_values) != self.n:
                 raise InvalidSpec(
@@ -129,6 +127,8 @@ def parse_profile(text: str, n: int | None = None) -> ProfileSpec:
     micro/canonical.  Raises InvalidSpec on malformed text, EnergyTooSmall
     when a random ensemble is asked for less than its floor allows.
     """
+    if n is not None:
+        n = as_int("n", n, InvalidSpec, low=1)
     if not isinstance(text, str) or ":" not in text:
         raise InvalidSpec(f"profile must look like kind:args, got {text!r}")
     kind, _, args = text.partition(":")
@@ -173,7 +173,7 @@ def parse_profile(text: str, n: int | None = None) -> ProfileSpec:
     else:
         raise InvalidSpec(f"unknown profile kind {kind!r} in {text!r}")
 
-    if n is not None and (spec.n != n or isinstance(n, bool)):  # True == 1, but is no count
+    if n is not None and spec.n != n:
         raise InvalidSpec(f"profile {text!r} has n={spec.n} but n={n} was requested")
     return spec
 

@@ -56,8 +56,9 @@ records into a TrialTable for the package's routes.
 
 ``sample_profile`` draws one squeezing spectrum off a generator in place,
 the bits a trial's stream draws first; ``delta_squared_cdf_one_mode`` is
-the exact law of delta^2 at k = 1 for a constant spectrum, and
-``k1_moments`` the exact moments E lambda^(2p) at k = 1 for any spectrum.
+the exact law of delta^2 at k = 1 for a constant spectrum,
+``k1_moments`` the exact moments E lambda^(2p) at k = 1 for any spectrum,
+and ``k1_f_moments`` the exact moments E f^m built from them.
 """
 
 from __future__ import annotations
@@ -632,6 +633,19 @@ def k1_moments(z, p: int) -> Fraction:
         for l in range(p + 1)
     )
     return Fraction(moment) / math.prod(range(n, n + order))
+
+
+def k1_f_moments(z, m: int) -> list:
+    """Exact [E f, E f^2, ..., E f^m] at k = 1 for the spectrum z: with
+    f = 2 (lambda^2 - lambda_bar^2)^2, E f^j = 2^j sum_i C(2j, i)
+    E[lambda^(2i)] (-lambda_bar^2)^(2j - i), from k1_moments up to p = 2m."""
+    _a, b = _ab_vectors(z)
+    shift = -(sum(b) / len(b)) ** 2
+    powers = [Fraction(1)] + [k1_moments(z, p) for p in range(1, 2 * m + 1)]
+    return [
+        2**j * sum(math.comb(2 * j, i) * powers[i] * shift ** (2 * j - i) for i in range(2 * j + 1))
+        for j in range(1, m + 1)
+    ]
 
 
 def _reference_haar_rows(n: int, gen, k: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 The expensive Monte Carlo inputs are module-scoped fixtures shared across
 criteria: the three 1e5-trial moment ensembles feed criteria 4 and 5, and the
-1e4-trial scaling sweep feeds criteria 5, 6 and 7.  Every check runs from a
-frozen seed, so a pass here is bit-for-bit repeatable.
+1e4-trial scaling sweep feeds criteria 5, 6 and 7 and the exact k = 1
+variance of f, which two fixed-spectrum runs check as well.  Every check
+runs from a frozen seed, so a pass here is bit-for-bit repeatable.
 
 Full runtime was 34 s on a 2-core Xeon host (Python 3.11, numpy 2.4).
 """
@@ -43,6 +44,7 @@ from oracles import (
     _reference_haar_rows,
     entropy_G,
     haar_average_BB_minus_AA,
+    k1_f_moments,
     lipschitz_bound,
     lipschitz_probe,
     sample_profile,
@@ -52,6 +54,8 @@ MOMENT_SUITES = ((4, 1, 1004), (5, 1, 1005), (8, 2, 1008))
 SWEEP_NS = (16, 32, 64, 128)
 SWEEP_SAMPLES = 10_000
 SWEEP_SEED = 2024
+K1_VARIANCE_RUNS = (((3.0, 1.0, 1.0, 1.0), 3501), ((2.0, 3.0, 1.5, 1.0, 5.0), 3502))
+K1_VARIANCE_SAMPLES = 20_000
 
 
 def audit_records(records):
@@ -300,3 +304,39 @@ def test_criterion_10_reproducibility(tmp_path):
     path2.write_text(blob2)
     assert path1.read_bytes() == path2.read_bytes()
     print("ACCEPTANCE 10 PASS: worker count invisible in summaries and CSV bytes")
+
+
+def _k1_f_gaps(z, summary):
+    """(mean_f - E f, var_f - Var f), each in its exact SE, for a k = 1
+    ensemble of the spectrum z.  E f^m for m <= 4 come from k1_f_moments, so
+    Var f and the fourth central moment mu4 are exact, and so are the SEs:
+    sqrt(Var f/N) for the mean and sqrt((mu4 - Var f^2)/N) for the sample
+    variance, which is read off se_f = sd/sqrt(N) (ddof=1)."""
+    m1, m2, m3, m4 = k1_f_moments(z, 4)
+    assert m1 == expected_f_exact(moment_inputs_from_spectrum(z, 1))
+    var = m2 - m1**2
+    mu4 = m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4
+    count = summary.samples - summary.flagged
+    var_f = summary.se_f**2 * count
+    return (
+        (summary.mean_f - float(m1)) / math.sqrt(float(var) / count),
+        (var_f - float(var)) / math.sqrt(float(mu4 - var**2) / count),
+    )
+
+
+def test_k1_variance_of_f_is_exact_on_the_sweep(scaling_sweep):
+    """At the criterion-6 fixture (z = 2, k = 1), mean_f and the sample
+    variance of f each lie within 3 exact SE of E f and Var f.  f has
+    kurtosis 22-69 there, so an empirical SE of the variance would swing."""
+    rows, _audits = scaling_sweep
+    gaps = {n: _k1_f_gaps((Fraction(2),) * n, summary) for n, summary in rows}
+    assert all(abs(d) <= 3.0 for pair in gaps.values() for d in pair), gaps
+
+
+@pytest.mark.parametrize("z, seed", K1_VARIANCE_RUNS, ids=["3,1,1,1", "2,3,1.5,1,5"])
+def test_k1_variance_of_f_is_exact_on_fixed_spectra(z, seed):
+    """mean_f and the sample variance of f within 3 exact SE on two fixed
+    spectra, K1_VARIANCE_SAMPLES trials each."""
+    summary, _table = run_ensemble(z, 1, K1_VARIANCE_SAMPLES, seed=seed)
+    gaps = _k1_f_gaps(z, summary)
+    assert all(abs(d) <= 3.0 for d in gaps), gaps

@@ -240,6 +240,9 @@ def test_profile_spec_direct_validation():
         lambda: parse_profile("canonical:14", n=4.7),
         lambda: parse_profile("fixed:2,1,1,1", n=4.7),
         lambda: parse_profile("constant:2x4", n=4.7),
+        # equal to the text's own count, but still no count
+        lambda: parse_profile("fixed:2,1,1,1", n=4.0),
+        lambda: parse_profile("constant:2x4", n=4.0),
         lambda: constant_profile(2.0, 4.9),
         lambda: ScalingConfig().profile_for(4.9),
         lambda: ProfileSpec(kind="constant", n=4.5, z=2.0),
@@ -252,7 +255,8 @@ def test_profile_spec_direct_validation():
         lambda: parse_profile("constant:2x1", n=True),
     ],
     ids=[
-        "micro", "canonical", "fixed", "constant", "constant_profile", "profile_for", "spec", "text",
+        "micro", "canonical", "fixed", "constant", "fixed_float_equal", "constant_float_equal",
+        "constant_profile", "profile_for", "spec", "text",
         "spec_bool", "constant_profile_bool", "micro_bool", "fixed_bool", "constant_bool",
     ],
 )
@@ -260,6 +264,12 @@ def test_a_mode_count_that_is_not_an_integer_is_refused(build):
     """A float n is not truncated to the modes below it, and a bool is no n."""
     with pytest.raises(InvalidSpec, match="n=4|n='4'|n=True"):
         build()
+
+
+@pytest.mark.parametrize("text, n", [("fixed:1,2", 0), ("micro:14", 0), ("micro:14", -2)])
+def test_parse_profile_refuses_a_count_below_one(text, n):
+    with pytest.raises(InvalidSpec, match=rf"n={n} outside 1\.\.$"):
+        parse_profile(text, n=n)
 
 
 def test_a_numpy_mode_count_is_stored_as_an_int():

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from cvtypical import cli
+from cvtypical import cli, harness
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cvtypical"
@@ -134,6 +134,21 @@ def test_the_64_bit_stream_rule_has_one_home():
         and ast.unparse(node.value) == "SEED_LIMIT"
     ]
     assert folds == []
+
+
+def test_a_range_is_refused_by_as_int_only():
+    """An integer argument's range is refused by errors.as_int, with its
+    low and high, and nowhere else: no raise outside errors.py words an
+    "outside" message of its own, and harness has no _checked_k."""
+    own = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in SOURCES.items() if path.name != "errors.py"
+        for node in ast.walk(tree) if isinstance(node, ast.Raise)
+        for part in ast.walk(node)
+        if isinstance(part, ast.Constant) and isinstance(part.value, str) and " outside " in part.value
+    ]
+    assert own == []
+    assert "_checked_k" not in vars(harness)
 
 
 def test_the_cli_reads_each_value_in_one_place():
